@@ -21,5 +21,5 @@ from .core import (  # noqa: F401
     ImuSample,
     NumericalError,
     SonarChannel,
-    SonarPing,
+    SonarLog,
 )

@@ -13,14 +13,15 @@ CSV schemas (header row mandatory, plain decimal, '.' radix):
 
     imu.csv      t,ax,ay,az,gx,gy,gz
     gps.csv      t,lat,lon,alt
-    sonar.csv    t,channel,range,valid
+    sonar.csv    t,channel,range,valid                (rows sorted by t)
     truth.csv    t,e,n,u,ve,vn,vu,qw,qx,qy,qz       (est.csv identical)
     fused.csv    t,raw1,raw2,fused,p11,p22
     feedback.csv t,kind,motor_or_priority,value
 
 Scenario files are flat ``key = value`` text with ``#`` comments; list
 values use ``;`` between items and ``,`` within (see scenarios/walk110.cfg).
-Every command is deterministic given its inputs and seed.  Exit codes:
+Every command is deterministic given its inputs and seed, across
+processes as well (no output depends on the hash seed).  Exit codes:
 0 success, 1 usage, 2 data error, 3 numerical failure.
 """
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import feedback as fb
 from . import geo, metrics, perception, sim, sonar_ekf
-from .core import DataError, GpsFix, ImuSample, NumericalError, SonarChannel, SonarPing
+from .core import CHANNELS, DataError, GpsFix, ImuSample, NumericalError, SonarLog
 from .localizer import (
     CalibrationOffsets,
     LocalizerConfig,
@@ -108,11 +109,14 @@ class _CsvReader:
 
     def floats(self, row_no: int, row: dict, col: str) -> float:
         try:
-            return float(row[col])
+            x = float(row[col])
         except ValueError:
+            x = math.nan
+        if not math.isfinite(x):
             raise DataError(
-                f"{self.path}:{row_no}: column '{col}': not a number: {row[col]!r}"
-            ) from None
+                f"{self.path}:{row_no}: column '{col}': not a finite number: {row[col]!r}"
+            )
+        return x
 
 
 def write_imu_csv(path, samples) -> None:
@@ -163,35 +167,39 @@ def read_gps_csv(path) -> list[GpsFix]:
     return out
 
 
-def write_sonar_csv(path, pings) -> None:
+def write_sonar_csv(path, log: SonarLog) -> None:
+    names = [c.value for c in CHANNELS]
+    columns = (log.t, log.channel, log.range_m, log.valid)
+    rows = zip(*(col.tolist() for col in columns))
     _write_csv(
         Path(path),
         SONAR_HEADER,
-        (
-            [_fmt(p.t), p.channel.value, _fmt(p.range_m), str(int(p.valid))]
-            for p in pings
-        ),
+        ([_fmt(t), names[c], _fmt(r), str(int(v))] for t, c, r, v in rows),
     )
 
 
-def read_sonar_csv(path) -> list[SonarPing]:
+def read_sonar_csv(path) -> SonarLog:
     reader = _CsvReader(path, SONAR_HEADER)
-    channels = {c.value: c for c in SonarChannel}
-    out = []
+    index = {c.value: k for k, c in enumerate(CHANNELS)}
+    t, channel, range_m, valid = [], [], [], []
     for i, row in reader:
-        if row["channel"] not in channels:
+        if row["channel"] not in index:
             raise DataError(
                 f"{reader.path}:{i}: column 'channel': unknown channel {row['channel']!r}"
             )
-        out.append(
-            SonarPing(
-                t=reader.floats(i, row, "t"),
-                channel=channels[row["channel"]],
-                range_m=reader.floats(i, row, "range"),
-                valid=bool(int(reader.floats(i, row, "valid"))),
-            )
-        )
-    return out
+        tk = reader.floats(i, row, "t")
+        if t and tk < t[-1]:
+            raise DataError(f"{reader.path}:{i}: column 't': timestamps not sorted")
+        t.append(tk)
+        channel.append(index[row["channel"]])
+        range_m.append(reader.floats(i, row, "range"))
+        valid.append(bool(int(reader.floats(i, row, "valid"))))
+    return SonarLog(
+        t=np.array(t, dtype=float),
+        channel=np.array(channel, dtype=int),
+        range_m=np.array(range_m, dtype=float),
+        valid=np.array(valid, dtype=bool),
+    )
 
 
 def write_pose_csv(path, t, p, v, q) -> None:
@@ -361,7 +369,15 @@ def _localizer_config(noise: sim.NoiseConfig) -> LocalizerConfig:
     )
 
 
-def _simulate_streams(scenario: sim.Scenario, gps_on: bool):
+# ---------------------------------------------------------------------------
+# Commands
+
+
+def _simulate(args):
+    """Simulate the scenario named by ``args`` and write its four streams."""
+    scenario = _apply_cli_overrides(load_scenario(args.scenario), args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     truth = sim.gen_walk(scenario)
     imu = sim.synth_imu(truth, scenario.noise, scenario.seed)
     fixes = sim.synth_gps(
@@ -372,88 +388,43 @@ def _simulate_streams(scenario: sim.Scenario, gps_on: bool):
         scenario.anchor_fix(),
         scenario.gps_dropouts,
     )
-    if not gps_on:
+    if args.gps == "off":
         fixes = fixes[:1]  # keep only the anchor fix
-    pings = sim.synth_sonar(truth, scenario)
-    return truth, imu, fixes, pings
-
-
-def _front_pairs(pings) -> list[tuple[float, list[SonarPing]]]:
-    by_tick: dict[float, list[SonarPing]] = {}
-    order: list[float] = []
-    for p in pings:
-        if p.channel is SonarChannel.FRONT:
-            if p.t not in by_tick:
-                by_tick[p.t] = []
-                order.append(p.t)
-            by_tick[p.t].append(p)
-    pairs = []
-    for t in order:
-        group = by_tick[t]
-        if len(group) != 2:
-            raise DataError(
-                f"unsupported sonar layout: {len(group)} front ping(s) at t={t}; "
-                "fusion needs exactly two front sensors"
-            )
-        pairs.append((t, group))
-    return pairs
-
-
-def _fuse_front(pings, cfg: sonar_ekf.SonarFusionConfig | None = None):
-    """Run the two-sensor EKF over the front channel of a ping stream.
-
-    Yields ``(t, pair, state)`` with state None before initialization.
-    """
-    pairs = _front_pairs(pings)
-    stream = (
-        (np.array([a.range_m, b.range_m]), (a.valid, b.valid)) for t, (a, b) in pairs
-    )
-    for (t, pair), state in zip(pairs, sonar_ekf.run_fusion(stream, cfg)):
-        yield t, pair, state
-
-
-def _detection_ticks(pings, fused_by_t: dict):
-    """Assemble per-tick channel->range maps for the detector.
-
-    The front channel takes the fused estimate at ticks with at least one
-    echo; other channels pass their single (post-fusion trivial) reading.
-    """
-    ticks: dict[float, dict] = {}
-    order: list[float] = []
-    front_valid: dict[float, bool] = {}
-    for p in pings:
-        if p.t not in ticks:
-            ticks[p.t] = {}
-            order.append(p.t)
-        if p.channel is SonarChannel.FRONT:
-            front_valid[p.t] = front_valid.get(p.t, False) or p.valid
-        else:
-            ticks[p.t][p.channel] = p.range_m if p.valid else math.inf
-    for t in order:
-        fused = fused_by_t.get(t)
-        if fused is not None and front_valid.get(t, False):
-            ticks[t][SonarChannel.FRONT] = fused
-        else:
-            ticks[t][SonarChannel.FRONT] = math.inf
-    return [(t, ticks[t]) for t in order]
-
-
-# ---------------------------------------------------------------------------
-# Commands
-
-
-def cmd_simulate(args) -> int:
-    scenario = _apply_cli_overrides(load_scenario(args.scenario), args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    truth, imu, fixes, pings = _simulate_streams(scenario, args.gps == "on")
+    sonar = sim.synth_sonar(truth, scenario)
     write_pose_csv(out / "truth.csv", truth.t, truth.p, truth.v, truth.q)
     write_imu_csv(out / "imu.csv", imu)
     write_gps_csv(out / "gps.csv", fixes)
-    write_sonar_csv(out / "sonar.csv", pings)
+    write_sonar_csv(out / "sonar.csv", sonar)
+    return scenario, truth, imu, fixes, sonar, out
+
+
+def _fuse_sonar(log: SonarLog, out: Path) -> sonar_ekf.FusedFront:
+    fused = sonar_ekf.fuse_front_pair(log)
+    rows = np.column_stack(fused).tolist()
+    _write_csv(out / "fused.csv", FUSED_HEADER, ([*map(_fmt, row)] for row in rows))
+    return fused
+
+
+def _write_est(out: Path, run, frame: GpsFix | None) -> None:
+    """est.csv re-anchored into ``frame`` (None: the run's own frame)."""
+    p, v = run.p, run.v
+    if frame is not None:
+        r, d = geo.enu_frame_transform(run.ref, frame)
+        p, v = run.p @ r.T + d, run.v @ r.T
+    write_pose_csv(out / "est.csv", run.t, p, v, run.q)
+
+
+def _evaluate(out: Path, est: metrics.Trajectory, truth: metrics.Trajectory) -> None:
+    report = metrics.evaluate(est, truth)
+    _write_report_csv(out / "report.csv", [report])
+    print(metrics.format_table([report]))
+
+
+def cmd_simulate(args) -> int:
+    _, truth, imu, fixes, sonar, out = _simulate(args)
     print(
         f"simulated {truth.path_length:.2f} m / {truth.duration:.2f} s "
-        f"({len(imu)} IMU, {len(fixes)} GPS, {len(pings)} sonar) -> {out}"
+        f"({len(imu)} IMU, {len(fixes)} GPS, {len(sonar)} sonar) -> {out}"
     )
     return EXIT_OK
 
@@ -495,34 +466,12 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_fuse_sonar(args) -> int:
-    pings = read_sonar_csv(args.sonar)
+    log = read_sonar_csv(args.sonar)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for t, (a, b), state in _fuse_front(pings):
-        if state is None:
-            continue
-        rows.append(
-            [
-                _fmt(t),
-                _fmt(a.range_m),
-                _fmt(b.range_m),
-                _fmt(sonar_ekf.fused_distance(state)),
-                _fmt(state.p[0, 0]),
-                _fmt(state.p[1, 1]),
-            ]
-        )
-    _write_csv(out / "fused.csv", FUSED_HEADER, rows)
-    print(f"fused {len(rows)} front-channel ticks -> {out / 'fused.csv'}")
+    fused = _fuse_sonar(log, out)
+    print(f"fused {len(fused.t)} front-channel ticks -> {out / 'fused.csv'}")
     return EXIT_OK
-
-
-def _rebased_pose(run, frame: GpsFix | None):
-    """Run output (p, v) re-anchored into ``frame`` (None: run's own frame)."""
-    if frame is None:
-        return run.p, run.v
-    r, d = geo.enu_frame_transform(run.ref, frame)
-    return run.p @ r.T + d, run.v @ r.T
 
 
 def cmd_localize(args) -> int:
@@ -541,10 +490,9 @@ def cmd_localize(args) -> int:
             frame = GpsFix(0.0, *_parse_triple(args.ref))
         except ValueError as exc:
             raise DataError(f"--ref: {exc}") from None
-    p, v = _rebased_pose(run, frame)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_pose_csv(out / "est.csv", run.t, p, v, run.q)
+    _write_est(out, run, frame)
     print(
         f"localized {len(run.t)} steps ({run.accepted_fixes} fixes applied, "
         f"{run.rejected_fixes} rejected) -> {out / 'est.csv'}"
@@ -555,11 +503,9 @@ def cmd_localize(args) -> int:
 def cmd_evaluate(args) -> int:
     est = read_pose_csv(args.est, Path(args.est).stem)
     truth = read_pose_csv(args.truth, Path(args.truth).stem)
-    report = metrics.evaluate(est, truth)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_report_csv(out / "report.csv", [report])
-    print(metrics.format_table([report]))
+    _evaluate(out, est, truth)
     return EXIT_OK
 
 
@@ -584,16 +530,7 @@ def _write_report_csv(path, reports) -> None:
 
 
 def cmd_run(args) -> int:
-    scenario = _apply_cli_overrides(load_scenario(args.scenario), args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    # simulate
-    truth, imu, fixes, pings = _simulate_streams(scenario, args.gps == "on")
-    write_pose_csv(out / "truth.csv", truth.t, truth.p, truth.v, truth.q)
-    write_imu_csv(out / "imu.csv", imu)
-    write_gps_csv(out / "gps.csv", fixes)
-    write_sonar_csv(out / "sonar.csv", pings)
+    scenario, truth, imu, fixes, sonar, out = _simulate(args)
 
     # calibrate on a stationary bench stream with the scenario's sensors
     offsets = calibrate(
@@ -601,29 +538,11 @@ def cmd_run(args) -> int:
     )
     write_offsets_cfg(out / "offsets.cfg", offsets)
 
-    # fuse the redundant front sonar pair
-    fused_rows = []
-    fused_by_t: dict[float, float] = {}
-    for t, (a, b), state in _fuse_front(pings):
-        if state is None:
-            continue
-        fused_by_t[t] = sonar_ekf.fused_distance(state)
-        fused_rows.append(
-            [
-                _fmt(t),
-                _fmt(a.range_m),
-                _fmt(b.range_m),
-                _fmt(fused_by_t[t]),
-                _fmt(state.p[0, 0]),
-                _fmt(state.p[1, 1]),
-            ]
-        )
-    _write_csv(out / "fused.csv", FUSED_HEADER, fused_rows)
+    fused = _fuse_sonar(sonar, out)
 
     # localize; est.csv shares truth.csv's frame (the scenario anchor)
     run = run_localizer(imu, fixes, _localizer_config(scenario.noise), offsets)
-    est_p, est_v = _rebased_pose(run, scenario.anchor_fix())
-    write_pose_csv(out / "est.csv", run.t, est_p, est_v, run.q)
+    _write_est(out, run, scenario.anchor_fix())
 
     # detect + feedback
     detector = perception.ObstacleDetector(
@@ -649,7 +568,7 @@ def cmd_run(args) -> int:
                 )
             )
 
-    for t, ranges in _detection_ticks(pings, fused_by_t):
+    for t, ranges in perception.sonar_ticks(sonar, fused.t, fused.fused):
         offer_results(gate.poll(t))
         for event in detector.process(t, ranges):
             cmd = fb.route_event(event)
@@ -671,13 +590,11 @@ def cmd_run(args) -> int:
     offer_results(gate.flush())
     _write_csv(out / "feedback.csv", FEEDBACK_HEADER, feedback_rows)
 
-    # evaluate
-    report = metrics.evaluate(
+    _evaluate(
+        out,
         run.trajectory("est", frame=scenario.anchor_fix()),
         sim.truth_trajectory(truth, "truth"),
     )
-    _write_report_csv(out / "report.csv", [report])
-    print(metrics.format_table([report]))
     print(f"pipeline outputs in {out}")
     return EXIT_OK
 
@@ -700,7 +617,6 @@ def _add_common(p, scenario: bool) -> None:
         p.add_argument("--mode", choices=["raw", "dmp"], default="raw")
         p.add_argument("--gps", choices=["on", "off"], default="on")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--format", choices=["csv"], default="csv")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -58,6 +58,14 @@ class SonarChannel(enum.Enum):
     INCLINED_RIGHT = "inclined_right"
 
 
+# Channel order of the rows within one sonar tick; SonarLog.channel indexes it.
+CHANNELS = (
+    SonarChannel.LEFT,
+    SonarChannel.FRONT,
+    SonarChannel.RIGHT,
+    SonarChannel.INCLINED_LEFT,
+    SonarChannel.INCLINED_RIGHT,
+)
 INCLINED_CHANNELS = (SonarChannel.INCLINED_LEFT, SonarChannel.INCLINED_RIGHT)
 HORIZONTAL_CHANNELS = (SonarChannel.LEFT, SonarChannel.FRONT, SonarChannel.RIGHT)
 
@@ -91,14 +99,21 @@ class GpsFix:
             raise DataError(f"longitude out of range: {self.lon}")
 
 
-@dataclass(frozen=True)
-class SonarPing:
-    """One sonar range reading.  ``valid`` is False when no echo returned."""
+@dataclass(frozen=True, eq=False)
+class SonarLog:
+    """Sonar readings as columns, one row per reading, rows time-sorted.
 
-    t: float
-    channel: SonarChannel
-    range_m: float
-    valid: bool
+    ``channel`` holds indices into CHANNELS; ``valid`` is False when no
+    echo returned.  A tick's rows share one ``t``.
+    """
+
+    t: np.ndarray  # (n,) s
+    channel: np.ndarray  # (n,) int
+    range_m: np.ndarray  # (n,) m
+    valid: np.ndarray  # (n,) bool
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 def quat_normalize(q) -> np.ndarray:

@@ -72,20 +72,17 @@ class CalibrationOffsets:
 
 @dataclass(frozen=True)
 class LocalizerConfig:
-    """Filter noise and rate parameters.
+    """Filter noise parameters.
 
     ``accel_noise``/``gyro_noise`` are per-sample standard deviations; the
     discrete process noise injected on (dv, dtheta) each step is
-    ``sigma^2 * dt^2``.  ``imu_rate``/``gps_rate`` document the expected
-    stream rates; the actual timestamps govern integration.
+    ``sigma^2 * dt^2``.  The stream timestamps govern integration.
     """
 
     accel_noise: float = 0.25  # m/s^2 per sample
     gyro_noise: float = 0.025  # rad/s per sample
     gps_pos_std: float = 3.0  # m
     gravity: np.ndarray = field(default_factory=lambda: GRAVITY.copy())
-    imu_rate: float = 100.0
-    gps_rate: float = 1.0
     innovation_gate: float = 5.0
     init_vel_std: float = 1.0  # m/s, initial velocity uncertainty
     init_att_std: float = 0.1  # rad, initial attitude uncertainty

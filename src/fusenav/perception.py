@@ -21,11 +21,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
-from .core import DataError, SonarChannel, INCLINED_CHANNELS
+from .core import CHANNELS, DataError, INCLINED_CHANNELS, SonarChannel, SonarLog
 
 REARM_FRACTION = 0.10  # a trigger re-arms after clearing by 10% of its level
 
@@ -135,6 +136,29 @@ class ObstacleDetector:
         return events
 
 
+def sonar_ticks(log: SonarLog, fused_t: np.ndarray, fused: np.ndarray):
+    """Yield ``(t, {channel: range})`` per tick of ``log`` for the detector.
+
+    Side and inclined channels pass their reading (``math.inf`` without an
+    echo).  The front channel, last in each map, takes the fused estimate
+    at the same time in the sorted ``fused_t`` if the tick has a front
+    echo, else ``math.inf``.
+    """
+    tick_t, starts = np.unique(log.t, return_index=True)
+    front = CHANNELS.index(SonarChannel.FRONT)
+    echo = np.logical_or.reduceat((log.channel == front) & log.valid, starts)
+    # the nan sentinel matches no tick, so ticks without a fused value stay inf
+    pos = np.searchsorted(fused_t, tick_t)
+    echo &= np.r_[fused_t, np.nan][pos] == tick_t
+    front_range = np.where(echo, np.r_[fused, np.inf][pos], np.inf).tolist()
+    ranges = np.where(log.valid, log.range_m, np.inf).tolist()
+    rows = zip(log.t.tolist(), log.channel.tolist(), ranges)
+    for (t, group), r_front in zip(groupby(rows, key=lambda row: row[0]), front_range):
+        tick = {CHANNELS[c]: r for _, c, r in group if c != front}
+        tick[SonarChannel.FRONT] = r_front
+        yield t, tick
+
+
 def detect(ticks, cfg: DetectionConfig | None = None) -> list[DetectionEvent]:
     """Run a fresh detector over ``(t, {channel: range})`` ticks."""
     detector = ObstacleDetector(cfg)
@@ -191,8 +215,9 @@ class MockRecognizer:
     """Deterministic stand-in for a real (cloud) label-detection service.
 
     Labels and confidences are drawn from an RNG keyed on (seed, event
-    time, channel), so results do not depend on call order.  ``fail_rate``
-    injects deterministic failures for exercising the failure path.
+    time, channel index), so results depend neither on call order nor on
+    the process's hash seed.  ``fail_rate`` injects deterministic failures
+    for exercising the failure path.
     """
 
     def __init__(
@@ -209,7 +234,7 @@ class MockRecognizer:
 
     def _rng(self, event: DetectionEvent) -> np.random.Generator:
         key = (self.seed, int(round(event.t * 1e6)) & 0x7FFFFFFF,
-               hash(event.channel.value) & 0x7FFFFFFF)
+               CHANNELS.index(event.channel))
         return np.random.default_rng(key)
 
     def recognize(self, event: DetectionEvent) -> list[tuple[str, float]]:

@@ -32,12 +32,13 @@ import numpy as np
 
 from . import geo
 from .core import (
+    CHANNELS,
     GRAVITY,
     DataError,
     GpsFix,
     ImuSample,
     SonarChannel,
-    SonarPing,
+    SonarLog,
     level_heading_quat,
 )
 
@@ -471,61 +472,36 @@ def synth_gps(
     return fixes
 
 
-_CHANNEL_ORDER = (
-    SonarChannel.LEFT,
-    SonarChannel.FRONT,
-    SonarChannel.RIGHT,
-    SonarChannel.INCLINED_LEFT,
-    SonarChannel.INCLINED_RIGHT,
-)
-
-
 def synth_sonar(
     truth: GroundTruth, scenario: Scenario, seed: int | None = None
-) -> list[SonarPing]:
-    """Noisy pings per tick, channel-major within each tick.
+) -> SonarLog:
+    """Noisy readings per tick, in CHANNELS order within each tick.
 
-    The front channel carries ``scenario.front_sensors`` independent pings
-    per tick (the redundant pair the fusion filter consumes).  Pings with
-    no echo within ``max_range`` carry ``range_m = max_range`` and
-    ``valid = False``.
+    The front channel carries ``scenario.front_sensors`` independent
+    readings per tick (the redundant pair the fusion filter consumes).
+    Readings with no echo within ``max_range`` carry ``range_m = max_range``
+    and ``valid = False``.
     """
     if seed is None:
         seed = scenario.seed
-    geom = scenario.geometry
+    max_range = scenario.geometry.max_range
     sigma = scenario.noise.sonar_sigma
     n = len(truth.t)
-    readings = {}
-    for ci, channel in enumerate(_CHANNEL_ORDER):
-        copies = scenario.front_sensors if channel is SonarChannel.FRONT else 1
+    columns, channel = [], []
+    for ci, ch in enumerate(CHANNELS):
+        copies = scenario.front_sensors if ch is SonarChannel.FRONT else 1
         rng = np.random.default_rng([seed, _STREAM_SONAR, ci])
-        true = truth.sonar_true[channel]
-        noisy = np.where(
-            np.isfinite(true), true + sigma * rng.standard_normal((copies, n)), np.inf
-        )
-        readings[channel] = noisy
-
-    pings = []
-    for k in range(n):
-        t = float(truth.t[k])
-        for channel in _CHANNEL_ORDER:
-            for r in readings[channel][:, k]:
-                if math.isfinite(r):
-                    pings.append(
-                        SonarPing(
-                            t=t,
-                            channel=channel,
-                            range_m=min(max(float(r), 1e-3), geom.max_range),
-                            valid=True,
-                        )
-                    )
-                else:
-                    pings.append(
-                        SonarPing(
-                            t=t, channel=channel, range_m=geom.max_range, valid=False
-                        )
-                    )
-    return pings
+        # noise leaves an inf (no echo) true range inf
+        columns.extend(truth.sonar_true[ch] + sigma * rng.standard_normal((copies, n)))
+        channel.extend([ci] * copies)
+    readings = np.column_stack(columns).ravel()  # tick-major
+    valid = np.isfinite(readings)
+    return SonarLog(
+        t=np.repeat(truth.t, len(channel)),
+        channel=np.tile(channel, n),
+        range_m=np.where(valid, np.clip(readings, 1e-3, max_range), max_range),
+        valid=valid,
+    )
 
 
 def stationary_imu_source(noise: NoiseConfig, seed: int, heading: float = 0.0):

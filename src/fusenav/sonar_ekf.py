@@ -20,15 +20,11 @@ so independent filter instances can run concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import DataError
-
-
-class NotInitializedError(RuntimeError):
-    """predict/update/fused_distance called before init."""
+from .core import CHANNELS, DataError, NumericalError, SonarChannel, SonarLog
 
 
 def _default_r() -> np.ndarray:
@@ -60,7 +56,6 @@ class SonarFusionConfig:
 class SonarFusionState:
     x: np.ndarray  # (2,) distance estimates, m
     p: np.ndarray  # (2, 2) covariance, m^2
-    initialized: bool = True
 
 
 def init(z, cfg: SonarFusionConfig) -> SonarFusionState:
@@ -75,7 +70,6 @@ def init(z, cfg: SonarFusionConfig) -> SonarFusionState:
 
 def predict(s: SonarFusionState, cfg: SonarFusionConfig) -> SonarFusionState:
     """Time update: x <- f(x), P <- F P F^T + Q (identity model: P <- P + Q)."""
-    _require_init(s)
     if cfg.transition is None:
         x = s.x.copy()
         p = s.p + cfg.q
@@ -100,8 +94,8 @@ def update(
 
     Rows with ``valid[i]`` False are skipped entirely (their variance is
     effectively infinite).  Valid components must be positive ranges.
+    Raises NumericalError when the innovation covariance is singular.
     """
-    _require_init(s)
     z = np.asarray(z, dtype=float)
     rows = [i for i in range(2) if valid[i]]
     if not rows:
@@ -123,7 +117,7 @@ def update(
     try:
         k = np.linalg.solve(sc.T, (s.p @ h.T).T).T
     except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(f"singular innovation covariance: {sc}") from exc
+        raise NumericalError(f"singular innovation covariance: {sc}") from exc
     x = s.x + k @ innovation
     p = (np.eye(2) - k @ h) @ s.p
     return SonarFusionState(x=x, p=0.5 * (p + p.T))
@@ -131,7 +125,6 @@ def update(
 
 def fused_distance(s: SonarFusionState) -> float:
     """Arithmetic mean of the two distance estimates (equal contribution)."""
-    _require_init(s)
     return float(s.x.mean())
 
 
@@ -156,6 +149,39 @@ def run_fusion(pairs, cfg: SonarFusionConfig | None = None):
         yield state
 
 
-def _require_init(s: SonarFusionState) -> None:
-    if not s.initialized:
-        raise NotInitializedError("sonar fusion state is not initialized")
+class FusedFront(NamedTuple):
+    """The fused.csv columns: one entry per front tick from the first full pair on."""
+
+    t: np.ndarray
+    raw1: np.ndarray
+    raw2: np.ndarray
+    fused: np.ndarray
+    p11: np.ndarray
+    p22: np.ndarray
+
+
+_FRONT = CHANNELS.index(SonarChannel.FRONT)
+
+
+def fuse_front_pair(log: SonarLog, cfg: SonarFusionConfig | None = None) -> FusedFront:
+    """Run the filter over the front channel of a sonar log.
+
+    Every front tick must carry exactly two readings (DataError otherwise).
+    Ticks before the first fully valid pair are not fused and get no entry.
+    """
+    front = log.channel == _FRONT
+    ticks, counts = np.unique(log.t[front], return_counts=True)
+    if np.any(counts != 2):
+        k = int(np.argmax(counts != 2))
+        raise DataError(
+            f"unsupported sonar layout: {counts[k]} front ping(s) at t={float(ticks[k])}; "
+            "fusion needs exactly two front sensors"
+        )
+    z = log.range_m[front].reshape(-1, 2)
+    valid = log.valid[front].reshape(-1, 2).tolist()
+    rows = [
+        (tk, zk[0], zk[1], fused_distance(state), state.p[0, 0], state.p[1, 1])
+        for tk, zk, state in zip(ticks.tolist(), z, run_fusion(zip(z, valid), cfg))
+        if state is not None
+    ]
+    return FusedFront(*np.array(rows, dtype=float).reshape(-1, 6).T)

@@ -6,6 +6,10 @@ criterion.  Every check is seeded and deterministic.
 
 import importlib.resources
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,15 +325,11 @@ def _detection_recall(sonar_sigma, seed):
         max_range=sc.geometry.max_range,
     )
     windows = _expected_windows(truth, det_cfg)
-    pings = sim.synth_sonar(truth, sc, seed)
-    fused_by_t = {
-        t: sonar_ekf.fused_distance(state)
-        for t, _, state in cli._fuse_front(pings)
-        if state is not None
-    }
+    log = sim.synth_sonar(truth, sc, seed)
+    fused = sonar_ekf.fuse_front_pair(log)
     detector = ObstacleDetector(det_cfg)
     events = []
-    for t, ranges in cli._detection_ticks(pings, fused_by_t):
+    for t, ranges in perception.sonar_ticks(log, fused.t, fused.fused):
         events.extend(detector.process(t, ranges))
     hits = 0
     for channel, kind, t0, t1 in windows:
@@ -440,6 +440,24 @@ def test_criterion_12_pipeline_determinism(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         assert cli.main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    # two more runs in child processes with different hash seeds
+    src = str(Path(cli.__file__).resolve().parents[1])
+    children = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"hash{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["run", "--scenario", str(scenario), "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "fusenav.cli", *argv], env=env, capture_output=True
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        children.append(out)
     for name in outputs:
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
-    report(12, f"two pipeline runs produced byte-identical {len(outputs)} outputs")
+        for other in (b, *children):
+            assert (a / name).read_bytes() == (other / name).read_bytes(), (other, name)
+    report(
+        12,
+        f"two in-process runs and two child processes (PYTHONHASHSEED 1, 2) "
+        f"produced byte-identical {len(outputs)} outputs",
+    )

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fusenav import cli, sim
-from fusenav.core import DataError, GpsFix, ImuSample, SonarChannel, SonarPing
+from fusenav.core import CHANNELS, DataError, GpsFix, ImuSample, SonarChannel, SonarLog
 from fusenav.localizer import CalibrationOffsets
 
 SHORT_SCENARIO = """\
@@ -22,6 +22,22 @@ sonar_sigma = 0.003
 obstacles = 6, 0.3, 0.25
 anchor = 37.0, -122.0, 30.0
 """
+
+
+def sonar_log(*rows):
+    """SonarLog from ``(t, channel, range, valid)`` rows."""
+    t, channel, range_m, valid = zip(*rows)
+    return SonarLog(
+        t=np.array(t, dtype=float),
+        channel=np.array([CHANNELS.index(c) for c in channel]),
+        range_m=np.array(range_m, dtype=float),
+        valid=np.array(valid, dtype=bool),
+    )
+
+
+def assert_same_log(a, b):
+    for col in ("t", "channel", "range_m", "valid"):
+        assert np.array_equal(getattr(a, col), getattr(b, col)), col
 
 
 @pytest.fixture
@@ -90,14 +106,42 @@ class TestCsvRoundTrips:
         assert cli.read_gps_csv(path) == fixes
 
     def test_sonar(self, tmp_path):
-        pings = [
-            SonarPing(0.0, SonarChannel.FRONT, 2.0, True),
-            SonarPing(0.0, SonarChannel.INCLINED_LEFT, 1.41, True),
-            SonarPing(0.1, SonarChannel.LEFT, 4.0, False),
-        ]
+        log = sonar_log(
+            (0.0, SonarChannel.FRONT, 2.0, True),
+            (0.0, SonarChannel.INCLINED_LEFT, 1.41, True),
+            (0.1, SonarChannel.LEFT, 4.0, False),
+        )
         path = tmp_path / "sonar.csv"
-        cli.write_sonar_csv(path, pings)
-        assert cli.read_sonar_csv(path) == pings
+        cli.write_sonar_csv(path, log)
+        assert_same_log(cli.read_sonar_csv(path), log)
+
+    def test_simulated_sonar_byte_round_trip(self, scenario_file, tmp_path):
+        out = tmp_path / "sim"
+        assert cli.main(["simulate", "--scenario", str(scenario_file), "--out", str(out)]) == 0
+        again = tmp_path / "again.csv"
+        cli.write_sonar_csv(again, cli.read_sonar_csv(out / "sonar.csv"))
+        assert again.read_bytes() == (out / "sonar.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "row, column",
+        [
+            ("nan,front,2.0,1", "t"),
+            ("0.01,front,2.0,1", "t"),  # earlier than the row above
+            ("0.1,front,nan,1", "range"),
+            ("0.1,front,inf,1", "range"),
+            ("0.1,front,2.0,nan", "valid"),
+            ("0.1,front,2.0,inf", "valid"),
+        ],
+    )
+    def test_bad_sonar_rows_rejected(self, tmp_path, row, column):
+        path = tmp_path / "sonar.csv"
+        path.write_text(f"t,channel,range,valid\n0.05,front,2.0,1\n{row}\n")
+        with pytest.raises(DataError, match=rf"sonar\.csv:3: column '{column}'"):
+            cli.read_sonar_csv(path)
+        assert (
+            cli.main(["fuse-sonar", "--sonar", str(path), "--out", str(tmp_path)])
+            == cli.EXIT_DATA
+        )
 
     def test_offsets(self, tmp_path):
         offsets = CalibrationOffsets(np.array([0.1, -0.2, 0.3]), np.array([1e-3, 0.0, -2e-3]))
@@ -235,9 +279,8 @@ class TestCommands:
         assert len(text) > 1
 
     def test_fuse_sonar_single_sensor_layout_rejected(self, tmp_path):
-        pings = [SonarPing(0.0, SonarChannel.FRONT, 2.0, True)]
         path = tmp_path / "sonar.csv"
-        cli.write_sonar_csv(path, pings)
+        cli.write_sonar_csv(path, sonar_log((0.0, SonarChannel.FRONT, 2.0, True)))
         assert cli.main(["fuse-sonar", "--sonar", str(path), "--out", str(tmp_path)]) == cli.EXIT_DATA
 
     def test_localize_and_evaluate(self, scenario_file, tmp_path):

@@ -5,7 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fusenav import geo, sim
-from fusenav.core import SonarChannel, quat_rotate
+from fusenav.core import CHANNELS, SonarChannel, quat_rotate
+
+FRONT = CHANNELS.index(SonarChannel.FRONT)
 
 
 def quiet_scenario(route, **kw):
@@ -161,20 +163,20 @@ class TestSynthSonar:
             ((0, 0), (30, 0)), obstacles=(sim.Obstacle(1.75, 0.0, 0.25),)
         )
         truth = sim.gen_walk(sc)
-        pings = sim.synth_sonar(truth, sc)
-        first_front = next(p for p in pings if p.channel is SonarChannel.FRONT)
-        assert first_front.valid
-        assert first_front.range_m == pytest.approx(1.5, abs=1e-9)
+        log = sim.synth_sonar(truth, sc)
+        first_front = np.flatnonzero(log.channel == FRONT)[0]
+        assert log.valid[first_front]
+        assert log.range_m[first_front] == pytest.approx(1.5, abs=1e-9)
 
     def test_no_obstacles_forward_channels_silent(self):
         sc = quiet_scenario(((0, 0), (20, 0)))
         truth = sim.gen_walk(sc)
-        pings = sim.synth_sonar(truth, sc)
-        for p in pings:
-            if p.channel in (SonarChannel.FRONT, SonarChannel.LEFT, SonarChannel.RIGHT):
-                assert not p.valid
+        log = sim.synth_sonar(truth, sc)
+        for c, valid in zip(log.channel, log.valid):
+            if CHANNELS[c] in (SonarChannel.FRONT, SonarChannel.LEFT, SonarChannel.RIGHT):
+                assert not valid
             else:
-                assert p.valid  # inclined channels always see the ground
+                assert valid  # inclined channels always see the ground
 
     def test_inclined_ground_range(self):
         sc = quiet_scenario(((0, 0), (20, 0)))
@@ -206,18 +208,20 @@ class TestSynthSonar:
             seed=3,
         )
         truth = sim.gen_walk(sc)
-        pings = sim.synth_sonar(truth, sc)
-        front = [p for p in pings if p.channel is SonarChannel.FRONT]
+        log = sim.synth_sonar(truth, sc)
+        front = np.flatnonzero(log.channel == FRONT)
         assert len(front) == 2 * len(truth.t)
-        k = next(i for i in range(0, len(front), 2) if front[i].valid)
+        k = next(i for i in range(0, len(front), 2) if log.valid[front[i]])
         a, b = front[k], front[k + 1]
-        assert a.t == b.t and b.valid
-        assert a.range_m != b.range_m  # independent draws per sensor
+        assert log.t[a] == log.t[b] and log.valid[b]
+        assert log.range_m[a] != log.range_m[b]  # independent draws per sensor
 
     def test_determinism(self):
         sc = sim.Scenario(route=((0, 0), (15, 0)), obstacles=(sim.Obstacle(9, 0.4, 0.3),), seed=8)
         truth = sim.gen_walk(sc)
-        assert sim.synth_sonar(truth, sc) == sim.synth_sonar(truth, sc)
+        a, b = sim.synth_sonar(truth, sc), sim.synth_sonar(truth, sc)
+        for col in ("t", "channel", "range_m", "valid"):
+            assert np.array_equal(getattr(a, col), getattr(b, col))
 
 
 class TestStationarySource:

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fusenav.core import DataError
+from fusenav.core import DataError, NumericalError
 from fusenav.sonar_ekf import (
-    NotInitializedError,
     SonarFusionConfig,
     SonarFusionState,
     fused_distance,
@@ -94,12 +93,12 @@ def test_fused_distance_is_mean():
     assert fused_distance(s3) == pytest.approx(3.0 * fused_distance(s))
 
 
-def test_uninitialized_usage_errors():
-    s = SonarFusionState(x=np.zeros(2), p=np.eye(2), initialized=False)
-    cfg = SonarFusionConfig()
-    for op in (lambda: predict(s, cfg), lambda: update(s, [1, 1], cfg), lambda: fused_distance(s)):
-        with pytest.raises(NotInitializedError):
-            op()
+def test_singular_innovation_covariance_is_numerical_error():
+    # P0 = 0 and R = 0 leave S = Q = diag(0.001, 0) at the first update
+    cfg = SonarFusionConfig(r=np.zeros((2, 2)), initial_p_scale=0.0)
+    s = predict(init([2.0, 2.0], cfg), cfg)
+    with pytest.raises(NumericalError, match="singular"):
+        update(s, [2.0, 2.0], cfg)
 
 
 def test_trace_never_increases_on_update():
