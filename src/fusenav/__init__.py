@@ -2,7 +2,8 @@
 
 Submodules:
 
-- core: measurement types, frame conventions, quaternion math
+- core: columnar IMU and sonar logs, GPS fixes, frame conventions,
+  quaternion math
 - geo: WGS84/ECEF/ENU conversions, waypoint clustering, truth labeling
 - sonar_ekf: two-sensor sonar distance fusion
 - localizer: error-state EKF over IMU + GPS, with bench calibration
@@ -18,7 +19,7 @@ __version__ = "0.1.0"
 from .core import (  # noqa: F401
     DataError,
     GpsFix,
-    ImuSample,
+    ImuLog,
     NumericalError,
     SonarChannel,
     SonarLog,

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import feedback as fb
 from . import geo, metrics, perception, sim, sonar_ekf
-from .core import CHANNELS, DataError, GpsFix, ImuSample, NumericalError, SonarLog
+from .core import CHANNELS, DataError, GpsFix, ImuLog, NumericalError, SonarLog
 from .localizer import (
     CalibrationOffsets,
     LocalizerConfig,
@@ -71,6 +71,13 @@ REPORT_HEADER = [
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {text!r}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -109,38 +116,28 @@ class _CsvReader:
 
     def floats(self, row_no: int, row: dict, col: str) -> float:
         try:
-            x = float(row[col])
+            return _finite(row[col])
         except ValueError:
-            x = math.nan
-        if not math.isfinite(x):
             raise DataError(
                 f"{self.path}:{row_no}: column '{col}': not a finite number: {row[col]!r}"
-            )
-        return x
+            ) from None
 
 
-def write_imu_csv(path, samples) -> None:
-    _write_csv(
-        Path(path),
-        IMU_HEADER,
-        (
-            [_fmt(s.t), *map(_fmt, s.accel), *map(_fmt, s.gyro)]
-            for s in samples
-        ),
-    )
+def write_imu_csv(path, log: ImuLog) -> None:
+    rows = np.column_stack((log.t, log.accel, log.gyro)).tolist()
+    _write_csv(Path(path), IMU_HEADER, ([*map(_fmt, row)] for row in rows))
 
 
-def read_imu_csv(path) -> list[ImuSample]:
+def read_imu_csv(path) -> ImuLog:
     reader = _CsvReader(path, IMU_HEADER)
-    out = []
-    prev_t = -math.inf
+    rows = []
     for i, row in reader:
         vals = [reader.floats(i, row, c) for c in IMU_HEADER]
-        if vals[0] < prev_t:
+        if rows and vals[0] < rows[-1][0]:
             raise DataError(f"{reader.path}:{i}: column 't': timestamps not sorted")
-        prev_t = vals[0]
-        out.append(ImuSample(t=vals[0], accel=vals[1:4], gyro=vals[4:7]))
-    return out
+        rows.append(vals)
+    cols = np.array(rows, dtype=float).reshape(-1, len(IMU_HEADER))
+    return ImuLog(t=cols[:, 0], accel=cols[:, 1:4], gyro=cols[:, 4:7])
 
 
 def write_gps_csv(path, fixes) -> None:
@@ -234,39 +231,51 @@ def write_offsets_cfg(path, offsets: CalibrationOffsets) -> None:
 
 
 def read_offsets_cfg(path) -> CalibrationOffsets:
-    entries, _ = _parse_kv_file(path)
-    try:
-        accel = _parse_triple(entries.pop("accel_offset"))
-        gyro = _parse_triple(entries.pop("gyro_offset"))
-    except KeyError as exc:
-        raise DataError(f"{path}: missing key {exc}") from None
+    kv = _KvFile(path)
+    accel = kv.take("accel_offset", _parse_triple)
+    gyro = kv.take("gyro_offset", _parse_triple)
     return CalibrationOffsets(np.array(accel), np.array(gyro))
 
 
 # ---------------------------------------------------------------------------
 # Scenario files
 
+_REQUIRED = object()
 
-def _parse_kv_file(path) -> tuple[dict[str, str], dict[str, int]]:
-    """Flat ``key = value`` file; returns values and their line numbers."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"{path}: file not found")
-    entries: dict[str, str] = {}
-    lines: dict[str, int] = {}
-    for i, line in enumerate(path.read_text().splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise DataError(f"{path}:{i}: expected 'key = value'")
-        key, val = stripped.split("=", 1)
-        key = key.strip()
-        if key in entries:
-            raise DataError(f"{path}:{i}: duplicate key '{key}'")
-        entries[key] = val.strip()
-        lines[key] = i
-    return entries, lines
+
+class _KvFile:
+    """Flat ``key = value`` file whose values are converted with file:line context."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        if not self.path.exists():
+            raise DataError(f"{self.path}: file not found")
+        self.entries: dict[str, str] = {}
+        self.lines: dict[str, int] = {}
+        for i, line in enumerate(self.path.read_text().splitlines(), start=1):
+            stripped = line.split("#", 1)[0].strip()
+            if not stripped:
+                continue
+            if "=" not in stripped:
+                raise DataError(f"{self.path}:{i}: expected 'key = value'")
+            key, val = stripped.split("=", 1)
+            key = key.strip()
+            if key in self.entries:
+                raise DataError(f"{self.path}:{i}: duplicate key '{key}'")
+            self.entries[key] = val.strip()
+            self.lines[key] = i
+
+    def take(self, key: str, conv, default=_REQUIRED):
+        """Remove ``key`` and return ``conv(value)``, or ``default`` if absent."""
+        if key not in self.entries:
+            if default is _REQUIRED:
+                raise DataError(f"{self.path}: missing required key '{key}'")
+            return default
+        raw = self.entries.pop(key)
+        try:
+            return conv(raw)
+        except ValueError as exc:
+            raise DataError(f"{self.path}:{self.lines[key]}: key '{key}': {exc}") from None
 
 
 def _parse_tuple_list(value: str, arity: int):
@@ -277,7 +286,7 @@ def _parse_tuple_list(value: str, arity: int):
         parts = [p.strip() for p in item.split(",")]
         if len(parts) != arity:
             raise ValueError(f"expected {arity} comma-separated numbers per item")
-        out.append(tuple(float(p) for p in parts))
+        out.append(tuple(_finite(p) for p in parts))
     return tuple(out)
 
 
@@ -288,43 +297,31 @@ def _parse_triple(value: str):
 
 def load_scenario(path) -> sim.Scenario:
     """Parse a scenario config file, reporting errors with line numbers."""
-    entries, lines = _parse_kv_file(path)
-    fname = str(path)
-
-    def take(key, conv, default):
-        if key not in entries:
-            return default
-        raw = entries.pop(key)
-        try:
-            return conv(raw)
-        except (ValueError, DataError) as exc:
-            raise DataError(f"{fname}:{lines[key]}: key '{key}': {exc}") from None
-
+    kv = _KvFile(path)
+    take = kv.take
     geometry = sim.SonarGeometry(
-        belt_height=take("belt_height", float, 1.0),
-        inclined_depression_deg=take("inclined_depression_deg", float, 45.0),
-        inclined_azimuth_deg=take("inclined_azimuth_deg", float, 25.0),
-        beam_half_angle_deg=take("beam_half_angle_deg", float, 15.0),
-        max_range=take("max_range", float, 4.0),
+        belt_height=take("belt_height", _finite, 1.0),
+        inclined_depression_deg=take("inclined_depression_deg", _finite, 45.0),
+        inclined_azimuth_deg=take("inclined_azimuth_deg", _finite, 25.0),
+        beam_half_angle_deg=take("beam_half_angle_deg", _finite, 15.0),
+        max_range=take("max_range", _finite, 4.0),
     )
     defaults = sim.NoiseConfig()
     noise = sim.NoiseConfig(
-        accel_sigma=take("accel_sigma", float, defaults.accel_sigma),
-        gyro_sigma=take("gyro_sigma", float, defaults.gyro_sigma),
+        accel_sigma=take("accel_sigma", _finite, defaults.accel_sigma),
+        gyro_sigma=take("gyro_sigma", _finite, defaults.gyro_sigma),
         accel_bias=take("accel_bias", _parse_triple, defaults.accel_bias),
         gyro_bias=take("gyro_bias", _parse_triple, defaults.gyro_bias),
-        gps_sigma=take("gps_sigma", float, defaults.gps_sigma),
-        sonar_sigma=take("sonar_sigma", float, defaults.sonar_sigma),
+        gps_sigma=take("gps_sigma", _finite, defaults.gps_sigma),
+        sonar_sigma=take("sonar_sigma", _finite, defaults.sonar_sigma),
     )
-    route = take("route", lambda v: _parse_tuple_list(v, 2), None)
-    if route is None:
-        raise DataError(f"{fname}: missing required key 'route'")
+    route = take("route", lambda v: _parse_tuple_list(v, 2))
     try:
         scenario = sim.Scenario(
             route=route,
-            speed=take("speed", float, 1.52),
-            imu_rate=take("imu_rate", float, 100.0),
-            gps_rate=take("gps_rate", float, 1.0),
+            speed=take("speed", _finite, 1.52),
+            imu_rate=take("imu_rate", _finite, 100.0),
+            gps_rate=take("gps_rate", _finite, 1.0),
             noise=noise,
             obstacles=tuple(
                 sim.Obstacle(*o)
@@ -341,10 +338,10 @@ def load_scenario(path) -> sim.Scenario:
             front_sensors=take("front_sensors", int, 2),
         )
     except sim.ScenarioError as exc:
-        raise DataError(f"{fname}: {exc}") from None
-    if entries:
-        key = next(iter(entries))
-        raise DataError(f"{fname}:{lines[key]}: unknown key '{key}'")
+        raise DataError(f"{kv.path}: {exc}") from None
+    if kv.entries:
+        key = next(iter(kv.entries))
+        raise DataError(f"{kv.path}:{kv.lines[key]}: unknown key '{key}'")
     return scenario
 
 
@@ -429,30 +426,27 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _file_batch_source(samples: list[ImuSample]):
+def _file_batch_source(log: ImuLog):
     pos = 0
 
     def source(n: int):
         nonlocal pos
-        if pos + n > len(samples):
+        if pos + n > len(log):
             raise DataError(
                 f"calibration needs {n} more readings but only "
-                f"{len(samples) - pos} remain"
+                f"{len(log) - pos} remain"
             )
-        chunk = samples[pos : pos + n]
+        chunk = slice(pos, pos + n)
         pos += n
-        return (
-            np.array([s.accel for s in chunk]),
-            np.array([s.gyro for s in chunk]),
-        )
+        return log.accel[chunk], log.gyro[chunk]
 
     return source
 
 
 def cmd_calibrate(args) -> int:
-    samples = read_imu_csv(args.imu)
+    imu = read_imu_csv(args.imu)
     offsets = calibrate(
-        _file_batch_source(samples),
+        _file_batch_source(imu),
         batch=args.batch,
         tol=args.tol,
         max_iter=args.max_iter,
@@ -483,13 +477,13 @@ def cmd_localize(args) -> int:
         gyro_noise=args.gyro_noise,
         gps_pos_std=args.gps_std,
     )
-    run = run_localizer(imu, fixes, cfg, offsets)
     frame = None
     if args.ref is not None:
         try:
             frame = GpsFix(0.0, *_parse_triple(args.ref))
         except ValueError as exc:
             raise DataError(f"--ref: {exc}") from None
+    run = run_localizer(imu, fixes, cfg, offsets)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_est(out, run, frame)

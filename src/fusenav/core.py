@@ -11,9 +11,11 @@ Conventions used across the toolkit (fixed here, inherited everywhere):
   filters must already be on one common, aligned time base; timestamps in
   one stream are non-decreasing.
 
-3-vectors are ``numpy`` arrays of shape (3,).  All sample types are frozen
-dataclasses and safe to share between threads; every operation in this
-module is a pure function.
+3-vectors are ``numpy`` arrays of shape (3,).  The high-rate streams are
+columnar logs (ImuLog, SonarLog): frozen dataclasses of arrays, one row
+per sample, which no stage modifies.  GPS fixes, about one a second, stay
+one frozen GpsFix each.  Every operation in this module is a pure
+function.
 """
 
 from __future__ import annotations
@@ -40,14 +42,6 @@ class InvalidQuaternionError(DataError):
 GRAVITY = np.array([0.0, 0.0, -9.80665])
 
 
-def vec3(x: float, y: float, z: float) -> np.ndarray:
-    """Build a finite 3-vector, raising DataError on non-finite components."""
-    v = np.array([x, y, z], dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise DataError(f"non-finite vector components: {v}")
-    return v
-
-
 class SonarChannel(enum.Enum):
     """Belt positions of the sonar channels."""
 
@@ -67,20 +61,22 @@ CHANNELS = (
     SonarChannel.INCLINED_RIGHT,
 )
 INCLINED_CHANNELS = (SonarChannel.INCLINED_LEFT, SonarChannel.INCLINED_RIGHT)
-HORIZONTAL_CHANNELS = (SonarChannel.LEFT, SonarChannel.FRONT, SonarChannel.RIGHT)
 
 
-@dataclass(frozen=True)
-class ImuSample:
-    """One IMU reading: specific force (m/s^2) and angular rate (rad/s), body frame."""
+@dataclass(frozen=True, eq=False)
+class ImuLog:
+    """IMU readings as columns, one row per sample, rows time-sorted.
 
-    t: float
-    accel: np.ndarray
-    gyro: np.ndarray
+    Raw body-frame specific force and angular rate: calibration offsets
+    are still in them.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "accel", np.asarray(self.accel, dtype=float))
-        object.__setattr__(self, "gyro", np.asarray(self.gyro, dtype=float))
+    t: np.ndarray  # (n,) s
+    accel: np.ndarray  # (n, 3) m/s^2
+    gyro: np.ndarray  # (n, 3) rad/s
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 @dataclass(frozen=True)
@@ -93,6 +89,8 @@ class GpsFix:
     alt: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.t) and math.isfinite(self.alt)):
+            raise DataError(f"non-finite time or altitude: t={self.t}, alt={self.alt}")
         if not -90.0 <= self.lat <= 90.0:
             raise DataError(f"latitude out of range: {self.lat}")
         if not -180.0 <= self.lon <= 180.0:

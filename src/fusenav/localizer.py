@@ -29,7 +29,7 @@ from .core import (
     GRAVITY,
     DataError,
     GpsFix,
-    ImuSample,
+    ImuLog,
     NumericalError,
     level_heading_quat,
     quat_from_small_angle,
@@ -149,12 +149,19 @@ def initial_covariance(cfg: LocalizerConfig) -> np.ndarray:
 
 
 def propagate(
-    s: NominalState, P: np.ndarray, imu: ImuSample, dt: float, cfg: LocalizerConfig
+    s: NominalState,
+    P: np.ndarray,
+    accel: np.ndarray,
+    gyro: np.ndarray,
+    dt: float,
+    cfg: LocalizerConfig,
 ) -> tuple[NominalState, np.ndarray]:
     """One strapdown step plus covariance propagation.
 
-    Nominal: a_nav = R(q) accel + g; p, v by constant-acceleration
-    kinematics; q right-multiplied by the gyro increment.  Covariance:
+    ``accel`` and ``gyro`` are one offset-corrected body-frame reading,
+    (3,) each.  Nominal: a_nav = R(q) accel + g; p, v by
+    constant-acceleration kinematics; q right-multiplied by the gyro
+    increment.  Covariance:
     P <- F P F^T + L Qd L^T with the error-state Jacobian (including the
     -0.5 [R accel]x dt^2 position/attitude block, the exact derivative of
     this integrator) and Qd = diag(sa^2 dt^2, sg^2 dt^2) on (dv, dtheta).
@@ -162,8 +169,8 @@ def propagate(
     if not 0.0 < dt <= MAX_IMU_DT:
         raise DataError(f"dt={dt} outside (0, {MAX_IMU_DT}] s")
     if not (
-        np.all(np.isfinite(imu.accel))
-        and np.all(np.isfinite(imu.gyro))
+        np.all(np.isfinite(accel))
+        and np.all(np.isfinite(gyro))
         and np.all(np.isfinite(s.p))
         and np.all(np.isfinite(s.v))
         and np.all(np.isfinite(s.q))
@@ -171,12 +178,12 @@ def propagate(
         raise DataError("non-finite propagation input")
 
     c = quat_to_matrix(s.q)
-    a_nav = c @ imu.accel + cfg.gravity
+    a_nav = c @ accel + cfg.gravity
     p = s.p + s.v * dt + 0.5 * a_nav * dt * dt
     v = s.v + a_nav * dt
-    q = quat_normalize(quat_multiply(s.q, quat_from_small_angle(imu.gyro * dt)))
+    q = quat_normalize(quat_multiply(s.q, quat_from_small_angle(gyro * dt)))
 
-    ca_skew = skew(c @ imu.accel)
+    ca_skew = skew(c @ accel)
     f = np.eye(9)
     f[0:3, 3:6] = np.eye(3) * dt
     f[0:3, 6:9] = -0.5 * ca_skew * dt * dt
@@ -194,13 +201,14 @@ def gps_update(
     """Correct the state with an ENU position fix.
 
     Returns ``(state, P, accepted)``; a fix whose per-axis innovation
-    exceeds ``gate * sqrt(diag(H P H^T + R))`` is rejected and the state
-    passes through unchanged.
+    is not within ``gate * sqrt(diag(H P H^T + R))`` (a non-finite one
+    included) is rejected and the state passes through unchanged.
     """
     z = np.asarray(fix_enu, dtype=float)
     innovation = z - s.p
     s_cov = P[0:3, 0:3] + cfg.gps_pos_std**2 * np.eye(3)
-    if np.any(np.abs(innovation) > cfg.innovation_gate * np.sqrt(np.diag(s_cov))):
+    bound = cfg.innovation_gate * np.sqrt(np.diag(s_cov))
+    if not np.all(np.abs(innovation) <= bound):
         return s, P, False
 
     h = np.zeros((3, 9))
@@ -244,7 +252,7 @@ class LocalizerRun:
 
 
 def run_localizer(
-    imu_stream,
+    imu: ImuLog,
     gps_stream,
     cfg: LocalizerConfig,
     offsets: CalibrationOffsets | None = None,
@@ -261,9 +269,8 @@ def run_localizer(
     """
     if offsets is None:
         offsets = CalibrationOffsets.zero()
-    imu = list(imu_stream)
     fixes = list(gps_stream)
-    if not imu:
+    if not len(imu):
         raise DataError("empty IMU stream")
     if not fixes:
         raise DataError("empty GPS stream: no fix to anchor the ENU frame")
@@ -283,37 +290,34 @@ def run_localizer(
         state = replace(initial, t=ref.t)
     p_cov = initial_covariance(cfg)
 
+    accel = imu.accel - offsets.accel_offset
+    gyro = imu.gyro - offsets.gyro_offset
     ts, ps, vs, qs = [], [], [], []
     accepted = rejected = 0
     fix_idx = 1  # the anchor fix is consumed by initialization
     t_prev = ref.t
     first = True
-    for i, sample in enumerate(imu):
-        if sample.t < ref.t:
+    for i, t in enumerate(imu.t.tolist()):
+        if t < ref.t:
             continue
-        dt = sample.t - t_prev
+        dt = t - t_prev
         if dt < 0.0:
-            raise DataError(f"IMU stream unsorted at index {i} (t={sample.t})")
-        corrected = ImuSample(
-            t=sample.t,
-            accel=sample.accel - offsets.accel_offset,
-            gyro=sample.gyro - offsets.gyro_offset,
-        )
+            raise DataError(f"IMU stream unsorted at index {i} (t={t})")
         if dt > 0.0:
-            state, p_cov = propagate(state, p_cov, corrected, dt, cfg)
+            state, p_cov = propagate(state, p_cov, accel[i], gyro[i], dt, cfg)
         elif not first:
             raise DataError(f"IMU stream has duplicate timestamp at index {i}")
-        t_prev = sample.t
+        t_prev = t
         first = False
 
-        while fix_idx < len(fixes) and fixes[fix_idx].t <= sample.t:
+        while fix_idx < len(fixes) and fixes[fix_idx].t <= t:
             z = geo.wgs84_to_enu(fixes[fix_idx], ref)
             state, p_cov, ok = gps_update(state, p_cov, z, cfg)
             accepted += ok
             rejected += not ok
             fix_idx += 1
 
-        ts.append(sample.t)
+        ts.append(t)
         ps.append(state.p)
         vs.append(state.v)
         qs.append(state.q)

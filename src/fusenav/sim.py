@@ -36,7 +36,7 @@ from .core import (
     GRAVITY,
     DataError,
     GpsFix,
-    ImuSample,
+    ImuLog,
     SonarChannel,
     SonarLog,
     level_heading_quat,
@@ -422,9 +422,7 @@ def _quat_to_matrix_batch(q: np.ndarray) -> np.ndarray:
     return m
 
 
-def synth_imu(
-    truth: GroundTruth, noise: NoiseConfig, seed: int
-) -> list[ImuSample]:
+def synth_imu(truth: GroundTruth, noise: NoiseConfig, seed: int) -> ImuLog:
     """Body-frame specific force and angular rate with bias and white noise."""
     rng = np.random.default_rng([seed, _STREAM_IMU])
     r_bn = _quat_to_matrix_batch(truth.q)
@@ -440,10 +438,7 @@ def synth_imu(
         + np.asarray(noise.gyro_bias)
         + noise.gyro_sigma * rng.standard_normal((n, 3))
     )
-    return [
-        ImuSample(t=float(truth.t[k]), accel=accel[k], gyro=gyro[k])
-        for k in range(n)
-    ]
+    return ImuLog(t=truth.t, accel=accel, gyro=gyro)
 
 
 def synth_gps(
@@ -504,14 +499,14 @@ def synth_sonar(
     )
 
 
-def stationary_imu_source(noise: NoiseConfig, seed: int, heading: float = 0.0):
-    """Repeatable raw-reading source of a stationary, level IMU.
+def stationary_imu_source(noise: NoiseConfig, seed: int):
+    """Repeatable raw-reading source of a stationary, level IMU facing east.
 
     Returns ``source(n) -> (accel (n,3), gyro (n,3))`` drawing fresh noise
     on every call from one seeded generator; used for bench calibration.
     """
     rng = np.random.default_rng([seed, _STREAM_STATIC])
-    q = level_heading_quat(heading)
+    q = level_heading_quat(0.0)
     r_bn = _quat_to_matrix_batch(q[np.newaxis, :])[0]
     f_body = r_bn.T @ (-GRAVITY)
     accel_bias = np.asarray(noise.accel_bias, dtype=float)

@@ -1,10 +1,14 @@
+import importlib.resources
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from fusenav import cli, sim
-from fusenav.core import CHANNELS, DataError, GpsFix, ImuSample, SonarChannel, SonarLog
+from fusenav.core import CHANNELS, DataError, GpsFix, ImuLog, SonarChannel, SonarLog
 from fusenav.localizer import CalibrationOffsets
+
+WALK110 = importlib.resources.files("fusenav") / "scenarios" / "walk110.cfg"
 
 SHORT_SCENARIO = """\
 # short test walk
@@ -47,6 +51,15 @@ def scenario_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def tiny_streams(tmp_path):
+    """A two-sample imu.csv and a one-fix gps.csv that localize accepts."""
+    imu, gps = tmp_path / "imu.csv", tmp_path / "gps.csv"
+    imu.write_text("t,ax,ay,az,gx,gy,gz\n0.0,0,0,-9.8,0,0,0\n0.01,0,0,-9.8,0,0,0\n")
+    gps.write_text("t,lat,lon,alt\n0.0,37.0,-122.0,30.0\n")
+    return imu, gps
+
+
 class TestScenarioParsing:
     def test_load_bundled_fields(self, scenario_file):
         sc = cli.load_scenario(scenario_file)
@@ -84,20 +97,83 @@ class TestScenarioParsing:
         path.write_text("# header\n\nroute = 0,0 ; 5,0  # inline\n")
         assert cli.load_scenario(path).route == ((0.0, 0.0), (5.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [
+            ("walk.cfg", "speed", "nan"),
+            ("walk.cfg", "imu_rate", "nan"),
+            ("walk.cfg", "anchor", "37.0, -122.0, nan"),
+            ("walk.cfg", "belt_height", "inf"),
+            ("offsets.cfg", "accel_offset", "1, 2"),
+            ("offsets.cfg", "accel_offset", "nan, 0, 0"),
+        ],
+    )
+    def test_bad_numbers_rejected_with_key_context(
+        self, tmp_path, tiny_streams, name, key, value
+    ):
+        path = tmp_path / name
+        if name == "walk.cfg":
+            base = WALK110.read_text()
+            load = cli.load_scenario
+            argv = ["simulate", "--scenario", str(path)]
+        else:
+            cli.write_offsets_cfg(path, CalibrationOffsets.zero())
+            base = path.read_text()
+            load = cli.read_offsets_cfg
+            imu, gps = tiny_streams
+            argv = ["localize", "--imu", str(imu), "--gps", str(gps), "--offsets", str(path)]
+        # the key's line goes last, so its line number is the line count
+        lines = [line for line in base.splitlines() if not line.startswith(f"{key} =")]
+        lines.append(f"{key} = {value}")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf"{name}:{len(lines)}: key '{key}'"):
+            load(path)
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_DATA
+
 
 class TestCsvRoundTrips:
     def test_imu(self, tmp_path):
-        samples = [
-            ImuSample(0.01 * k, np.array([0.1 * k, -1.0, 9.8]), np.array([0.0, 0.02, -0.3]))
-            for k in range(5)
-        ]
+        k = np.arange(5)
+        log = ImuLog(
+            t=0.01 * k,
+            accel=np.column_stack([0.1 * k, np.full(5, -1.0), np.full(5, 9.8)]),
+            gyro=np.tile([0.0, 0.02, -0.3], (5, 1)),
+        )
         path = tmp_path / "imu.csv"
-        cli.write_imu_csv(path, samples)
+        cli.write_imu_csv(path, log)
         back = cli.read_imu_csv(path)
-        for a, b in zip(samples, back):
-            assert a.t == b.t
-            assert_allclose(a.accel, b.accel, rtol=0, atol=0)
-            assert_allclose(a.gyro, b.gyro, rtol=0, atol=0)
+        assert np.array_equal(log.t, back.t)
+        assert_allclose(log.accel, back.accel, rtol=0, atol=0)
+        assert_allclose(log.gyro, back.gyro, rtol=0, atol=0)
+
+    def test_simulated_imu_byte_round_trip(self, scenario_file, tmp_path):
+        out = tmp_path / "sim"
+        assert cli.main(["simulate", "--scenario", str(scenario_file), "--out", str(out)]) == 0
+        again = tmp_path / "again.csv"
+        cli.write_imu_csv(again, cli.read_imu_csv(out / "imu.csv"))
+        assert again.read_bytes() == (out / "imu.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "row, column",
+        [
+            ("nan,0,0,-9.8,0,0,0", "t"),
+            ("inf,0,0,-9.8,0,0,0", "t"),
+            ("0.01,0,0,-9.8,0,0,0", "t"),  # earlier than the row above
+            ("0.1,nan,0,-9.8,0,0,0", "ax"),
+            ("0.1,0,0,-inf,0,0,0", "az"),
+            ("0.1,0,0,-9.8,inf,0,0", "gx"),
+            ("0.1,0,0,-9.8,0,0,nan", "gz"),
+        ],
+    )
+    def test_bad_imu_rows_rejected(self, tmp_path, tiny_streams, row, column):
+        _, gps = tiny_streams
+        path = tmp_path / "bad" / "imu.csv"
+        path.parent.mkdir()
+        path.write_text(f"t,ax,ay,az,gx,gy,gz\n0.05,0,0,-9.8,0,0,0\n{row}\n")
+        with pytest.raises(DataError, match=rf"imu\.csv:3: column '{column}'"):
+            cli.read_imu_csv(path)
+        argv = ["localize", "--imu", str(path), "--gps", str(gps), "--out", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_DATA
 
     def test_gps(self, tmp_path):
         fixes = [GpsFix(float(k), 37.0 + 1e-5 * k, -122.0, 30.0) for k in range(4)]
@@ -204,6 +280,13 @@ class TestExitCodes:
             == cli.EXIT_DATA
         )
 
+    def test_localize_non_finite_ref_exits_2(self, tmp_path, tiny_streams, capsys):
+        imu, gps = tiny_streams
+        argv = ["localize", "--imu", str(imu), "--gps", str(gps), "--out", str(tmp_path / "o")]
+        assert cli.main([*argv, "--ref", "37.0, -122.0, nan"]) == cli.EXIT_DATA
+        assert "--ref:" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "est.csv").exists()
+
     def test_success_exit_0(self, scenario_file, tmp_path):
         assert cli.main(
             ["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path / "o")]
@@ -220,11 +303,8 @@ class TestCommands:
         assert truth.t[-1] == pytest.approx(10.0, abs=1e-9)  # 14 m at 1.4 m/s
 
     def test_simulate_bundled_scenario_span(self, tmp_path):
-        import importlib.resources
-
-        bundled = importlib.resources.files("fusenav") / "scenarios" / "walk110.cfg"
         out = tmp_path / "walk110"
-        assert cli.main(["simulate", "--scenario", str(bundled), "--out", str(out)]) == 0
+        assert cli.main(["simulate", "--scenario", str(WALK110), "--out", str(out)]) == 0
         truth = cli.read_pose_csv(out / "truth.csv", "truth")
         assert truth.t[-1] == pytest.approx(110.0 / 1.52, abs=1e-6)  # ~72.4 s
         assert truth.t[1] - truth.t[0] == pytest.approx(0.01)  # 100 Hz grid
@@ -253,15 +333,10 @@ class TestCommands:
             gyro_bias=(0.01, 0.0, -0.01),
         )
         source = sim.stationary_imu_source(noise, seed=4)
-        samples = []
-        t = 0.0
-        for _ in range(10):
-            accel, gyro = source(1000)
-            for a, g in zip(accel, gyro):
-                samples.append(ImuSample(t, a, g))
-                t += 0.01
+        accel, gyro = zip(*(source(1000) for _ in range(10)))
+        log = ImuLog(0.01 * np.arange(10_000), np.concatenate(accel), np.concatenate(gyro))
         path = tmp_path / "imu.csv"
-        cli.write_imu_csv(path, samples)
+        cli.write_imu_csv(path, log)
         out = tmp_path / "cal"
         assert cli.main(["calibrate", "--imu", str(path), "--out", str(out)]) == 0
         offsets = cli.read_offsets_cfg(out / "offsets.cfg")

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fusenav.core import (
+    DataError,
     GpsFix,
     InvalidQuaternionError,
     level_heading_quat,
@@ -167,3 +168,11 @@ def test_gps_fix_range_validation():
         GpsFix(0.0, 91.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         GpsFix(0.0, 0.0, -181.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "t, alt", [(math.nan, 0.0), (math.inf, 0.0), (0.0, math.nan), (0.0, -math.inf)]
+)
+def test_gps_fix_rejects_non_finite_time_and_altitude(t, alt):
+    with pytest.raises(DataError, match="non-finite"):
+        GpsFix(t, 37.0, -122.0, alt)

@@ -9,7 +9,7 @@ from fusenav.core import (
     GRAVITY,
     DataError,
     GpsFix,
-    ImuSample,
+    ImuLog,
     level_heading_quat,
     quat_conjugate,
     quat_from_small_angle,
@@ -92,6 +92,12 @@ class TestCalibrate:
         assert np.all(np.isfinite(info.value.accel_residual))
 
 
+def imu_log(t, accel, gyro=(0.0, 0.0, 0.0)):
+    """ImuLog with the same accel and gyro reading at every time in ``t``."""
+    t = np.asarray(t, dtype=float)
+    return ImuLog(t=t, accel=np.tile(accel, (len(t), 1)), gyro=np.tile(gyro, (len(t), 1)))
+
+
 def make_cfg(**kw):
     defaults = dict(accel_noise=0.1, gyro_noise=0.01, gps_pos_std=3.0)
     defaults.update(kw)
@@ -106,8 +112,7 @@ class TestPropagate:
         p_cov = initial_covariance(cfg)
         # reading the gravity reaction of the z-down mount: -gravity in body
         accel = quat_rotate(quat_conjugate(q), -GRAVITY)
-        imu = ImuSample(0.0, accel, np.zeros(3))
-        s1, _ = propagate(s, p_cov, imu, 0.02, cfg)
+        s1, _ = propagate(s, p_cov, accel, np.zeros(3), 0.02, cfg)
         assert_allclose(s1.p, 0.0, atol=1e-12)
         assert_allclose(s1.v, 0.0, atol=1e-12)
         assert_allclose(s1.q, q, atol=1e-12)
@@ -117,9 +122,8 @@ class TestPropagate:
         cfg = make_cfg()
         s = NominalState(np.zeros(3), np.zeros(3), np.array([1.0, 0, 0, 0]), 0.0)
         p_cov = initial_covariance(cfg)
-        imu = ImuSample(0.0, np.zeros(3), np.zeros(3))
         for _ in range(10):
-            s, p_cov = propagate(s, p_cov, imu, 0.1, cfg)
+            s, p_cov = propagate(s, p_cov, np.zeros(3), np.zeros(3), 0.1, cfg)
         assert_allclose(s.v, [0.0, 0.0, -9.80665], atol=1e-9)
         assert_allclose(s.p, [0.0, 0.0, -4.9033], atol=1e-3)
 
@@ -129,25 +133,23 @@ class TestPropagate:
         p_cov = initial_covariance(cfg)
         # gravity-compensated: body reading includes the gravity reaction
         accel = np.array([1.0, 0.0, 0.0]) - GRAVITY
-        imu = ImuSample(0.0, accel, np.zeros(3))
         for _ in range(100):
-            s, p_cov = propagate(s, p_cov, imu, 0.01, cfg)
+            s, p_cov = propagate(s, p_cov, accel, np.zeros(3), 0.01, cfg)
         assert_allclose(s.p, [0.5, 0.0, 0.0], atol=1e-2)
 
     def test_dt_bounds_enforced(self):
         cfg = make_cfg()
         s = NominalState(np.zeros(3), np.zeros(3), np.array([1.0, 0, 0, 0]), 0.0)
-        imu = ImuSample(0.0, np.zeros(3), np.zeros(3))
         for bad_dt in (0.0, -0.01, 0.2):
             with pytest.raises(DataError):
-                propagate(s, initial_covariance(cfg), imu, bad_dt, cfg)
+                propagate(s, initial_covariance(cfg), np.zeros(3), np.zeros(3), bad_dt, cfg)
 
     def test_non_finite_input_rejected(self):
         cfg = make_cfg()
         s = NominalState(np.zeros(3), np.zeros(3), np.array([1.0, 0, 0, 0]), 0.0)
-        imu = ImuSample(0.0, np.array([np.nan, 0, 0]), np.zeros(3))
+        accel = np.array([np.nan, 0, 0])
         with pytest.raises(DataError):
-            propagate(s, initial_covariance(cfg), imu, 0.01, cfg)
+            propagate(s, initial_covariance(cfg), accel, np.zeros(3), 0.01, cfg)
 
     def test_jacobian_matches_finite_differences(self):
         # central differences of the nominal propagation over the 9 error
@@ -163,9 +165,8 @@ class TestPropagate:
                 q=q,
                 t=0.0,
             )
-            imu = ImuSample(
-                0.0, rng.standard_normal(3) * 5, rng.standard_normal(3) * 0.5
-            )
+            accel = rng.standard_normal(3) * 5
+            gyro = rng.standard_normal(3) * 0.5
             dt = rng.uniform(0.005, 0.05)
 
             def perturb(delta):
@@ -188,19 +189,19 @@ class TestPropagate:
             for j in range(9):
                 delta = np.zeros(9)
                 delta[j] = eps
-                plus, _ = propagate(perturb(delta), p_cov, imu, dt, cfg)
-                minus, _ = propagate(perturb(-delta), p_cov, imu, dt, cfg)
+                plus, _ = propagate(perturb(delta), p_cov, accel, gyro, dt, cfg)
+                minus, _ = propagate(perturb(-delta), p_cov, accel, gyro, dt, cfg)
                 fd[:, j] = error_between(plus, minus) / (2 * eps)
 
             # recover F from the covariance propagation of an identity P
             zero_q = make_cfg(accel_noise=0.0, gyro_noise=1e-12)
-            _, f_cov = propagate(s, np.eye(9), imu, dt, zero_q)
+            _, f_cov = propagate(s, np.eye(9), accel, gyro, dt, zero_q)
             # f_cov = F F^T; instead compare against the analytic blocks
             from fusenav.core import quat_to_matrix, skew
 
             f = np.eye(9)
             f[0:3, 3:6] = np.eye(3) * dt
-            ca = skew(quat_to_matrix(s.q) @ imu.accel)
+            ca = skew(quat_to_matrix(s.q) @ accel)
             f[0:3, 6:9] = -0.5 * ca * dt * dt
             f[3:6, 6:9] = -ca * dt
             assert np.linalg.norm(fd - f) / np.linalg.norm(f) < 1e-5
@@ -212,12 +213,9 @@ class TestPropagate:
         p_cov = initial_covariance(cfg)
         worst_eig = 0.0
         for k in range(100_000):
-            imu = ImuSample(
-                s.t,
-                rng.standard_normal(3) * 2 + [0, 0, -G],
-                rng.standard_normal(3) * 0.2,
-            )
-            s, p_cov = propagate(s, p_cov, imu, 0.01, cfg)
+            accel = rng.standard_normal(3) * 2 + [0, 0, -G]
+            gyro = rng.standard_normal(3) * 0.2
+            s, p_cov = propagate(s, p_cov, accel, gyro, 0.01, cfg)
             if k % 100 == 0:
                 s, p_cov, _ = gps_update(s, p_cov, s.p + rng.standard_normal(3), cfg)
             assert_allclose(p_cov, p_cov.T, atol=1e-12)
@@ -261,6 +259,14 @@ class TestGpsUpdate:
         _, _, ok2 = gps_update(s, p_cov, np.array([14.0, 0.0, 0.0]), cfg)
         assert ok2
 
+    def test_gate_fails_closed_on_nan_fix(self):
+        cfg = make_cfg()
+        s = NominalState(np.zeros(3), np.zeros(3), level_heading_quat(0), 0.0)
+        p_cov = initial_covariance(cfg)
+        s1, p1, ok = gps_update(s, p_cov, np.array([1.0, np.nan, 0.0]), cfg)
+        assert not ok
+        assert s1 is s and p1 is p_cov
+
 
 def straight_scenario(noise, seed=0, length=110.0):
     return sim.Scenario(route=((0.0, 0.0), (length, 0.0)), noise=noise, seed=seed)
@@ -283,10 +289,7 @@ class TestRunLocalizer:
         bias = np.array([0.1, 0.0, 0.0])
         q = level_heading_quat(0.0)
         f_body = quat_rotate(quat_conjugate(q), -GRAVITY) + bias
-        imu = [
-            ImuSample(t, f_body.copy(), np.zeros(3))
-            for t in np.arange(0.0, 10.0 + 1e-9, 0.01)
-        ]
+        imu = imu_log(np.arange(0.0, 10.0 + 1e-9, 0.01), f_body)
         anchor = GpsFix(0.0, 37.0, -122.0, 30.0)
         cfg = make_cfg()
         run = run_localizer(imu, [anchor], cfg)
@@ -296,20 +299,16 @@ class TestRunLocalizer:
 
     def test_rejects_unsorted_streams(self):
         anchor = GpsFix(0.0, 37.0, -122.0, 30.0)
-        imu = [
-            ImuSample(0.0, [0, 0, -G], [0, 0, 0]),
-            ImuSample(0.02, [0, 0, -G], [0, 0, 0]),
-            ImuSample(0.01, [0, 0, -G], [0, 0, 0]),
-        ]
+        imu = imu_log([0.0, 0.02, 0.01], [0, 0, -G])
         with pytest.raises(DataError, match="unsorted"):
             run_localizer(imu, [anchor], make_cfg())
 
     def test_empty_streams_error(self):
         anchor = GpsFix(0.0, 37.0, -122.0, 30.0)
         with pytest.raises(DataError):
-            run_localizer([], [anchor], make_cfg())
+            run_localizer(imu_log([], [0, 0, -G]), [anchor], make_cfg())
         with pytest.raises(DataError):
-            run_localizer([ImuSample(0.0, [0, 0, -G], [0, 0, 0])], [], make_cfg())
+            run_localizer(imu_log([0.0], [0, 0, -G]), [], make_cfg())
 
     def test_offsets_are_applied(self):
         noise = sim.NoiseConfig(
