@@ -80,6 +80,26 @@ def _finite(text: str) -> float:
     return x
 
 
+def _finite_in(test, what: str):
+    """A converter like _finite that also requires ``test(x)``; ``what``
+    names the allowed range in the error."""
+
+    def conv(text: str) -> float:
+        x = _finite(text)
+        if not test(x):
+            raise ValueError(f"{text!r} is not {what}")
+        return x
+
+    return conv
+
+
+# Geometry the ray-cast divides by and noise it scales: values outside
+# these ranges crash the simulator or silently blind or flip a sensor.
+_ANGLE_DEG = _finite_in(lambda x: 0.0 < x < 90.0, "in (0, 90) degrees")
+_POSITIVE = _finite_in(lambda x: x > 0.0, "positive")
+_SIGMA = _finite_in(lambda x: x >= 0.0, "non-negative")
+
+
 # ---------------------------------------------------------------------------
 # CSV reading/writing
 
@@ -300,20 +320,20 @@ def load_scenario(path) -> sim.Scenario:
     kv = _KvFile(path)
     take = kv.take
     geometry = sim.SonarGeometry(
-        belt_height=take("belt_height", _finite, 1.0),
-        inclined_depression_deg=take("inclined_depression_deg", _finite, 45.0),
+        belt_height=take("belt_height", _POSITIVE, 1.0),
+        inclined_depression_deg=take("inclined_depression_deg", _ANGLE_DEG, 45.0),
         inclined_azimuth_deg=take("inclined_azimuth_deg", _finite, 25.0),
-        beam_half_angle_deg=take("beam_half_angle_deg", _finite, 15.0),
-        max_range=take("max_range", _finite, 4.0),
+        beam_half_angle_deg=take("beam_half_angle_deg", _ANGLE_DEG, 15.0),
+        max_range=take("max_range", _POSITIVE, 4.0),
     )
     defaults = sim.NoiseConfig()
     noise = sim.NoiseConfig(
-        accel_sigma=take("accel_sigma", _finite, defaults.accel_sigma),
-        gyro_sigma=take("gyro_sigma", _finite, defaults.gyro_sigma),
+        accel_sigma=take("accel_sigma", _SIGMA, defaults.accel_sigma),
+        gyro_sigma=take("gyro_sigma", _SIGMA, defaults.gyro_sigma),
         accel_bias=take("accel_bias", _parse_triple, defaults.accel_bias),
         gyro_bias=take("gyro_bias", _parse_triple, defaults.gyro_bias),
-        gps_sigma=take("gps_sigma", _finite, defaults.gps_sigma),
-        sonar_sigma=take("sonar_sigma", _finite, defaults.sonar_sigma),
+        gps_sigma=take("gps_sigma", _SIGMA, defaults.gps_sigma),
+        sonar_sigma=take("sonar_sigma", _SIGMA, defaults.sonar_sigma),
     )
     route = take("route", lambda v: _parse_tuple_list(v, 2))
     try:

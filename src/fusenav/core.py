@@ -157,15 +157,21 @@ def quat_rotate(q, v) -> np.ndarray:
 
 
 def quat_to_matrix(q) -> np.ndarray:
-    """3x3 rotation matrix of q, mapping body vectors into navigation."""
-    w, x, y, z = np.asarray(q, dtype=float)
-    return np.array(
+    """Rotation matrices of q, mapping body vectors into navigation.
+
+    ``q`` is one quaternion (4,) or a stack (..., 4); the result is (3, 3)
+    or (..., 3, 3) to match.
+    """
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    return np.stack(
         [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+        ],
+        axis=-1,
+    ).reshape(q.shape[:-1] + (3, 3))
 
 
 def quat_from_small_angle(dtheta) -> np.ndarray:

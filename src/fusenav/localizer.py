@@ -15,11 +15,18 @@ the outliers an ungated filter would be destabilized by.
 The localizer is a single-threaded deterministic state machine over one
 merged, time-ordered measurement stream; out-of-order timestamps within a
 stream are a contract violation and raise.  Independent instances can run
-concurrently on separate data.
+concurrently on separate data: ``propagate`` and ``gps_update`` keep no
+shared mutable state, and the module's arrays are read-only constants.
+
+The IMU step is the hot loop.  ``propagate`` reads its inputs once into
+Python floats and runs the nominal update in the operation order of the
+``core`` quaternion helpers; NumPy only forms ``F P F^T``.  Results match
+the helper-based step to rounding in the last bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,16 +37,24 @@ from .core import (
     DataError,
     GpsFix,
     ImuLog,
+    InvalidQuaternionError,
     NumericalError,
     level_heading_quat,
     quat_from_small_angle,
     quat_multiply,
     quat_normalize,
-    quat_to_matrix,
-    skew,
 )
 
 MAX_IMU_DT = 0.1  # s, sanity bound on a single strapdown step
+
+# Read-only constants of propagate: the 9x9 identity F starts from, the
+# flat indices of F's dt and [R accel]x entries, and of Qd's diagonal.
+_EYE9 = np.eye(9)
+_EYE9.flags.writeable = False
+_F_INDEX = np.array([3, 13, 23, 7, 8, 15, 17, 24, 25, 34, 35, 42, 44, 51, 52])
+_F_INDEX.flags.writeable = False
+_QD_INDEX = np.array([30, 40, 50, 60, 70, 80])
+_QD_INDEX.flags.writeable = False
 
 
 class CalibrationDivergedError(NumericalError):
@@ -165,33 +180,83 @@ def propagate(
     P <- F P F^T + L Qd L^T with the error-state Jacobian (including the
     -0.5 [R accel]x dt^2 position/attitude block, the exact derivative of
     this integrator) and Qd = diag(sa^2 dt^2, sg^2 dt^2) on (dv, dtheta).
+
+    The nominal step runs on scalar floats in the operation order of
+    ``core``'s ``quat_to_matrix``, ``quat_from_small_angle``,
+    ``quat_multiply`` and ``quat_normalize``; only ``F P F^T`` is an array
+    product.  Nothing is kept between calls.
     """
     if not 0.0 < dt <= MAX_IMU_DT:
         raise DataError(f"dt={dt} outside (0, {MAX_IMU_DT}] s")
-    if not (
-        np.all(np.isfinite(accel))
-        and np.all(np.isfinite(gyro))
-        and np.all(np.isfinite(s.p))
-        and np.all(np.isfinite(s.v))
-        and np.all(np.isfinite(s.q))
-    ):
+    px, py, pz = p0 = s.p.tolist()
+    vx, vy, vz = v0 = s.v.tolist()
+    qw, qx, qy, qz = q0 = s.q.tolist()
+    ax, ay, az = a0 = accel.tolist()
+    wx, wy, wz = w0 = gyro.tolist()
+    if not all(map(math.isfinite, p0 + v0 + q0 + a0 + w0)):
         raise DataError("non-finite propagation input")
 
-    c = quat_to_matrix(s.q)
-    a_nav = c @ accel + cfg.gravity
-    p = s.p + s.v * dt + 0.5 * a_nav * dt * dt
-    v = s.v + a_nav * dt
-    q = quat_normalize(quat_multiply(s.q, quat_from_small_angle(gyro * dt)))
+    # R(q) accel, R as in quat_to_matrix
+    cx = (
+        (1 - 2 * (qy * qy + qz * qz)) * ax
+        + 2 * (qx * qy - qw * qz) * ay
+        + 2 * (qx * qz + qw * qy) * az
+    )
+    cy = (
+        2 * (qx * qy + qw * qz) * ax
+        + (1 - 2 * (qx * qx + qz * qz)) * ay
+        + 2 * (qy * qz - qw * qx) * az
+    )
+    cz = (
+        2 * (qx * qz - qw * qy) * ax
+        + 2 * (qy * qz + qw * qx) * ay
+        + (1 - 2 * (qx * qx + qy * qy)) * az
+    )
+    gx, gy, gz = cfg.gravity.tolist()
+    nx, ny, nz = cx + gx, cy + gy, cz + gz
+    p = np.array(
+        [
+            px + vx * dt + 0.5 * nx * dt * dt,
+            py + vy * dt + 0.5 * ny * dt * dt,
+            pz + vz * dt + 0.5 * nz * dt * dt,
+        ]
+    )
+    v = np.array([vx + nx * dt, vy + ny * dt, vz + nz * dt])
 
-    ca_skew = skew(c @ accel)
-    f = np.eye(9)
-    f[0:3, 3:6] = np.eye(3) * dt
-    f[0:3, 6:9] = -0.5 * ca_skew * dt * dt
-    f[3:6, 6:9] = -ca_skew * dt
-    qd = np.zeros((9, 9))
-    qd[3:6, 3:6] = np.eye(3) * (cfg.accel_noise * dt) ** 2
-    qd[6:9, 6:9] = np.eye(3) * (cfg.gyro_noise * dt) ** 2
-    p_cov = f @ P @ f.T + qd
+    # gyro increment as in quat_from_small_angle
+    tx, ty, tz = wx * dt, wy * dt, wz * dt
+    angle = math.sqrt(tx * tx + ty * ty + tz * tz)
+    if angle < 1e-8:
+        dw, dx, dy, dz = 1.0, 0.5 * tx, 0.5 * ty, 0.5 * tz
+        n = math.sqrt(dw * dw + dx * dx + dy * dy + dz * dz)
+        dw, dx, dy, dz = dw / n, dx / n, dy / n, dz / n
+    else:
+        half = 0.5 * angle
+        k = math.sin(half) / angle
+        dw, dx, dy, dz = math.cos(half), k * tx, k * ty, k * tz
+    # q (x) dq, then normalized
+    rw = qw * dw - qx * dx - qy * dy - qz * dz
+    rx = qw * dx + qx * dw + qy * dz - qz * dy
+    ry = qw * dy - qx * dz + qy * dw + qz * dx
+    rz = qw * dz + qx * dy - qy * dx + qz * dw
+    n = math.sqrt(rw * rw + rx * rx + ry * ry + rz * rz)
+    if n == 0.0 or not math.isfinite(n):
+        raise InvalidQuaternionError(f"cannot normalize quaternion {[rw, rx, ry, rz]}")
+    q = np.array([rw / n, rx / n, ry / n, rz / n])
+
+    # F = I + dt on (dp, dv), -0.5 [R accel]x dt^2 on (dp, dtheta),
+    # -[R accel]x dt on (dv, dtheta)
+    hx, hy, hz = 0.5 * cx * dt * dt, 0.5 * cy * dt * dt, 0.5 * cz * dt * dt
+    ex, ey, ez = cx * dt, cy * dt, cz * dt
+    f = _EYE9.copy()
+    f.put(
+        _F_INDEX,
+        (dt, dt, dt, hz, -hy, -hz, hx, hy, -hx, ez, -ey, -ez, ex, ey, -ex),
+    )
+    p_cov = f @ P @ f.T
+    qa = (cfg.accel_noise * dt) ** 2
+    qg = (cfg.gyro_noise * dt) ** 2
+    p_cov.put(_QD_INDEX, p_cov.take(_QD_INDEX) + (qa, qa, qa, qg, qg, qg))
     return NominalState(p=p, v=v, q=q, t=s.t + dt), 0.5 * (p_cov + p_cov.T)
 
 
@@ -202,23 +267,24 @@ def gps_update(
 
     Returns ``(state, P, accepted)``; a fix whose per-axis innovation
     is not within ``gate * sqrt(diag(H P H^T + R))`` (a non-finite one
-    included) is rejected and the state passes through unchanged.
+    included) is rejected and the state passes through unchanged.  H
+    selects the position block, so ``H P H^T`` is ``P[:3, :3]``,
+    ``P H^T`` is ``P[:, :3]`` and ``H P`` is ``P[:3, :]``.
     """
     z = np.asarray(fix_enu, dtype=float)
     innovation = z - s.p
-    s_cov = P[0:3, 0:3] + cfg.gps_pos_std**2 * np.eye(3)
+    s_cov = P[0:3, 0:3].copy()
+    s_cov.flat[::4] += cfg.gps_pos_std**2
     bound = cfg.innovation_gate * np.sqrt(np.diag(s_cov))
     if not np.all(np.abs(innovation) <= bound):
         return s, P, False
 
-    h = np.zeros((3, 9))
-    h[:, 0:3] = np.eye(3)
-    k = np.linalg.solve(s_cov.T, (P @ h.T).T).T
+    k = np.linalg.solve(s_cov.T, P[:, 0:3].T).T
     dx = k @ innovation
     p = s.p + dx[0:3]
     v = s.v + dx[3:6]
     q = quat_normalize(quat_multiply(quat_from_small_angle(dx[6:9]), s.q))
-    p_cov = (np.eye(9) - k @ h) @ P
+    p_cov = P - k @ P[0:3, :]
     return NominalState(p=p, v=v, q=q, t=s.t), 0.5 * (p_cov + p_cov.T), True
 
 

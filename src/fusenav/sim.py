@@ -40,6 +40,7 @@ from .core import (
     SonarChannel,
     SonarLog,
     level_heading_quat,
+    quat_to_matrix,
 )
 
 CORNER_BLEND_LEN = 1.0  # m of arclength over which heading blends at corners
@@ -407,25 +408,10 @@ def _raycast_sonar(scenario: Scenario, p, heading, arclength) -> dict:
 # Sensor synthesis
 
 
-def _quat_to_matrix_batch(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    m = np.empty((len(q), 3, 3))
-    m[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    m[:, 0, 1] = 2 * (x * y - w * z)
-    m[:, 0, 2] = 2 * (x * z + w * y)
-    m[:, 1, 0] = 2 * (x * y + w * z)
-    m[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    m[:, 1, 2] = 2 * (y * z - w * x)
-    m[:, 2, 0] = 2 * (x * z - w * y)
-    m[:, 2, 1] = 2 * (y * z + w * x)
-    m[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return m
-
-
 def synth_imu(truth: GroundTruth, noise: NoiseConfig, seed: int) -> ImuLog:
     """Body-frame specific force and angular rate with bias and white noise."""
     rng = np.random.default_rng([seed, _STREAM_IMU])
-    r_bn = _quat_to_matrix_batch(truth.q)
+    r_bn = quat_to_matrix(truth.q)
     f_body = np.einsum("nji,nj->ni", r_bn, truth.a_nav - GRAVITY)
     n = len(truth.t)
     accel = (
@@ -507,7 +493,7 @@ def stationary_imu_source(noise: NoiseConfig, seed: int):
     """
     rng = np.random.default_rng([seed, _STREAM_STATIC])
     q = level_heading_quat(0.0)
-    r_bn = _quat_to_matrix_batch(q[np.newaxis, :])[0]
+    r_bn = quat_to_matrix(q)
     f_body = r_bn.T @ (-GRAVITY)
     accel_bias = np.asarray(noise.accel_bias, dtype=float)
     gyro_bias = np.asarray(noise.gyro_bias, dtype=float)

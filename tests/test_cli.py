@@ -104,6 +104,14 @@ class TestScenarioParsing:
             ("walk.cfg", "imu_rate", "nan"),
             ("walk.cfg", "anchor", "37.0, -122.0, nan"),
             ("walk.cfg", "belt_height", "inf"),
+            ("walk.cfg", "belt_height", "0"),
+            ("walk.cfg", "inclined_depression_deg", "0"),
+            ("walk.cfg", "beam_half_angle_deg", "-5"),
+            ("walk.cfg", "max_range", "0"),
+            ("walk.cfg", "accel_sigma", "-0.25"),
+            ("walk.cfg", "gyro_sigma", "-0.025"),
+            ("walk.cfg", "gps_sigma", "-1"),
+            ("walk.cfg", "sonar_sigma", "-0.003"),
             ("offsets.cfg", "accel_offset", "1, 2"),
             ("offsets.cfg", "accel_offset", "nan, 0, 0"),
         ],

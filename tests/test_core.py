@@ -94,6 +94,16 @@ def test_rotate_matches_matrix_oracle():
         assert abs(np.linalg.norm(quat_rotate(q, v)) - np.linalg.norm(v)) < 1e-9
 
 
+def test_quat_to_matrix_batched_rows_match_single():
+    rng = np.random.default_rng(12)
+    q = rng.standard_normal((2, 50, 4))
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    batched = quat_to_matrix(q)
+    assert batched.shape == (2, 50, 3, 3)
+    for i, j in np.ndindex(2, 50):
+        assert np.array_equal(batched[i, j], quat_to_matrix(q[i, j]))
+
+
 def test_quat_to_matrix_matches_rotate():
     rng = np.random.default_rng(11)
     for _ in range(500):

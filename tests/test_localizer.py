@@ -1,23 +1,29 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fusenav import sim
+from fusenav import localizer, sim
 from fusenav.core import (
     GRAVITY,
     DataError,
     GpsFix,
     ImuLog,
+    InvalidQuaternionError,
     level_heading_quat,
     quat_conjugate,
     quat_from_small_angle,
     quat_multiply,
+    quat_normalize,
     quat_rotate,
+    quat_to_matrix,
     quat_to_rotation_vector,
+    skew,
 )
 from fusenav.localizer import (
+    MAX_IMU_DT,
     CalibrationDivergedError,
     CalibrationOffsets,
     LocalizerConfig,
@@ -98,6 +104,35 @@ def imu_log(t, accel, gyro=(0.0, 0.0, 0.0)):
     return ImuLog(t=t, accel=np.tile(accel, (len(t), 1)), gyro=np.tile(gyro, (len(t), 1)))
 
 
+def assert_rel_close(got, want, rtol=1e-12):
+    """``got`` equals ``want`` to ``rtol`` relative to the norm of ``want``."""
+    assert np.linalg.norm(np.asarray(got) - want) <= rtol * np.linalg.norm(want)
+
+
+def dense_propagate(s, P, accel, gyro, dt, cfg):
+    """Reference for propagate: the same step in dense NumPy, through the
+    core quaternion helpers and a 9x9 Qd."""
+    if not 0.0 < dt <= MAX_IMU_DT:
+        raise DataError(f"dt={dt} outside (0, {MAX_IMU_DT}] s")
+    if not all(np.all(np.isfinite(x)) for x in (accel, gyro, s.p, s.v, s.q)):
+        raise DataError("non-finite propagation input")
+    c = quat_to_matrix(s.q)
+    a_nav = c @ accel + cfg.gravity
+    p = s.p + s.v * dt + 0.5 * a_nav * dt * dt
+    v = s.v + a_nav * dt
+    q = quat_normalize(quat_multiply(s.q, quat_from_small_angle(gyro * dt)))
+    ca_skew = skew(c @ accel)
+    f = np.eye(9)
+    f[0:3, 3:6] = np.eye(3) * dt
+    f[0:3, 6:9] = -0.5 * ca_skew * dt * dt
+    f[3:6, 6:9] = -ca_skew * dt
+    qd = np.zeros((9, 9))
+    qd[3:6, 3:6] = np.eye(3) * (cfg.accel_noise * dt) ** 2
+    qd[6:9, 6:9] = np.eye(3) * (cfg.gyro_noise * dt) ** 2
+    p_cov = f @ P @ f.T + qd
+    return NominalState(p=p, v=v, q=q, t=s.t + dt), 0.5 * (p_cov + p_cov.T)
+
+
 def make_cfg(**kw):
     defaults = dict(accel_noise=0.1, gyro_noise=0.01, gps_pos_std=3.0)
     defaults.update(kw)
@@ -150,6 +185,18 @@ class TestPropagate:
         accel = np.array([np.nan, 0, 0])
         with pytest.raises(DataError):
             propagate(s, initial_covariance(cfg), accel, np.zeros(3), 0.01, cfg)
+        # the state's p, v and q and the gyro reading are checked as well
+        p_cov, zero = initial_covariance(cfg), np.zeros(3)
+        for bad in (np.nan, np.inf, -np.inf):
+            for field in ("p", "v", "q"):
+                value = getattr(s, field).copy()
+                value[-1] = bad
+                with pytest.raises(DataError, match="non-finite"):
+                    propagate(replace(s, **{field: value}), p_cov, zero, zero, 0.01, cfg)
+            with pytest.raises(DataError, match="non-finite"):
+                propagate(s, p_cov, zero, np.array([0.0, bad, 0.0]), 0.01, cfg)
+        with pytest.raises(InvalidQuaternionError):
+            propagate(replace(s, q=np.zeros(4)), p_cov, zero, zero, 0.01, cfg)
 
     def test_jacobian_matches_finite_differences(self):
         # central differences of the nominal propagation over the 9 error
@@ -193,18 +240,59 @@ class TestPropagate:
                 minus, _ = propagate(perturb(-delta), p_cov, accel, gyro, dt, cfg)
                 fd[:, j] = error_between(plus, minus) / (2 * eps)
 
-            # recover F from the covariance propagation of an identity P
-            zero_q = make_cfg(accel_noise=0.0, gyro_noise=1e-12)
-            _, f_cov = propagate(s, np.eye(9), accel, gyro, dt, zero_q)
-            # f_cov = F F^T; instead compare against the analytic blocks
-            from fusenav.core import quat_to_matrix, skew
-
+            # the analytic blocks match the finite differences ...
             f = np.eye(9)
             f[0:3, 3:6] = np.eye(3) * dt
             ca = skew(quat_to_matrix(s.q) @ accel)
             f[0:3, 6:9] = -0.5 * ca * dt * dt
             f[3:6, 6:9] = -ca * dt
             assert np.linalg.norm(fd - f) / np.linalg.norm(f) < 1e-5
+            # ... and propagate's covariance of an identity P is F F^T
+            zero_q = make_cfg(accel_noise=0.0, gyro_noise=1e-12)
+            _, f_cov = propagate(s, np.eye(9), accel, gyro, dt, zero_q)
+            assert_rel_close(f_cov, f @ f.T)
+
+    def test_matches_dense_reference(self):
+        cfg = make_cfg()
+        rng = np.random.default_rng(11)
+        small_angle = full_dt = 0
+        for k in range(600):
+            s = NominalState(
+                p=rng.standard_normal(3) * 50,
+                v=rng.standard_normal(3) * 2,
+                q=quat_normalize(rng.standard_normal(4)),
+                t=rng.uniform(0.0, 100.0),
+            )
+            a = rng.standard_normal((9, 9))
+            p_cov = a @ a.T + np.diag(rng.uniform(0.01, 10.0, 9))
+            accel = rng.standard_normal(3) * 3 - GRAVITY
+            dt = MAX_IMU_DT if k % 5 == 0 else rng.uniform(1e-4, MAX_IMU_DT)
+            gyro = rng.standard_normal(3) * (1e-9 / dt if k % 4 == 0 else 1.0)
+            small_angle += np.linalg.norm(gyro * dt) < 1e-8
+            full_dt += dt == MAX_IMU_DT
+            got_s, got_p = propagate(s, p_cov, accel, gyro, dt, cfg)
+            want_s, want_p = dense_propagate(s, p_cov, accel, gyro, dt, cfg)
+            for got, want in zip(
+                (got_s.p, got_s.v, got_s.q, got_p), (want_s.p, want_s.v, want_s.q, want_p)
+            ):
+                assert_rel_close(got, want)
+            assert got_s.t == want_s.t
+        assert small_angle >= 100 and full_dt >= 100
+
+    def test_run_matches_dense_reference(self, monkeypatch):
+        noise = sim.NoiseConfig()
+        sc = straight_scenario(noise)
+        truth = sim.gen_walk(sc)
+        imu = sim.synth_imu(truth, noise, sc.seed)
+        fixes = sim.synth_gps(truth, noise, sc.seed, sc.gps_rate, sc.anchor_fix())
+        offsets = calibrate(sim.stationary_imu_source(noise, sc.seed))
+        cfg = make_cfg(accel_noise=noise.accel_sigma, gyro_noise=noise.gyro_sigma)
+        run = run_localizer(imu, fixes, cfg, offsets)
+        monkeypatch.setattr(localizer, "propagate", dense_propagate)
+        ref = run_localizer(imu, fixes, cfg, offsets)
+        assert run.accepted_fixes == ref.accepted_fixes > 0
+        assert run.rejected_fixes == ref.rejected_fixes
+        assert np.max(np.abs(run.p - ref.p)) < 1e-9
 
     def test_covariance_stays_symmetric_psd_long_run(self):
         cfg = make_cfg()
