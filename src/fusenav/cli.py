@@ -610,6 +610,8 @@ def cmd_run(args) -> int:
         sim.truth_trajectory(truth, "truth"),
     )
     print(f"pipeline outputs in {out}")
+    # never spoken: the scheduler is not polled after the last tick
+    print(f"audio messages pending at end of run: {scheduler.pending}")
     return EXIT_OK
 
 

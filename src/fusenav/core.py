@@ -132,9 +132,13 @@ def quat_conjugate(q) -> np.ndarray:
 
 
 def quat_multiply(a, b) -> np.ndarray:
-    """Hamilton product a (x) b, scalar-first."""
-    aw, ax, ay, az = np.asarray(a, dtype=float)
-    bw, bx, by, bz = np.asarray(b, dtype=float)
+    """Hamilton product a (x) b, scalar-first.
+
+    ``a`` and ``b`` are quaternions (4,) or stacks (n, 4) of them; a (4,)
+    operand broadcasts against a stack.
+    """
+    aw, ax, ay, az = np.asarray(a, dtype=float).T
+    bw, bx, by, bz = np.asarray(b, dtype=float).T
     return np.array(
         [
             aw * bw - ax * bx - ay * by - az * bz,
@@ -142,7 +146,7 @@ def quat_multiply(a, b) -> np.ndarray:
             aw * by - ax * bz + ay * bw + az * bx,
             aw * bz + ax * by - ay * bx + az * bw,
         ]
-    )
+    ).T
 
 
 def quat_rotate(q, v) -> np.ndarray:
@@ -210,9 +214,14 @@ def skew(v) -> np.ndarray:
 _LEVEL_FRD = np.array([0.0, 1.0, 0.0, 0.0])
 
 
-def level_heading_quat(heading_rad: float) -> np.ndarray:
+def level_heading_quat(heading_rad) -> np.ndarray:
     """Body->ENU quaternion of a level FRD mount heading ``heading_rad``
-    (radians counterclockwise from east)."""
-    half = 0.5 * heading_rad
-    qz = np.array([math.cos(half), 0.0, 0.0, math.sin(half)])
+    (radians counterclockwise from east).
+
+    ``heading_rad`` is one heading or an array (n,) of them; the result is
+    (4,) or (n, 4) to match.
+    """
+    half = 0.5 * np.asarray(heading_rad, dtype=float)
+    zero = np.zeros_like(half)
+    qz = np.array([np.cos(half), zero, zero, np.sin(half)]).T
     return quat_multiply(qz, _LEVEL_FRD)

@@ -112,6 +112,11 @@ class AudioScheduler:
         self._counter = 0
         self._last_emit: float | None = None
 
+    @property
+    def pending(self) -> int:
+        """Messages offered but neither spoken nor dropped as stale yet."""
+        return len(self._pending)
+
     def offer(self, msg: AudioMessage) -> None:
         self._pending.append((msg.priority, msg.t, self._counter, msg))
         self._counter += 1

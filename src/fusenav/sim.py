@@ -19,6 +19,14 @@ scenario seed: identical scenario + seed gives identical streams.  The
 "dmp_like" noise preset models the cleaner pre-fused data path as the
 same pipeline with 5x lower noise and no residual bias.
 
+The walk and the ray-cast run over whole columns of ticks.  In the
+ray-cast NumPy is only a conservative prefilter: every range and every
+inside/beam/range decision comes from scalar ``math`` expressions on the
+(tick, obstacle) pairs that survive it.  NumPy's ``hypot`` and
+``arctan2`` differ from ``math``'s in the last bit on a share of inputs
+(0.6 % and 7.7 % of 1M random pairs on an AVX-512 host with NumPy 2.4),
+which would move ranges and could flip beam-edge detections.
+
 No gait model, no GPS multipath, no moving obstacles.
 """
 
@@ -34,6 +42,7 @@ from . import geo
 from .core import (
     CHANNELS,
     GRAVITY,
+    INCLINED_CHANNELS,
     DataError,
     GpsFix,
     ImuLog,
@@ -46,6 +55,10 @@ from .core import (
 CORNER_BLEND_LEN = 1.0  # m of arclength over which heading blends at corners
 _BLEND_TABLE_STEPS = 2048
 _MAX_CORNER_DEG = 170.0
+# Slack of the ray-cast's NumPy prefilter, in radians and relative to the
+# distances it compares: far above the last-bit differences between
+# NumPy's and ``math``'s hypot and atan2.
+_PREFILTER_MARGIN = 1e-9
 
 # Sub-stream tags so the synthesizers draw from independent generators.
 _STREAM_IMU = 101
@@ -187,7 +200,8 @@ class _Line:
         self._dir = np.array([math.cos(heading), math.sin(heading)])
 
     def sample(self, s):
-        return self.start + s * self._dir, self.heading, 0.0
+        """Positions (n, 2), headings and curvatures at local arclengths ``s``."""
+        return self.start + s[:, None] * self._dir, self.heading, 0.0
 
 
 class _Blend:
@@ -217,14 +231,19 @@ class _Blend:
         return self._table_xy[-1]
 
     def sample(self, s):
+        """Positions (n, 2), headings and curvatures at local arclengths ``s``."""
         x = np.interp(s, self._table_s, self._table_xy[:, 0])
         y = np.interp(s, self._table_s, self._table_xy[:, 1])
-        heading = self.entry_heading + float(self._psi(np.array([s]))[0])
+        heading = self.entry_heading + self._psi(s)
         u = s / self.length
         kappa = (
-            2.0 * self.dtheta / self.length * 0.5 * (1.0 - math.cos(2.0 * math.pi * u))
+            2.0 * self.dtheta / self.length * 0.5 * (1.0 - np.cos(2.0 * math.pi * u))
         )
-        return self.entry + self._rot @ np.array([x, y]), heading, kappa
+        # A stack of (2, 2) @ (2, 1) products runs the matrix-vector kernel
+        # once per sample; ``xy @ rot.T`` would take the matrix-matrix kernel,
+        # whose rounding differs in the last bit for most rotations.
+        xy = np.column_stack([x, y])[:, :, None]
+        return self.entry + (self._rot @ xy)[:, :, 0], heading, kappa
 
 
 def _wrap_angle(a: float) -> float:
@@ -288,19 +307,6 @@ def _build_path(route) -> tuple[list, float]:
     return pieces, s
 
 
-def _sample_path(pieces, total_len, s):
-    s = min(max(s, 0.0), total_len)
-    lo, hi = 0, len(pieces) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if pieces[mid][0] <= s:
-            lo = mid
-        else:
-            hi = mid - 1
-    start_s, prim = pieces[lo]
-    return prim.sample(min(s - start_s, prim.length))
-
-
 # ---------------------------------------------------------------------------
 # Ground truth
 
@@ -321,26 +327,32 @@ def gen_walk(scenario: Scenario) -> GroundTruth:
     n = len(t)
 
     p = np.zeros((n, 3))
-    v = np.zeros((n, 3))
-    q = np.zeros((n, 4))
-    a_nav = np.zeros((n, 3))
-    omega = np.zeros((n, 3))
     heading = np.zeros(n)
+    kappa = np.zeros(n)
     arclength = scenario.speed * t
     speed = scenario.speed
-    for k in range(n):
-        xy, th, kappa = _sample_path(pieces, total_len, arclength[k])
-        p[k, :2] = xy
-        heading[k] = th
-        v[k] = (speed * math.cos(th), speed * math.sin(th), 0.0)
-        theta_dot = kappa * speed
-        a_nav[k] = (
-            -speed * theta_dot * math.sin(th),
-            speed * theta_dot * math.cos(th),
-            0.0,
-        )
-        omega[k] = (0.0, 0.0, -theta_dot)  # body z points down
-        q[k] = level_heading_quat(th)
+    s = np.minimum(np.maximum(arclength, 0.0), total_len)
+    starts = np.array([start_s for start_s, _ in pieces])
+    piece = np.searchsorted(starts, s, side="right") - 1
+    for i, (start_s, prim) in enumerate(pieces):
+        on = piece == i
+        xy, th, kap = prim.sample(np.minimum(s[on] - start_s, prim.length))
+        p[on, :2] = xy
+        heading[on] = th
+        kappa[on] = kap
+
+    zero = np.zeros(n)
+    theta_dot = kappa * speed
+    v = np.column_stack([speed * np.cos(heading), speed * np.sin(heading), zero])
+    a_nav = np.column_stack(
+        [
+            -speed * theta_dot * np.sin(heading),
+            speed * theta_dot * np.cos(heading),
+            zero,
+        ]
+    )
+    omega = np.column_stack([zero, zero, -theta_dot])  # body z points down
+    q = level_heading_quat(heading)
 
     sonar_true = _raycast_sonar(scenario, p, heading, arclength)
     return GroundTruth(
@@ -359,49 +371,69 @@ def gen_walk(scenario: Scenario) -> GroundTruth:
 
 
 def _raycast_sonar(scenario: Scenario, p, heading, arclength) -> dict:
+    """True slant range per channel and tick (inf: no echo within range).
+
+    NumPy only prefilters, over whole tick columns: it keeps each (tick,
+    obstacle) pair that is inside the obstacle, or inside the beam and
+    ``max_range``, with a margin far above the last-bit differences between
+    NumPy's and ``math``'s ``hypot`` and ``arctan2`` (see the module
+    docstring).  The ranges and the inside/beam decisions come from the
+    scalar ``math`` expressions on the kept pairs, obstacle by obstacle in
+    listed order.  A dropped pair could only have set a range beyond
+    ``max_range``, which reads as no echo either way.
+    """
     geom = scenario.geometry
     n = len(heading)
     half_angle = math.radians(geom.beam_half_angle_deg)
     dep = math.radians(geom.inclined_depression_deg)
     azimuths = _channel_azimuths(geom)
-    obstacles = scenario.obstacles
+    best = {ch: np.full(n, math.inf) for ch in azimuths}
+    slack = 1.0 + _PREFILTER_MARGIN
 
-    out = {}
+    for obs in scenario.obstacles:
+        de = obs.e - p[:, 0]
+        dn = obs.n - p[:, 1]
+        dist_c = np.hypot(de, dn)
+        inside = dist_c <= obs.radius * slack + _PREFILTER_MARGIN
+        reach = (obs.radius + geom.max_range) * slack + _PREFILTER_MARGIN
+        near = np.flatnonzero(dist_c <= reach)
+        direction = np.arctan2(dn[near], de[near])
+        for channel, az in azimuths.items():
+            off = direction - (heading[near] + az)
+            bearing = np.arctan2(np.sin(off), np.cos(off))
+            keep = inside.copy()
+            keep[near[np.abs(bearing) <= half_angle + _PREFILTER_MARGIN]] = True
+            nearest = best[channel]
+            for k in np.flatnonzero(keep).tolist():
+                de_k = obs.e - p[k, 0]
+                dn_k = obs.n - p[k, 1]
+                dist_k = math.hypot(de_k, dn_k)
+                if dist_k <= obs.radius:
+                    nearest[k] = 1e-3
+                    continue
+                bearing_k = _wrap_angle(math.atan2(dn_k, de_k) - (heading[k] + az))
+                if abs(bearing_k) > half_angle:
+                    continue
+                horiz = dist_k - obs.radius
+                slant = horiz / math.cos(dep) if channel in INCLINED_CHANNELS else horiz
+                if slant < nearest[k]:
+                    nearest[k] = slant
+
     for channel, az in azimuths.items():
-        inclined = channel in (SonarChannel.INCLINED_LEFT, SonarChannel.INCLINED_RIGHT)
-        ranges = np.full(n, np.inf)
-        for k in range(n):
-            beam_dir = heading[k] + az
-            best = math.inf
-            for obs in obstacles:
-                de = obs.e - p[k, 0]
-                dn = obs.n - p[k, 1]
-                dist_c = math.hypot(de, dn)
-                if dist_c <= obs.radius:
-                    best = 1e-3
-                    continue
-                bearing = _wrap_angle(math.atan2(dn, de) - beam_dir)
-                if abs(bearing) > half_angle:
-                    continue
-                horiz = dist_c - obs.radius
-                slant = horiz / math.cos(dep) if inclined else horiz
-                if slant < best:
-                    best = slant
-            if inclined:
-                # ground echo, lengthened while the look-ahead point is over a
-                # drop-off zone (along-track projection of the boresight)
-                look = arclength[k] + math.cos(az) * geom.belt_height / math.tan(dep)
-                h_eff = geom.belt_height
-                for zone in scenario.dropoffs:
-                    if zone.start_s <= look <= zone.end_s:
-                        h_eff = geom.belt_height + zone.depth
-                        break
-                ground = h_eff / math.sin(dep)
-                best = min(best, ground)
-            if best <= geom.max_range:
-                ranges[k] = best
-        out[channel] = ranges
-    return out
+        ranges = best[channel]
+        if channel in INCLINED_CHANNELS:
+            # ground echo, lengthened while the look-ahead point is over a
+            # drop-off zone (along-track projection of the boresight); the
+            # first listed zone wins where zones overlap
+            look = arclength + math.cos(az) * geom.belt_height / math.tan(dep)
+            h_eff = np.full(n, geom.belt_height)
+            for zone in reversed(scenario.dropoffs):
+                h_eff[(zone.start_s <= look) & (look <= zone.end_s)] = (
+                    geom.belt_height + zone.depth
+                )
+            np.minimum(ranges, h_eff / math.sin(dep), out=ranges)
+        ranges[~(ranges <= geom.max_range)] = np.inf
+    return best
 
 
 # ---------------------------------------------------------------------------

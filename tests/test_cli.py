@@ -1,4 +1,6 @@
+import hashlib
 import importlib.resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from fusenav.core import CHANNELS, DataError, GpsFix, ImuLog, SonarChannel, Sona
 from fusenav.localizer import CalibrationOffsets
 
 WALK110 = importlib.resources.files("fusenav") / "scenarios" / "walk110.cfg"
+CITY = Path(__file__).resolve().parents[1] / "perfbench" / "city.cfg"
 
 SHORT_SCENARIO = """\
 # short test walk
@@ -431,3 +434,14 @@ class TestCommands:
         assert feedback[0] == "t,kind,motor_or_priority,value"
         kinds = {line.split(",")[1] for line in feedback[1:]}
         assert "tactile" in kinds and "audio" in kinds
+
+    def test_run_reports_unspoken_audio(self, tmp_path, capsys):
+        out = tmp_path / "city"
+        assert cli.main(["run", "--scenario", str(CITY), "--seed", "0", "--out", str(out)]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        prefix = "audio messages pending at end of run: "
+        assert last.startswith(prefix) and int(last[len(prefix):]) > 0
+        # the count is only reported: the scheduler is not polled again, so
+        # feedback.csv keeps the bytes it had before the count was printed
+        digest = hashlib.sha256((out / "feedback.csv").read_bytes()).hexdigest()
+        assert digest == "742713a016923709195635e821db2c32031e645d007c65e9412b0329e2b3892b"

@@ -172,6 +172,19 @@ def test_level_heading_quat_frame_convention():
     assert_allclose(quat_rotate(qn, [1, 0, 0]), [0, 1, 0], atol=1e-12)
 
 
+def test_stacked_quaternion_helpers_equal_per_row_calls():
+    rng = np.random.default_rng(12)
+    headings = np.concatenate([[0.0, -0.0, math.pi, -math.pi / 2], rng.uniform(-7, 7, 60)])
+    stacked = level_heading_quat(headings)
+    rows = np.array([level_heading_quat(float(h)) for h in headings])
+    assert stacked.shape == (64, 4)
+    assert np.array_equal(stacked, rows)
+    assert np.array_equal(np.signbit(stacked), np.signbit(rows))  # zeros keep sign
+    a, b = rng.standard_normal((2, 64, 4))
+    assert np.array_equal(quat_multiply(a, b), [quat_multiply(x, y) for x, y in zip(a, b)])
+    assert np.array_equal(quat_multiply(a, b[0]), [quat_multiply(x, b[0]) for x in a])
+
+
 def test_gps_fix_range_validation():
     GpsFix(0.0, 45.0, 90.0, 10.0)
     with pytest.raises(ValueError):

@@ -96,10 +96,13 @@ class TestAudioScheduler:
         sched = AudioScheduler(min_gap=2.0)
         sched.offer(AudioMessage(1, "a", 0.0))
         sched.offer(AudioMessage(1, "b", 0.0))
+        assert sched.pending == 2
         assert sched.poll(0.0).text == "a"
         assert sched.poll(1.0) is None
         assert sched.poll(1.99) is None
+        assert sched.pending == 1
         assert sched.poll(2.0).text == "b"
+        assert sched.pending == 0
 
     def test_burst_capped_by_window_over_gap(self):
         # 100-message burst, 2 s gap, 10 s window: at most 5 emissions
@@ -128,7 +131,9 @@ class TestAudioScheduler:
     def test_stale_messages_dropped(self):
         sched = AudioScheduler(min_gap=1.0, staleness=5.0)
         sched.offer(AudioMessage(1, "old", 0.0))
+        assert sched.pending == 1
         assert sched.poll(6.0) is None  # older than the staleness window
+        assert sched.pending == 0
 
     def test_tie_broken_by_earlier_timestamp(self):
         sched = AudioScheduler(min_gap=1.0)

@@ -1,11 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fusenav import geo, sim
-from fusenav.core import CHANNELS, SonarChannel, quat_rotate
+from fusenav import cli, geo, sim
+from fusenav.core import CHANNELS, INCLINED_CHANNELS, SonarChannel, quat_rotate
 
 FRONT = CHANNELS.index(SonarChannel.FRONT)
 
@@ -237,3 +238,295 @@ class TestStationarySource:
         b2, _ = b(50)
         assert np.array_equal(a1, b1) and np.array_equal(a2, b2)
         assert not np.array_equal(a1, a2)
+
+
+class TestRaycast:
+    """Beam-edge, range-edge and ordering rules of the sonar ray-cast.
+
+    The walk heads east from the origin, so tick 0 stands at (0, 0) with
+    every channel's boresight at its mounting azimuth.
+    """
+
+    @staticmethod
+    def first_tick(channel, **kw):
+        truth = sim.gen_walk(quiet_scenario(((0, 0), (10, 0)), **kw))
+        return truth.sonar_true[channel][0]
+
+    @pytest.mark.parametrize("offset, seen", [(-1e-6, True), (1e-6, False)])
+    def test_beam_half_angle_edge(self, offset, seen):
+        bearing = math.radians(15.0) + offset
+        e, n = 2.0 * math.cos(bearing), 2.0 * math.sin(bearing)
+        got = self.first_tick(SonarChannel.FRONT, obstacles=(sim.Obstacle(e, n, 0.1),))
+        assert got == (math.hypot(e, n) - 0.1 if seen else math.inf)
+
+    @pytest.mark.parametrize("offset, seen", [(-1e-6, True), (1e-6, False)])
+    def test_max_range_edge(self, offset, seen):
+        e = 0.1 + 4.0 + offset
+        got = self.first_tick(SonarChannel.FRONT, obstacles=(sim.Obstacle(e, 0.0, 0.1),))
+        assert got == (e - 0.1 if seen else math.inf)
+
+    def test_inside_obstacle_reads_1mm(self):
+        truth = sim.gen_walk(
+            quiet_scenario(((0, 0), (10, 0)), obstacles=(sim.Obstacle(0.2, 0.0, 0.5),))
+        )
+        for channel in CHANNELS:
+            assert truth.sonar_true[channel][0] == 1e-3, channel
+
+    def test_nearer_of_two_obstacles_wins(self):
+        far, near = sim.Obstacle(3.0, 0.0, 0.2), sim.Obstacle(2.0, 0.1, 0.2)
+        for obstacles in ((far, near), (near, far)):
+            got = self.first_tick(SonarChannel.FRONT, obstacles=obstacles)
+            assert got == math.hypot(2.0, 0.1) - 0.2
+
+    def test_first_listed_overlapping_dropoff_sets_ground_echo(self):
+        # the look-ahead point of tick 0 sits 0.91 m ahead, inside both zones
+        shallow, deep = sim.DropoffZone(0.0, 5.0, 0.3), sim.DropoffZone(0.5, 5.0, 0.8)
+        sin_dep = math.sin(math.radians(45.0))
+        for zones, depth in (((shallow, deep), 0.3), ((deep, shallow), 0.8)):
+            for channel in INCLINED_CHANNELS:
+                got = self.first_tick(channel, dropoffs=zones)
+                assert got == (1.0 + depth) / sin_dep
+
+
+# ---------------------------------------------------------------------------
+# Reference implementation: the walk sampled one tick at a time and the
+# ray-cast as a scalar tick x channel x obstacle loop.  gen_walk's columns
+# must equal what these produce bit for bit, signs of zero included.
+
+
+def _oracle_quat_multiply(a, b):
+    aw, ax, ay, az = np.asarray(a, dtype=float)
+    bw, bx, by, bz = np.asarray(b, dtype=float)
+    return np.array(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ]
+    )
+
+
+def _oracle_level_heading_quat(heading_rad):
+    half = 0.5 * heading_rad
+    qz = np.array([math.cos(half), 0.0, 0.0, math.sin(half)])
+    return _oracle_quat_multiply(qz, [0.0, 1.0, 0.0, 0.0])
+
+
+def _oracle_sample(prim, s):
+    if isinstance(prim, sim._Line):
+        return prim.start + s * prim._dir, prim.heading, 0.0
+    x = np.interp(s, prim._table_s, prim._table_xy[:, 0])
+    y = np.interp(s, prim._table_s, prim._table_xy[:, 1])
+    heading = prim.entry_heading + float(prim._psi(np.array([s]))[0])
+    u = s / prim.length
+    kappa = 2.0 * prim.dtheta / prim.length * 0.5 * (1.0 - math.cos(2.0 * math.pi * u))
+    return prim.entry + prim._rot @ np.array([x, y]), heading, kappa
+
+
+def _oracle_sample_path(pieces, total_len, s):
+    s = min(max(s, 0.0), total_len)
+    lo, hi = 0, len(pieces) - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if pieces[mid][0] <= s:
+            lo = mid
+        else:
+            hi = mid - 1
+    start_s, prim = pieces[lo]
+    return _oracle_sample(prim, min(s - start_s, prim.length))
+
+
+def _oracle_gen_walk(scenario):
+    pieces, total_len = sim._build_path(scenario.route)
+    duration = total_len / scenario.speed
+    dt = 1.0 / scenario.imu_rate
+    n_grid = int(math.floor(duration / dt + 1e-9))
+    t = np.arange(n_grid + 1) * dt
+    if duration - t[-1] > 1e-9:
+        t = np.append(t, duration)
+    n = len(t)
+
+    p = np.zeros((n, 3))
+    v = np.zeros((n, 3))
+    q = np.zeros((n, 4))
+    a_nav = np.zeros((n, 3))
+    omega = np.zeros((n, 3))
+    heading = np.zeros(n)
+    arclength = scenario.speed * t
+    speed = scenario.speed
+    for k in range(n):
+        xy, th, kappa = _oracle_sample_path(pieces, total_len, arclength[k])
+        p[k, :2] = xy
+        heading[k] = th
+        v[k] = (speed * math.cos(th), speed * math.sin(th), 0.0)
+        theta_dot = kappa * speed
+        a_nav[k] = (
+            -speed * theta_dot * math.sin(th),
+            speed * theta_dot * math.cos(th),
+            0.0,
+        )
+        omega[k] = (0.0, 0.0, -theta_dot)
+        q[k] = _oracle_level_heading_quat(th)
+
+    return sim.GroundTruth(
+        t=t,
+        p=p,
+        v=v,
+        q=q,
+        a_nav=a_nav,
+        omega_body=omega,
+        heading=heading,
+        arclength=arclength,
+        sonar_true=_oracle_raycast_sonar(scenario, p, heading, arclength),
+        path_length=total_len,
+        duration=duration,
+    )
+
+
+def _oracle_raycast_sonar(scenario, p, heading, arclength):
+    geom = scenario.geometry
+    n = len(heading)
+    half_angle = math.radians(geom.beam_half_angle_deg)
+    dep = math.radians(geom.inclined_depression_deg)
+    azimuths = sim._channel_azimuths(geom)
+    obstacles = scenario.obstacles
+
+    out = {}
+    for channel, az in azimuths.items():
+        inclined = channel in (SonarChannel.INCLINED_LEFT, SonarChannel.INCLINED_RIGHT)
+        ranges = np.full(n, np.inf)
+        for k in range(n):
+            beam_dir = heading[k] + az
+            best = math.inf
+            for obs in obstacles:
+                de = obs.e - p[k, 0]
+                dn = obs.n - p[k, 1]
+                dist_c = math.hypot(de, dn)
+                if dist_c <= obs.radius:
+                    best = 1e-3
+                    continue
+                bearing = sim._wrap_angle(math.atan2(dn, de) - beam_dir)
+                if abs(bearing) > half_angle:
+                    continue
+                horiz = dist_c - obs.radius
+                slant = horiz / math.cos(dep) if inclined else horiz
+                if slant < best:
+                    best = slant
+            if inclined:
+                look = arclength[k] + math.cos(az) * geom.belt_height / math.tan(dep)
+                h_eff = geom.belt_height
+                for zone in scenario.dropoffs:
+                    if zone.start_s <= look <= zone.end_s:
+                        h_eff = geom.belt_height + zone.depth
+                        break
+                ground = h_eff / math.sin(dep)
+                best = min(best, ground)
+            if best <= geom.max_range:
+                ranges[k] = best
+        out[channel] = ranges
+    return out
+
+
+N_RANDOM_ROUTES = 24
+
+
+def random_route_scenario(index):
+    """A short multi-corner walk in a random direction, crowded with obstacles.
+
+    Each route has 3-5 segments with turns of 11-126 degrees, 30-36
+    obstacles (two of them on the route line, so the walk passes through
+    them), three drop-off zones of which the first two overlap, and random
+    sonar geometry; even indices carry a single front sensor.
+    """
+    rng = np.random.default_rng([20251018, index])
+    heading = rng.uniform(-math.pi, math.pi)
+    verts = [rng.uniform(-50.0, 50.0, 2)]
+    for _ in range(rng.integers(3, 6)):
+        step = rng.uniform(3.0, 5.0) * np.array([math.cos(heading), math.sin(heading)])
+        verts.append(verts[-1] + step)
+        heading += rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.2)
+    length = sum(math.dist(a, b) for a, b in zip(verts, verts[1:]))
+
+    def beside_route(offset_sigma):
+        i = rng.integers(len(verts) - 1)
+        a, b = verts[i], verts[i + 1]
+        d = (b - a) / math.dist(a, b)
+        along = a + rng.uniform(0.3, 0.7) * (b - a)
+        return along + rng.normal(0.0, offset_sigma) * np.array([-d[1], d[0]])
+
+    centers = [beside_route(1.2) for _ in range(rng.integers(28, 35))]
+    centers += [beside_route(0.0) for _ in range(2)]
+    obstacles = tuple(
+        sim.Obstacle(float(e), float(n), float(rng.uniform(0.1, 0.4))) for e, n in centers
+    )
+    z0 = rng.uniform(0.0, length - 4.0)
+    dropoffs = (
+        sim.DropoffZone(z0, z0 + 2.0, float(rng.uniform(0.2, 0.8))),
+        sim.DropoffZone(z0 + 1.0, z0 + 3.0, float(rng.uniform(0.2, 0.8))),
+        sim.DropoffZone(*sorted(rng.uniform(0.0, length, 2)), float(rng.uniform(0.2, 0.8))),
+    )
+    geometry = sim.SonarGeometry(
+        belt_height=rng.uniform(0.8, 1.2),
+        inclined_depression_deg=rng.uniform(20.0, 70.0),
+        inclined_azimuth_deg=rng.uniform(10.0, 40.0),
+        beam_half_angle_deg=rng.uniform(5.0, 40.0),
+        max_range=rng.uniform(1.5, 6.0),
+    )
+    return quiet_scenario(
+        tuple(tuple(map(float, v)) for v in verts),
+        speed=float(rng.uniform(1.2, 1.8)),
+        imu_rate=float(rng.choice([50.0, 100.0])),
+        obstacles=obstacles,
+        dropoffs=dropoffs,
+        geometry=geometry,
+        front_sensors=1 + index % 2,
+    )
+
+
+def assert_bitwise_equal(got, want, name):
+    assert got.shape == want.shape, name
+    assert np.array_equal(got, want), name
+    assert np.array_equal(np.signbit(got), np.signbit(want)), f"{name}: sign of zero"
+
+
+class TestGenWalkMatchesScalarReference:
+    TRUTH_ARRAYS = ("t", "p", "v", "q", "a_nav", "omega_body", "heading", "arclength")
+
+    def assert_matches_reference(self, scenario):
+        got, want = sim.gen_walk(scenario), _oracle_gen_walk(scenario)
+        for name in self.TRUTH_ARRAYS:
+            assert_bitwise_equal(getattr(got, name), getattr(want, name), name)
+        assert got.sonar_true.keys() == want.sonar_true.keys()
+        for channel, ranges in want.sonar_true.items():
+            assert_bitwise_equal(got.sonar_true[channel], ranges, channel.value)
+        assert (got.path_length, got.duration) == (want.path_length, want.duration)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            Path(sim.__file__).parent / "scenarios" / "walk110.cfg",
+            Path(__file__).resolve().parents[1] / "perfbench" / "city.cfg",
+        ],
+        ids=["walk110", "city"],
+    )
+    def test_bundled_and_bench_scenarios(self, cfg):
+        self.assert_matches_reference(cli.load_scenario(cfg))
+
+    @pytest.mark.parametrize("index", range(N_RANDOM_ROUTES))
+    def test_random_routes(self, index):
+        self.assert_matches_reference(random_route_scenario(index))
+
+    def test_random_routes_reach_the_edge_branches(self):
+        inside = overlap = 0
+        for index in range(N_RANDOM_ROUTES):
+            sc = random_route_scenario(index)
+            truth = sim.gen_walk(sc)
+            inside += any(np.any(r == 1e-3) for r in truth.sonar_true.values())
+            geom = sc.geometry
+            reach = geom.belt_height / math.tan(math.radians(geom.inclined_depression_deg))
+            look = truth.arclength + reach * math.cos(math.radians(geom.inclined_azimuth_deg))
+            first, second = sc.dropoffs[:2]
+            overlap += np.any((second.start_s <= look) & (look <= first.end_s))
+        assert inside == N_RANDOM_ROUTES
+        assert overlap == N_RANDOM_ROUTES
