@@ -9,17 +9,20 @@ Commands::
     fusenav evaluate   --est est.csv --truth truth.csv --out DIR
     fusenav run        --scenario walk.cfg --out DIR [...]
 
-CSV schemas (header row mandatory, plain decimal, '.' radix):
+CSV files are UTF-8 text with a mandatory header row, no quoting and LF or
+CRLF line ends; numbers are plain decimal with a '.' radix:
 
     imu.csv      t,ax,ay,az,gx,gy,gz
     gps.csv      t,lat,lon,alt
-    sonar.csv    t,channel,range,valid                (rows sorted by t)
+    sonar.csv    t,channel,range,valid     (rows sorted by t; valid is 0 or 1)
     truth.csv    t,e,n,u,ve,vn,vu,qw,qx,qy,qz       (est.csv identical)
     fused.csv    t,raw1,raw2,fused,p11,p22
     feedback.csv t,kind,motor_or_priority,value
 
-Scenario files are flat ``key = value`` text with ``#`` comments; list
-values use ``;`` between items and ``,`` within (see scenarios/walk110.cfg).
+Readers check every numeric column of a file, all 11 of a pose file, for
+finite numbers, and report a fault as ``file:row: column '<c>'``.  Scenario
+files are flat UTF-8 ``key = value`` text with ``#`` comments; list values
+use ``;`` between items and ``,`` within (see scenarios/walk110.cfg).
 Every command is deterministic given its inputs and seed, across
 processes as well (no output depends on the hash seed).  Exit codes:
 0 success, 1 usage, 2 data error, 3 numerical failure.
@@ -28,10 +31,10 @@ processes as well (no output depends on the hash seed).  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -103,144 +106,168 @@ _SIGMA = _finite_in(lambda x: x >= 0.0, "non-negative")
 # ---------------------------------------------------------------------------
 # CSV reading/writing
 
+_BLOCK_ROWS = 512  # rows parsed or formatted at a time: bounds the Python objects held
+_CHANNEL_NAMES = np.array([c.value for c in CHANNELS], dtype=object)
+_SONAR_CODES = {
+    "channel": {name: k for k, name in enumerate(_CHANNEL_NAMES)},
+    "valid": {"0": 0, "1": 1},
+}
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+
+def _open(path: Path):
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        why = "file not found" if isinstance(exc, FileNotFoundError) else exc.strerror
+        raise DataError(f"{path}: {why}") from None
 
 
-class _CsvReader:
-    """Header-checked row reader with file:row:column error context."""
+def _decode(path: Path, row: int, data: bytes) -> str:
+    """``data`` as UTF-8 text; ``row`` is the file row of its first byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = row + data.count(b"\n", 0, exc.start)
+        raise DataError(f"{path}:{line}: not UTF-8 text") from None
 
-    def __init__(self, path, header: list[str]):
-        self.path = Path(path)
-        self.header = header
-        if not self.path.exists():
-            raise DataError(f"{self.path}: file not found")
-        with open(self.path, newline="") as f:
-            self.rows = list(csv.reader(f))
-        if not self.rows or self.rows[0] != header:
-            raise DataError(
-                f"{self.path}:1: expected header {','.join(header)}"
-            )
 
-    def __iter__(self):
-        for i, row in enumerate(self.rows[1:], start=2):
-            if len(row) != len(self.header):
-                raise DataError(
-                    f"{self.path}:{i}: expected {len(self.header)} columns, got {len(row)}"
-                )
-            yield i, dict(zip(self.header, row))
+def _cells(col) -> list[str]:
+    """A column's text: ``repr`` of each float of a float array, formatted
+    once per run of equal values (a sonar tick's rows share its time)."""
+    col = np.asarray(col)
+    if col.dtype.kind != "f":
+        return col.tolist()
+    bits = col.view(np.uint64)  # so that -0.0 and 0.0 stay apart
+    starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
+    cells = np.array(list(map(repr, col[starts].tolist())), dtype=object)
+    return np.repeat(cells, np.diff(np.r_[starts, len(col)])).tolist()
 
-    def floats(self, row_no: int, row: dict, col: str) -> float:
-        try:
-            return _finite(row[col])
-        except ValueError:
-            raise DataError(
-                f"{self.path}:{row_no}: column '{col}': not a finite number: {row[col]!r}"
-            ) from None
+
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write ``header``, then one row per index of ``columns``, _BLOCK_ROWS
+    rows at a time.  Nothing is quoted: a text cell holding ',', '"' or a
+    line break is a DataError."""
+    n = len(columns[0]) if columns else 0
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(",".join(header) + "\n")
+        for lo in range(0, n, _BLOCK_ROWS):
+            cells = [_cells(col[lo : lo + _BLOCK_ROWS]) for col in columns]
+            text = "\n".join(map(",".join, zip(*cells))) + "\n"
+            # a row holds len(header) - 1 commas and one newline, unless a cell needs quotes
+            if sum(map(text.count, ',"\r\n')) != len(cells[0]) * len(header):
+                bad = next(c for col in cells for c in col if set(c) & set(',"\r\n'))
+                raise DataError(f"{path}: cannot write {bad!r} unquoted")
+            f.write(text)
+
+
+def _read_csv(path, header: list[str], increasing=False, codes=None) -> np.ndarray:
+    """A UTF-8 CSV file with ``header`` as one (columns, rows) float array.
+
+    Each cell is a finite number, or in a column named in ``codes`` a key of
+    its ``{text: code}`` map, read as the code; ``t`` (column 0) never
+    decreases, or with ``increasing`` always increases.  Lines end in LF or
+    CRLF.  Blocks of _BLOCK_ROWS lines are checked whole, and a per-cell
+    scan names the first fault of a block that fails.
+    """
+    path, codes = Path(path), codes or {}
+    coded = [(j, codes[c]) for j, c in enumerate(header) if c in codes]
+    blocks, prev_t, row = [], -math.inf, 2
+    with _open(path) as f:
+        first = _decode(path, 1, f.readline()).removesuffix("\n").removesuffix("\r")
+        if first != ",".join(header):
+            raise DataError(f"{path}:1: expected header {','.join(header)}")
+        while lines := list(islice(f, _BLOCK_ROWS)):
+            text = _decode(path, row, b"".join(lines)).replace("\r\n", "\n")
+            rows = [line.split(",") for line in text.removesuffix("\n").split("\n")]
+            try:
+                if set(map(len, rows)) != {len(header)}:
+                    raise ValueError
+                cols = list(zip(*rows))
+                for j, code_of in coded:
+                    cols[j] = list(map(code_of.__getitem__, cols[j]))
+                values = np.array(cols, dtype=float)
+                steps = np.diff(values[0], prepend=prev_t)
+                unordered = steps <= 0 if increasing else steps < 0
+                bad = unordered | ~np.isfinite(values).all(axis=0)
+                if bad.any():  # the first fault is on the first bad row or above it
+                    rows = rows[: int(np.argmax(bad)) + 1]
+                    raise ValueError
+            except (ValueError, KeyError):
+                _raise_first_fault(path, header, row, rows, prev_t, increasing, codes)
+            blocks.append(values)
+            prev_t, row = values[0, -1], row + len(lines)
+    return np.concatenate(blocks, axis=1) if blocks else np.empty((len(header), 0))
+
+
+def _raise_first_fault(path, header, row, rows, prev_t, increasing, codes) -> None:
+    """Name the first fault in the failed block ``rows``: cells left to
+    right, then the row's ``t`` order."""
+    for i, cells in enumerate(rows, start=row):
+        if len(cells) != len(header):
+            got = 0 if cells == [""] else len(cells)  # a blank line has no cells
+            raise DataError(f"{path}:{i}: expected {len(header)} columns, got {got}")
+        for col, cell in zip(header, cells):
+            where = f"{path}:{i}: column '{col}'"
+            if col in codes:
+                if cell not in codes[col]:
+                    raise DataError(f"{where}: {cell!r} is not one of {', '.join(codes[col])}")
+                continue
+            try:
+                _finite(cell)
+            except ValueError:
+                raise DataError(f"{where}: not a finite number: {cell!r}") from None
+        t = float(cells[0])
+        if t < prev_t or (increasing and t == prev_t):
+            order = "increasing" if increasing else "sorted"
+            raise DataError(f"{path}:{i}: column 't': timestamps not {order}")
+        prev_t = t
+    raise DataError(f"{path}:{row}: a block of {len(rows)} rows failed its checks")
 
 
 def write_imu_csv(path, log: ImuLog) -> None:
-    rows = np.column_stack((log.t, log.accel, log.gyro)).tolist()
-    _write_csv(Path(path), IMU_HEADER, ([*map(_fmt, row)] for row in rows))
+    _write_csv(Path(path), IMU_HEADER, [log.t, *log.accel.T, *log.gyro.T])
 
 
 def read_imu_csv(path) -> ImuLog:
-    reader = _CsvReader(path, IMU_HEADER)
-    rows = []
-    for i, row in reader:
-        vals = [reader.floats(i, row, c) for c in IMU_HEADER]
-        if rows and vals[0] < rows[-1][0]:
-            raise DataError(f"{reader.path}:{i}: column 't': timestamps not sorted")
-        rows.append(vals)
-    cols = np.array(rows, dtype=float).reshape(-1, len(IMU_HEADER))
+    cols = np.ascontiguousarray(_read_csv(path, IMU_HEADER).T)
     return ImuLog(t=cols[:, 0], accel=cols[:, 1:4], gyro=cols[:, 4:7])
 
 
 def write_gps_csv(path, fixes) -> None:
-    _write_csv(
-        Path(path),
-        GPS_HEADER,
-        ([_fmt(f.t), _fmt(f.lat), _fmt(f.lon), _fmt(f.alt)] for f in fixes),
-    )
+    cols = np.array([(f.t, f.lat, f.lon, f.alt) for f in fixes], dtype=float)
+    _write_csv(Path(path), GPS_HEADER, list(cols.reshape(-1, 4).T))
 
 
 def read_gps_csv(path) -> list[GpsFix]:
-    reader = _CsvReader(path, GPS_HEADER)
     out = []
-    prev_t = -math.inf
-    for i, row in reader:
-        vals = [reader.floats(i, row, c) for c in GPS_HEADER]
-        if vals[0] < prev_t:
-            raise DataError(f"{reader.path}:{i}: column 't': timestamps not sorted")
-        prev_t = vals[0]
+    for i, row in enumerate(_read_csv(path, GPS_HEADER).T.tolist(), start=2):
         try:
-            out.append(GpsFix(*vals))
+            out.append(GpsFix(*row))
         except DataError as exc:
-            raise DataError(f"{reader.path}:{i}: {exc}") from None
+            raise DataError(f"{Path(path)}:{i}: {exc}") from None
     return out
 
 
 def write_sonar_csv(path, log: SonarLog) -> None:
-    names = [c.value for c in CHANNELS]
-    columns = (log.t, log.channel, log.range_m, log.valid)
-    rows = zip(*(col.tolist() for col in columns))
-    _write_csv(
-        Path(path),
-        SONAR_HEADER,
-        ([_fmt(t), names[c], _fmt(r), str(int(v))] for t, c, r, v in rows),
-    )
+    columns = [log.t, _CHANNEL_NAMES[log.channel], log.range_m, np.where(log.valid, "1", "0")]
+    _write_csv(Path(path), SONAR_HEADER, columns)
 
 
 def read_sonar_csv(path) -> SonarLog:
-    reader = _CsvReader(path, SONAR_HEADER)
-    index = {c.value: k for k, c in enumerate(CHANNELS)}
-    t, channel, range_m, valid = [], [], [], []
-    for i, row in reader:
-        if row["channel"] not in index:
-            raise DataError(
-                f"{reader.path}:{i}: column 'channel': unknown channel {row['channel']!r}"
-            )
-        tk = reader.floats(i, row, "t")
-        if t and tk < t[-1]:
-            raise DataError(f"{reader.path}:{i}: column 't': timestamps not sorted")
-        t.append(tk)
-        channel.append(index[row["channel"]])
-        range_m.append(reader.floats(i, row, "range"))
-        valid.append(bool(int(reader.floats(i, row, "valid"))))
-    return SonarLog(
-        t=np.array(t, dtype=float),
-        channel=np.array(channel, dtype=int),
-        range_m=np.array(range_m, dtype=float),
-        valid=np.array(valid, dtype=bool),
-    )
+    t, channel, range_m, valid = _read_csv(path, SONAR_HEADER, codes=_SONAR_CODES)
+    return SonarLog(t=t, channel=channel.astype(int), range_m=range_m, valid=valid == 1.0)
 
 
 def write_pose_csv(path, t, p, v, q) -> None:
-    rows = (
-        [_fmt(t[k]), *map(_fmt, p[k]), *map(_fmt, v[k]), *map(_fmt, q[k])]
-        for k in range(len(t))
-    )
-    _write_csv(Path(path), TRUTH_HEADER, rows)
+    columns = [t, *np.transpose(p), *np.transpose(v), *np.transpose(q)]
+    _write_csv(Path(path), TRUTH_HEADER, columns)
 
 
 def read_pose_csv(path, label: str) -> metrics.Trajectory:
-    reader = _CsvReader(path, TRUTH_HEADER)
-    t, xyz = [], []
-    prev_t = -math.inf
-    for i, row in reader:
-        tk = reader.floats(i, row, "t")
-        if tk <= prev_t:
-            raise DataError(f"{reader.path}:{i}: column 't': timestamps not increasing")
-        prev_t = tk
-        t.append(tk)
-        xyz.append([reader.floats(i, row, c) for c in ("e", "n", "u")])
-    if len(t) < 2:
-        raise DataError(f"{reader.path}: needs at least 2 data rows")
-    return metrics.Trajectory(t=np.array(t), xyz=np.array(xyz), label=label)
+    cols = _read_csv(path, TRUTH_HEADER, increasing=True)
+    if cols.shape[1] < 2:
+        raise DataError(f"{Path(path)}: needs at least 2 data rows")
+    return metrics.Trajectory(t=cols[0], xyz=np.ascontiguousarray(cols[1:4].T), label=label)
 
 
 def write_offsets_cfg(path, offsets: CalibrationOffsets) -> None:
@@ -268,11 +295,11 @@ class _KvFile:
 
     def __init__(self, path):
         self.path = Path(path)
-        if not self.path.exists():
-            raise DataError(f"{self.path}: file not found")
+        with _open(self.path) as f:
+            text = _decode(self.path, 1, f.read())
         self.entries: dict[str, str] = {}
         self.lines: dict[str, int] = {}
-        for i, line in enumerate(self.path.read_text().splitlines(), start=1):
+        for i, line in enumerate(text.split("\n"), start=1):  # LF or CRLF, as in CSV
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue
@@ -417,8 +444,7 @@ def _simulate(args):
 
 def _fuse_sonar(log: SonarLog, out: Path) -> sonar_ekf.FusedFront:
     fused = sonar_ekf.fuse_front_pair(log)
-    rows = np.column_stack(fused).tolist()
-    _write_csv(out / "fused.csv", FUSED_HEADER, ([*map(_fmt, row)] for row in rows))
+    _write_csv(out / "fused.csv", FUSED_HEADER, list(fused))
     return fused
 
 
@@ -524,23 +550,13 @@ def cmd_evaluate(args) -> int:
 
 
 def _write_report_csv(path, reports) -> None:
-    _write_csv(
-        Path(path),
-        REPORT_HEADER,
-        (
-            [
-                r.est_label,
-                r.truth_label,
-                _fmt(r.mean),
-                _fmt(r.peak),
-                _fmt(r.relative_percent),
-                _fmt(r.path_length),
-                str(r.n_points),
-                _fmt(r.vertical_mean),
-            ]
-            for r in reports
-        ),
-    )
+    rows = [
+        [r.est_label, r.truth_label]
+        + [_fmt(x) for x in (r.mean, r.peak, r.relative_percent, r.path_length)]
+        + [str(r.n_points), _fmt(r.vertical_mean)]
+        for r in reports
+    ]
+    _write_csv(Path(path), REPORT_HEADER, list(zip(*rows)))
 
 
 def cmd_run(args) -> int:
@@ -587,7 +603,7 @@ def cmd_run(args) -> int:
         for event in detector.process(t, ranges):
             cmd = fb.route_event(event)
             feedback_rows.append(
-                [_fmt(event.t), "tactile", str(cmd.motor), _fmt(cmd.intensity)]
+                (_fmt(event.t), "tactile", str(cmd.motor), _fmt(cmd.intensity))
             )
             scheduler.offer(
                 fb.AudioMessage(
@@ -600,9 +616,9 @@ def cmd_run(args) -> int:
                 offer_results(gate.submit(event))
         msg = scheduler.poll(t)
         if msg is not None:
-            feedback_rows.append([_fmt(t), "audio", str(msg.priority), msg.text])
+            feedback_rows.append((_fmt(t), "audio", str(msg.priority), msg.text))
     offer_results(gate.flush())
-    _write_csv(out / "feedback.csv", FEEDBACK_HEADER, feedback_rows)
+    _write_csv(out / "feedback.csv", FEEDBACK_HEADER, list(zip(*feedback_rows)))
 
     _evaluate(
         out,

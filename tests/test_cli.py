@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.resources
 from pathlib import Path
@@ -47,6 +48,45 @@ def assert_same_log(a, b):
         assert np.array_equal(getattr(a, col), getattr(b, col)), col
 
 
+def read_est(path):
+    return cli.read_pose_csv(path, "est")
+
+
+# file name -> (reader, header, two valid data rows)
+CSV_SAMPLES = {
+    "imu.csv": (
+        cli.read_imu_csv,
+        "t,ax,ay,az,gx,gy,gz",
+        ["0.0,0,0,-9.8,0,0,0", "0.01,0.5,0,-9.8,0,0,1e-3"],
+    ),
+    "gps.csv": (
+        cli.read_gps_csv,
+        "t,lat,lon,alt",
+        ["0.0,37.0,-122.0,30.0", "1.0,37.00001,-122.0,30.5"],
+    ),
+    "sonar.csv": (
+        cli.read_sonar_csv,
+        "t,channel,range,valid",
+        ["0.0,front,2.0,1", "0.1,left,4.0,0"],
+    ),
+    "est.csv": (
+        read_est,
+        "t,e,n,u,ve,vn,vu,qw,qx,qy,qz",
+        ["0.0,0,0,0,0,0,0,1,0,0,0", "0.1,1,0,0,0,0,0,1,0,0,0"],
+    ),
+}
+
+
+def same_result(a, b) -> bool:
+    """Equal reader results: a list of fixes, or a dataclass of columns."""
+    if isinstance(a, list):
+        return a == b
+    return all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name))
+        for f in dataclasses.fields(a)
+    )
+
+
 @pytest.fixture
 def scenario_file(tmp_path):
     path = tmp_path / "short.cfg"
@@ -93,6 +133,13 @@ class TestScenarioParsing:
         path = tmp_path / "bad.cfg"
         path.write_text("route = 0,0 ; 10,0\nnonsense line\n")
         with pytest.raises(DataError, match=r"bad\.cfg:2"):
+            cli.load_scenario(path)
+
+    def test_lines_end_at_lf_only(self, tmp_path):
+        # a form feed stays inside its comment and does not shift line numbers
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"route = 0,0 ; 10,0\r\n# page \x0c break\r\nspeed = fast\r\n")
+        with pytest.raises(DataError, match=r"bad\.cfg:3: key 'speed'"):
             cli.load_scenario(path)
 
     def test_comments_and_blanks_ignored(self, tmp_path):
@@ -218,6 +265,11 @@ class TestCsvRoundTrips:
             ("0.1,front,inf,1", "range"),
             ("0.1,front,2.0,nan", "valid"),
             ("0.1,front,2.0,inf", "valid"),
+            ("0.1,front,2.0,0.5", "valid"),
+            ("0.1,front,2.0,7", "valid"),
+            ("0.1,front,2.0,-3", "valid"),
+            ("0.1,front,2.0,", "valid"),
+            ("0.1,back,2.0,1", "channel"),
         ],
     )
     def test_bad_sonar_rows_rejected(self, tmp_path, row, column):
@@ -268,6 +320,150 @@ class TestCsvRoundTrips:
             cli.read_pose_csv(path, "est")
 
 
+class TestReaderContract:
+    """What every CSV reader accepts and how it reports what it does not."""
+
+    @pytest.mark.parametrize("name", CSV_SAMPLES)
+    def test_blank_line_is_a_column_count_error(self, tmp_path, name):
+        read, header, rows = CSV_SAMPLES[name]
+        columns = len(header.split(","))
+        path = tmp_path / name
+        path.write_text(f"{header}\n{rows[0]}\n\n{rows[1]}\n")
+        with pytest.raises(DataError, match=rf"{name}:3: expected {columns} columns, got 0"):
+            read(path)
+        path.write_text(f"{header}\n{rows[0]}\n{rows[1]}\n\n")
+        with pytest.raises(DataError, match=rf"{name}:4: expected {columns} columns, got 0"):
+            read(path)
+
+    @pytest.mark.parametrize("name", CSV_SAMPLES)
+    def test_crlf_reads_like_lf(self, tmp_path, name):
+        read, header, rows = CSV_SAMPLES[name]
+        lf, crlf = tmp_path / "lf" / name, tmp_path / "crlf" / name
+        lf.parent.mkdir()
+        crlf.parent.mkdir()
+        lf.write_bytes("\n".join([header, *rows, ""]).encode())
+        crlf.write_bytes("\r\n".join([header, *rows, ""]).encode())
+        assert same_result(read(crlf), read(lf))
+
+    @pytest.mark.parametrize("name", CSV_SAMPLES)
+    def test_last_line_needs_no_line_end(self, tmp_path, name):
+        read, header, rows = CSV_SAMPLES[name]
+        ended, open_end = tmp_path / "a" / name, tmp_path / "b" / name
+        ended.parent.mkdir()
+        open_end.parent.mkdir()
+        ended.write_text("\n".join([header, *rows, ""]))
+        open_end.write_text("\n".join([header, *rows]))
+        assert same_result(read(open_end), read(ended))
+
+    @pytest.mark.parametrize("rows", [[], ["0.0,0,0,0,0,0,0,1,0,0,0"]])
+    def test_pose_file_needs_two_rows(self, tmp_path, rows):
+        path = tmp_path / "est.csv"
+        path.write_text("\n".join(["t,e,n,u,ve,vn,vu,qw,qx,qy,qz", *rows, ""]))
+        with pytest.raises(DataError, match=r"est\.csv: needs at least 2 data rows"):
+            read_est(path)
+
+    @pytest.mark.parametrize("name", CSV_SAMPLES)
+    def test_quoted_cell_is_a_located_error(self, tmp_path, name):
+        # Nothing is quoted: a quote is part of the cell, and "0.0" is no number.
+        read, header, rows = CSV_SAMPLES[name]
+        path = tmp_path / name
+        quoted = rows[1].split(",")
+        quoted[0] = f'"{quoted[0]}"'
+        path.write_text("\n".join([header, rows[0], ",".join(quoted), ""]))
+        with pytest.raises(DataError, match=rf"{name}:3: column 't': not a finite number"):
+            read(path)
+
+    @pytest.mark.parametrize("name", CSV_SAMPLES)
+    def test_non_utf8_byte_names_its_row(self, tmp_path, name):
+        read, header, rows = CSV_SAMPLES[name]
+        path = tmp_path / name
+        path.write_bytes(f"{header}\n{rows[0]}\n".encode() + b"0.1\xff\n")
+        with pytest.raises(DataError, match=rf"{name}:3: not UTF-8 text"):
+            read(path)
+
+    def test_non_utf8_imu_exits_2_with_row(self, tmp_path, capsys):
+        path = tmp_path / "imu.csv"
+        path.write_bytes(b"t,ax,ay,az,gx,gy,gz\n0.0,0,0,-9.8,0,0,0\n0.01,0,0,-9.8,0,0,\xff\n")
+        argv = ["calibrate", "--imu", str(path), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert "imu.csv:3: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["walk.cfg", "offsets.cfg"])
+    def test_non_utf8_key_value_file_exits_2_with_line(self, tmp_path, tiny_streams, capsys, name):
+        path = tmp_path / name
+        if name == "walk.cfg":
+            path.write_bytes(b"# walk\nroute = 0,0 ; 10,0\nspeed = 1.\xff5\n")
+            load = cli.load_scenario
+            argv = ["simulate", "--scenario", str(path)]
+        else:
+            path.write_bytes(b"accel_offset = 0, 0, 0\ngyro_offset = 0, 0, \xff\n")
+            load = cli.read_offsets_cfg
+            imu, gps = tiny_streams
+            argv = ["localize", "--imu", str(imu), "--gps", str(gps), "--offsets", str(path)]
+        line = path.read_bytes().count(b"\n")
+        with pytest.raises(DataError, match=rf"{name}:{line}: not UTF-8 text"):
+            load(path)
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == cli.EXIT_DATA
+        assert f"{name}:{line}: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column", cli.TRUTH_HEADER)
+    @pytest.mark.parametrize("value", ["nan", "-inf", "oops"])
+    def test_pose_rejects_bad_value_in_any_column(self, tmp_path, column, value):
+        header, rows = "t,e,n,u,ve,vn,vu,qw,qx,qy,qz", ["0.0,0,0,0,0,0,0,1,0,0,0"]
+        cells = "0.1,1,0,0,0,0,0,1,0,0,0".split(",")
+        cells[cli.TRUTH_HEADER.index(column)] = value
+        est = tmp_path / "est.csv"
+        est.write_text("\n".join([header, *rows, ",".join(cells), "0.2,2,0,0,0,0,0,1,0,0,0", ""]))
+        with pytest.raises(DataError, match=rf"est\.csv:3: column '{column}'"):
+            read_est(est)
+        truth = tmp_path / "truth.csv"
+        cli.write_pose_csv(truth, np.array([0.0, 0.2]), np.zeros((2, 3)), np.zeros((2, 3)),
+                           np.tile([1.0, 0, 0, 0], (2, 1)))
+        argv = ["evaluate", "--est", str(est), "--truth", str(truth), "--out", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_DATA
+
+    @pytest.mark.parametrize("block_end", [0, 1, 2])
+    def test_errors_are_located_across_blocks(self, tmp_path, monkeypatch, block_end):
+        # a block boundary just before, at or after the bad row changes nothing
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 3 + block_end)
+        path = tmp_path / "imu.csv"
+        rows = [f"{0.01 * k!r},0,0,-9.8,0,0,0" for k in range(8)]
+        rows[4] = "0.0,0,0,-9.8,0,0,0"  # earlier than the row above
+        path.write_text("\n".join(["t,ax,ay,az,gx,gy,gz", *rows, ""]))
+        with pytest.raises(DataError, match=r"imu\.csv:6: column 't': timestamps not sorted"):
+            cli.read_imu_csv(path)
+
+    def test_block_size_changes_no_byte(self, scenario_file, tmp_path, monkeypatch):
+        whole, small = tmp_path / "whole", tmp_path / "small"
+        argv = ["simulate", "--scenario", str(scenario_file), "--out"]
+        assert cli.main([*argv, str(whole)]) == 0
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
+        assert cli.main([*argv, str(small)]) == 0
+        for name in ("imu.csv", "gps.csv", "sonar.csv", "truth.csv"):
+            assert (small / name).read_bytes() == (whole / name).read_bytes(), name
+        assert same_result(cli.read_sonar_csv(small / "sonar.csv"), cli.read_sonar_csv(
+            whole / "sonar.csv"))
+
+    def test_runs_of_equal_values_keep_the_sign_of_zero(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        t = 0.1 * np.arange(8)
+        e = np.array([0.0] * 4 + [-0.0] * 4)
+        cli.write_pose_csv(path, t, np.column_stack([e, e, e]), np.zeros((8, 3)),
+                           np.tile([1.0, 0, 0, 0], (8, 1)))
+        rows = path.read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["0.0"] * 4 + ["-0.0"] * 4
+        assert np.array_equal(np.signbit(read_est(path).xyz[:, 0]), np.signbit(e))
+
+    def test_text_that_needs_quoting_is_a_data_error(self, scenario_file, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert cli.main(["simulate", "--scenario", str(scenario_file), "--out", str(out)]) == 0
+        est = tmp_path / "a,b.csv"  # the report's est_label is the file's stem
+        est.write_bytes((out / "truth.csv").read_bytes())
+        argv = ["evaluate", "--est", str(est), "--truth", str(out / "truth.csv"), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert "cannot write 'a,b' unquoted" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_usage_errors_exit_1(self, tmp_path):
         assert cli.main(["no-such-command"]) == cli.EXIT_USAGE
@@ -290,6 +486,11 @@ class TestExitCodes:
             cli.main(["evaluate", "--est", str(bad), "--truth", str(bad), "--out", str(tmp_path)])
             == cli.EXIT_DATA
         )
+
+    def test_unreadable_input_path_exits_2(self, tmp_path, capsys):
+        argv = ["fuse-sonar", "--sonar", str(tmp_path), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert f"{tmp_path}: " in capsys.readouterr().err
 
     def test_localize_non_finite_ref_exits_2(self, tmp_path, tiny_streams, capsys):
         imu, gps = tiny_streams
