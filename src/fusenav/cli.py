@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 from itertools import islice
@@ -146,18 +147,24 @@ def _cells(col) -> list[str]:
 def _write_csv(path: Path, header: list[str], columns) -> None:
     """Write ``header``, then one row per index of ``columns``, _BLOCK_ROWS
     rows at a time.  Nothing is quoted: a text cell holding ',', '"' or a
-    line break is a DataError."""
+    line break is a DataError.  The rows go to a sibling file that replaces
+    ``path`` only when complete, so a failed write leaves no partial file."""
     n = len(columns[0]) if columns else 0
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(",".join(header) + "\n")
-        for lo in range(0, n, _BLOCK_ROWS):
-            cells = [_cells(col[lo : lo + _BLOCK_ROWS]) for col in columns]
-            text = "\n".join(map(",".join, zip(*cells))) + "\n"
-            # a row holds len(header) - 1 commas and one newline, unless a cell needs quotes
-            if sum(map(text.count, ',"\r\n')) != len(cells[0]) * len(header):
-                bad = next(c for col in cells for c in col if set(c) & set(',"\r\n'))
-                raise DataError(f"{path}: cannot write {bad!r} unquoted")
-            f.write(text)
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "w", encoding="utf-8", newline="") as f:
+            f.write(",".join(header) + "\n")
+            for lo in range(0, n, _BLOCK_ROWS):
+                cells = [_cells(col[lo : lo + _BLOCK_ROWS]) for col in columns]
+                text = "\n".join(map(",".join, zip(*cells))) + "\n"
+                # a row holds len(header) - 1 commas and one newline, unless a cell needs quotes
+                if sum(map(text.count, ',"\r\n')) != len(cells[0]) * len(header):
+                    bad = next(c for col in cells for c in col if set(c) & set(',"\r\n'))
+                    raise DataError(f"{path}: cannot write {bad!r} unquoted")
+                f.write(text)
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)
 
 
 def _read_csv(path, header: list[str], increasing=False, codes=None) -> np.ndarray:
@@ -255,7 +262,13 @@ def write_sonar_csv(path, log: SonarLog) -> None:
 
 def read_sonar_csv(path) -> SonarLog:
     t, channel, range_m, valid = _read_csv(path, SONAR_HEADER, codes=_SONAR_CODES)
-    return SonarLog(t=t, channel=channel.astype(int), range_m=range_m, valid=valid == 1.0)
+    echo = valid == 1.0
+    bad = echo & (range_m <= 0.0)  # ranges are finite here
+    if bad.any():
+        k = int(np.argmax(bad))
+        where = f"{Path(path)}:{k + 2}: column 'range'"
+        raise DataError(f"{where}: an echo needs a positive range, got {float(range_m[k])!r}")
+    return SonarLog(t=t, channel=channel.astype(int), range_m=range_m, valid=echo)
 
 
 def write_pose_csv(path, t, p, v, q) -> None:

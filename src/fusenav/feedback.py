@@ -24,7 +24,6 @@ from .perception import DetectionEvent, DetectionKind
 PRIORITY_DROPOFF = 0
 PRIORITY_OBSTACLE = 1
 PRIORITY_RECOGNITION = 2
-PRIORITY_STATUS = 3
 
 MOTOR_FOR_CHANNEL = {
     SonarChannel.LEFT: 1,

@@ -1,17 +1,17 @@
-"""EKF fusion of two redundant sonar distance measurements.
+"""Kalman fusion of two redundant sonar distance measurements.
 
-The state is the 2-vector of per-sensor distances with a 2x2 covariance.
-The filter is written as a general EKF with pluggable transition and
-measurement hooks; with the defaults (identity transition, direct
-observation) it reduces to the linear Kalman filter, which is the honest
-reading of a quasi-static obstacle distance sampled every few tens of
-milliseconds.
+The paper's homogeneous fusion step is an EKF over the two front sonars,
+with the state the pair of per-sensor distances.  With identity transition
+and observation (a quasi-static obstacle distance sampled every few tens of
+milliseconds), diagonal noise and a diagonal initial covariance, that EKF
+never correlates its two components: it is two independent scalar Kalman
+filters, one per sensor, and is written as such on Python floats.
 
-Default noise matrices: R = diag(0.09, 0.09) m^2, Q = diag(0.001, 0) m^2.
-The zero second diagonal of Q makes that component's variance
-non-increasing; it is kept as the default but is plain config.  A missing
-echo masks its measurement row (variance treated as infinite) instead of
-aborting the update; sonar dropouts are routine.
+Default noise variances: R = (0.09, 0.09) m^2, Q = (0.001, 0) m^2.  The
+zero second entry of Q makes that component's variance non-increasing; it
+is kept as the default but is plain config.  A missing echo skips its
+sensor's update (variance treated as infinite) instead of aborting the
+tick; sonar dropouts are routine.
 
 States are values; ``predict``/``update`` are pure state -> state functions,
 so independent filter instances can run concurrently.
@@ -19,69 +19,55 @@ so independent filter instances can run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import CHANNELS, DataError, NumericalError, SonarChannel, SonarLog
 
 
-def _default_r() -> np.ndarray:
-    return np.diag([0.09, 0.09])
-
-
-def _default_q() -> np.ndarray:
-    return np.diag([0.001, 0.0])
-
-
 @dataclass(frozen=True)
 class SonarFusionConfig:
-    """Noise matrices plus optional nonlinear model hooks.
+    """Per-sensor noise variances (m^2) and the initial variance scale."""
 
-    ``transition``/``measurement`` map the 2-state; their Jacobian hooks
-    return 2x2 matrices.  ``None`` means identity, the default model.
-    """
-
-    r: np.ndarray = field(default_factory=_default_r)
-    q: np.ndarray = field(default_factory=_default_q)
+    r: tuple[float, float] = (0.09, 0.09)
+    q: tuple[float, float] = (0.001, 0.0)
     initial_p_scale: float = 1.0
-    transition: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    transition_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    measurement: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    measurement_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
-@dataclass(frozen=True)
-class SonarFusionState:
-    x: np.ndarray  # (2,) distance estimates, m
-    p: np.ndarray  # (2, 2) covariance, m^2
+class SonarFusionState(NamedTuple):
+    x: tuple[float, float]  # per-sensor distance estimates, m
+    p: tuple[float, float]  # their variances, m^2
 
 
 def init(z, cfg: SonarFusionConfig) -> SonarFusionState:
-    """Initialize from the first observation; P = initial_p_scale * I."""
+    """Initialize from the first observation; each variance is initial_p_scale."""
     z = np.asarray(z, dtype=float)
     if z.shape != (2,):
         raise DataError(f"expected a 2-vector measurement, got shape {z.shape}")
-    if np.any(z <= 0.0):
+    if not (z > 0.0).all():
         raise DataError(f"non-positive sonar measurement: {z}")
-    return SonarFusionState(x=z.copy(), p=cfg.initial_p_scale * np.eye(2))
+    p0 = float(cfg.initial_p_scale)
+    return SonarFusionState(x=tuple(z.tolist()), p=(p0, p0))
 
 
 def predict(s: SonarFusionState, cfg: SonarFusionConfig) -> SonarFusionState:
-    """Time update: x <- f(x), P <- F P F^T + Q (identity model: P <- P + Q)."""
-    if cfg.transition is None:
-        x = s.x.copy()
-        p = s.p + cfg.q
-    else:
-        x = np.asarray(cfg.transition(s.x), dtype=float)
-        f = (
-            np.eye(2)
-            if cfg.transition_jacobian is None
-            else np.asarray(cfg.transition_jacobian(s.x), dtype=float)
-        )
-        p = f @ s.p @ f.T + cfg.q
-    return SonarFusionState(x=x, p=0.5 * (p + p.T))
+    """Time update: x unchanged, p <- p + q per sensor."""
+    (p1, p2), (q1, q2) = s.p, cfg.q
+    return SonarFusionState(s.x, (p1 + q1, p2 + q2))
+
+
+def _correct(x: float, p: float, z: float, r: float) -> tuple[float, float]:
+    """One sensor's measurement update of (x, p) with range z of variance r."""
+    if not z > 0.0:
+        raise DataError(f"non-positive sonar measurement: {z}")
+    s = p + r
+    if s == 0.0:
+        raise NumericalError(f"singular innovation covariance: {s}")
+    # reciprocal then multiply rounds as the LAPACK solve of the matrix form did
+    k = p * (1.0 / s)
+    return x + k * (z - x), (1.0 - k) * p
 
 
 def update(
@@ -90,42 +76,25 @@ def update(
     cfg: SonarFusionConfig,
     valid: tuple[bool, bool] = (True, True),
 ) -> SonarFusionState:
-    """Measurement update with per-row masking of missing echoes.
+    """Measurement update of each sensor whose echo is ``valid``.
 
-    Rows with ``valid[i]`` False are skipped entirely (their variance is
-    effectively infinite).  Valid components must be positive ranges.
-    Raises NumericalError when the innovation covariance is singular.
+    A sensor with ``valid[i]`` False keeps its state (its measurement
+    variance is effectively infinite).  Valid components must be positive
+    ranges (DataError otherwise, ``nan`` included).  Raises NumericalError
+    when an innovation variance is zero.
     """
-    z = np.asarray(z, dtype=float)
-    rows = [i for i in range(2) if valid[i]]
-    if not rows:
-        return s
-    if np.any(z[rows] <= 0.0):
-        raise DataError(f"non-positive sonar measurement: {z}")
-
-    h_full = (
-        np.eye(2)
-        if cfg.measurement_jacobian is None
-        else np.asarray(cfg.measurement_jacobian(s.x), dtype=float)
-    )
-    z_pred = s.x if cfg.measurement is None else np.asarray(cfg.measurement(s.x), dtype=float)
-
-    h = h_full[rows]
-    innovation = z[rows] - z_pred[rows]
-    r = cfg.r[np.ix_(rows, rows)]
-    sc = h @ s.p @ h.T + r
-    try:
-        k = np.linalg.solve(sc.T, (s.p @ h.T).T).T
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular innovation covariance: {sc}") from exc
-    x = s.x + k @ innovation
-    p = (np.eye(2) - k @ h) @ s.p
-    return SonarFusionState(x=x, p=0.5 * (p + p.T))
+    (x1, x2), (p1, p2) = s
+    if valid[0]:
+        x1, p1 = _correct(x1, p1, z[0], cfg.r[0])
+    if valid[1]:
+        x2, p2 = _correct(x2, p2, z[1], cfg.r[1])
+    return SonarFusionState((x1, x2), (p1, p2))
 
 
 def fused_distance(s: SonarFusionState) -> float:
     """Arithmetic mean of the two distance estimates (equal contribution)."""
-    return float(s.x.mean())
+    x1, x2 = s.x
+    return 0.5 * (x1 + x2)
 
 
 def run_fusion(pairs, cfg: SonarFusionConfig | None = None):
@@ -177,11 +146,11 @@ def fuse_front_pair(log: SonarLog, cfg: SonarFusionConfig | None = None) -> Fuse
             f"unsupported sonar layout: {counts[k]} front ping(s) at t={float(ticks[k])}; "
             "fusion needs exactly two front sensors"
         )
-    z = log.range_m[front].reshape(-1, 2)
+    z = log.range_m[front].reshape(-1, 2).tolist()
     valid = log.valid[front].reshape(-1, 2).tolist()
     rows = [
-        (tk, zk[0], zk[1], fused_distance(state), state.p[0, 0], state.p[1, 1])
-        for tk, zk, state in zip(ticks.tolist(), z, run_fusion(zip(z, valid), cfg))
+        (tk, z1, z2, fused_distance(state), *state.p)
+        for tk, (z1, z2), state in zip(ticks.tolist(), z, run_fusion(zip(z, valid), cfg))
         if state is not None
     ]
     return FusedFront(*np.array(rows, dtype=float).reshape(-1, 6).T)

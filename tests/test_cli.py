@@ -244,6 +244,7 @@ class TestCsvRoundTrips:
             (0.0, SonarChannel.FRONT, 2.0, True),
             (0.0, SonarChannel.INCLINED_LEFT, 1.41, True),
             (0.1, SonarChannel.LEFT, 4.0, False),
+            (0.1, SonarChannel.RIGHT, -1.0, False),  # no echo: its range is not checked
         )
         path = tmp_path / "sonar.csv"
         cli.write_sonar_csv(path, log)
@@ -270,9 +271,11 @@ class TestCsvRoundTrips:
             ("0.1,front,2.0,-3", "valid"),
             ("0.1,front,2.0,", "valid"),
             ("0.1,back,2.0,1", "channel"),
+            ("0.1,front,-1.0,1", "range"),  # an echo needs a positive range
+            ("0.1,left,0.0,1", "range"),
         ],
     )
-    def test_bad_sonar_rows_rejected(self, tmp_path, row, column):
+    def test_bad_sonar_rows_rejected(self, tmp_path, capsys, row, column):
         path = tmp_path / "sonar.csv"
         path.write_text(f"t,channel,range,valid\n0.05,front,2.0,1\n{row}\n")
         with pytest.raises(DataError, match=rf"sonar\.csv:3: column '{column}'"):
@@ -281,6 +284,7 @@ class TestCsvRoundTrips:
             cli.main(["fuse-sonar", "--sonar", str(path), "--out", str(tmp_path)])
             == cli.EXIT_DATA
         )
+        assert f"sonar.csv:3: column '{column}'" in capsys.readouterr().err
 
     def test_offsets(self, tmp_path):
         offsets = CalibrationOffsets(np.array([0.1, -0.2, 0.3]), np.array([1e-3, 0.0, -2e-3]))
@@ -462,6 +466,9 @@ class TestReaderContract:
         argv = ["evaluate", "--est", str(est), "--truth", str(out / "truth.csv"), "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_DATA
         assert "cannot write 'a,b' unquoted" in capsys.readouterr().err
+        # no half-written report.csv and no temporary file left behind
+        assert not (out / "report.csv").exists()
+        assert {p.name for p in out.iterdir()} == {"gps.csv", "imu.csv", "sonar.csv", "truth.csv"}
 
 
 class TestExitCodes:

@@ -1,17 +1,23 @@
+import importlib.resources
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fusenav.core import DataError, NumericalError
+from fusenav import cli, sim
+from fusenav.core import CHANNELS, DataError, NumericalError, SonarChannel
 from fusenav.sonar_ekf import (
     SonarFusionConfig,
     SonarFusionState,
+    fuse_front_pair,
     fused_distance,
     init,
     predict,
     run_fusion,
     update,
 )
+
+WALK110 = importlib.resources.files("fusenav") / "scenarios" / "walk110.cfg"
 
 
 def kalman_oracle(z_seq, r, q, p0_scale=1.0):
@@ -29,12 +35,48 @@ def kalman_oracle(z_seq, r, q, p0_scale=1.0):
     return xs, ps
 
 
+def matrix_update(x, p, z, r, valid):
+    """The 2-state matrix EKF update the scalar filters replaced (identity
+    models): invalid rows masked out with ``np.ix_``, gain by LAPACK solve."""
+    rows = [i for i in range(2) if valid[i]]
+    if not rows:
+        return x, p
+    h = np.eye(2)[rows]
+    sc = h @ p @ h.T + r[np.ix_(rows, rows)]
+    k = np.linalg.solve(sc.T, (p @ h.T).T).T
+    x = x + k @ (np.asarray(z, dtype=float)[rows] - x[rows])
+    p = (np.eye(2) - k @ h) @ p
+    return x, 0.5 * (p + p.T)
+
+
+def matrix_fusion(pairs, cfg):
+    """(x, P) per pair of the matrix filter, with run_fusion's start rule."""
+    r, q = np.diag(cfg.r), np.diag(cfg.q)
+    out, x, p = [], None, None
+    for z, valid in pairs:
+        if x is None:
+            if valid[0] and valid[1]:
+                x, p = np.array(z, dtype=float), cfg.initial_p_scale * np.eye(2)
+        else:
+            p = p + q
+            x, p = matrix_update(x, 0.5 * (p + p.T), z, r, valid)
+        out.append(None if x is None else (x, p))
+    return out
+
+
+def assert_matches_matrix(state, ref):
+    x, p = ref
+    assert_allclose(state.x, x, rtol=1e-12, atol=0)
+    assert_allclose(state.p, np.diag(p), rtol=1e-12, atol=0)
+    assert p[0, 1] == 0.0 and p[1, 0] == 0.0
+
+
 def test_init_state_and_covariance():
     cfg = SonarFusionConfig()
     s = init([2.0, 2.0], cfg)
     assert_allclose(s.x, [2.0, 2.0])
     # initial prediction-estimate covariance is the unit matrix
-    assert_allclose(s.p, np.eye(2))
+    assert_allclose(s.p, (1.0, 1.0))
     s2 = init([0.5, 0.6], cfg)
     assert_allclose(s2.x, [0.5, 0.6])
 
@@ -46,17 +88,30 @@ def test_init_rejects_non_positive():
         init([0.0, 2.0], SonarFusionConfig())
 
 
+def test_nan_valid_range_is_a_data_error():
+    cfg = SonarFusionConfig()
+    s = init([2.0, 2.0], cfg)
+    with pytest.raises(DataError, match="non-positive"):
+        update(s, [float("nan"), 2.0], cfg)
+    with pytest.raises(DataError, match="non-positive"):
+        update(s, [2.0, float("nan")], cfg, valid=(False, True))
+    with pytest.raises(DataError, match="non-positive"):
+        init([2.0, float("nan")], cfg)
+    # a masked nan is no measurement and is never read
+    assert update(s, [float("nan"), 2.0], cfg, valid=(False, True)).x[0] == 2.0
+
+
 def test_predict_adds_q():
     cfg = SonarFusionConfig()
     s = init([2.0, 2.0], cfg)
     s1 = predict(s, cfg)
-    assert_allclose(s1.p, np.diag([1.001, 1.0]))
+    assert_allclose(s1.p, (1.001, 1.0))
     assert_allclose(s1.x, s.x)
     # q = 0 leaves p unchanged; two predicts add 2q
-    cfg0 = SonarFusionConfig(q=np.zeros((2, 2)))
+    cfg0 = SonarFusionConfig(q=(0.0, 0.0))
     assert_allclose(predict(s, cfg0).p, s.p)
     s2 = predict(predict(s, cfg), cfg)
-    assert_allclose(s2.p, np.diag([1.002, 1.0]))
+    assert_allclose(s2.p, (1.002, 1.0))
 
 
 def test_single_update_posterior_variance():
@@ -64,7 +119,7 @@ def test_single_update_posterior_variance():
     cfg = SonarFusionConfig()
     s = update(init([2.0, 2.0], cfg), [2.1, 1.9], cfg)
     expected = 0.09 / 1.09
-    assert_allclose(np.diag(s.p), [expected, expected], atol=1e-9)
+    assert_allclose(s.p, [expected, expected], atol=1e-9)
 
 
 def test_zero_innovation_keeps_state_contracts_p():
@@ -72,7 +127,7 @@ def test_zero_innovation_keeps_state_contracts_p():
     s = init([2.0, 2.2], cfg)
     s1 = update(s, [2.0, 2.2], cfg)
     assert_allclose(s1.x, s.x, atol=1e-15)
-    assert np.trace(s1.p) < np.trace(s.p)
+    assert sum(s1.p) < sum(s.p)
 
 
 def test_repeated_constant_measurement_converges_to_mean():
@@ -84,18 +139,18 @@ def test_repeated_constant_measurement_converges_to_mean():
 
 
 def test_fused_distance_is_mean():
-    s = SonarFusionState(x=np.array([2.0, 2.2]), p=np.eye(2))
+    s = SonarFusionState(x=(2.0, 2.2), p=(1.0, 1.0))
     assert fused_distance(s) == pytest.approx(2.1)
-    s2 = SonarFusionState(x=np.array([2.0, 2.0]), p=np.eye(2))
+    s2 = SonarFusionState(x=(2.0, 2.0), p=(1.0, 1.0))
     assert fused_distance(s2) == pytest.approx(2.0)
     # linearity: scaling both components scales the output
-    s3 = SonarFusionState(x=3.0 * s.x, p=np.eye(2))
+    s3 = SonarFusionState(x=(3.0 * s.x[0], 3.0 * s.x[1]), p=(1.0, 1.0))
     assert fused_distance(s3) == pytest.approx(3.0 * fused_distance(s))
 
 
 def test_singular_innovation_covariance_is_numerical_error():
     # P0 = 0 and R = 0 leave S = Q = diag(0.001, 0) at the first update
-    cfg = SonarFusionConfig(r=np.zeros((2, 2)), initial_p_scale=0.0)
+    cfg = SonarFusionConfig(r=(0.0, 0.0), initial_p_scale=0.0)
     s = predict(init([2.0, 2.0], cfg), cfg)
     with pytest.raises(NumericalError, match="singular"):
         update(s, [2.0, 2.0], cfg)
@@ -107,11 +162,11 @@ def test_trace_never_increases_on_update():
     s = init([2.0, 2.0], cfg)
     for _ in range(500):
         s = predict(s, cfg)
-        before = np.trace(s.p)
+        before = sum(s.p)
         s = update(s, 2.0 + rng.normal(0, 0.3, 2), cfg)
-        assert np.trace(s.p) <= before + 1e-15
-        assert_allclose(s.p, s.p.T, atol=1e-15)
-        assert np.min(np.linalg.eigvalsh(s.p)) >= -1e-12
+        assert sum(s.p) <= before + 1e-15
+        # P = diag(p): symmetric by construction, its eigenvalues are p
+        assert min(s.p) >= -1e-12
 
 
 def test_matches_generic_kalman_oracle():
@@ -121,12 +176,44 @@ def test_matches_generic_kalman_oracle():
         n = rng.integers(5, 40)
         z_seq = 2.0 + rng.normal(0, 0.3, size=(n, 2))
         z_seq = np.abs(z_seq) + 0.01
-        xs, ps = kalman_oracle(z_seq, cfg.r, cfg.q)
+        xs, ps = kalman_oracle(z_seq, np.diag(cfg.r), np.diag(cfg.q))
         s = init(z_seq[0], cfg)
         for k in range(1, n):
             s = update(predict(s, cfg), z_seq[k], cfg)
             assert_allclose(s.x, xs[k], atol=1e-12)
-            assert_allclose(s.p, ps[k], atol=1e-12)
+            assert_allclose(s.p, np.diag(ps[k]), atol=1e-12)
+            # the full-matrix filter never correlates the two sensors
+            assert ps[k][0, 1] == 0.0 and ps[k][1, 0] == 0.0
+
+
+@pytest.mark.parametrize(
+    "cfg", [SonarFusionConfig(), SonarFusionConfig((0.04, 0.2), (0.01, 0.003), 0.5)]
+)
+def test_matches_masked_matrix_update(cfg):
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        n = int(rng.integers(2, 60))
+        z = np.abs(2.0 + rng.normal(0, 0.3, size=(n, 2))) + 0.01
+        valid = (rng.random((n, 2)) < 0.7).tolist()
+        pairs = list(zip(z.tolist(), valid))
+        for state, ref in zip(run_fusion(pairs, cfg), matrix_fusion(pairs, cfg), strict=True):
+            assert (state is None) == (ref is None)
+            if state is not None:
+                assert_matches_matrix(state, ref)
+
+
+def test_fuse_front_pair_matches_matrix_filter_on_walk110():
+    sc = cli.load_scenario(WALK110)
+    log = sim.synth_sonar(sim.gen_walk(sc), sc, 0)
+    front = log.channel == CHANNELS.index(SonarChannel.FRONT)
+    pairs = list(zip(log.range_m[front].reshape(-1, 2), log.valid[front].reshape(-1, 2).tolist()))
+    assert not all(map(all, (v for _, v in pairs)))  # the log has masked ticks
+    refs = [ref for ref in matrix_fusion(pairs, SonarFusionConfig()) if ref is not None]
+    fused = fuse_front_pair(log)
+    assert len(fused.t) == len(refs)
+    for k, (x, p) in enumerate(refs):
+        assert_allclose([fused.fused[k], fused.p11[k], fused.p22[k]], [x.mean(), p[0, 0], p[1, 1]],
+                        rtol=1e-12, atol=0)
 
 
 def test_fused_variance_below_each_raw_sensor():
@@ -147,10 +234,10 @@ def test_fused_variance_below_each_raw_sensor():
 def test_bracketing_measurements_bound_posterior():
     # Holds whenever the two gains are equal (symmetric process noise):
     # the posterior mean is then a convex combination of the prior mean and
-    # the measurement mean.  The asymmetric default q = diag(0.001, 0)
+    # the measurement mean.  The asymmetric default q = (0.001, 0)
     # de-balances the gains and admits ~1e-3 m excursions past the bracket,
     # so the sandwich property is checked under the symmetric config.
-    cfg = SonarFusionConfig(q=np.diag([0.001, 0.001]))
+    cfg = SonarFusionConfig(q=(0.001, 0.001))
     rng = np.random.default_rng(21)
     for _ in range(100):
         s = init(np.abs(2.0 + rng.normal(0, 0.3, 2)) + 0.01, cfg)
@@ -169,24 +256,12 @@ def test_missing_echo_masks_row():
     s1 = update(s, [1.5, -1.0], cfg, valid=(True, False))
     # masked row untouched: component 1 keeps its prior state and variance
     assert s1.x[1] == pytest.approx(2.0)
-    assert s1.p[1, 1] == pytest.approx(1.0)
+    assert s1.p[1] == pytest.approx(1.0)
     assert s1.x[0] != pytest.approx(2.0)
     # both masked: state passes through
     s2 = update(s, [9.0, 9.0], cfg, valid=(False, False))
     assert_allclose(s2.x, s.x)
     assert_allclose(s2.p, s.p)
-
-
-def test_nonlinear_hooks_are_used():
-    # a contrived shrinking transition: x -> 0.5x with Jacobian 0.5*I
-    cfg = SonarFusionConfig(
-        transition=lambda x: 0.5 * x,
-        transition_jacobian=lambda x: 0.5 * np.eye(2),
-    )
-    s = init([2.0, 2.0], cfg)
-    s1 = predict(s, cfg)
-    assert_allclose(s1.x, [1.0, 1.0])
-    assert_allclose(s1.p, 0.25 * np.eye(2) + cfg.q)
 
 
 def test_run_fusion_waits_for_first_full_pair():
