@@ -409,10 +409,12 @@ def load_scenario(path) -> sim.Scenario:
 # Pipeline helpers
 
 
-def _apply_cli_overrides(scenario: sim.Scenario, args) -> sim.Scenario:
-    if getattr(args, "seed", None) is not None:
+def _scenario(args) -> sim.Scenario:
+    """The scenario file named by ``args`` with the command-line overrides."""
+    scenario = load_scenario(args.scenario)
+    if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
-    if getattr(args, "mode", "raw") == "dmp":
+    if args.mode == "dmp":
         scenario = replace(scenario, noise=scenario.noise.dmp_like())
     return scenario
 
@@ -430,9 +432,8 @@ def _localizer_config(noise: sim.NoiseConfig) -> LocalizerConfig:
 # Commands
 
 
-def _simulate(args):
-    """Simulate the scenario named by ``args`` and write its four streams."""
-    scenario = _apply_cli_overrides(load_scenario(args.scenario), args)
+def _simulate(scenario: sim.Scenario, args):
+    """Simulate ``scenario`` and write its four streams to ``args.out``."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     truth = sim.gen_walk(scenario)
@@ -452,7 +453,7 @@ def _simulate(args):
     write_imu_csv(out / "imu.csv", imu)
     write_gps_csv(out / "gps.csv", fixes)
     write_sonar_csv(out / "sonar.csv", sonar)
-    return scenario, truth, imu, fixes, sonar, out
+    return truth, imu, fixes, sonar, out
 
 
 def _fuse_sonar(log: SonarLog, out: Path) -> sonar_ekf.FusedFront:
@@ -477,7 +478,7 @@ def _evaluate(out: Path, est: metrics.Trajectory, truth: metrics.Trajectory) -> 
 
 
 def cmd_simulate(args) -> int:
-    _, truth, imu, fixes, sonar, out = _simulate(args)
+    truth, imu, fixes, sonar, out = _simulate(_scenario(args), args)
     print(
         f"simulated {truth.path_length:.2f} m / {truth.duration:.2f} s "
         f"({len(imu)} IMU, {len(fixes)} GPS, {len(sonar)} sonar) -> {out}"
@@ -573,7 +574,15 @@ def _write_report_csv(path, reports) -> None:
 
 
 def cmd_run(args) -> int:
-    scenario, truth, imu, fixes, sonar, out = _simulate(args)
+    scenario = _scenario(args)
+    try:  # before any file is written
+        detection = perception.DetectionConfig(
+            expected_ground_range=scenario.geometry.expected_ground_range,
+            max_range=scenario.geometry.max_range,
+        )
+    except DataError as exc:
+        raise DataError(f"{args.scenario}: key 'max_range': {exc}") from None
+    truth, imu, fixes, sonar, out = _simulate(scenario, args)
 
     # calibrate on a stationary bench stream with the scenario's sensors
     offsets = calibrate(
@@ -588,12 +597,10 @@ def cmd_run(args) -> int:
     _write_est(out, run, scenario.anchor_fix())
 
     # detect + feedback
-    detector = perception.ObstacleDetector(
-        perception.DetectionConfig(
-            expected_ground_range=scenario.geometry.expected_ground_range,
-            max_range=scenario.geometry.max_range,
-        )
-    )
+    tick_t, ranges = perception.tick_ranges(sonar, fused.t, fused.fused)
+    events_at: dict[float, list] = {}
+    for event in perception.ObstacleDetector(detection).process(tick_t, ranges):
+        events_at.setdefault(event.t, []).append(event)
     gate = perception.RecognitionGate(perception.MockRecognizer(seed=scenario.seed))
     scheduler = fb.AudioScheduler()
     feedback_rows = []
@@ -611,9 +618,9 @@ def cmd_run(args) -> int:
                 )
             )
 
-    for t, ranges in perception.sonar_ticks(sonar, fused.t, fused.fused):
+    for t in tick_t.tolist():
         offer_results(gate.poll(t))
-        for event in detector.process(t, ranges):
+        for event in events_at.get(t, ()):
             cmd = fb.route_event(event)
             feedback_rows.append(
                 (_fmt(event.t), "tactile", str(cmd.motor), _fmt(cmd.intensity))

@@ -9,6 +9,12 @@ by the same margin.  Every trigger latches and only re-arms after the
 range clears by 10% of the trigger level, so a static obstacle produces
 exactly one event instead of a storm.
 
+Detection is column arithmetic over a whole run.  ``tick_ranges`` lays a
+sonar log out as one (ticks x channels) array in CHANNELS column order: a
+reading, ``inf`` for no echo, ``nan`` where the tick has no row of that
+channel.  ``ObstacleDetector.process`` turns each latch's trigger and
+re-arm masks into events, in tick order and within a tick in EVENT_ORDER.
+
 Recognition is gated by detection: the recognizer processes at most one
 frame at a time, and events arriving while it is busy are coalesced down
 to the single most recent one -- a stale frame is useless for navigation.
@@ -21,7 +27,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import Mapping, Optional, Protocol, Sequence
 
 import numpy as np
@@ -29,6 +34,8 @@ import numpy as np
 from .core import CHANNELS, DataError, INCLINED_CHANNELS, SonarChannel, SonarLog
 
 REARM_FRACTION = 0.10  # a trigger re-arms after clearing by 10% of its level
+# the order of one tick's events: CHANNELS order, front last
+EVENT_ORDER = tuple(c for c in CHANNELS if c is not SonarChannel.FRONT) + (SonarChannel.FRONT,)
 
 
 class DetectionKind(enum.Enum):
@@ -61,7 +68,7 @@ class DetectionConfig:
             raise DataError("dropoff_margin must be positive")
         for ch, thr in self.thresholds.items():
             if not 0.0 < thr <= self.max_range:
-                raise DataError(f"threshold for {ch} outside (0, max_range]")
+                raise DataError(f"threshold {thr} for {ch.value} outside (0, max_range]")
 
 
 @dataclass(frozen=True)
@@ -73,99 +80,74 @@ class DetectionEvent:
 
 
 class ObstacleDetector:
-    """Threshold detector with per-trigger hysteresis latches.
+    """Threshold detector with one hysteresis latch per (channel, kind).
 
-    Feed it one mapping of channel -> fused range per tick; channels with
-    no echo are either omitted or passed as ``math.inf``.  A no-echo
-    reading never triggers, but it does re-arm the horizontal-channel
-    obstacle latch (the obstacle left the beam); on inclined channels a
-    missing ground echo is ambiguous and is ignored outright.
+    ``process(t, ranges)`` takes a whole stream laid out as ``tick_ranges``
+    returns it, and starts with every latch armed.  A ``nan`` cell (no row)
+    neither triggers nor re-arms.  A no-echo ``inf`` never triggers, but it
+    re-arms the horizontal-channel obstacle latch (the obstacle left the
+    beam); on inclined channels a missing ground echo is ambiguous and is
+    ignored outright.  A latch fires on a trigger tick when the latest
+    earlier trigger or re-arm tick was a re-arm, or when there is none.
+    Events come in tick order, within a tick in EVENT_ORDER.
     """
 
     def __init__(self, cfg: DetectionConfig | None = None):
         self.cfg = cfg or DetectionConfig()
-        self._armed: dict[tuple[SonarChannel, DetectionKind], bool] = {}
 
-    def _is_armed(self, key) -> bool:
-        return self._armed.get(key, True)
-
-    def process(
-        self, t: float, ranges: Mapping[SonarChannel, float]
-    ) -> list[DetectionEvent]:
+    def _latches(self, ranges: np.ndarray):
+        """Yield ``(channel, kind, trigger, rearm)`` masks in EVENT_ORDER."""
         cfg = self.cfg
-        events: list[DetectionEvent] = []
-        for channel, r in ranges.items():
-            no_echo = r is None or not math.isfinite(r)
+        for channel in EVENT_ORDER:
+            r = ranges[:, CHANNELS.index(channel)]
             if channel in INCLINED_CHANNELS:
-                if no_echo:
-                    continue
+                r = np.where(np.isinf(r), np.nan, r)
                 hi = cfg.expected_ground_range + cfg.dropoff_margin
                 lo = cfg.expected_ground_range - cfg.dropoff_margin
-                key_hi = (channel, DetectionKind.DROPOFF)
-                key_lo = (channel, DetectionKind.OBSTACLE)
-                if r >= hi:
-                    if self._is_armed(key_hi):
-                        events.append(
-                            DetectionEvent(t, channel, DetectionKind.DROPOFF, r)
-                        )
-                        self._armed[key_hi] = False
-                elif r <= hi * (1.0 - REARM_FRACTION):
-                    self._armed[key_hi] = True
-                if r <= lo:
-                    if self._is_armed(key_lo):
-                        events.append(
-                            DetectionEvent(t, channel, DetectionKind.OBSTACLE, r)
-                        )
-                        self._armed[key_lo] = False
-                elif r >= lo * (1.0 + REARM_FRACTION):
-                    self._armed[key_lo] = True
-            else:
-                thr = cfg.thresholds.get(channel)
-                if thr is None:
-                    continue
-                key = (channel, DetectionKind.OBSTACLE)
-                effective = math.inf if no_echo else r
-                if effective <= thr:
-                    if self._is_armed(key):
-                        events.append(
-                            DetectionEvent(t, channel, DetectionKind.OBSTACLE, r)
-                        )
-                        self._armed[key] = False
-                elif effective >= thr * (1.0 + REARM_FRACTION):
-                    self._armed[key] = True
+                yield channel, DetectionKind.DROPOFF, r >= hi, r <= hi * (1.0 - REARM_FRACTION)
+                yield channel, DetectionKind.OBSTACLE, r <= lo, r >= lo * (1.0 + REARM_FRACTION)
+            elif channel in cfg.thresholds:
+                thr = cfg.thresholds[channel]
+                yield channel, DetectionKind.OBSTACLE, r <= thr, r >= thr * (1.0 + REARM_FRACTION)
+
+    def process(self, t: np.ndarray, ranges: np.ndarray) -> list[DetectionEvent]:
+        events = []
+        for channel, kind, trigger, rearm in self._latches(ranges):
+            marked = np.flatnonzero(trigger | rearm)
+            hit = trigger[marked]
+            fires = marked[hit & ~np.r_[False, hit[:-1]]]
+            r = ranges[fires, CHANNELS.index(channel)]
+            events += [
+                DetectionEvent(tt, channel, kind, rr)
+                for tt, rr in zip(t[fires].tolist(), r.tolist())
+            ]
+        events.sort(key=lambda event: event.t)  # stable: EVENT_ORDER within a tick
         return events
 
 
-def sonar_ticks(log: SonarLog, fused_t: np.ndarray, fused: np.ndarray):
-    """Yield ``(t, {channel: range})`` per tick of ``log`` for the detector.
+def tick_ranges(log: SonarLog, fused_t: np.ndarray, fused: np.ndarray):
+    """``(t, ranges)`` of ``log`` for ``ObstacleDetector.process``.
 
-    Side and inclined channels pass their reading (``math.inf`` without an
-    echo).  The front channel, last in each map, takes the fused estimate
-    at the same time in the sorted ``fused_t`` if the tick has a front
-    echo, else ``math.inf``.
+    ``t`` holds the unique tick times; ``ranges[i, c]`` is tick i's reading
+    of ``CHANNELS[c]``, ``inf`` without an echo, ``nan`` if the tick has no
+    row of that channel.  The front column takes the fused estimate at the
+    same time in the sorted ``fused_t`` if the tick has a front echo, else
+    ``inf``.
     """
-    tick_t, starts = np.unique(log.t, return_index=True)
+    first = np.ones(len(log), bool)  # rows are time-sorted: a tick starts where t changes
+    first[1:] = log.t[1:] != log.t[:-1]
+    t = log.t[first]
+    tick = np.cumsum(first, dtype=np.int32) - 1  # half the memory of the default int64
     front = CHANNELS.index(SonarChannel.FRONT)
-    echo = np.logical_or.reduceat((log.channel == front) & log.valid, starts)
+    echo = np.zeros(len(t), bool)
+    echo[tick[(log.channel == front) & log.valid]] = True
     # the nan sentinel matches no tick, so ticks without a fused value stay inf
-    pos = np.searchsorted(fused_t, tick_t)
-    echo &= np.r_[fused_t, np.nan][pos] == tick_t
-    front_range = np.where(echo, np.r_[fused, np.inf][pos], np.inf).tolist()
-    ranges = np.where(log.valid, log.range_m, np.inf).tolist()
-    rows = zip(log.t.tolist(), log.channel.tolist(), ranges)
-    for (t, group), r_front in zip(groupby(rows, key=lambda row: row[0]), front_range):
-        tick = {CHANNELS[c]: r for _, c, r in group if c != front}
-        tick[SonarChannel.FRONT] = r_front
-        yield t, tick
-
-
-def detect(ticks, cfg: DetectionConfig | None = None) -> list[DetectionEvent]:
-    """Run a fresh detector over ``(t, {channel: range})`` ticks."""
-    detector = ObstacleDetector(cfg)
-    events: list[DetectionEvent] = []
-    for t, ranges in ticks:
-        events.extend(detector.process(t, ranges))
-    return events
+    pos = np.searchsorted(fused_t, t)
+    echo &= np.r_[fused_t, np.nan][pos] == t
+    ranges = np.full((len(t), len(CHANNELS)), np.nan)
+    ranges[tick, log.channel] = np.where(log.valid, log.range_m, np.inf)
+    ranges[:, front] = np.where(echo, np.r_[fused, np.inf][pos], np.inf)
+    return t, ranges
 
 
 DEFAULT_RESOLUTION = (640, 480)

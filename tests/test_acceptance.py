@@ -325,10 +325,9 @@ def _detection_recall(sonar_sigma, seed):
     windows = _expected_windows(truth, det_cfg)
     log = sim.synth_sonar(truth, sc, seed)
     fused = sonar_ekf.fuse_front_pair(log)
-    detector = ObstacleDetector(det_cfg)
-    events = []
-    for t, ranges in perception.sonar_ticks(log, fused.t, fused.fused):
-        events.extend(detector.process(t, ranges))
+    events = ObstacleDetector(det_cfg).process(
+        *perception.tick_ranges(log, fused.t, fused.fused)
+    )
     hits = 0
     for channel, kind, t0, t1 in windows:
         if any(

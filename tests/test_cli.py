@@ -506,6 +506,17 @@ class TestExitCodes:
         assert "--ref:" in capsys.readouterr().err
         assert not (tmp_path / "o" / "est.csv").exists()
 
+    def test_run_checks_max_range_before_writing(self, tmp_path, capsys):
+        path = tmp_path / "short_range.cfg"
+        path.write_text(SHORT_SCENARIO + "max_range = 1.0\n")
+        out = tmp_path / "o"
+        assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{path}: key 'max_range': threshold 2.0 for front outside" in err
+        assert not out.exists()
+        # simulate runs no detection
+        assert cli.main(["simulate", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_OK
+
     def test_success_exit_0(self, scenario_file, tmp_path):
         assert cli.main(
             ["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path / "o")]

@@ -1,11 +1,17 @@
 import math
+from dataclasses import replace
+from itertools import groupby
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fusenav.core import DataError, SonarChannel
+from fusenav import cli, sim, sonar_ekf
+from fusenav.core import CHANNELS, DataError, INCLINED_CHANNELS, SonarChannel, SonarLog
 from fusenav.perception import (
     DEFAULT_RESOLUTION,
+    EVENT_ORDER,
+    REARM_FRACTION,
     DetectionConfig,
     DetectionEvent,
     DetectionKind,
@@ -13,88 +19,290 @@ from fusenav.perception import (
     MockRecognizer,
     ObstacleDetector,
     RecognitionGate,
-    detect,
     latency_model,
+    tick_ranges,
 )
 
 L, R, F = SonarChannel.LEFT, SonarChannel.RIGHT, SonarChannel.FRONT
 IL, IR = SonarChannel.INCLINED_LEFT, SonarChannel.INCLINED_RIGHT
+WALK110 = Path(cli.__file__).parent / "scenarios" / "walk110.cfg"
+CITY = Path(__file__).resolve().parents[1] / "perfbench" / "city.cfg"
 
 
 def obstacle_event(t=0.0, channel=F, range_m=1.5):
     return DetectionEvent(t, channel, DetectionKind.OBSTACLE, range_m)
 
 
+def stream(*ticks):
+    """``(t, ranges)`` of ``(t, {channel: range})`` ticks, nan for an omitted channel."""
+    ranges = np.full((len(ticks), len(CHANNELS)), np.nan)
+    for row, (_, tick) in zip(ranges, ticks):
+        for channel, r in tick.items():
+            row[CHANNELS.index(channel)] = r
+    return np.array([t for t, _ in ticks], dtype=float), ranges
+
+
+def process(*ticks, cfg=None):
+    """Events of one detector run over ``(t, {channel: range})`` ticks."""
+    return ObstacleDetector(cfg).process(*stream(*ticks))
+
+
+def per_tick(*ticks):
+    """Events of one detector run over ``ticks``, one list per tick."""
+    events = process(*ticks)
+    return [[e for e in events if e.t == t] for t, _ in ticks]
+
+
+def sonar_log(*rows):
+    """SonarLog from ``(t, channel, range, valid)`` rows."""
+    t, channel, range_m, valid = zip(*rows)
+    return SonarLog(
+        t=np.array(t, dtype=float),
+        channel=np.array([CHANNELS.index(c) for c in channel]),
+        range_m=np.array(range_m, dtype=float),
+        valid=np.array(valid, dtype=bool),
+    )
+
+
 class TestDetector:
     def test_front_threshold_rule(self):
-        det = ObstacleDetector()
-        events = det.process(0.0, {F: 1.5})
+        events = process((0.0, {F: 1.5}))
         assert len(events) == 1
         assert events[0].channel is F
         assert events[0].kind is DetectionKind.OBSTACLE
         assert events[0].range_m == 1.5
 
     def test_above_threshold_silent(self):
-        det = ObstacleDetector()
-        assert det.process(0.0, {F: 2.5, L: 1.6, R: 1.6}) == []
+        assert process((0.0, {F: 2.5, L: 1.6, R: 1.6})) == []
 
     def test_inclined_dead_band(self):
-        det = ObstacleDetector()
         ground = math.sqrt(2.0)
-        assert det.process(0.0, {IL: ground, IR: ground}) == []
+        assert process((0.0, {IL: ground, IR: ground})) == []
 
     def test_dropoff_rule(self):
         cfg = DetectionConfig()
-        det = ObstacleDetector(cfg)
         r = cfg.expected_ground_range + 2 * cfg.dropoff_margin
-        events = det.process(0.0, {IR: r})
+        events = process((0.0, {IR: r}), cfg=cfg)
         assert [e.kind for e in events] == [DetectionKind.DROPOFF]
         assert events[0].channel is IR
 
     def test_inclined_short_echo_is_obstacle(self):
         cfg = DetectionConfig()
-        det = ObstacleDetector(cfg)
         r = cfg.expected_ground_range - 2 * cfg.dropoff_margin
-        events = det.process(0.0, {IL: r})
+        events = process((0.0, {IL: r}), cfg=cfg)
         assert [e.kind for e in events] == [DetectionKind.OBSTACLE]
 
     def test_static_obstacle_fires_once(self):
-        det = ObstacleDetector()
-        total = []
-        for k in range(200):
-            total += det.process(0.01 * k, {F: 1.2})
+        total = process(*[(0.01 * k, {F: 1.2}) for k in range(200)])
         assert len(total) == 1
 
     def test_hysteresis_rearm_at_ten_percent(self):
-        det = ObstacleDetector()
-        assert len(det.process(0.0, {F: 1.9})) == 1
+        e0, e1, e2, e3, e4 = per_tick(
+            (0.0, {F: 1.9}), (1.0, {F: 2.19}), (2.0, {F: 1.9}), (3.0, {F: 2.21}), (4.0, {F: 1.9})
+        )
+        assert len(e0) == 1
         # clears to just below the re-arm level: still latched
-        assert det.process(1.0, {F: 2.19}) == []
-        assert det.process(2.0, {F: 1.9}) == []
+        assert e1 == []
+        assert e2 == []
         # clears beyond threshold * 1.1: re-arms, next crossing fires
-        assert det.process(3.0, {F: 2.21}) == []
-        assert len(det.process(4.0, {F: 1.9})) == 1
+        assert e3 == []
+        assert len(e4) == 1
 
     def test_no_echo_rearms_horizontal(self):
-        det = ObstacleDetector()
-        assert len(det.process(0.0, {F: 1.2})) == 1
-        assert det.process(1.0, {F: math.inf}) == []  # obstacle left the beam
-        assert len(det.process(2.0, {F: 1.0})) == 1  # a new obstacle fires
+        e0, e1, e2 = per_tick((0.0, {F: 1.2}), (1.0, {F: math.inf}), (2.0, {F: 1.0}))
+        assert len(e0) == 1
+        assert e1 == []  # obstacle left the beam
+        assert len(e2) == 1  # a new obstacle fires
 
     def test_invalid_ping_never_triggers_dropoff(self):
-        det = ObstacleDetector()
-        assert det.process(0.0, {IL: math.inf}) == []
+        assert process((0.0, {IL: math.inf})) == []
 
     def test_detect_stream_wrapper(self):
-        ticks = [(0.0, {F: 3.0}), (0.1, {F: 1.5}), (0.2, {F: 1.4})]
-        events = detect(ticks)
+        events = process((0.0, {F: 3.0}), (0.1, {F: 1.5}), (0.2, {F: 1.4}))
         assert len(events) == 1 and events[0].t == 0.1
+
+    def test_every_call_starts_armed(self):
+        det = ObstacleDetector()
+        t, ranges = stream((0.0, {F: 1.2}), (0.1, {F: 1.2}))
+        assert len(det.process(t, ranges)) == 1
+        assert len(det.process(t, ranges)) == 1
+
+    def test_events_in_tick_then_channel_order(self):
+        events = process((0.0, {F: 1.0, IR: 3.0, L: 1.0}), (0.1, {R: 1.0, IL: 0.5}))
+        assert [(e.t, e.channel) for e in events] == [(0.0, L), (0.0, IR), (0.0, F), (0.1, R), (0.1, IL)]
 
     def test_config_validation(self):
         with pytest.raises(DataError):
             DetectionConfig(dropoff_margin=0.0)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="for front outside"):
             DetectionConfig(thresholds={F: 9.0})
+
+
+class ReferenceDetector:
+    """The per-tick detector that ``ObstacleDetector`` replaced: one mapping
+    of channel -> range per tick, latches kept across calls in a dict."""
+
+    def __init__(self, cfg: DetectionConfig | None = None):
+        self.cfg = cfg or DetectionConfig()
+        self._armed = {}
+
+    def _is_armed(self, key) -> bool:
+        return self._armed.get(key, True)
+
+    def process(self, t, ranges):
+        cfg = self.cfg
+        events = []
+        for channel, r in ranges.items():
+            no_echo = r is None or not math.isfinite(r)
+            if channel in INCLINED_CHANNELS:
+                if no_echo:
+                    continue
+                hi = cfg.expected_ground_range + cfg.dropoff_margin
+                lo = cfg.expected_ground_range - cfg.dropoff_margin
+                key_hi = (channel, DetectionKind.DROPOFF)
+                key_lo = (channel, DetectionKind.OBSTACLE)
+                if r >= hi:
+                    if self._is_armed(key_hi):
+                        events.append(DetectionEvent(t, channel, DetectionKind.DROPOFF, r))
+                        self._armed[key_hi] = False
+                elif r <= hi * (1.0 - REARM_FRACTION):
+                    self._armed[key_hi] = True
+                if r <= lo:
+                    if self._is_armed(key_lo):
+                        events.append(DetectionEvent(t, channel, DetectionKind.OBSTACLE, r))
+                        self._armed[key_lo] = False
+                elif r >= lo * (1.0 + REARM_FRACTION):
+                    self._armed[key_lo] = True
+            else:
+                thr = cfg.thresholds.get(channel)
+                if thr is None:
+                    continue
+                key = (channel, DetectionKind.OBSTACLE)
+                effective = math.inf if no_echo else r
+                if effective <= thr:
+                    if self._is_armed(key):
+                        events.append(DetectionEvent(t, channel, DetectionKind.OBSTACLE, r))
+                        self._armed[key] = False
+                elif effective >= thr * (1.0 + REARM_FRACTION):
+                    self._armed[key] = True
+        return events
+
+
+def reference_ticks(log, fused_t, fused):
+    """The per-tick ``(t, {channel: range})`` stream that ``tick_ranges`` replaced."""
+    tick_t, starts = np.unique(log.t, return_index=True)
+    front = CHANNELS.index(F)
+    echo = np.logical_or.reduceat((log.channel == front) & log.valid, starts)
+    pos = np.searchsorted(fused_t, tick_t)
+    echo &= np.r_[fused_t, np.nan][pos] == tick_t
+    front_range = np.where(echo, np.r_[fused, np.inf][pos], np.inf).tolist()
+    ranges = np.where(log.valid, log.range_m, np.inf).tolist()
+    rows = zip(log.t.tolist(), log.channel.tolist(), ranges)
+    for (t, group), r_front in zip(groupby(rows, key=lambda row: row[0]), front_range):
+        tick = {CHANNELS[c]: r for _, c, r in group if c != front}
+        tick[F] = r_front
+        yield t, tick
+
+
+def reference_events(ticks, cfg=None):
+    detector = ReferenceDetector(cfg)
+    return [e for t, tick in ticks for e in detector.process(t, tick)]
+
+
+def as_tuples(events):
+    return [(e.t, e.channel, e.kind, e.range_m) for e in events]
+
+
+class TestOracle:
+    @pytest.mark.parametrize("mode", ["raw", "dmp"])
+    @pytest.mark.parametrize("path", [WALK110, CITY], ids=["walk110", "city"])
+    def test_simulated_walks(self, path, mode):
+        base = cli.load_scenario(path)
+        if mode == "dmp":
+            base = replace(base, noise=base.noise.dmp_like())
+        for seed in range(4):
+            scenario = replace(base, seed=seed)
+            log = sim.synth_sonar(sim.gen_walk(scenario), scenario)
+            fused = sonar_ekf.fuse_front_pair(log)
+            cfg = DetectionConfig(
+                expected_ground_range=scenario.geometry.expected_ground_range,
+                max_range=scenario.geometry.max_range,
+            )
+            expected = reference_events(reference_ticks(log, fused.t, fused.fused), cfg)
+            got = ObstacleDetector(cfg).process(*tick_ranges(log, fused.t, fused.fused))
+            assert expected
+            assert as_tuples(got) == as_tuples(expected)
+
+    @pytest.mark.parametrize(
+        "cfg", [DetectionConfig(), DetectionConfig(thresholds={F: 2.0})], ids=["default", "front_only"]
+    )
+    def test_random_streams_on_every_level(self, cfg):
+        hi = cfg.expected_ground_range + cfg.dropoff_margin
+        lo = cfg.expected_ground_range - cfg.dropoff_margin
+        inclined = [hi, hi * (1.0 - REARM_FRACTION), lo, lo * (1.0 + REARM_FRACTION)]
+        levels = {IL: inclined, IR: inclined}
+        for channel in (L, R, F):
+            thr = DetectionConfig().thresholds[channel]
+            levels[channel] = [thr, thr * (1.0 + REARM_FRACTION)]
+        pools = {
+            channel: np.array(
+                [v for x in xs for v in (x, np.nextafter(x, 0.0), np.nextafter(x, np.inf))]
+                + [math.inf, math.nan]
+            )
+            for channel, xs in levels.items()
+        }
+        rng = np.random.default_rng(8)
+        for _ in range(500):
+            n = int(rng.integers(1, 40))
+            ticks = []
+            for k in range(n):
+                tick = {}
+                for channel in EVENT_ORDER:
+                    r = float(rng.choice(pools[channel]))
+                    if rng.random() < 0.1:
+                        r = float(rng.uniform(0.1, 4.0))
+                    if not math.isnan(r):
+                        tick[channel] = r
+                ticks.append((0.01 * k, tick))
+            expected = reference_events(ticks, cfg)
+            assert as_tuples(process(*ticks, cfg=cfg)) == as_tuples(expected)
+
+
+class TestTickRanges:
+    def test_missing_side_row_leaves_latch_untouched(self):
+        log = sonar_log((0.0, L, 1.0, True), (0.1, F, 3.0, False), (0.2, L, 1.0, True))
+        no_fused = np.array([])
+        t, ranges = tick_ranges(log, no_fused, no_fused)
+        assert t.tolist() == [0.0, 0.1, 0.2]
+        assert math.isnan(ranges[1, CHANNELS.index(L)])
+        assert [e.t for e in ObstacleDetector().process(t, ranges)] == [0.0]
+        # a no-echo row in its place re-arms
+        log = sonar_log((0.0, L, 1.0, True), (0.1, L, 4.0, False), (0.2, L, 1.0, True))
+        t, ranges = tick_ranges(log, no_fused, no_fused)
+        assert [e.t for e in ObstacleDetector().process(t, ranges)] == [0.0, 0.2]
+
+    def test_single_front_sensor_no_echo_reads_inf_and_rearms(self):
+        log = sonar_log(
+            (0.0, L, 4.0, False), (0.0, F, 1.0, True),
+            (0.1, L, 4.0, False), (0.1, F, 4.0, False),
+            (0.2, L, 4.0, False), (0.2, F, 1.0, True),
+        )
+        fused_t, fused = np.array([0.0, 0.1, 0.2]), np.array([1.0, 1.5, 1.2])
+        t, ranges = tick_ranges(log, fused_t, fused)
+        front = ranges[:, CHANNELS.index(F)]
+        assert front.tolist() == [1.0, math.inf, 1.2]
+        events = ObstacleDetector().process(t, ranges)
+        assert as_tuples(events) == [
+            (0.0, F, DetectionKind.OBSTACLE, 1.0),
+            (0.2, F, DetectionKind.OBSTACLE, 1.2),
+        ]
+
+    def test_front_echo_without_fused_value_reads_inf(self):
+        log = sonar_log((0.0, F, 1.0, True), (0.0, F, 1.1, True), (0.1, F, 1.0, True))
+        t, ranges = tick_ranges(log, np.array([0.1]), np.array([1.05]))
+        assert ranges[:, CHANNELS.index(F)].tolist() == [math.inf, 1.05]
+        # channels without a row are nan, the front column never is
+        assert np.isnan(np.delete(ranges, CHANNELS.index(F), axis=1)).all()
 
 
 class TestLatencyModel:
