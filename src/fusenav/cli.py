@@ -44,6 +44,7 @@ from . import feedback as fb
 from . import geo, metrics, perception, sim, sonar_ekf
 from .core import CHANNELS, DataError, GpsFix, ImuLog, NumericalError, SonarLog
 from .localizer import (
+    MAX_IMU_DT,
     CalibrationOffsets,
     LocalizerConfig,
     calibrate,
@@ -375,7 +376,8 @@ def load_scenario(path) -> sim.Scenario:
         gps_sigma=take("gps_sigma", _SIGMA, defaults.gps_sigma),
         sonar_sigma=take("sonar_sigma", _SIGMA, defaults.sonar_sigma),
     )
-    route = take("route", lambda v: _parse_tuple_list(v, 2))
+    # a Scenario with every other field at its default checks the route alone
+    route = take("route", lambda v: sim.Scenario(_parse_tuple_list(v, 2)).route)
     try:
         scenario = sim.Scenario(
             route=route,
@@ -575,13 +577,19 @@ def _write_report_csv(path, reports) -> None:
 
 def cmd_run(args) -> int:
     scenario = _scenario(args)
-    try:  # before any file is written
-        detection = perception.DetectionConfig(
-            expected_ground_range=scenario.geometry.expected_ground_range,
-            max_range=scenario.geometry.max_range,
-        )
+    geometry = scenario.geometry
+    # Checked before any file is written; rounding can lengthen a 1/imu_rate step.
+    if not 1.0 / scenario.imu_rate < MAX_IMU_DT:
+        raise DataError(f"{args.scenario}: key 'imu_rate': step not below {MAX_IMU_DT} s")
+    try:  # the default ground echo is valid wherever the thresholds are
+        detection = perception.DetectionConfig(max_range=geometry.max_range)
     except DataError as exc:
         raise DataError(f"{args.scenario}: key 'max_range': {exc}") from None
+    try:
+        detection = replace(detection, expected_ground_range=geometry.expected_ground_range)
+    except DataError as exc:
+        keys = "'belt_height', 'inclined_depression_deg', 'max_range'"
+        raise DataError(f"{args.scenario}: keys {keys}: {exc}") from None
     truth, imu, fixes, sonar, out = _simulate(scenario, args)
 
     # calibrate on a stationary bench stream with the scenario's sensors

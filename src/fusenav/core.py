@@ -4,7 +4,7 @@ Conventions used across the toolkit (fixed here, inherited everywhere):
 
 * Body frame: x forward, y right, z down (FRD), fixed to the walker's torso.
 * Navigation frame: local ENU (east, north, up) anchored at a reference
-  GPS fix; gravity is ``(0, 0, -9.80665)`` m/s^2.
+  GPS fix; gravity is GRAVITY, ``(0, 0, -g)`` with standard g.
 * Quaternions: Hamilton product, scalar-first ``[w, x, y, z]``, rotating
   body vectors into the navigation frame (``v_nav = R(q) @ v_body``).
 * Time: scenario-relative seconds as plain floats.  Streams handed to the
@@ -16,6 +16,10 @@ columnar logs (ImuLog, SonarLog): frozen dataclasses of arrays, one row
 per sample, which no stage modifies.  GPS fixes, about one a second, stay
 one frozen GpsFix each.  Every operation in this module is a pure
 function.
+
+Each quaternion formula is written once, as a kernel over components
+(w, x, y, z), all floats or all equal-length arrays: ``hamilton``,
+``unit``, ``rotvec_quat`` and ``rotation_entries``.
 """
 
 from __future__ import annotations
@@ -114,16 +118,63 @@ class SonarLog:
         return len(self.t)
 
 
-def quat_normalize(q) -> np.ndarray:
-    """Normalize to unit length, preserving direction.
+def hamilton(a, b) -> tuple:
+    """Components of the Hamilton product a (x) b."""
+    (aw, ax, ay, az), (bw, bx, by, bz) = a, b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
 
-    Raises InvalidQuaternionError on zero or non-finite norm.
+
+def unit(q) -> tuple:
+    """Components of q / |q|; InvalidQuaternionError on a zero or non-finite norm."""
+    w, x, y, z = q
+    n2 = w * w + x * x + y * y + z * z
+    n = math.sqrt(n2) if isinstance(n2, float) else np.sqrt(n2)
+    ok = (0.0 < n) & (n < math.inf)  # false for nan
+    if not (ok if isinstance(ok, bool) else ok.all()):
+        raise InvalidQuaternionError(f"cannot normalize quaternion of norm {n}")
+    return w / n, x / n, y / n, z / n
+
+
+def rotvec_quat(theta) -> tuple:
+    """Components of the quaternion of rotation vector theta, exact for any
+    |theta| < pi; below 1e-8 rad the first-order (1, theta/2), normalized."""
+    tx, ty, tz = theta
+    a2 = tx * tx + ty * ty + tz * tz
+    m = math if isinstance(a2, float) else np
+    angle = m.sqrt(a2)
+    small = angle < 1e-8  # a bool for floats, a row mask for arrays
+    if small is True:
+        return unit((1.0, 0.5 * tx, 0.5 * ty, 0.5 * tz))
+    half = 0.5 * angle
+    k = m.sin(half) / (angle + small)  # + small: no 0/0 on array rows replaced below
+    q = m.cos(half), k * tx, k * ty, k * tz
+    if m is np:  # the small rows take the first-order form
+        first = unit((np.ones_like(a2), *(0.5 * np.where(small, c, 0.0) for c in (tx, ty, tz))))
+        q = tuple(np.where(small, f, e) for f, e in zip(first, q))
+    return q
+
+
+def rotation_entries(q) -> tuple:
+    """The nine entries of R(q), row-major, for a unit q."""
+    w, x, y, z = q
+    return (
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    )
+
+
+def quat_normalize(q) -> np.ndarray:
+    """Normalize one quaternion (4,) or a stack (n, 4) to unit length.
+
+    Raises InvalidQuaternionError on a zero or non-finite norm.
     """
-    q = np.asarray(q, dtype=float)
-    n = math.sqrt(float(q @ q))
-    if n == 0.0 or not math.isfinite(n):
-        raise InvalidQuaternionError(f"cannot normalize quaternion {q}")
-    return q / n
+    return np.array(unit(np.asarray(q, dtype=float).T)).T
 
 
 def quat_conjugate(q) -> np.ndarray:
@@ -137,27 +188,12 @@ def quat_multiply(a, b) -> np.ndarray:
     ``a`` and ``b`` are quaternions (4,) or stacks (n, 4) of them; a (4,)
     operand broadcasts against a stack.
     """
-    aw, ax, ay, az = np.asarray(a, dtype=float).T
-    bw, bx, by, bz = np.asarray(b, dtype=float).T
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
-    ).T
+    return np.array(hamilton(np.asarray(a, float).T, np.asarray(b, float).T)).T
 
 
 def quat_rotate(q, v) -> np.ndarray:
     """Rotate 3-vector v by unit quaternion q (body -> navigation for our q)."""
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w = q[0]
-    u = q[1:]
-    # v' = v + 2 w (u x v) + 2 u x (u x v), standard expansion
-    uv = np.cross(u, v)
-    return v + 2.0 * w * uv + 2.0 * np.cross(u, uv)
+    return quat_to_matrix(q) @ np.asarray(v, dtype=float)
 
 
 def quat_to_matrix(q) -> np.ndarray:
@@ -167,29 +203,17 @@ def quat_to_matrix(q) -> np.ndarray:
     or (..., 3, 3) to match.
     """
     q = np.asarray(q, dtype=float)
-    w, x, y, z = np.moveaxis(q, -1, 0)
-    return np.stack(
-        [
-            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
-            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
-            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
-        ],
-        axis=-1,
-    ).reshape(q.shape[:-1] + (3, 3))
+    entries = rotation_entries(np.moveaxis(q, -1, 0))
+    return np.stack(entries, axis=-1).reshape(q.shape[:-1] + (3, 3))
 
 
 def quat_from_small_angle(dtheta) -> np.ndarray:
-    """Quaternion of the rotation vector ``dtheta`` (axis-angle exponential).
+    """Quaternions of rotation vectors ``dtheta``, (3,) or (n, 3).
 
     Exact for any |dtheta| < pi; below 1e-8 rad falls back to the
     first-order form (1, dtheta/2) and renormalizes.
     """
-    dtheta = np.asarray(dtheta, dtype=float)
-    angle = math.sqrt(float(dtheta @ dtheta))
-    if angle < 1e-8:
-        return quat_normalize(np.array([1.0, *(0.5 * dtheta)]))
-    half = 0.5 * angle
-    return np.array([math.cos(half), *(math.sin(half) / angle * dtheta)])
+    return np.array(rotvec_quat(np.asarray(dtheta, dtype=float).T)).T
 
 
 def quat_to_rotation_vector(q) -> np.ndarray:
@@ -223,5 +247,4 @@ def level_heading_quat(heading_rad) -> np.ndarray:
     """
     half = 0.5 * np.asarray(heading_rad, dtype=float)
     zero = np.zeros_like(half)
-    qz = np.array([np.cos(half), zero, zero, np.sin(half)]).T
-    return quat_multiply(qz, _LEVEL_FRD)
+    return np.array(hamilton((np.cos(half), zero, zero, np.sin(half)), _LEVEL_FRD)).T

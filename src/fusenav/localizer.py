@@ -9,8 +9,8 @@ rate.  IMU biases are removed by the one-shot stationary calibration
 routine below, not estimated online.
 
 Innovation gating rejects fixes whose residual exceeds
-``gate * sqrt(diag(H P H^T + R))`` per axis; urban GPS produces exactly
-the outliers an ungated filter would be destabilized by.
+``INNOVATION_GATE * sqrt(diag(H P H^T + R))`` per axis; urban GPS
+produces exactly the outliers an ungated filter would be destabilized by.
 
 The localizer is a single-threaded deterministic state machine over one
 merged, time-ordered measurement stream; out-of-order timestamps within a
@@ -19,15 +19,15 @@ concurrently on separate data: ``propagate`` and ``gps_update`` keep no
 shared mutable state, and the module's arrays are read-only constants.
 
 The IMU step is the hot loop.  ``propagate`` reads its inputs once into
-Python floats and runs the nominal update in the operation order of the
-``core`` quaternion helpers; NumPy only forms ``F P F^T``.  Results match
-the helper-based step to rounding in the last bits.
+Python floats and runs the nominal update, as ``gps_update`` its attitude
+correction, through ``core``'s quaternion kernels; NumPy only forms
+``F P F^T``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,15 +37,19 @@ from .core import (
     DataError,
     GpsFix,
     ImuLog,
-    InvalidQuaternionError,
     NumericalError,
+    hamilton,
     level_heading_quat,
-    quat_from_small_angle,
-    quat_multiply,
-    quat_normalize,
+    rotation_entries,
+    rotvec_quat,
+    unit,
 )
 
 MAX_IMU_DT = 0.1  # s, sanity bound on a single strapdown step
+INNOVATION_GATE = 5.0  # per-axis gate, in innovation standard deviations
+INIT_VEL_STD = 1.0  # m/s, initial velocity uncertainty
+INIT_ATT_STD = 0.1  # rad, initial attitude uncertainty
+_GX, _GY, _GZ = GRAVITY.tolist()
 
 # Read-only constants of propagate: the 9x9 identity F starts from, the
 # flat indices of F's dt and [R accel]x entries, and of Qd's diagonal.
@@ -97,10 +101,6 @@ class LocalizerConfig:
     accel_noise: float = 0.25  # m/s^2 per sample
     gyro_noise: float = 0.025  # rad/s per sample
     gps_pos_std: float = 3.0  # m
-    gravity: np.ndarray = field(default_factory=lambda: GRAVITY.copy())
-    innovation_gate: float = 5.0
-    init_vel_std: float = 1.0  # m/s, initial velocity uncertainty
-    init_att_std: float = 0.1  # rad, initial attitude uncertainty
 
 
 def calibrate(
@@ -108,7 +108,6 @@ def calibrate(
     batch: int = 1000,
     tol: float = 1e-3,
     max_iter: int = 20,
-    gravity_mag: float = 9.80665,
 ) -> CalibrationOffsets:
     """Estimate constant IMU offsets from a stationary, level device.
 
@@ -117,16 +116,16 @@ def calibrate(
     (caller's responsibility).  Offsets start at zero; each iteration draws
     a fresh batch, accumulates it into the running mean of all readings so
     far, and adjusts the offsets by the residual against the stationary
-    targets (gyro zero; accel equal to the gravity reaction
-    ``(0, 0, -g)`` of the z-down mount).  Terminates once every axis'
-    residual is within ``tol``; the accumulation shrinks the measurement
-    noise floor below any fixed tolerance, which a fixed-size batch mean
-    cannot do.
+    targets (gyro zero; accel equal to the gravity reaction, which the
+    z-down mount reads as ``(0, 0, -g)``: the components of GRAVITY).
+    Terminates once every axis' residual is within ``tol``; the
+    accumulation shrinks the measurement noise floor below any fixed
+    tolerance, which a fixed-size batch mean cannot do.
 
     Raises CalibrationDivergedError with the final residuals after
     ``max_iter`` iterations.
     """
-    accel_target = np.array([0.0, 0.0, -gravity_mag])
+    accel_target = GRAVITY
     accel_off = np.zeros(3)
     gyro_off = np.zeros(3)
     accel_sum = np.zeros(3)
@@ -158,8 +157,8 @@ def calibrate(
 def initial_covariance(cfg: LocalizerConfig) -> np.ndarray:
     return np.diag(
         [cfg.gps_pos_std**2] * 3
-        + [cfg.init_vel_std**2] * 3
-        + [cfg.init_att_std**2] * 3
+        + [INIT_VEL_STD**2] * 3
+        + [INIT_ATT_STD**2] * 3
     )
 
 
@@ -181,39 +180,24 @@ def propagate(
     -0.5 [R accel]x dt^2 position/attitude block, the exact derivative of
     this integrator) and Qd = diag(sa^2 dt^2, sg^2 dt^2) on (dv, dtheta).
 
-    The nominal step runs on scalar floats in the operation order of
-    ``core``'s ``quat_to_matrix``, ``quat_from_small_angle``,
-    ``quat_multiply`` and ``quat_normalize``; only ``F P F^T`` is an array
-    product.  Nothing is kept between calls.
+    The nominal step runs on floats through ``core``'s quaternion kernels;
+    only ``F P F^T`` is an array product.  Nothing is kept between calls.
     """
     if not 0.0 < dt <= MAX_IMU_DT:
         raise DataError(f"dt={dt} outside (0, {MAX_IMU_DT}] s")
     px, py, pz = p0 = s.p.tolist()
     vx, vy, vz = v0 = s.v.tolist()
-    qw, qx, qy, qz = q0 = s.q.tolist()
+    q0 = s.q.tolist()
     ax, ay, az = a0 = accel.tolist()
     wx, wy, wz = w0 = gyro.tolist()
     if not all(map(math.isfinite, p0 + v0 + q0 + a0 + w0)):
         raise DataError("non-finite propagation input")
 
-    # R(q) accel, R as in quat_to_matrix
-    cx = (
-        (1 - 2 * (qy * qy + qz * qz)) * ax
-        + 2 * (qx * qy - qw * qz) * ay
-        + 2 * (qx * qz + qw * qy) * az
-    )
-    cy = (
-        2 * (qx * qy + qw * qz) * ax
-        + (1 - 2 * (qx * qx + qz * qz)) * ay
-        + 2 * (qy * qz - qw * qx) * az
-    )
-    cz = (
-        2 * (qx * qz - qw * qy) * ax
-        + 2 * (qy * qz + qw * qx) * ay
-        + (1 - 2 * (qx * qx + qy * qy)) * az
-    )
-    gx, gy, gz = cfg.gravity.tolist()
-    nx, ny, nz = cx + gx, cy + gy, cz + gz
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = rotation_entries(q0)
+    cx = r00 * ax + r01 * ay + r02 * az
+    cy = r10 * ax + r11 * ay + r12 * az
+    cz = r20 * ax + r21 * ay + r22 * az
+    nx, ny, nz = cx + _GX, cy + _GY, cz + _GZ
     p = np.array(
         [
             px + vx * dt + 0.5 * nx * dt * dt,
@@ -222,27 +206,7 @@ def propagate(
         ]
     )
     v = np.array([vx + nx * dt, vy + ny * dt, vz + nz * dt])
-
-    # gyro increment as in quat_from_small_angle
-    tx, ty, tz = wx * dt, wy * dt, wz * dt
-    angle = math.sqrt(tx * tx + ty * ty + tz * tz)
-    if angle < 1e-8:
-        dw, dx, dy, dz = 1.0, 0.5 * tx, 0.5 * ty, 0.5 * tz
-        n = math.sqrt(dw * dw + dx * dx + dy * dy + dz * dz)
-        dw, dx, dy, dz = dw / n, dx / n, dy / n, dz / n
-    else:
-        half = 0.5 * angle
-        k = math.sin(half) / angle
-        dw, dx, dy, dz = math.cos(half), k * tx, k * ty, k * tz
-    # q (x) dq, then normalized
-    rw = qw * dw - qx * dx - qy * dy - qz * dz
-    rx = qw * dx + qx * dw + qy * dz - qz * dy
-    ry = qw * dy - qx * dz + qy * dw + qz * dx
-    rz = qw * dz + qx * dy - qy * dx + qz * dw
-    n = math.sqrt(rw * rw + rx * rx + ry * ry + rz * rz)
-    if n == 0.0 or not math.isfinite(n):
-        raise InvalidQuaternionError(f"cannot normalize quaternion {[rw, rx, ry, rz]}")
-    q = np.array([rw / n, rx / n, ry / n, rz / n])
+    q = np.array(unit(hamilton(q0, rotvec_quat((wx * dt, wy * dt, wz * dt)))))
 
     # F = I + dt on (dp, dv), -0.5 [R accel]x dt^2 on (dp, dtheta),
     # -[R accel]x dt on (dv, dtheta)
@@ -265,9 +229,9 @@ def gps_update(
 ) -> tuple[NominalState, np.ndarray, bool]:
     """Correct the state with an ENU position fix.
 
-    Returns ``(state, P, accepted)``; a fix whose per-axis innovation
-    is not within ``gate * sqrt(diag(H P H^T + R))`` (a non-finite one
-    included) is rejected and the state passes through unchanged.  H
+    Returns ``(state, P, accepted)``; a fix whose per-axis innovation is
+    not within ``INNOVATION_GATE * sqrt(diag(H P H^T + R))`` (a non-finite
+    one included) is rejected and the state passes through unchanged.  H
     selects the position block, so ``H P H^T`` is ``P[:3, :3]``,
     ``P H^T`` is ``P[:, :3]`` and ``H P`` is ``P[:3, :]``.
     """
@@ -275,7 +239,7 @@ def gps_update(
     innovation = z - s.p
     s_cov = P[0:3, 0:3].copy()
     s_cov.flat[::4] += cfg.gps_pos_std**2
-    bound = cfg.innovation_gate * np.sqrt(np.diag(s_cov))
+    bound = INNOVATION_GATE * np.sqrt(np.diag(s_cov))
     if not np.all(np.abs(innovation) <= bound):
         return s, P, False
 
@@ -283,7 +247,7 @@ def gps_update(
     dx = k @ innovation
     p = s.p + dx[0:3]
     v = s.v + dx[3:6]
-    q = quat_normalize(quat_multiply(quat_from_small_angle(dx[6:9]), s.q))
+    q = np.array(unit(hamilton(rotvec_quat(dx[6:9].tolist()), s.q.tolist())))
     p_cov = P - k @ P[0:3, :]
     return NominalState(p=p, v=v, q=q, t=s.t), 0.5 * (p_cov + p_cov.T), True
 

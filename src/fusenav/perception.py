@@ -69,6 +69,9 @@ class DetectionConfig:
         for ch, thr in self.thresholds.items():
             if not 0.0 < thr <= self.max_range:
                 raise DataError(f"threshold {thr} for {ch.value} outside (0, max_range]")
+        ground, margin = self.expected_ground_range, self.dropoff_margin
+        if not (0.0 < ground - margin and ground + margin <= self.max_range):
+            raise DataError(f"inclined trigger {ground:.6g} -/+ {margin} m outside (0, max_range]")
 
 
 @dataclass(frozen=True)

@@ -164,6 +164,7 @@ class Scenario:
         for a, b in zip(self.route, self.route[1:]):
             if math.hypot(b[0] - a[0], b[1] - a[1]) < 1e-9:
                 raise ScenarioError(f"degenerate (repeated) waypoint at {a}")
+        _build_path(self.route)  # corners it cannot blend
         if self.front_sensors not in (1, 2):
             raise ScenarioError("front_sensors must be 1 or 2")
 

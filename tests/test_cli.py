@@ -158,6 +158,8 @@ class TestScenarioParsing:
             ("walk.cfg", "inclined_depression_deg", "0"),
             ("walk.cfg", "beam_half_angle_deg", "-5"),
             ("walk.cfg", "max_range", "0"),
+            ("walk.cfg", "route", "0, 0 ; 10, 0 ; 0, 0.5"),
+            ("walk.cfg", "route", "0, 0 ; 10, 0 ; 10, 0.4 ; 20, 0.4"),
             ("walk.cfg", "accel_sigma", "-0.25"),
             ("walk.cfg", "gyro_sigma", "-0.025"),
             ("walk.cfg", "gps_sigma", "-1"),
@@ -516,6 +518,27 @@ class TestExitCodes:
         assert not out.exists()
         # simulate runs no detection
         assert cli.main(["simulate", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            # ground echo 4.24 m: every inclined reading is a no-echo
+            ("belt_height = 3.0", "keys 'belt_height', 'inclined_depression_deg', 'max_range'"),
+            ("belt_height = 0.2", "keys 'belt_height', 'inclined_depression_deg', 'max_range'"),
+            ("imu_rate = 5", "key 'imu_rate': step not below 0.1 s"),
+            # the 0.1 s tick grid has steps of 0.10000000000000003 s
+            ("imu_rate = 10", "key 'imu_rate': step not below 0.1 s"),
+        ],
+    )
+    def test_run_checks_scenario_before_writing(self, tmp_path, capsys, line, message):
+        path = tmp_path / "walk.cfg"
+        key = line.split(" =")[0]
+        base = [x for x in WALK110.read_text().splitlines() if not x.startswith(f"{key} =")]
+        path.write_text("\n".join(base + [line]) + "\n")
+        out = tmp_path / "o"
+        assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_DATA
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_success_exit_0(self, scenario_file, tmp_path):
         assert cli.main(

@@ -8,6 +8,7 @@ from fusenav.core import (
     DataError,
     GpsFix,
     InvalidQuaternionError,
+    hamilton,
     level_heading_quat,
     quat_conjugate,
     quat_from_small_angle,
@@ -16,7 +17,10 @@ from fusenav.core import (
     quat_rotate,
     quat_to_matrix,
     quat_to_rotation_vector,
+    rotation_entries,
+    rotvec_quat,
     skew,
+    unit,
 )
 
 
@@ -183,6 +187,77 @@ def test_stacked_quaternion_helpers_equal_per_row_calls():
     a, b = rng.standard_normal((2, 64, 4))
     assert np.array_equal(quat_multiply(a, b), [quat_multiply(x, y) for x, y in zip(a, b)])
     assert np.array_equal(quat_multiply(a, b[0]), [quat_multiply(x, b[0]) for x in a])
+
+
+def _oracle_rotvec_quat(theta):
+    """Axis-angle quaternion of ``theta``; below 1e-8 rad (1, theta/2), normalized."""
+    theta = np.asarray(theta, dtype=float)
+    angle = np.linalg.norm(theta)
+    if angle < 1e-8:
+        q = np.array([1.0, *(theta / 2)])
+        return q / np.linalg.norm(q)
+    return np.array([math.cos(angle / 2), *(math.sin(angle / 2) * theta / angle)])
+
+
+def _kernel_cases(rng):
+    """Random unit and non-unit quaternions and rotation vectors, large and
+    below the 1e-8 rad branch."""
+    q = rng.standard_normal((40, 4)) * rng.uniform(0.1, 10.0, (40, 1))
+    theta = rng.standard_normal((40, 3)) * np.repeat([[1.0], [1e-9]], 20, axis=0)
+    return q, theta
+
+
+def test_component_kernels_match_oracles_on_floats():
+    rng = np.random.default_rng(21)
+    q, theta = _kernel_cases(rng)
+    small = 0
+    for a, b, t in zip(q, q[::-1], theta):
+        a_f, b_f, t_f = a.tolist(), b.tolist(), t.tolist()
+        for got in (hamilton(a_f, b_f), unit(a_f), rotvec_quat(t_f)):
+            assert all(type(c) is float for c in got)
+        assert_allclose(hamilton(a_f, b_f), _hamilton(a, b), rtol=1e-15, atol=1e-14)
+        assert_allclose(unit(a_f), a / np.linalg.norm(a), rtol=1e-15, atol=1e-16)
+        assert_allclose(rotvec_quat(t_f), _oracle_rotvec_quat(t), rtol=1e-15, atol=1e-16)
+        u = a / np.linalg.norm(a)
+        assert_allclose(
+            np.reshape(rotation_entries(u.tolist()), (3, 3)),
+            rotation_matrix_oracle(u),
+            atol=1e-15,
+        )
+        small += np.linalg.norm(t) < 1e-8
+    assert small == 20
+
+
+def test_component_kernels_match_oracles_on_stacks():
+    rng = np.random.default_rng(22)
+    q, theta = _kernel_cases(rng)
+    u = q / np.linalg.norm(q, axis=1, keepdims=True)
+    products = np.array(hamilton(q.T, q[::-1].T)).T
+    assert_allclose(products, [_hamilton(a, b) for a, b in zip(q, q[::-1])], rtol=1e-15, atol=1e-14)
+    assert_allclose(np.array(unit(q.T)).T, u, rtol=1e-15, atol=1e-16)
+    rotvecs = np.array(rotvec_quat(theta.T)).T
+    assert_allclose(rotvecs, [_oracle_rotvec_quat(t) for t in theta], rtol=1e-15, atol=1e-16)
+    entries = np.array(rotation_entries(u.T)).T.reshape(-1, 3, 3)
+    assert_allclose(entries, [rotation_matrix_oracle(x) for x in u], atol=1e-15)
+    # the stacked helpers are the kernels over rows: bit for bit where only
+    # arithmetic and sqrt are involved; NumPy's and libm's sin/cos may differ
+    # in the last bit
+    assert np.array_equal(quat_normalize(q), [quat_normalize(x) for x in q])
+    assert np.array_equal(quat_to_matrix(u), [quat_to_matrix(x) for x in u])
+    rows = [quat_from_small_angle(t) for t in theta]
+    assert_allclose(quat_from_small_angle(theta), rows, rtol=0, atol=2.3e-16)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+def test_normalize_zero_or_non_finite_norm_raises(bad):
+    q = [bad, 0.0, 0.0, 0.0]
+    with pytest.raises(InvalidQuaternionError):
+        unit(q)
+    with pytest.raises(InvalidQuaternionError):
+        quat_normalize(q)
+    # one bad row fails a whole stack
+    with pytest.raises(InvalidQuaternionError):
+        quat_normalize([[1.0, 0.0, 0.0, 0.0], q])
 
 
 def test_gps_fix_range_validation():

@@ -117,7 +117,7 @@ def dense_propagate(s, P, accel, gyro, dt, cfg):
     if not all(np.all(np.isfinite(x)) for x in (accel, gyro, s.p, s.v, s.q)):
         raise DataError("non-finite propagation input")
     c = quat_to_matrix(s.q)
-    a_nav = c @ accel + cfg.gravity
+    a_nav = c @ accel + GRAVITY
     p = s.p + s.v * dt + 0.5 * a_nav * dt * dt
     v = s.v + a_nav * dt
     q = quat_normalize(quat_multiply(s.q, quat_from_small_angle(gyro * dt)))
@@ -197,6 +197,10 @@ class TestPropagate:
                 propagate(s, p_cov, zero, np.array([0.0, bad, 0.0]), 0.01, cfg)
         with pytest.raises(InvalidQuaternionError):
             propagate(replace(s, q=np.zeros(4)), p_cov, zero, zero, 0.01, cfg)
+        # finite inputs whose product's norm overflows to inf; a nan norm
+        # cannot arise, since a non-finite input is rejected above
+        with pytest.raises(InvalidQuaternionError, match="norm inf"):
+            propagate(replace(s, q=np.full(4, 1e200)), p_cov, zero, zero, 0.01, cfg)
 
     def test_jacobian_matches_finite_differences(self):
         # central differences of the nominal propagation over the 9 error

@@ -136,6 +136,12 @@ class TestDetector:
             DetectionConfig(dropoff_margin=0.0)
         with pytest.raises(DataError, match="for front outside"):
             DetectionConfig(thresholds={F: 9.0})
+        # an inclined trigger no reading can reach: drop-off beyond
+        # max_range, obstacle at or below 0
+        for ground in (3.8, 0.3, 0.2, math.nan):
+            with pytest.raises(DataError, match="inclined trigger"):
+                DetectionConfig(expected_ground_range=ground)
+        DetectionConfig(expected_ground_range=3.75, dropoff_margin=0.25)  # 4.0 m: reachable
 
 
 class ReferenceDetector:
