@@ -20,9 +20,11 @@ CRLF line ends; numbers are plain decimal with a '.' radix:
     feedback.csv t,kind,motor_or_priority,value
 
 Readers check every numeric column of a file, all 11 of a pose file, for
-finite numbers, and report a fault as ``file:row: column '<c>'``.  Scenario
-files are flat UTF-8 ``key = value`` text with ``#`` comments; list values
-use ``;`` between items and ``,`` within (see scenarios/walk110.cfg).
+finite plain decimal numbers (ASCII digits, sign, '.', exponent; no '_',
+blank or other digit), and report a fault as ``file:row: column '<c>'``.
+Scenario files are flat UTF-8 ``key = value`` text with ``#`` comments;
+list values use ``;`` between items and ``,`` within (see
+scenarios/walk110.cfg).
 Every command is deterministic given its inputs and seed, across
 processes as well (no output depends on the hash seed).  Exit codes:
 0 success, 1 usage, 2 data error, 3 numerical failure.
@@ -46,6 +48,7 @@ from .core import CHANNELS, DataError, GpsFix, ImuLog, NumericalError, SonarLog
 from .localizer import (
     MAX_IMU_DT,
     CalibrationOffsets,
+    ImuSampleError,
     LocalizerConfig,
     calibrate,
     run_localizer,
@@ -78,8 +81,17 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+# A plain decimal number is written with these bytes alone: no '_', no
+# blank, no non-ASCII digit, all of which float() would accept.
+_DECIMAL = b"0123456789.eE+-"
+
+
+def _plain(text: str) -> bool:
+    return not text.encode().translate(None, _DECIMAL)
+
+
 def _finite(text: str) -> float:
-    x = float(text)
+    x = float(text) if _plain(text) else math.nan
     if not math.isfinite(x):
         raise ValueError(f"not a finite number: {text!r}")
     return x
@@ -103,6 +115,14 @@ def _finite_in(test, what: str):
 _ANGLE_DEG = _finite_in(lambda x: 0.0 < x < 90.0, "in (0, 90) degrees")
 _POSITIVE = _finite_in(lambda x: x > 0.0, "positive")
 _SIGMA = _finite_in(lambda x: x >= 0.0, "non-negative")
+# the fusion reads exactly one front pair; the key stays for files that state it
+_FRONT_PAIR = _finite_in(lambda x: x == 2.0, "2, the front pair the fusion reads")
+
+
+def _seed(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a non-negative plain decimal integer: {text!r}")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +191,15 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
 def _read_csv(path, header: list[str], increasing=False, codes=None) -> np.ndarray:
     """A UTF-8 CSV file with ``header`` as one (columns, rows) float array.
 
-    Each cell is a finite number, or in a column named in ``codes`` a key of
-    its ``{text: code}`` map, read as the code; ``t`` (column 0) never
-    decreases, or with ``increasing`` always increases.  Lines end in LF or
-    CRLF.  Blocks of _BLOCK_ROWS lines are checked whole, and a per-cell
-    scan names the first fault of a block that fails.
+    Each cell is a finite plain decimal number, or in a column named in
+    ``codes`` a key of its ``{text: code}`` map, read as the code; ``t``
+    (column 0) never decreases, or with ``increasing`` always increases.
+    Lines end in LF or CRLF.  Blocks of _BLOCK_ROWS lines are checked
+    whole, and a per-cell scan names the first fault of a block that fails.
     """
     path, codes = Path(path), codes or {}
     coded = [(j, codes[c]) for j, c in enumerate(header) if c in codes]
+    numeric = [j for j, c in enumerate(header) if c not in codes]
     blocks, prev_t, row = [], -math.inf, 2
     with _open(path) as f:
         first = _decode(path, 1, f.readline()).removesuffix("\n").removesuffix("\r")
@@ -191,6 +212,8 @@ def _read_csv(path, header: list[str], increasing=False, codes=None) -> np.ndarr
                 if set(map(len, rows)) != {len(header)}:
                     raise ValueError
                 cols = list(zip(*rows))
+                if not all(_plain("".join(cols[j])) for j in numeric):
+                    raise ValueError
                 for j, code_of in coded:
                     cols[j] = list(map(code_of.__getitem__, cols[j]))
                 values = np.array(cols, dtype=float)
@@ -378,6 +401,7 @@ def load_scenario(path) -> sim.Scenario:
     )
     # a Scenario with every other field at its default checks the route alone
     route = take("route", lambda v: sim.Scenario(_parse_tuple_list(v, 2)).route)
+    take("front_sensors", _FRONT_PAIR, 2.0)
     try:
         scenario = sim.Scenario(
             route=route,
@@ -394,10 +418,9 @@ def load_scenario(path) -> sim.Scenario:
                 for z in take("dropoffs", lambda v: _parse_tuple_list(v, 3), ())
             ),
             gps_dropouts=take("gps_dropouts", lambda v: _parse_tuple_list(v, 2), ()),
-            seed=take("seed", int, 0),
+            seed=take("seed", _seed, 0),
             anchor=take("anchor", _parse_triple, (37.0, -122.0, 30.0)),
             geometry=geometry,
-            front_sensors=take("front_sensors", int, 2),
         )
     except sim.ScenarioError as exc:
         raise DataError(f"{kv.path}: {exc}") from None
@@ -545,7 +568,10 @@ def cmd_localize(args) -> int:
             frame = GpsFix(0.0, *_parse_triple(args.ref))
         except ValueError as exc:
             raise DataError(f"--ref: {exc}") from None
-    run = run_localizer(imu, fixes, cfg, offsets)
+    try:
+        run = run_localizer(imu, fixes, cfg, offsets)
+    except ImuSampleError as exc:  # sample i is on file row i + 2
+        raise DataError(f"{Path(args.imu)}:{exc.index + 2}: {exc.why}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_est(out, run, frame)

@@ -18,8 +18,11 @@ one frozen GpsFix each.  Every operation in this module is a pure
 function.
 
 Each quaternion formula is written once, as a kernel over components
-(w, x, y, z), all floats or all equal-length arrays: ``hamilton``,
-``unit``, ``rotvec_quat`` and ``rotation_entries``.
+(w, x, y, z).  ``hamilton`` and ``rotation_entries`` (the entries of
+R(q)) take all floats or all equal-length arrays, since
+``level_heading_quat`` and ``quat_to_matrix`` run them on stacks.
+``unit`` and ``rotvec_quat`` take floats only: the localizer's per-step
+``propagate`` and ``gps_update`` are their only callers.
 """
 
 from __future__ import annotations
@@ -132,10 +135,8 @@ def hamilton(a, b) -> tuple:
 def unit(q) -> tuple:
     """Components of q / |q|; InvalidQuaternionError on a zero or non-finite norm."""
     w, x, y, z = q
-    n2 = w * w + x * x + y * y + z * z
-    n = math.sqrt(n2) if isinstance(n2, float) else np.sqrt(n2)
-    ok = (0.0 < n) & (n < math.inf)  # false for nan
-    if not (ok if isinstance(ok, bool) else ok.all()):
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if not 0.0 < n < math.inf:  # false for nan
         raise InvalidQuaternionError(f"cannot normalize quaternion of norm {n}")
     return w / n, x / n, y / n, z / n
 
@@ -144,19 +145,12 @@ def rotvec_quat(theta) -> tuple:
     """Components of the quaternion of rotation vector theta, exact for any
     |theta| < pi; below 1e-8 rad the first-order (1, theta/2), normalized."""
     tx, ty, tz = theta
-    a2 = tx * tx + ty * ty + tz * tz
-    m = math if isinstance(a2, float) else np
-    angle = m.sqrt(a2)
-    small = angle < 1e-8  # a bool for floats, a row mask for arrays
-    if small is True:
+    angle = math.sqrt(tx * tx + ty * ty + tz * tz)
+    if angle < 1e-8:
         return unit((1.0, 0.5 * tx, 0.5 * ty, 0.5 * tz))
     half = 0.5 * angle
-    k = m.sin(half) / (angle + small)  # + small: no 0/0 on array rows replaced below
-    q = m.cos(half), k * tx, k * ty, k * tz
-    if m is np:  # the small rows take the first-order form
-        first = unit((np.ones_like(a2), *(0.5 * np.where(small, c, 0.0) for c in (tx, ty, tz))))
-        q = tuple(np.where(small, f, e) for f, e in zip(first, q))
-    return q
+    k = math.sin(half) / angle
+    return math.cos(half), k * tx, k * ty, k * tz
 
 
 def rotation_entries(q) -> tuple:
@@ -169,33 +163,6 @@ def rotation_entries(q) -> tuple:
     )
 
 
-def quat_normalize(q) -> np.ndarray:
-    """Normalize one quaternion (4,) or a stack (n, 4) to unit length.
-
-    Raises InvalidQuaternionError on a zero or non-finite norm.
-    """
-    return np.array(unit(np.asarray(q, dtype=float).T)).T
-
-
-def quat_conjugate(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    return np.array([q[0], -q[1], -q[2], -q[3]])
-
-
-def quat_multiply(a, b) -> np.ndarray:
-    """Hamilton product a (x) b, scalar-first.
-
-    ``a`` and ``b`` are quaternions (4,) or stacks (n, 4) of them; a (4,)
-    operand broadcasts against a stack.
-    """
-    return np.array(hamilton(np.asarray(a, float).T, np.asarray(b, float).T)).T
-
-
-def quat_rotate(q, v) -> np.ndarray:
-    """Rotate 3-vector v by unit quaternion q (body -> navigation for our q)."""
-    return quat_to_matrix(q) @ np.asarray(v, dtype=float)
-
-
 def quat_to_matrix(q) -> np.ndarray:
     """Rotation matrices of q, mapping body vectors into navigation.
 
@@ -205,33 +172,6 @@ def quat_to_matrix(q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     entries = rotation_entries(np.moveaxis(q, -1, 0))
     return np.stack(entries, axis=-1).reshape(q.shape[:-1] + (3, 3))
-
-
-def quat_from_small_angle(dtheta) -> np.ndarray:
-    """Quaternions of rotation vectors ``dtheta``, (3,) or (n, 3).
-
-    Exact for any |dtheta| < pi; below 1e-8 rad falls back to the
-    first-order form (1, dtheta/2) and renormalizes.
-    """
-    return np.array(rotvec_quat(np.asarray(dtheta, dtype=float).T)).T
-
-
-def quat_to_rotation_vector(q) -> np.ndarray:
-    """Inverse of quat_from_small_angle (shortest rotation vector of q)."""
-    q = np.asarray(q, dtype=float)
-    if q[0] < 0.0:
-        q = -q
-    sin_half = math.sqrt(float(q[1:] @ q[1:]))
-    if sin_half < 1e-12:
-        return 2.0 * q[1:]
-    angle = 2.0 * math.atan2(sin_half, q[0])
-    return angle / sin_half * q[1:]
-
-
-def skew(v) -> np.ndarray:
-    """Skew-symmetric cross-product matrix of a 3-vector."""
-    x, y, z = np.asarray(v, dtype=float)
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
 # A level FRD body aligned with east is Rx(pi) away from the ENU axes.

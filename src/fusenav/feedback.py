@@ -2,9 +2,9 @@
 
 Five coin motors sit on the belt (1 left, 2 front-left, 3 front, 4
 front-right, 5 right).  Vibration intensity follows the distance to the
-nearest obstacle: saturated at 1.0 up close, fading linearly to 0.0 at
-``max_distance``.  The linear ramp is the simplest monotone choice and is
-plain config.
+nearest obstacle: saturated at 1.0 up to 0.5 m, fading linearly to 0.0 at
+2.5 m, the defaults of ``intensity_map`` that ``route_event`` uses.  The
+linear ramp is the simplest monotone choice.
 
 Audio is rate-limited: bursts of messages would otherwise flood the user,
 so the scheduler emits at most one message per ``min_gap`` seconds, always
@@ -38,7 +38,6 @@ MOTOR_FOR_CHANNEL = {
 class TactileCommand:
     motor: int  # 1..5
     intensity: float  # 0..1
-    t: float
 
 
 @dataclass(frozen=True)
@@ -50,16 +49,6 @@ class AudioMessage:
     def __post_init__(self):
         if not self.text:
             raise DataError("audio message text must be non-empty")
-
-
-@dataclass(frozen=True)
-class FeedbackConfig:
-    min_distance: float = 0.5  # m, full intensity at or below
-    max_distance: float = 2.5  # m, silent at or beyond
-
-    def __post_init__(self):
-        if not 0.0 < self.min_distance < self.max_distance:
-            raise DataError("need 0 < min_distance < max_distance")
 
 
 def intensity_map(distance: float, min_d: float = 0.5, max_d: float = 2.5) -> float:
@@ -77,14 +66,9 @@ def intensity_map(distance: float, min_d: float = 0.5, max_d: float = 2.5) -> fl
     return (max_d - distance) / (max_d - min_d)
 
 
-def route_event(event: DetectionEvent, cfg: FeedbackConfig | None = None) -> TactileCommand:
+def route_event(event: DetectionEvent) -> TactileCommand:
     """Map a detection event to its belt motor and intensity."""
-    cfg = cfg or FeedbackConfig()
-    return TactileCommand(
-        motor=MOTOR_FOR_CHANNEL[event.channel],
-        intensity=intensity_map(event.range_m, cfg.min_distance, cfg.max_distance),
-        t=event.t,
-    )
+    return TactileCommand(MOTOR_FOR_CHANNEL[event.channel], intensity_map(event.range_m))
 
 
 def priority_for(event: DetectionEvent) -> int:

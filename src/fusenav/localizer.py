@@ -71,6 +71,14 @@ class CalibrationDivergedError(NumericalError):
         )
 
 
+class ImuSampleError(DataError):
+    """A fault of the IMU sample at ``index`` in the log: its step failed."""
+
+    def __init__(self, index: int, t: float, why):
+        self.index, self.why = index, why
+        super().__init__(f"IMU sample {index} (t={t}): {why}")
+
+
 @dataclass(frozen=True)
 class NominalState:
     p: np.ndarray  # (3,) ENU position, m
@@ -332,11 +340,16 @@ def run_localizer(
             continue
         dt = t - t_prev
         if dt < 0.0:
-            raise DataError(f"IMU stream unsorted at index {i} (t={t})")
+            raise ImuSampleError(i, t, "timestamps unsorted")
         if dt > 0.0:
-            state, p_cov = propagate(state, p_cov, accel[i], gyro[i], dt, cfg)
+            try:
+                state, p_cov = propagate(state, p_cov, accel[i], gyro[i], dt, cfg)
+            except DataError as exc:
+                raise ImuSampleError(i, t, exc) from None
+            except ValueError as exc:  # math.sin of a rotation angle that overflowed
+                raise ImuSampleError(i, t, f"gyro reading too large ({exc})") from None
         elif not first:
-            raise DataError(f"IMU stream has duplicate timestamp at index {i}")
+            raise ImuSampleError(i, t, "duplicate timestamp")
         t_prev = t
         first = False
 

@@ -137,19 +137,8 @@ def evaluate(est: Trajectory, truth: Trajectory) -> ErrorReport:
     return error_report(align(est, truth), truth.path_length())
 
 
-def compare(reports) -> list[ErrorReport]:
-    """Order reports over one ground truth by mean error (peak breaks ties)."""
-    reports = list(reports)
-    if len(reports) < 2:
-        raise DataError("need at least 2 reports to compare")
-    truth_labels = {r.truth_label for r in reports}
-    if len(truth_labels) != 1:
-        raise DataError(f"reports evaluate different ground truths: {truth_labels}")
-    return sorted(reports, key=lambda r: (r.mean, r.peak))
-
-
 def format_table(reports) -> str:
-    """Human-readable comparison table, best first."""
+    """Human-readable comparison table, one row per report in the given order."""
     rows = [f"{'trajectory':<18} {'mean_m':>8} {'peak_m':>8} {'rel_%':>8} {'points':>7}"]
     for r in reports:
         rows.append(

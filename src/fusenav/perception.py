@@ -19,7 +19,10 @@ Recognition is gated by detection: the recognizer processes at most one
 frame at a time, and events arriving while it is busy are coalesced down
 to the single most recent one -- a stale frame is useless for navigation.
 The gate runs in simulated time (timestamps on the events drive it); only
-the ordering and coalescing semantics are contractual.
+the ordering and coalescing semantics are contractual.  A frame takes
+``latency_model(resolution)`` ms: LATENCY_BASE_MS plus
+LATENCY_PER_PIXEL_MS per pixel, anchored at the measured 604 ms for
+640x480.  These are constants, not settings.
 """
 
 from __future__ import annotations
@@ -154,34 +157,18 @@ def tick_ranges(log: SonarLog, fused_t: np.ndarray, fused: np.ndarray):
 
 
 DEFAULT_RESOLUTION = (640, 480)
-_DEFAULT_BASE_MS = 100.0
+LATENCY_BASE_MS = 100.0
 # Anchored so the default resolution lands on the measured 604 ms average.
-_DEFAULT_PER_PIXEL_MS = (604.0 - _DEFAULT_BASE_MS) / (
-    DEFAULT_RESOLUTION[0] * DEFAULT_RESOLUTION[1]
-)
+LATENCY_PER_PIXEL_MS = (604.0 - LATENCY_BASE_MS) / (DEFAULT_RESOLUTION[0] * DEFAULT_RESOLUTION[1])
 
 
-@dataclass(frozen=True)
-class LatencyModel:
-    """Affine frame-processing latency, strictly increasing in pixel count."""
-
-    base_ms: float = _DEFAULT_BASE_MS
-    per_pixel_ms: float = _DEFAULT_PER_PIXEL_MS
-
-    def __post_init__(self):
-        if self.per_pixel_ms <= 0.0:
-            raise DataError("per_pixel_ms must be positive")
-
-
-def latency_model(
-    resolution: tuple[int, int], params: LatencyModel | None = None
-) -> float:
-    """Latency in ms for a frame of the given (width, height)."""
+def latency_model(resolution: tuple[int, int]) -> float:
+    """Latency in ms for a frame of the given (width, height): affine,
+    strictly increasing in the pixel count."""
     w, h = resolution
     if w <= 0 or h <= 0:
         raise DataError(f"resolution must be positive, got {resolution}")
-    params = params or LatencyModel()
-    return params.base_ms + params.per_pixel_ms * (w * h)
+    return LATENCY_BASE_MS + LATENCY_PER_PIXEL_MS * (w * h)
 
 
 class Recognizer(Protocol):
@@ -252,9 +239,8 @@ class RecognitionGate:
     dispatched.  ``flush`` drains in-flight and pending work.
     """
 
-    def __init__(self, recognizer: Recognizer, latency: LatencyModel | None = None):
+    def __init__(self, recognizer: Recognizer):
         self.recognizer = recognizer
-        self.latency = latency or LatencyModel()
         self._busy_until: Optional[float] = None
         self._started_t: Optional[float] = None
         self._in_flight: Optional[DetectionEvent] = None
@@ -264,9 +250,7 @@ class RecognitionGate:
     def _start(self, event: DetectionEvent, start_t: float) -> None:
         self._in_flight = event
         self._started_t = start_t
-        self._busy_until = start_t + latency_model(
-            self.recognizer.resolution, self.latency
-        ) / 1000.0
+        self._busy_until = start_t + latency_model(self.recognizer.resolution) / 1000.0
 
     def _complete(self) -> RecognitionResult:
         event = self._in_flight

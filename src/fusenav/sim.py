@@ -152,7 +152,6 @@ class Scenario:
     seed: int = 0
     anchor: tuple = (37.0, -122.0, 30.0)  # lat deg, lon deg, alt m
     geometry: SonarGeometry = field(default_factory=SonarGeometry)
-    front_sensors: int = 2
 
     def __post_init__(self):
         if self.speed <= 0.0:
@@ -165,8 +164,6 @@ class Scenario:
             if math.hypot(b[0] - a[0], b[1] - a[1]) < 1e-9:
                 raise ScenarioError(f"degenerate (repeated) waypoint at {a}")
         _build_path(self.route)  # corners it cannot blend
-        if self.front_sensors not in (1, 2):
-            raise ScenarioError("front_sensors must be 1 or 2")
 
     def anchor_fix(self) -> GpsFix:
         return GpsFix(0.0, *self.anchor)
@@ -491,8 +488,8 @@ def synth_sonar(
 ) -> SonarLog:
     """Noisy readings per tick, in CHANNELS order within each tick.
 
-    The front channel carries ``scenario.front_sensors`` independent
-    readings per tick (the redundant pair the fusion filter consumes).
+    The front channel carries two independent readings per tick (the
+    redundant pair the fusion filter consumes).
     Readings with no echo within ``max_range`` carry ``range_m = max_range``
     and ``valid = False``.
     """
@@ -503,7 +500,7 @@ def synth_sonar(
     n = len(truth.t)
     columns, channel = [], []
     for ci, ch in enumerate(CHANNELS):
-        copies = scenario.front_sensors if ch is SonarChannel.FRONT else 1
+        copies = 2 if ch is SonarChannel.FRONT else 1
         rng = np.random.default_rng([seed, _STREAM_SONAR, ci])
         # noise leaves an inf (no echo) true range inf
         columns.extend(truth.sonar_true[ch] + sigma * rng.standard_normal((copies, n)))

@@ -16,7 +16,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fusenav import cli, geo, metrics, perception, sim, sonar_ekf
-from fusenav.core import GRAVITY, GpsFix, ImuLog, SonarChannel, quat_conjugate, quat_rotate
+from fusenav.core import GRAVITY, GpsFix, ImuLog, SonarChannel, quat_to_matrix
 from fusenav.feedback import AudioMessage, AudioScheduler, intensity_map
 from fusenav.localizer import (
     LocalizerConfig,
@@ -165,7 +165,7 @@ def test_criterion_04_raw_vs_dmp_ordering(walk_errors):
 def test_criterion_05_drift_law():
     bias = np.array([0.1, 0.0, 0.0])
     q = level_heading_quat(0.0)
-    f_body = quat_rotate(quat_conjugate(q), -GRAVITY) + bias
+    f_body = quat_to_matrix(q).T @ -GRAVITY + bias
     t = np.arange(0.0, 10.0 + 1e-9, 0.01)
     imu = ImuLog(t, np.tile(f_body, (len(t), 1)), np.zeros((len(t), 3)))
     anchor = GpsFix(0.0, 37.0, -122.0, 30.0)

@@ -164,6 +164,13 @@ class TestScenarioParsing:
             ("walk.cfg", "gyro_sigma", "-0.025"),
             ("walk.cfg", "gps_sigma", "-1"),
             ("walk.cfg", "sonar_sigma", "-0.003"),
+            # plain decimal only, though float() and int() read these
+            ("walk.cfg", "speed", "1_5"),
+            ("walk.cfg", "anchor", "37.0, -122.0, \u0663\u0660"),
+            ("walk.cfg", "seed", "4_2"),
+            ("walk.cfg", "seed", "\u0664"),
+            ("walk.cfg", "seed", "-1"),  # the generators take no negative seed
+            ("walk.cfg", "front_sensors", "1"),
             ("offsets.cfg", "accel_offset", "1, 2"),
             ("offsets.cfg", "accel_offset", "nan, 0, 0"),
         ],
@@ -185,7 +192,7 @@ class TestScenarioParsing:
         # the key's line goes last, so its line number is the line count
         lines = [line for line in base.splitlines() if not line.startswith(f"{key} =")]
         lines.append(f"{key} = {value}")
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(DataError, match=rf"{name}:{len(lines)}: key '{key}'"):
             load(path)
         assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_DATA
@@ -223,13 +230,17 @@ class TestCsvRoundTrips:
             ("0.1,0,0,-inf,0,0,0", "az"),
             ("0.1,0,0,-9.8,inf,0,0", "gx"),
             ("0.1,0,0,-9.8,0,0,nan", "gz"),
+            # not plain decimal, though float() reads each
+            ("0.1,1_0,0,-9.8,0,0,0", "ax"),
+            ("0.1,0, 1 ,-9.8,0,0,0", "ay"),
+            ("0.1,0,0,-9.8,0,0,\u0661", "gz"),
         ],
     )
     def test_bad_imu_rows_rejected(self, tmp_path, tiny_streams, row, column):
         _, gps = tiny_streams
         path = tmp_path / "bad" / "imu.csv"
         path.parent.mkdir()
-        path.write_text(f"t,ax,ay,az,gx,gy,gz\n0.05,0,0,-9.8,0,0,0\n{row}\n")
+        path.write_text(f"t,ax,ay,az,gx,gy,gz\n0.05,0,0,-9.8,0,0,0\n{row}\n", encoding="utf-8")
         with pytest.raises(DataError, match=rf"imu\.csv:3: column '{column}'"):
             cli.read_imu_csv(path)
         argv = ["localize", "--imu", str(path), "--gps", str(gps), "--out", str(tmp_path)]
@@ -275,11 +286,14 @@ class TestCsvRoundTrips:
             ("0.1,back,2.0,1", "channel"),
             ("0.1,front,-1.0,1", "range"),  # an echo needs a positive range
             ("0.1,left,0.0,1", "range"),
+            ("0.1,front,1_0,1", "range"),
+            (" 0.1 ,front,2.0,1", "t"),
+            ("0.1,front,\u0661,1", "range"),
         ],
     )
     def test_bad_sonar_rows_rejected(self, tmp_path, capsys, row, column):
         path = tmp_path / "sonar.csv"
-        path.write_text(f"t,channel,range,valid\n0.05,front,2.0,1\n{row}\n")
+        path.write_text(f"t,channel,range,valid\n0.05,front,2.0,1\n{row}\n", encoding="utf-8")
         with pytest.raises(DataError, match=rf"sonar\.csv:3: column '{column}'"):
             cli.read_sonar_csv(path)
         assert (
@@ -413,13 +427,14 @@ class TestReaderContract:
         assert f"{name}:{line}: not UTF-8 text" in capsys.readouterr().err
 
     @pytest.mark.parametrize("column", cli.TRUTH_HEADER)
-    @pytest.mark.parametrize("value", ["nan", "-inf", "oops"])
+    @pytest.mark.parametrize("value", ["nan", "-inf", "oops", "1_0", " 1 ", "\u0661"])
     def test_pose_rejects_bad_value_in_any_column(self, tmp_path, column, value):
         header, rows = "t,e,n,u,ve,vn,vu,qw,qx,qy,qz", ["0.0,0,0,0,0,0,0,1,0,0,0"]
         cells = "0.1,1,0,0,0,0,0,1,0,0,0".split(",")
         cells[cli.TRUTH_HEADER.index(column)] = value
         est = tmp_path / "est.csv"
-        est.write_text("\n".join([header, *rows, ",".join(cells), "0.2,2,0,0,0,0,0,1,0,0,0", ""]))
+        text = "\n".join([header, *rows, ",".join(cells), "0.2,2,0,0,0,0,0,1,0,0,0", ""])
+        est.write_text(text, encoding="utf-8")
         with pytest.raises(DataError, match=rf"est\.csv:3: column '{column}'"):
             read_est(est)
         truth = tmp_path / "truth.csv"
@@ -508,6 +523,22 @@ class TestExitCodes:
         assert "--ref:" in capsys.readouterr().err
         assert not (tmp_path / "o" / "est.csv").exists()
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [("0.02,0,0,-9.8,1e200,0,0", "gyro reading too large"), ("0.5,0,0,-9.8,0,0,0", "dt=")],
+        ids=["huge_gyro", "gap"],
+    )
+    def test_localize_bad_imu_step_exits_2_with_row(
+        self, tmp_path, tiny_streams, capsys, row, message
+    ):
+        imu, gps = tiny_streams
+        imu.write_text(imu.read_text() + row + "\n")
+        argv = ["localize", "--imu", str(imu), "--gps", str(gps), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"imu.csv:4: {message}" in err
+        assert not (tmp_path / "out" / "est.csv").exists()
+
     def test_run_checks_max_range_before_writing(self, tmp_path, capsys):
         path = tmp_path / "short_range.cfg"
         path.write_text(SHORT_SCENARIO + "max_range = 1.0\n")
@@ -538,6 +569,14 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_DATA
         assert f"{path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_rejects_one_front_sensor_before_writing(self, tmp_path, capsys):
+        path = tmp_path / "walk.cfg"
+        path.write_text(WALK110.read_text().replace("front_sensors = 2", "front_sensors = 1"))
+        out = tmp_path / "o"
+        assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_DATA
+        assert f"{path}:25: key 'front_sensors'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_success_exit_0(self, scenario_file, tmp_path):

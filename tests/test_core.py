@@ -10,18 +10,12 @@ from fusenav.core import (
     InvalidQuaternionError,
     hamilton,
     level_heading_quat,
-    quat_conjugate,
-    quat_from_small_angle,
-    quat_multiply,
-    quat_normalize,
-    quat_rotate,
     quat_to_matrix,
-    quat_to_rotation_vector,
     rotation_entries,
     rotvec_quat,
-    skew,
     unit,
 )
+from test_localizer import rotation_vector, skew  # test helpers
 
 
 def rotation_matrix_oracle(q):
@@ -54,31 +48,40 @@ def random_unit_quat(rng):
     return q / np.linalg.norm(q)
 
 
+def rotate(q, v):
+    """R(q) v, the rotation of 3-vector v by unit quaternion q."""
+    return quat_to_matrix(q) @ np.asarray(v, dtype=float)
+
+
+def conjugate(q):
+    return np.asarray(q, dtype=float) * [1.0, -1.0, -1.0, -1.0]
+
+
 def test_normalize_identity_and_scaling():
-    assert_allclose(quat_normalize([1, 0, 0, 0]), [1, 0, 0, 0])
-    assert_allclose(quat_normalize([2, 0, 0, 0]), [1, 0, 0, 0])
+    assert_allclose(unit([1.0, 0.0, 0.0, 0.0]), [1, 0, 0, 0])
+    assert_allclose(unit([2.0, 0.0, 0.0, 0.0]), [1, 0, 0, 0])
     # norm of (1,1,1,1) is 2
-    assert_allclose(quat_normalize([1, 1, 1, 1]), [0.5, 0.5, 0.5, 0.5], atol=1e-12)
+    assert_allclose(unit([1.0, 1.0, 1.0, 1.0]), [0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
 
 def test_normalize_preserves_direction_and_unit_norm():
     rng = np.random.default_rng(7)
     for _ in range(200):
         q = rng.standard_normal(4) * rng.uniform(0.1, 50.0)
-        qn = quat_normalize(q)
+        qn = np.array(unit(q.tolist()))
         assert abs(np.linalg.norm(qn) - 1.0) < 1e-12
         assert_allclose(np.cross(qn[1:], q[1:]), 0.0, atol=1e-9 * np.linalg.norm(q))
 
 
 def test_normalize_zero_raises():
     with pytest.raises(InvalidQuaternionError):
-        quat_normalize([0.0, 0.0, 0.0, 0.0])
+        unit([0.0, 0.0, 0.0, 0.0])
 
 
 def test_rotate_identity_and_z90():
-    assert_allclose(quat_rotate([1, 0, 0, 0], [1, 2, 3]), [1, 2, 3])
-    q90 = quat_from_small_angle([0, 0, math.pi / 2])
-    assert_allclose(quat_rotate(q90, [1, 0, 0]), [0, 1, 0], atol=1e-12)
+    assert_allclose(rotate([1, 0, 0, 0], [1, 2, 3]), [1, 2, 3])
+    q90 = rotvec_quat([0.0, 0.0, math.pi / 2])
+    assert_allclose(rotate(q90, [1, 0, 0]), [0, 1, 0], atol=1e-12)
 
 
 def test_rotate_conjugate_inverts():
@@ -86,16 +89,18 @@ def test_rotate_conjugate_inverts():
     for _ in range(100):
         q = random_unit_quat(rng)
         v = rng.standard_normal(3)
-        assert_allclose(quat_rotate(quat_conjugate(q), quat_rotate(q, v)), v, atol=1e-9)
+        assert_allclose(rotate(conjugate(q), rotate(q, v)), v, atol=1e-9)
 
 
 def test_rotate_matches_matrix_oracle():
     rng = np.random.default_rng(42)
-    for _ in range(10_000):
-        q = random_unit_quat(rng)
-        v = rng.standard_normal(3)
-        assert_allclose(quat_rotate(q, v), rotation_matrix_oracle(q) @ v, atol=1e-9)
-        assert abs(np.linalg.norm(quat_rotate(q, v)) - np.linalg.norm(v)) < 1e-9
+    q = rng.standard_normal((10_000, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    v = rng.standard_normal((10_000, 3))
+    got = np.einsum("nij,nj->ni", quat_to_matrix(q), v)
+    want = [rotation_matrix_oracle(x) @ y for x, y in zip(q, v)]
+    assert_allclose(got, want, atol=1e-9)
+    assert_allclose(np.linalg.norm(got, axis=1), np.linalg.norm(v, axis=1), rtol=0, atol=1e-9)
 
 
 def test_quat_to_matrix_batched_rows_match_single():
@@ -109,31 +114,33 @@ def test_quat_to_matrix_batched_rows_match_single():
 
 
 def test_quat_to_matrix_matches_rotate():
+    # R(q) v against the sandwich product q (x) (0, v) (x) q*
     rng = np.random.default_rng(11)
     for _ in range(500):
         q = random_unit_quat(rng)
         v = rng.standard_normal(3)
-        assert_allclose(quat_to_matrix(q) @ v, quat_rotate(q, v), atol=1e-11)
+        sandwich = _hamilton(_hamilton(q, [0.0, *v]), conjugate(q))
+        assert_allclose(quat_to_matrix(q) @ v, sandwich[1:], atol=1e-11)
 
 
 def test_small_angle_zero_and_axis_angle():
-    assert_allclose(quat_from_small_angle([0, 0, 0]), [1, 0, 0, 0])
-    got = quat_from_small_angle([0, 0, math.pi / 2])
+    assert_allclose(rotvec_quat([0.0, 0.0, 0.0]), [1, 0, 0, 0])
+    got = rotvec_quat([0.0, 0.0, math.pi / 2])
     # axis-angle formula: (cos(pi/4), 0, 0, sin(pi/4))
     assert_allclose(got, [math.sqrt(2) / 2, 0, 0, math.sqrt(2) / 2], atol=1e-12)
 
 
 def test_small_angle_composition_first_order():
     eps = 1e-5
-    single = quat_from_small_angle([eps, 0, 0])
-    twice = quat_multiply(single, single)
-    direct = quat_from_small_angle([2 * eps, 0, 0])
+    single = rotvec_quat([eps, 0.0, 0.0])
+    twice = hamilton(single, single)
+    direct = rotvec_quat([2 * eps, 0.0, 0.0])
     # finite-difference check: composing twice equals the doubled angle to O(eps^2)
     assert_allclose(twice, direct, atol=10 * eps**2)
 
 
 def test_small_angle_fallback_branch_is_normalized():
-    q = quat_from_small_angle([1e-10, -2e-10, 5e-11])
+    q = rotvec_quat([1e-10, -2e-10, 5e-11])
     assert abs(np.linalg.norm(q) - 1.0) < 1e-15
 
 
@@ -142,19 +149,20 @@ def test_rotation_vector_round_trip():
     for _ in range(500):
         rv = rng.standard_normal(3)
         rv *= rng.uniform(0, 3.0) / max(np.linalg.norm(rv), 1e-12)
-        assert_allclose(quat_to_rotation_vector(quat_from_small_angle(rv)), rv, atol=1e-9)
+        assert_allclose(rotation_vector(rotvec_quat(rv.tolist())), rv, atol=1e-9)
 
 
 def test_unit_norm_preserved_under_many_compositions():
-    # long composition chains must not drift off the unit sphere
+    # long composition chains must not drift off the unit sphere; the
+    # kernels run on floats, as in propagate
     rng = np.random.default_rng(1)
-    q = np.array([1.0, 0.0, 0.0, 0.0])
+    q = (1.0, 0.0, 0.0, 0.0)
     worst = 0.0
     for _ in range(10**6 // 100):
-        for _ in range(100):
-            q = quat_multiply(q, quat_from_small_angle(rng.standard_normal(3) * 0.01))
-        q = quat_normalize(q)
-        worst = max(worst, abs(np.linalg.norm(q) - 1.0))
+        for theta in (rng.standard_normal((100, 3)) * 0.01).tolist():
+            q = hamilton(q, rotvec_quat(theta))
+        q = unit(q)
+        worst = max(worst, abs(math.hypot(*q) - 1.0))
     assert worst < 1e-9
 
 
@@ -168,12 +176,12 @@ def test_skew_matches_cross_product():
 def test_level_heading_quat_frame_convention():
     # facing east: body x -> east, body y (right) -> south, body z -> down
     q = level_heading_quat(0.0)
-    assert_allclose(quat_rotate(q, [1, 0, 0]), [1, 0, 0], atol=1e-12)
-    assert_allclose(quat_rotate(q, [0, 1, 0]), [0, -1, 0], atol=1e-12)
-    assert_allclose(quat_rotate(q, [0, 0, 1]), [0, 0, -1], atol=1e-12)
+    assert_allclose(rotate(q, [1, 0, 0]), [1, 0, 0], atol=1e-12)
+    assert_allclose(rotate(q, [0, 1, 0]), [0, -1, 0], atol=1e-12)
+    assert_allclose(rotate(q, [0, 0, 1]), [0, 0, -1], atol=1e-12)
     # facing north: body x -> north
     qn = level_heading_quat(math.pi / 2)
-    assert_allclose(quat_rotate(qn, [1, 0, 0]), [0, 1, 0], atol=1e-12)
+    assert_allclose(rotate(qn, [1, 0, 0]), [0, 1, 0], atol=1e-12)
 
 
 def test_stacked_quaternion_helpers_equal_per_row_calls():
@@ -185,8 +193,10 @@ def test_stacked_quaternion_helpers_equal_per_row_calls():
     assert np.array_equal(stacked, rows)
     assert np.array_equal(np.signbit(stacked), np.signbit(rows))  # zeros keep sign
     a, b = rng.standard_normal((2, 64, 4))
-    assert np.array_equal(quat_multiply(a, b), [quat_multiply(x, y) for x, y in zip(a, b)])
-    assert np.array_equal(quat_multiply(a, b[0]), [quat_multiply(x, b[0]) for x in a])
+    products = np.array(hamilton(a.T, b.T)).T
+    assert np.array_equal(products, [hamilton(x.tolist(), y.tolist()) for x, y in zip(a, b)])
+    broadcast = np.array(hamilton(a.T, b[0].tolist())).T
+    assert np.array_equal(broadcast, [hamilton(x.tolist(), b[0].tolist()) for x in a])
 
 
 def _oracle_rotvec_quat(theta):
@@ -229,35 +239,25 @@ def test_component_kernels_match_oracles_on_floats():
 
 
 def test_component_kernels_match_oracles_on_stacks():
+    # hamilton and rotation_entries also run on stacks: level_heading_quat
+    # and quat_to_matrix call them so
     rng = np.random.default_rng(22)
-    q, theta = _kernel_cases(rng)
+    q, _ = _kernel_cases(rng)
     u = q / np.linalg.norm(q, axis=1, keepdims=True)
     products = np.array(hamilton(q.T, q[::-1].T)).T
     assert_allclose(products, [_hamilton(a, b) for a, b in zip(q, q[::-1])], rtol=1e-15, atol=1e-14)
-    assert_allclose(np.array(unit(q.T)).T, u, rtol=1e-15, atol=1e-16)
-    rotvecs = np.array(rotvec_quat(theta.T)).T
-    assert_allclose(rotvecs, [_oracle_rotvec_quat(t) for t in theta], rtol=1e-15, atol=1e-16)
     entries = np.array(rotation_entries(u.T)).T.reshape(-1, 3, 3)
     assert_allclose(entries, [rotation_matrix_oracle(x) for x in u], atol=1e-15)
-    # the stacked helpers are the kernels over rows: bit for bit where only
-    # arithmetic and sqrt are involved; NumPy's and libm's sin/cos may differ
-    # in the last bit
-    assert np.array_equal(quat_normalize(q), [quat_normalize(x) for x in q])
+    # the stacked kernels equal the float kernels row by row, bit for bit
+    assert np.array_equal(products, [hamilton(a, b) for a, b in zip(q.tolist(), q[::-1].tolist())])
     assert np.array_equal(quat_to_matrix(u), [quat_to_matrix(x) for x in u])
-    rows = [quat_from_small_angle(t) for t in theta]
-    assert_allclose(quat_from_small_angle(theta), rows, rtol=0, atol=2.3e-16)
+    assert np.array_equal(entries, [np.reshape(rotation_entries(x), (3, 3)) for x in u.tolist()])
 
 
 @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
 def test_normalize_zero_or_non_finite_norm_raises(bad):
-    q = [bad, 0.0, 0.0, 0.0]
     with pytest.raises(InvalidQuaternionError):
-        unit(q)
-    with pytest.raises(InvalidQuaternionError):
-        quat_normalize(q)
-    # one bad row fails a whole stack
-    with pytest.raises(InvalidQuaternionError):
-        quat_normalize([[1.0, 0.0, 0.0, 0.0], q])
+        unit([bad, 0.0, 0.0, 0.0])
 
 
 def test_gps_fix_range_validation():

@@ -5,7 +5,6 @@ from fusenav.core import DataError, SonarChannel
 from fusenav.feedback import (
     AudioMessage,
     AudioScheduler,
-    FeedbackConfig,
     MOTOR_FOR_CHANNEL,
     intensity_map,
     priority_for,
@@ -148,5 +147,3 @@ class TestAudioScheduler:
     def test_config_validation(self):
         with pytest.raises(DataError):
             AudioScheduler(min_gap=0.0)
-        with pytest.raises(DataError):
-            FeedbackConfig(min_distance=3.0, max_distance=1.0)

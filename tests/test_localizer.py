@@ -12,20 +12,17 @@ from fusenav.core import (
     GpsFix,
     ImuLog,
     InvalidQuaternionError,
+    hamilton,
     level_heading_quat,
-    quat_conjugate,
-    quat_from_small_angle,
-    quat_multiply,
-    quat_normalize,
-    quat_rotate,
     quat_to_matrix,
-    quat_to_rotation_vector,
-    skew,
+    rotvec_quat,
+    unit,
 )
 from fusenav.localizer import (
     MAX_IMU_DT,
     CalibrationDivergedError,
     CalibrationOffsets,
+    ImuSampleError,
     LocalizerConfig,
     NominalState,
     calibrate,
@@ -36,6 +33,33 @@ from fusenav.localizer import (
 )
 
 G = 9.80665
+
+
+def skew(v) -> np.ndarray:
+    """Skew-symmetric cross-product matrix of a 3-vector."""
+    x, y, z = np.asarray(v, dtype=float)
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def rotation_vector(q) -> np.ndarray:
+    """Inverse of rotvec_quat: the shortest rotation vector of unit q."""
+    q = np.asarray(q, dtype=float)
+    if q[0] < 0.0:
+        q = -q
+    sin_half = math.sqrt(float(q[1:] @ q[1:]))
+    if sin_half < 1e-12:
+        return 2.0 * q[1:]
+    angle = 2.0 * math.atan2(sin_half, q[0])
+    return angle / sin_half * q[1:]
+
+
+def quat_product(a, b) -> np.ndarray:
+    """a (x) b of two quaternions (4,), through the float kernels."""
+    return np.array(hamilton(np.asarray(a).tolist(), np.asarray(b).tolist()))
+
+
+def rotvec_to_quat(theta) -> np.ndarray:
+    return np.array(rotvec_quat(np.asarray(theta, dtype=float).tolist()))
 
 
 def constant_source(accel_bias, gyro_bias, sigma=0.0, seed=0):
@@ -111,7 +135,7 @@ def assert_rel_close(got, want, rtol=1e-12):
 
 def dense_propagate(s, P, accel, gyro, dt, cfg):
     """Reference for propagate: the same step in dense NumPy, through the
-    core quaternion helpers and a 9x9 Qd."""
+    core quaternion kernels and a 9x9 Qd."""
     if not 0.0 < dt <= MAX_IMU_DT:
         raise DataError(f"dt={dt} outside (0, {MAX_IMU_DT}] s")
     if not all(np.all(np.isfinite(x)) for x in (accel, gyro, s.p, s.v, s.q)):
@@ -120,7 +144,7 @@ def dense_propagate(s, P, accel, gyro, dt, cfg):
     a_nav = c @ accel + GRAVITY
     p = s.p + s.v * dt + 0.5 * a_nav * dt * dt
     v = s.v + a_nav * dt
-    q = quat_normalize(quat_multiply(s.q, quat_from_small_angle(gyro * dt)))
+    q = np.array(unit(quat_product(s.q, rotvec_to_quat(gyro * dt))))
     ca_skew = skew(c @ accel)
     f = np.eye(9)
     f[0:3, 3:6] = np.eye(3) * dt
@@ -146,7 +170,7 @@ class TestPropagate:
         s = NominalState(p=np.zeros(3), v=np.zeros(3), q=q, t=0.0)
         p_cov = initial_covariance(cfg)
         # reading the gravity reaction of the z-down mount: -gravity in body
-        accel = quat_rotate(quat_conjugate(q), -GRAVITY)
+        accel = quat_to_matrix(q).T @ -GRAVITY
         s1, _ = propagate(s, p_cov, accel, np.zeros(3), 0.02, cfg)
         assert_allclose(s1.p, 0.0, atol=1e-12)
         assert_allclose(s1.v, 0.0, atol=1e-12)
@@ -209,7 +233,7 @@ class TestPropagate:
         rng = np.random.default_rng(3)
         eps = 1e-6
         for _ in range(25):
-            q = quat_from_small_angle(rng.standard_normal(3))
+            q = rotvec_to_quat(rng.standard_normal(3))
             s = NominalState(
                 p=rng.standard_normal(3) * 10,
                 v=rng.standard_normal(3) * 2,
@@ -225,15 +249,13 @@ class TestPropagate:
                 return NominalState(
                     p=s.p + dp,
                     v=s.v + dv,
-                    q=quat_multiply(quat_from_small_angle(dth), s.q),
+                    q=quat_product(rotvec_to_quat(dth), s.q),
                     t=s.t,
                 )
 
             def error_between(sa, sb):
-                dq = quat_multiply(sa.q, quat_conjugate(sb.q))
-                return np.concatenate(
-                    [sa.p - sb.p, sa.v - sb.v, quat_to_rotation_vector(dq)]
-                )
+                dq = quat_product(sa.q, sb.q * [1.0, -1.0, -1.0, -1.0])
+                return np.concatenate([sa.p - sb.p, sa.v - sb.v, rotation_vector(dq)])
 
             fd = np.zeros((9, 9))
             p_cov = initial_covariance(cfg)
@@ -264,7 +286,7 @@ class TestPropagate:
             s = NominalState(
                 p=rng.standard_normal(3) * 50,
                 v=rng.standard_normal(3) * 2,
-                q=quat_normalize(rng.standard_normal(4)),
+                q=np.array(unit(rng.standard_normal(4).tolist())),
                 t=rng.uniform(0.0, 100.0),
             )
             a = rng.standard_normal((9, 9))
@@ -383,7 +405,7 @@ class TestRunLocalizer:
         # pure accel bias b: position error grows as |b| t^2 / 2
         bias = np.array([0.1, 0.0, 0.0])
         q = level_heading_quat(0.0)
-        f_body = quat_rotate(quat_conjugate(q), -GRAVITY) + bias
+        f_body = quat_to_matrix(q).T @ -GRAVITY + bias
         imu = imu_log(np.arange(0.0, 10.0 + 1e-9, 0.01), f_body)
         anchor = GpsFix(0.0, 37.0, -122.0, 30.0)
         cfg = make_cfg()
@@ -397,6 +419,21 @@ class TestRunLocalizer:
         imu = imu_log([0.0, 0.02, 0.01], [0, 0, -G])
         with pytest.raises(DataError, match="unsorted"):
             run_localizer(imu, [anchor], make_cfg())
+
+    @pytest.mark.parametrize("case", ["gap", "huge_gyro"])
+    def test_bad_step_names_its_sample(self, case):
+        # a gap longer than MAX_IMU_DT, or a finite gyro reading whose
+        # rotation angle overflows
+        anchor = GpsFix(0.0, 37.0, -122.0, 30.0)
+        t = [0.0, 0.01, 0.02, 0.03]
+        if case == "gap":
+            t[2] += MAX_IMU_DT
+        imu = imu_log(t, [0, 0, -G])
+        if case == "huge_gyro":
+            imu.gyro[2, 0] = 1e200
+        with pytest.raises(ImuSampleError, match=r"IMU sample 2 \(t=") as info:
+            run_localizer(imu, [anchor], make_cfg())
+        assert info.value.index == 2
 
     def test_empty_streams_error(self):
         anchor = GpsFix(0.0, 37.0, -122.0, 30.0)

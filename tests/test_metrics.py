@@ -9,7 +9,6 @@ from fusenav.metrics import (
     AlignmentError,
     Trajectory,
     align,
-    compare,
     error_report,
     evaluate,
     format_table,
@@ -155,40 +154,15 @@ class TestErrorReport:
 
 
 class TestCompare:
-    def _report(self, mean_offset, label, peak_scale=1.0):
+    def _report(self, mean_offset, label):
         t = np.linspace(0, 10, 21)
         truth = np.column_stack([t, np.zeros_like(t), np.zeros_like(t)])
         err = np.full_like(t, mean_offset)
-        err[-1] *= peak_scale
         est = truth + np.column_stack([np.zeros_like(t), err, np.zeros_like(t)])
         return error_report(align(traj(t, est, label), traj(t, truth, "truth")))
-
-    def test_orders_by_mean(self):
-        worse = self._report(3.3, "estimated-raw")
-        better = self._report(1.74, "estimated-dmp")
-        ordered = compare([worse, better])
-        assert [r.est_label for r in ordered] == ["estimated-raw", "estimated-dmp"][::-1]
-
-    def test_tie_broken_by_peak(self):
-        a = self._report(2.0, "flat")
-        b = self._report(2.0, "spiky", peak_scale=1.5)
-        assert b.mean != a.mean or b.peak > a.peak
-        ordered = compare([b, a])
-        assert ordered[0].peak <= ordered[1].peak
-
-    def test_single_report_rejected(self):
-        with pytest.raises(DataError):
-            compare([self._report(1.0, "only")])
-
-    def test_mismatched_truth_rejected(self):
-        a = self._report(1.0, "a")
-        b = self._report(2.0, "b")
-        object.__setattr__(b, "truth_label", "other-truth")
-        with pytest.raises(DataError):
-            compare([a, b])
 
     def test_format_table_contains_labels(self):
         a = self._report(1.0, "a")
         b = self._report(2.0, "b")
-        table = format_table(compare([a, b]))
+        table = format_table([a, b])
         assert "a" in table and "b" in table and "mean_m" in table

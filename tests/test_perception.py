@@ -11,11 +11,12 @@ from fusenav.core import CHANNELS, DataError, INCLINED_CHANNELS, SonarChannel, S
 from fusenav.perception import (
     DEFAULT_RESOLUTION,
     EVENT_ORDER,
+    LATENCY_BASE_MS,
+    LATENCY_PER_PIXEL_MS,
     REARM_FRACTION,
     DetectionConfig,
     DetectionEvent,
     DetectionKind,
-    LatencyModel,
     MockRecognizer,
     ObstacleDetector,
     RecognitionGate,
@@ -329,8 +330,8 @@ class TestLatencyModel:
                 assert l1 < l2
 
     def test_zero_pixel_limit_is_base(self):
-        params = LatencyModel(base_ms=42.0, per_pixel_ms=0.5)
-        assert latency_model((1, 1), params) == pytest.approx(42.5)
+        assert LATENCY_BASE_MS == 100.0
+        assert latency_model((1, 1)) == pytest.approx(LATENCY_BASE_MS + LATENCY_PER_PIXEL_MS)
 
     def test_invalid_resolution(self):
         with pytest.raises(DataError):

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fusenav import cli, geo, sim
-from fusenav.core import CHANNELS, INCLINED_CHANNELS, SonarChannel, quat_rotate
+from fusenav.core import CHANNELS, INCLINED_CHANNELS, SonarChannel, quat_to_matrix
 
 FRONT = CHANNELS.index(SonarChannel.FRONT)
 
@@ -26,7 +26,7 @@ class TestGenWalk:
     def test_single_segment_heading_east(self):
         truth = sim.gen_walk(quiet_scenario(((0, 0), (50, 0))))
         for k in range(0, len(truth.t), 500):
-            assert_allclose(quat_rotate(truth.q[k], [1, 0, 0]), [1, 0, 0], atol=1e-9)
+            assert_allclose(quat_to_matrix(truth.q[k]) @ [1, 0, 0], [1, 0, 0], atol=1e-9)
 
     def test_square_route_returns_to_start(self):
         square = ((0, 0), (20, 0), (20, 20), (0, 20), (0, 0))
@@ -480,7 +480,6 @@ def random_route_scenario(index):
         obstacles=obstacles,
         dropoffs=dropoffs,
         geometry=geometry,
-        front_sensors=1 + index % 2,
     )
 
 
