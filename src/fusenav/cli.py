@@ -107,6 +107,7 @@ def _finite_in(test, what: str):
             raise ValueError(f"{text!r} is not {what}")
         return x
 
+    conv.__name__ = what  # argparse names a rejected value by it
     return conv
 
 
@@ -123,6 +124,13 @@ def _seed(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"not a non-negative plain decimal integer: {text!r}")
     return int(text)
+
+
+def _count(text: str) -> int:
+    n = _seed(text)
+    if n == 0:
+        raise ValueError(f"{text!r} is not positive")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -666,8 +674,7 @@ def cmd_run(args) -> int:
                     t=event.t,
                 )
             )
-            if event.kind is perception.DetectionKind.OBSTACLE:
-                offer_results(gate.submit(event))
+            offer_results(gate.submit(event))
         msg = scheduler.poll(t)
         if msg is not None:
             feedback_rows.append((_fmt(t), "audio", str(msg.priority), msg.text))
@@ -699,7 +706,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p, scenario: bool) -> None:
     if scenario:
         p.add_argument("--scenario", required=True, help="scenario config file")
-        p.add_argument("--seed", type=int, default=None, help="override scenario seed")
+        p.add_argument("--seed", type=_seed, default=None, help="override scenario seed")
         p.add_argument("--mode", choices=["raw", "dmp"], default="raw")
         p.add_argument("--gps", choices=["on", "off"], default="on")
     p.add_argument("--out", required=True, help="output directory")
@@ -715,9 +722,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="estimate IMU offsets from a stationary log")
     p.add_argument("--imu", required=True)
-    p.add_argument("--batch", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--max-iter", type=int, default=20)
+    p.add_argument("--batch", type=_count, default=1000)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-3)
+    p.add_argument("--max-iter", type=_count, default=20)
     _add_common(p, scenario=False)
     p.set_defaults(func=cmd_calibrate)
 
@@ -735,9 +742,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="'lat, lon, alt' ENU frame for est.csv (default: first GPS fix)",
     )
-    p.add_argument("--accel-noise", type=float, default=LocalizerConfig.accel_noise)
-    p.add_argument("--gyro-noise", type=float, default=LocalizerConfig.gyro_noise)
-    p.add_argument("--gps-std", type=float, default=LocalizerConfig.gps_pos_std)
+    p.add_argument("--accel-noise", type=_POSITIVE, default=LocalizerConfig.accel_noise)
+    p.add_argument("--gyro-noise", type=_POSITIVE, default=LocalizerConfig.gyro_noise)
+    p.add_argument("--gps-std", type=_POSITIVE, default=LocalizerConfig.gps_pos_std)
     _add_common(p, scenario=False)
     p.set_defaults(func=cmd_localize)
 

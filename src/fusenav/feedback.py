@@ -2,15 +2,17 @@
 
 Five coin motors sit on the belt (1 left, 2 front-left, 3 front, 4
 front-right, 5 right).  Vibration intensity follows the distance to the
-nearest obstacle: saturated at 1.0 up to 0.5 m, fading linearly to 0.0 at
-2.5 m, the defaults of ``intensity_map`` that ``route_event`` uses.  The
-linear ramp is the simplest monotone choice.
+nearest obstacle: saturated at 1.0 up to RAMP_NEAR (0.5 m), fading
+linearly to 0.0 at RAMP_FAR (2.5 m).  The linear ramp is the simplest
+monotone choice; its ends are constants, not settings.
 
 Audio is rate-limited: bursts of messages would otherwise flood the user,
 so the scheduler emits at most one message per ``min_gap`` seconds, always
 the most urgent pending one (lower priority number first, earlier
 timestamp breaking ties), and silently drops anything older than the
 staleness window -- a stale obstacle announcement is worse than none.
+Unlike the ramp, ``min_gap`` and ``staleness`` stay parameters: the
+scheduler's bound on emissions is checked over a sweep of gaps.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from .perception import DetectionEvent, DetectionKind
 PRIORITY_DROPOFF = 0
 PRIORITY_OBSTACLE = 1
 PRIORITY_RECOGNITION = 2
+
+RAMP_NEAR = 0.5  # m: full vibration at or below
+RAMP_FAR = 2.5  # m: no vibration at or beyond
 
 MOTOR_FOR_CHANNEL = {
     SonarChannel.LEFT: 1,
@@ -51,19 +56,17 @@ class AudioMessage:
             raise DataError("audio message text must be non-empty")
 
 
-def intensity_map(distance: float, min_d: float = 0.5, max_d: float = 2.5) -> float:
+def intensity_map(distance: float) -> float:
     """Map obstacle distance to vibration intensity in [0, 1].
 
-    1.0 at or below ``min_d``, 0.0 at or beyond ``max_d``, linear in
-    between; negative distances behave like ``min_d``.
+    1.0 at or below RAMP_NEAR, 0.0 at or beyond RAMP_FAR, linear in
+    between; negative distances behave like RAMP_NEAR.
     """
-    if not 0.0 < min_d < max_d:
-        raise DataError("need 0 < min_d < max_d")
-    if distance <= min_d:
+    if distance <= RAMP_NEAR:
         return 1.0
-    if distance >= max_d:
+    if distance >= RAMP_FAR:
         return 0.0
-    return (max_d - distance) / (max_d - min_d)
+    return (RAMP_FAR - distance) / (RAMP_FAR - RAMP_NEAR)
 
 
 def route_event(event: DetectionEvent) -> TactileCommand:

@@ -58,14 +58,12 @@ class AlignedPairs:
     t: np.ndarray  # (m,)
     est: np.ndarray  # (m, 3)
     truth: np.ndarray  # (m, 3)
-    n_dropped: int  # estimate points outside the overlap
     est_label: str
     truth_label: str
 
 
 @dataclass(frozen=True)
 class ErrorReport:
-    per_point: np.ndarray  # (m,) horizontal errors, m
     mean: float
     peak: float
     relative_percent: float
@@ -95,7 +93,6 @@ def align(est: Trajectory, truth: Trajectory) -> AlignedPairs:
         t=t,
         est=est.xyz[inside],
         truth=truth_xyz,
-        n_dropped=int(np.sum(~inside)),
         est_label=est.label,
         truth_label=truth.label,
     )
@@ -120,7 +117,6 @@ def error_report(pairs: AlignedPairs, truth_path_length: float | None = None) ->
     if truth_path_length is None:
         truth_path_length = float(cumdist[-1])
     return ErrorReport(
-        per_point=errors,
         mean=float(np.mean(errors)),
         peak=float(np.max(errors)),
         relative_percent=100.0 * float(np.sum(errors)) / dist_mass,

@@ -2,12 +2,15 @@
 
 Detection runs over post-fusion per-channel ranges.  Side and front
 channels raise an Obstacle event when the range falls to their trigger
-threshold; the inclined channels watch the ground echo and report a
-DropOff when it comes back longer than ``expected_ground_range`` plus a
-margin (the floor is missing), or an Obstacle when it comes back shorter
-by the same margin.  Every trigger latches and only re-arms after the
-range clears by 10% of the trigger level, so a static obstacle produces
-exactly one event instead of a storm.
+threshold (THRESHOLDS: 2.0 m front, 1.5 m left and right); the inclined
+channels watch the ground echo and report a DropOff when it comes back
+longer than ``expected_ground_range`` plus DROPOFF_MARGIN (0.3 m: the
+floor is missing), or an Obstacle when it comes back shorter by the same
+margin.  The thresholds and margin are constants, not settings; only the
+ground echo and ``max_range`` come from the scenario's sonar geometry.
+Every trigger latches and only re-arms after the range clears by 10% of
+the trigger level, so a static obstacle produces exactly one event
+instead of a storm.
 
 Detection is column arithmetic over a whole run.  ``tick_ranges`` lays a
 sonar log out as one (ticks x channels) array in CHANNELS column order: a
@@ -22,21 +25,25 @@ The gate runs in simulated time (timestamps on the events drive it); only
 the ordering and coalescing semantics are contractual.  A frame takes
 ``latency_model(resolution)`` ms: LATENCY_BASE_MS plus
 LATENCY_PER_PIXEL_MS per pixel, anchored at the measured 604 ms for
-640x480.  These are constants, not settings.
+640x480.  These are constants, not settings, and the stand-in
+``MockRecognizer`` runs at DEFAULT_RESOLUTION.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Protocol, Sequence
+from dataclasses import dataclass
+from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
 from .core import CHANNELS, DataError, INCLINED_CHANNELS, SonarChannel, SonarLog
 
 REARM_FRACTION = 0.10  # a trigger re-arms after clearing by 10% of its level
+# horizontal channels' trigger ranges, m; checked against max_range in this order
+THRESHOLDS = {SonarChannel.FRONT: 2.0, SonarChannel.LEFT: 1.5, SonarChannel.RIGHT: 1.5}
+DROPOFF_MARGIN = 0.3  # inclined channels trigger this far off the ground echo, m
 # the order of one tick's events: CHANNELS order, front last
 EVENT_ORDER = tuple(c for c in CHANNELS if c is not SonarChannel.FRONT) + (SonarChannel.FRONT,)
 
@@ -46,33 +53,20 @@ class DetectionKind(enum.Enum):
     DROPOFF = "dropoff"
 
 
-def _default_thresholds() -> dict:
-    return {
-        SonarChannel.FRONT: 2.0,
-        SonarChannel.LEFT: 1.5,
-        SonarChannel.RIGHT: 1.5,
-    }
-
-
 @dataclass(frozen=True)
 class DetectionConfig:
-    """Trigger thresholds (m).  ``expected_ground_range`` is the inclined
-    channels' nominal ground echo (belt height / sin(depression))."""
+    """The sonar geometry detection depends on (m): ``expected_ground_range``
+    is the inclined channels' nominal ground echo (belt height /
+    sin(depression)); every trigger must lie within ``max_range``."""
 
-    thresholds: Mapping[SonarChannel, float] = field(
-        default_factory=_default_thresholds
-    )
     expected_ground_range: float = math.sqrt(2.0)
-    dropoff_margin: float = 0.3
     max_range: float = 4.0
 
     def __post_init__(self):
-        if self.dropoff_margin <= 0.0:
-            raise DataError("dropoff_margin must be positive")
-        for ch, thr in self.thresholds.items():
-            if not 0.0 < thr <= self.max_range:
+        for ch, thr in THRESHOLDS.items():
+            if not thr <= self.max_range:
                 raise DataError(f"threshold {thr} for {ch.value} outside (0, max_range]")
-        ground, margin = self.expected_ground_range, self.dropoff_margin
+        ground, margin = self.expected_ground_range, DROPOFF_MARGIN
         if not (0.0 < ground - margin and ground + margin <= self.max_range):
             raise DataError(f"inclined trigger {ground:.6g} -/+ {margin} m outside (0, max_range]")
 
@@ -103,17 +97,17 @@ class ObstacleDetector:
 
     def _latches(self, ranges: np.ndarray):
         """Yield ``(channel, kind, trigger, rearm)`` masks in EVENT_ORDER."""
-        cfg = self.cfg
+        ground = self.cfg.expected_ground_range
         for channel in EVENT_ORDER:
             r = ranges[:, CHANNELS.index(channel)]
             if channel in INCLINED_CHANNELS:
                 r = np.where(np.isinf(r), np.nan, r)
-                hi = cfg.expected_ground_range + cfg.dropoff_margin
-                lo = cfg.expected_ground_range - cfg.dropoff_margin
+                hi = ground + DROPOFF_MARGIN
+                lo = ground - DROPOFF_MARGIN
                 yield channel, DetectionKind.DROPOFF, r >= hi, r <= hi * (1.0 - REARM_FRACTION)
                 yield channel, DetectionKind.OBSTACLE, r <= lo, r >= lo * (1.0 + REARM_FRACTION)
-            elif channel in cfg.thresholds:
-                thr = cfg.thresholds[channel]
+            else:
+                thr = THRESHOLDS[channel]
                 yield channel, DetectionKind.OBSTACLE, r <= thr, r >= thr * (1.0 + REARM_FRACTION)
 
     def process(self, t: np.ndarray, ranges: np.ndarray) -> list[DetectionEvent]:
@@ -180,29 +174,21 @@ class Recognizer(Protocol):
         ...
 
 
-_DEFAULT_LABELS = ("person", "chair", "door", "pole", "bin", "bicycle")
+LABELS = ("person", "chair", "door", "pole", "bin", "bicycle")
 
 
 class MockRecognizer:
     """Deterministic stand-in for a real (cloud) label-detection service.
 
-    Labels and confidences are drawn from an RNG keyed on (seed, event
-    time, channel index), so results depend neither on call order nor on
-    the process's hash seed.  ``fail_rate`` injects deterministic failures
-    for exercising the failure path.
+    Labels (from LABELS) and confidences are drawn from an RNG keyed on
+    (seed, event time, channel index), so results depend neither on call
+    order nor on the process's hash seed.  It never fails.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        resolution: tuple[int, int] = DEFAULT_RESOLUTION,
-        labels: Sequence[str] = _DEFAULT_LABELS,
-        fail_rate: float = 0.0,
-    ):
+    resolution = DEFAULT_RESOLUTION
+
+    def __init__(self, seed: int = 0):
         self.seed = seed
-        self.resolution = resolution
-        self.labels = tuple(labels)
-        self.fail_rate = fail_rate
 
     def _rng(self, event: DetectionEvent) -> np.random.Generator:
         key = (self.seed, int(round(event.t * 1e6)) & 0x7FFFFFFF,
@@ -211,20 +197,17 @@ class MockRecognizer:
 
     def recognize(self, event: DetectionEvent) -> list[tuple[str, float]]:
         rng = self._rng(event)
-        if rng.random() < self.fail_rate:
-            raise RuntimeError("mock recognizer failure")
+        # an unused first draw: dropping it would change every label a seed gives
+        rng.random()
         count = int(rng.integers(1, 3))
-        idx = rng.choice(len(self.labels), size=count, replace=False)
-        return [
-            (self.labels[i], round(float(rng.uniform(0.5, 0.99)), 3)) for i in idx
-        ]
+        idx = rng.choice(len(LABELS), size=count, replace=False)
+        return [(LABELS[i], round(float(rng.uniform(0.5, 0.99)), 3)) for i in idx]
 
 
 @dataclass(frozen=True)
 class RecognitionResult:
     event: DetectionEvent
     labels: tuple
-    latency_ms: float
     completed_t: float
     failed: bool = False
 
@@ -242,23 +225,19 @@ class RecognitionGate:
     def __init__(self, recognizer: Recognizer):
         self.recognizer = recognizer
         self._busy_until: Optional[float] = None
-        self._started_t: Optional[float] = None
         self._in_flight: Optional[DetectionEvent] = None
         self._pending: Optional[DetectionEvent] = None
         self.processed_count = 0
 
     def _start(self, event: DetectionEvent, start_t: float) -> None:
         self._in_flight = event
-        self._started_t = start_t
         self._busy_until = start_t + latency_model(self.recognizer.resolution) / 1000.0
 
     def _complete(self) -> RecognitionResult:
         event = self._in_flight
         done_t = self._busy_until
-        latency = (done_t - self._started_t) * 1000.0
         self._in_flight = None
         self._busy_until = None
-        self._started_t = None
         self.processed_count += 1
         try:
             labels = tuple(self.recognizer.recognize(event))
@@ -266,13 +245,7 @@ class RecognitionGate:
         except Exception:
             labels = ()
             failed = True
-        result = RecognitionResult(
-            event=event,
-            labels=labels,
-            latency_ms=latency,
-            completed_t=done_t,
-            failed=failed,
-        )
+        result = RecognitionResult(event=event, labels=labels, completed_t=done_t, failed=failed)
         if self._pending is not None:
             nxt, self._pending = self._pending, None
             # the queued frame starts as soon as the slot frees up

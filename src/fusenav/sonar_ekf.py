@@ -7,11 +7,12 @@ milliseconds), diagonal noise and a diagonal initial covariance, that EKF
 never correlates its two components: it is two independent scalar Kalman
 filters, one per sensor, and is written as such on Python floats.
 
-Default noise variances: R = (0.09, 0.09) m^2, Q = (0.001, 0) m^2.  The
-zero second entry of Q makes that component's variance non-increasing; it
-is kept as the default but is plain config.  A missing echo skips its
-sensor's update (variance treated as infinite) instead of aborting the
-tick; sonar dropouts are routine.
+The noise is constant, not a setting: measurement variances R = (0.09,
+0.09) m^2, process noise Q = (0.001, 0) m^2 and initial variance P0 = 1.
+The zero second entry of Q makes that component's variance
+non-increasing.  A missing echo skips its sensor's update (variance
+treated as infinite) instead of aborting the tick; sonar dropouts are
+routine.
 
 States are values; ``predict``/``update`` are pure state -> state functions,
 so independent filter instances can run concurrently.
@@ -19,21 +20,15 @@ so independent filter instances can run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import CHANNELS, DataError, NumericalError, SonarChannel, SonarLog
+from .core import CHANNELS, DataError, SonarChannel, SonarLog
 
-
-@dataclass(frozen=True)
-class SonarFusionConfig:
-    """Per-sensor noise variances (m^2) and the initial variance scale."""
-
-    r: tuple[float, float] = (0.09, 0.09)
-    q: tuple[float, float] = (0.001, 0.0)
-    initial_p_scale: float = 1.0
+R = (0.09, 0.09)  # per-sensor measurement variances, m^2
+Q = (0.001, 0.0)  # per-sensor process noise, m^2
+P0 = 1.0  # initial variance of each sensor's estimate, m^2
 
 
 class SonarFusionState(NamedTuple):
@@ -41,53 +36,45 @@ class SonarFusionState(NamedTuple):
     p: tuple[float, float]  # their variances, m^2
 
 
-def init(z, cfg: SonarFusionConfig) -> SonarFusionState:
-    """Initialize from the first observation; each variance is initial_p_scale."""
+def init(z) -> SonarFusionState:
+    """Initialize from the first observation; each variance is P0."""
     z = np.asarray(z, dtype=float)
     if z.shape != (2,):
         raise DataError(f"expected a 2-vector measurement, got shape {z.shape}")
     if not (z > 0.0).all():
         raise DataError(f"non-positive sonar measurement: {z}")
-    p0 = float(cfg.initial_p_scale)
-    return SonarFusionState(x=tuple(z.tolist()), p=(p0, p0))
+    return SonarFusionState(x=tuple(z.tolist()), p=(P0, P0))
 
 
-def predict(s: SonarFusionState, cfg: SonarFusionConfig) -> SonarFusionState:
-    """Time update: x unchanged, p <- p + q per sensor."""
-    (p1, p2), (q1, q2) = s.p, cfg.q
-    return SonarFusionState(s.x, (p1 + q1, p2 + q2))
+def predict(s: SonarFusionState) -> SonarFusionState:
+    """Time update: x unchanged, p <- p + Q per sensor."""
+    p1, p2 = s.p
+    return SonarFusionState(s.x, (p1 + Q[0], p2 + Q[1]))
 
 
 def _correct(x: float, p: float, z: float, r: float) -> tuple[float, float]:
     """One sensor's measurement update of (x, p) with range z of variance r."""
     if not z > 0.0:
         raise DataError(f"non-positive sonar measurement: {z}")
-    s = p + r
-    if s == 0.0:
-        raise NumericalError(f"singular innovation covariance: {s}")
     # reciprocal then multiply rounds as the LAPACK solve of the matrix form did
-    k = p * (1.0 / s)
+    k = p * (1.0 / (p + r))
     return x + k * (z - x), (1.0 - k) * p
 
 
 def update(
-    s: SonarFusionState,
-    z,
-    cfg: SonarFusionConfig,
-    valid: tuple[bool, bool] = (True, True),
+    s: SonarFusionState, z, valid: tuple[bool, bool] = (True, True)
 ) -> SonarFusionState:
     """Measurement update of each sensor whose echo is ``valid``.
 
     A sensor with ``valid[i]`` False keeps its state (its measurement
     variance is effectively infinite).  Valid components must be positive
-    ranges (DataError otherwise, ``nan`` included).  Raises NumericalError
-    when an innovation variance is zero.
+    ranges (DataError otherwise, ``nan`` included).
     """
     (x1, x2), (p1, p2) = s
     if valid[0]:
-        x1, p1 = _correct(x1, p1, z[0], cfg.r[0])
+        x1, p1 = _correct(x1, p1, z[0], R[0])
     if valid[1]:
-        x2, p2 = _correct(x2, p2, z[1], cfg.r[1])
+        x2, p2 = _correct(x2, p2, z[1], R[1])
     return SonarFusionState((x1, x2), (p1, p2))
 
 
@@ -95,27 +82,6 @@ def fused_distance(s: SonarFusionState) -> float:
     """Arithmetic mean of the two distance estimates (equal contribution)."""
     x1, x2 = s.x
     return 0.5 * (x1 + x2)
-
-
-def run_fusion(pairs, cfg: SonarFusionConfig | None = None):
-    """Filter a sequence of two-sensor readings.
-
-    ``pairs`` yields ``(z, valid)`` with ``z`` a 2-vector and ``valid`` a
-    pair of echo flags.  The first fully valid pair initializes the state;
-    earlier pairs are passed through un-fused (state ``None``).  Yields one
-    :class:`SonarFusionState` (or None before init) per input pair.
-    """
-    if cfg is None:
-        cfg = SonarFusionConfig()
-    state: SonarFusionState | None = None
-    for z, valid in pairs:
-        if state is None:
-            if valid[0] and valid[1]:
-                state = init(z, cfg)
-            yield state
-            continue
-        state = update(predict(state, cfg), z, cfg, valid)
-        yield state
 
 
 class FusedFront(NamedTuple):
@@ -132,11 +98,12 @@ class FusedFront(NamedTuple):
 _FRONT = CHANNELS.index(SonarChannel.FRONT)
 
 
-def fuse_front_pair(log: SonarLog, cfg: SonarFusionConfig | None = None) -> FusedFront:
+def fuse_front_pair(log: SonarLog) -> FusedFront:
     """Run the filter over the front channel of a sonar log.
 
     Every front tick must carry exactly two readings (DataError otherwise).
-    Ticks before the first fully valid pair are not fused and get no entry.
+    The first fully valid pair initializes the filter; ticks before it are
+    not fused and get no entry.
     """
     front = log.channel == _FRONT
     ticks, counts = np.unique(log.t[front], return_counts=True)
@@ -148,9 +115,14 @@ def fuse_front_pair(log: SonarLog, cfg: SonarFusionConfig | None = None) -> Fuse
         )
     z = log.range_m[front].reshape(-1, 2).tolist()
     valid = log.valid[front].reshape(-1, 2).tolist()
-    rows = [
-        (tk, z1, z2, fused_distance(state), *state.p)
-        for tk, (z1, z2), state in zip(ticks.tolist(), z, run_fusion(zip(z, valid), cfg))
-        if state is not None
-    ]
+    rows, state = [], None
+    for tk, zk, vk in zip(ticks.tolist(), z, valid):
+        if state is not None:
+            # valid by keyword: the traced bench reads it from there
+            state = update(predict(state), zk, valid=vk)
+        elif vk[0] and vk[1]:
+            state = init(zk)
+        else:
+            continue
+        rows.append((tk, *zk, fused_distance(state), *state.p))
     return FusedFront(*np.array(rows, dtype=float).reshape(-1, 6).T)

@@ -26,6 +26,8 @@ from fusenav.localizer import (
 )
 from fusenav.perception import (
     DEFAULT_RESOLUTION,
+    DROPOFF_MARGIN,
+    THRESHOLDS,
     DetectionEvent,
     DetectionKind,
     MockRecognizer,
@@ -46,8 +48,7 @@ def report(n, text):
 
 
 def test_criterion_01_sonar_update_variance():
-    cfg = sonar_ekf.SonarFusionConfig()
-    s = sonar_ekf.update(sonar_ekf.init([2.0, 2.0], cfg), [2.05, 1.95], cfg)
+    s = sonar_ekf.update(sonar_ekf.init([2.0, 2.0]), [2.05, 1.95])
     expected = 0.09 / 1.09
     assert abs(s.p[0] - expected) < 1e-9
     assert abs(s.p[1] - expected) < 1e-9
@@ -59,15 +60,14 @@ def test_criterion_01_sonar_update_variance():
 
 
 def test_criterion_02_fusion_variance_reduction():
-    cfg = sonar_ekf.SonarFusionConfig()
     reductions = []
     for seed in SEEDS:
         rng = np.random.default_rng([seed, 77])
         z = 2.0 + rng.normal(0.0, 0.3, size=(10_000, 2))
-        s = sonar_ekf.init(z[0], cfg)
+        s = sonar_ekf.init(z[0])
         fused = []
         for k in range(1, len(z)):
-            s = sonar_ekf.update(sonar_ekf.predict(s, cfg), z[k], cfg)
+            s = sonar_ekf.update(sonar_ekf.predict(s), z[k])
             fused.append(sonar_ekf.fused_distance(s))
         v_fused = np.var(fused)
         assert v_fused < np.var(z[:, 0])
@@ -299,11 +299,11 @@ def _expected_windows(truth, cfg):
     for channel, ranges in truth.sonar_true.items():
         if channel in (SonarChannel.INCLINED_LEFT, SonarChannel.INCLINED_RIGHT):
             rules = [
-                (DetectionKind.DROPOFF, ranges >= cfg.expected_ground_range + cfg.dropoff_margin),
-                (DetectionKind.OBSTACLE, ranges <= cfg.expected_ground_range - cfg.dropoff_margin),
+                (DetectionKind.DROPOFF, ranges >= cfg.expected_ground_range + DROPOFF_MARGIN),
+                (DetectionKind.OBSTACLE, ranges <= cfg.expected_ground_range - DROPOFF_MARGIN),
             ]
         else:
-            thr = cfg.thresholds[channel]
+            thr = THRESHOLDS[channel]
             rules = [(DetectionKind.OBSTACLE, np.isfinite(ranges) & (ranges <= thr))]
         for kind, mask in rules:
             edges = np.flatnonzero(np.diff(mask.astype(int)))
@@ -371,8 +371,8 @@ def test_criterion_10_feedback_properties():
     rng = np.random.default_rng(0)
     d = rng.uniform(-1.0, 5.0, size=(100_000, 2))
     lo, hi = d.min(axis=1), d.max(axis=1)
-    v_lo = np.array([intensity_map(x, 0.5, 2.5) for x in lo])
-    v_hi = np.array([intensity_map(x, 0.5, 2.5) for x in hi])
+    v_lo = np.array([intensity_map(x) for x in lo])
+    v_hi = np.array([intensity_map(x) for x in hi])
     assert np.all(v_lo >= v_hi)
 
     rng = np.random.default_rng(1)

@@ -499,6 +499,34 @@ class TestExitCodes:
             == cli.EXIT_USAGE
         )
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("simulate", "--seed", "-1"),  # the generators take no negative seed
+            ("run", "--seed", "4_2"),
+            ("simulate", "--seed", "\u0664"),
+            ("localize", "--accel-noise", "inf"),
+            ("localize", "--gyro-noise", "-0.5"),
+            ("localize", "--gps-std", "nan"),
+            ("calibrate", "--tol", "nan"),
+            ("calibrate", "--batch", "0"),
+            ("calibrate", "--max-iter", "-5"),
+        ],
+    )
+    def test_bad_numeric_flags_exit_1(self, tmp_path, tiny_streams, capsys, command, flag, value):
+        imu, gps = tiny_streams
+        inputs = {
+            "simulate": ["--scenario", str(WALK110)],
+            "run": ["--scenario", str(WALK110)],
+            "localize": ["--imu", str(imu), "--gps", str(gps)],
+            "calibrate": ["--imu", str(imu)],
+        }[command]
+        out = tmp_path / "o"
+        assert cli.main([command, *inputs, flag, value, "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fusenav") and f"argument {flag}: invalid" in err
+        assert not out.exists()
+
     def test_data_errors_exit_2(self, tmp_path):
         assert (
             cli.main(["simulate", "--scenario", str(tmp_path / "missing.cfg"), "--out", str(tmp_path)])

@@ -15,29 +15,25 @@ from fusenav.perception import DetectionEvent, DetectionKind
 
 class TestIntensityMap:
     def test_saturation_and_cutoff(self):
-        assert intensity_map(0.5, 0.5, 2.5) == 1.0
-        assert intensity_map(0.1, 0.5, 2.5) == 1.0
-        assert intensity_map(2.5, 0.5, 2.5) == 0.0
-        assert intensity_map(7.0, 0.5, 2.5) == 0.0
+        assert intensity_map(0.5) == 1.0
+        assert intensity_map(0.1) == 1.0
+        assert intensity_map(2.5) == 0.0
+        assert intensity_map(7.0) == 0.0
 
     def test_linear_midpoint(self):
-        assert intensity_map(1.5, 0.5, 2.5) == pytest.approx(0.5)
+        assert intensity_map(1.5) == pytest.approx(0.5)
 
     def test_negative_distance_clamps(self):
-        assert intensity_map(-3.0, 0.5, 2.5) == 1.0
+        assert intensity_map(-3.0) == 1.0
 
     def test_monotone_non_increasing_100k_pairs(self):
         rng = np.random.default_rng(0)
         d = rng.uniform(-1.0, 5.0, size=(100_000, 2))
         lo, hi = d.min(axis=1), d.max(axis=1)
-        vals_lo = np.array([intensity_map(x, 0.5, 2.5) for x in lo])
-        vals_hi = np.array([intensity_map(x, 0.5, 2.5) for x in hi])
+        vals_lo = np.array([intensity_map(x) for x in lo])
+        vals_hi = np.array([intensity_map(x) for x in hi])
         assert np.all(vals_lo >= vals_hi)
         assert np.all((vals_lo >= 0.0) & (vals_lo <= 1.0))
-
-    def test_invalid_band(self):
-        with pytest.raises(DataError):
-            intensity_map(1.0, 2.5, 0.5)
 
 
 class TestRouteEvent:

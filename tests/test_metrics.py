@@ -51,7 +51,7 @@ class TestAlign:
         t, xyz = straight()
         pairs = align(traj(t, xyz, "est"), traj(t, xyz, "truth"))
         assert_allclose(pairs.est, pairs.truth, atol=1e-15)
-        assert pairs.n_dropped == 0
+        assert len(pairs.t) == len(t)
 
     def test_interpolation_density(self):
         # truth at 1 Hz, estimate at 100 Hz: one pair per estimate sample
@@ -71,7 +71,7 @@ class TestAlign:
     def test_points_outside_overlap_dropped_and_counted(self):
         t, xyz = straight(n=100)
         pairs = align(traj(t, xyz, "est"), traj(t[20:80], xyz[20:80], "truth"))
-        assert pairs.n_dropped == 20 + 20
+        assert len(pairs.t) == len(t) - 20 - 20
         assert pairs.t[0] == t[20] and pairs.t[-1] == t[79]
 
     def test_no_overlap_raises(self):

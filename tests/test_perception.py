@@ -10,10 +10,12 @@ from fusenav import cli, sim, sonar_ekf
 from fusenav.core import CHANNELS, DataError, INCLINED_CHANNELS, SonarChannel, SonarLog
 from fusenav.perception import (
     DEFAULT_RESOLUTION,
+    DROPOFF_MARGIN,
     EVENT_ORDER,
     LATENCY_BASE_MS,
     LATENCY_PER_PIXEL_MS,
     REARM_FRACTION,
+    THRESHOLDS,
     DetectionConfig,
     DetectionEvent,
     DetectionKind,
@@ -81,16 +83,14 @@ class TestDetector:
         assert process((0.0, {IL: ground, IR: ground})) == []
 
     def test_dropoff_rule(self):
-        cfg = DetectionConfig()
-        r = cfg.expected_ground_range + 2 * cfg.dropoff_margin
-        events = process((0.0, {IR: r}), cfg=cfg)
+        r = DetectionConfig().expected_ground_range + 2 * DROPOFF_MARGIN
+        events = process((0.0, {IR: r}))
         assert [e.kind for e in events] == [DetectionKind.DROPOFF]
         assert events[0].channel is IR
 
     def test_inclined_short_echo_is_obstacle(self):
-        cfg = DetectionConfig()
-        r = cfg.expected_ground_range - 2 * cfg.dropoff_margin
-        events = process((0.0, {IL: r}), cfg=cfg)
+        r = DetectionConfig().expected_ground_range - 2 * DROPOFF_MARGIN
+        events = process((0.0, {IL: r}))
         assert [e.kind for e in events] == [DetectionKind.OBSTACLE]
 
     def test_static_obstacle_fires_once(self):
@@ -133,16 +133,15 @@ class TestDetector:
         assert [(e.t, e.channel) for e in events] == [(0.0, L), (0.0, IR), (0.0, F), (0.1, R), (0.1, IL)]
 
     def test_config_validation(self):
-        with pytest.raises(DataError):
-            DetectionConfig(dropoff_margin=0.0)
         with pytest.raises(DataError, match="for front outside"):
-            DetectionConfig(thresholds={F: 9.0})
+            DetectionConfig(max_range=1.9)
+        DetectionConfig(max_range=2.0, expected_ground_range=1.7)  # every trigger reachable
         # an inclined trigger no reading can reach: drop-off beyond
         # max_range, obstacle at or below 0
         for ground in (3.8, 0.3, 0.2, math.nan):
             with pytest.raises(DataError, match="inclined trigger"):
                 DetectionConfig(expected_ground_range=ground)
-        DetectionConfig(expected_ground_range=3.75, dropoff_margin=0.25)  # 4.0 m: reachable
+        DetectionConfig(expected_ground_range=3.7)  # 4.0 m: reachable
 
 
 class ReferenceDetector:
@@ -164,8 +163,8 @@ class ReferenceDetector:
             if channel in INCLINED_CHANNELS:
                 if no_echo:
                     continue
-                hi = cfg.expected_ground_range + cfg.dropoff_margin
-                lo = cfg.expected_ground_range - cfg.dropoff_margin
+                hi = cfg.expected_ground_range + DROPOFF_MARGIN
+                lo = cfg.expected_ground_range - DROPOFF_MARGIN
                 key_hi = (channel, DetectionKind.DROPOFF)
                 key_lo = (channel, DetectionKind.OBSTACLE)
                 if r >= hi:
@@ -181,9 +180,7 @@ class ReferenceDetector:
                 elif r >= lo * (1.0 + REARM_FRACTION):
                     self._armed[key_lo] = True
             else:
-                thr = cfg.thresholds.get(channel)
-                if thr is None:
-                    continue
+                thr = THRESHOLDS[channel]
                 key = (channel, DetectionKind.OBSTACLE)
                 effective = math.inf if no_echo else r
                 if effective <= thr:
@@ -240,16 +237,13 @@ class TestOracle:
             assert expected
             assert as_tuples(got) == as_tuples(expected)
 
-    @pytest.mark.parametrize(
-        "cfg", [DetectionConfig(), DetectionConfig(thresholds={F: 2.0})], ids=["default", "front_only"]
-    )
+    @pytest.mark.parametrize("cfg", [DetectionConfig()], ids=["default"])
     def test_random_streams_on_every_level(self, cfg):
-        hi = cfg.expected_ground_range + cfg.dropoff_margin
-        lo = cfg.expected_ground_range - cfg.dropoff_margin
+        hi = cfg.expected_ground_range + DROPOFF_MARGIN
+        lo = cfg.expected_ground_range - DROPOFF_MARGIN
         inclined = [hi, hi * (1.0 - REARM_FRACTION), lo, lo * (1.0 + REARM_FRACTION)]
         levels = {IL: inclined, IR: inclined}
-        for channel in (L, R, F):
-            thr = DetectionConfig().thresholds[channel]
+        for channel, thr in THRESHOLDS.items():
             levels[channel] = [thr, thr * (1.0 + REARM_FRACTION)]
         pools = {
             channel: np.array(
@@ -345,7 +339,7 @@ class TestRecognitionGate:
         results = gate.flush()
         assert len(results) == 1
         assert gate.processed_count == 1
-        assert results[0].latency_ms == pytest.approx(604.0, abs=1e-9)
+        assert results[0].completed_t == pytest.approx(0.604, abs=1e-12)
         assert not results[0].failed
         assert all(0.0 <= c <= 1.0 for _, c in results[0].labels)
 
@@ -401,7 +395,13 @@ class TestRecognitionGate:
             assert r.completed_t >= r.event.t
 
     def test_recognizer_failure_flagged(self):
-        gate = RecognitionGate(MockRecognizer(seed=0, fail_rate=1.0))
+        class FailingRecognizer:
+            resolution = DEFAULT_RESOLUTION
+
+            def recognize(self, event):
+                raise RuntimeError("recognizer failure")
+
+        gate = RecognitionGate(FailingRecognizer())
         gate.submit(obstacle_event(t=0.0))
         (result,) = gate.flush()
         assert result.failed

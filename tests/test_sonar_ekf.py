@@ -1,21 +1,24 @@
 import importlib.resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fusenav import cli, sim
-from fusenav.core import CHANNELS, DataError, NumericalError, SonarChannel
+from fusenav import cli, sim, sonar_ekf
+from fusenav.core import CHANNELS, DataError, SonarChannel
 from fusenav.sonar_ekf import (
-    SonarFusionConfig,
+    P0,
+    Q,
+    R,
     SonarFusionState,
     fuse_front_pair,
     fused_distance,
     init,
     predict,
-    run_fusion,
     update,
 )
+from test_perception import sonar_log
 
 WALK110 = importlib.resources.files("fusenav") / "scenarios" / "walk110.cfg"
 
@@ -49,14 +52,27 @@ def matrix_update(x, p, z, r, valid):
     return x, 0.5 * (p + p.T)
 
 
-def matrix_fusion(pairs, cfg):
-    """(x, P) per pair of the matrix filter, with run_fusion's start rule."""
-    r, q = np.diag(cfg.r), np.diag(cfg.q)
+def run_fusion(pairs):
+    """One state per ``(z, valid)`` pair, as ``fuse_front_pair`` steps them:
+    None until the first fully valid pair initializes the filter."""
+    state, out = None, []
+    for z, valid in pairs:
+        if state is not None:
+            state = update(predict(state), z, valid=valid)
+        elif valid[0] and valid[1]:
+            state = init(z)
+        out.append(state)
+    return out
+
+
+def matrix_fusion(pairs):
+    """(x, P) per pair of the matrix filter, with fuse_front_pair's start rule."""
+    r, q = np.diag(R), np.diag(Q)
     out, x, p = [], None, None
     for z, valid in pairs:
         if x is None:
             if valid[0] and valid[1]:
-                x, p = np.array(z, dtype=float), cfg.initial_p_scale * np.eye(2)
+                x, p = np.array(z, dtype=float), P0 * np.eye(2)
         else:
             p = p + q
             x, p = matrix_update(x, 0.5 * (p + p.T), z, r, valid)
@@ -72,69 +88,61 @@ def assert_matches_matrix(state, ref):
 
 
 def test_init_state_and_covariance():
-    cfg = SonarFusionConfig()
-    s = init([2.0, 2.0], cfg)
+    s = init([2.0, 2.0])
     assert_allclose(s.x, [2.0, 2.0])
     # initial prediction-estimate covariance is the unit matrix
     assert_allclose(s.p, (1.0, 1.0))
-    s2 = init([0.5, 0.6], cfg)
+    s2 = init([0.5, 0.6])
     assert_allclose(s2.x, [0.5, 0.6])
 
 
 def test_init_rejects_non_positive():
     with pytest.raises(DataError):
-        init([-1.0, 2.0], SonarFusionConfig())
+        init([-1.0, 2.0])
     with pytest.raises(DataError):
-        init([0.0, 2.0], SonarFusionConfig())
+        init([0.0, 2.0])
 
 
 def test_nan_valid_range_is_a_data_error():
-    cfg = SonarFusionConfig()
-    s = init([2.0, 2.0], cfg)
+    s = init([2.0, 2.0])
     with pytest.raises(DataError, match="non-positive"):
-        update(s, [float("nan"), 2.0], cfg)
+        update(s, [float("nan"), 2.0])
     with pytest.raises(DataError, match="non-positive"):
-        update(s, [2.0, float("nan")], cfg, valid=(False, True))
+        update(s, [2.0, float("nan")], valid=(False, True))
     with pytest.raises(DataError, match="non-positive"):
-        init([2.0, float("nan")], cfg)
+        init([2.0, float("nan")])
     # a masked nan is no measurement and is never read
-    assert update(s, [float("nan"), 2.0], cfg, valid=(False, True)).x[0] == 2.0
+    assert update(s, [float("nan"), 2.0], valid=(False, True)).x[0] == 2.0
 
 
 def test_predict_adds_q():
-    cfg = SonarFusionConfig()
-    s = init([2.0, 2.0], cfg)
-    s1 = predict(s, cfg)
+    s = init([2.0, 2.0])
+    s1 = predict(s)
     assert_allclose(s1.p, (1.001, 1.0))
     assert_allclose(s1.x, s.x)
-    # q = 0 leaves p unchanged; two predicts add 2q
-    cfg0 = SonarFusionConfig(q=(0.0, 0.0))
-    assert_allclose(predict(s, cfg0).p, s.p)
-    s2 = predict(predict(s, cfg), cfg)
+    # two predicts add 2q
+    s2 = predict(predict(s))
     assert_allclose(s2.p, (1.002, 1.0))
 
 
 def test_single_update_posterior_variance():
     # scalar Kalman: p*r/(p+r) with p=1, r=0.09
-    cfg = SonarFusionConfig()
-    s = update(init([2.0, 2.0], cfg), [2.1, 1.9], cfg)
+    s = update(init([2.0, 2.0]), [2.1, 1.9])
     expected = 0.09 / 1.09
     assert_allclose(s.p, [expected, expected], atol=1e-9)
 
 
 def test_zero_innovation_keeps_state_contracts_p():
-    cfg = SonarFusionConfig()
-    s = init([2.0, 2.2], cfg)
-    s1 = update(s, [2.0, 2.2], cfg)
+    s = init([2.0, 2.2])
+    s1 = update(s, [2.0, 2.2])
     assert_allclose(s1.x, s.x, atol=1e-15)
     assert sum(s1.p) < sum(s.p)
 
 
 def test_repeated_constant_measurement_converges_to_mean():
-    cfg = SonarFusionConfig()
-    s = init([2.0, 2.2], cfg)
+    s = init([2.0, 2.2])
     for _ in range(1000):
-        s = update(predict(s, cfg), [2.0, 2.2], cfg)
+        s = update(predict(s), [2.0, 2.2])
     assert abs(fused_distance(s) - 2.1) < 0.01
 
 
@@ -148,55 +156,42 @@ def test_fused_distance_is_mean():
     assert fused_distance(s3) == pytest.approx(3.0 * fused_distance(s))
 
 
-def test_singular_innovation_covariance_is_numerical_error():
-    # P0 = 0 and R = 0 leave S = Q = diag(0.001, 0) at the first update
-    cfg = SonarFusionConfig(r=(0.0, 0.0), initial_p_scale=0.0)
-    s = predict(init([2.0, 2.0], cfg), cfg)
-    with pytest.raises(NumericalError, match="singular"):
-        update(s, [2.0, 2.0], cfg)
-
-
 def test_trace_never_increases_on_update():
-    cfg = SonarFusionConfig()
     rng = np.random.default_rng(2)
-    s = init([2.0, 2.0], cfg)
+    s = init([2.0, 2.0])
     for _ in range(500):
-        s = predict(s, cfg)
+        s = predict(s)
         before = sum(s.p)
-        s = update(s, 2.0 + rng.normal(0, 0.3, 2), cfg)
+        s = update(s, 2.0 + rng.normal(0, 0.3, 2))
         assert sum(s.p) <= before + 1e-15
         # P = diag(p): symmetric by construction, its eigenvalues are p
         assert min(s.p) >= -1e-12
 
 
 def test_matches_generic_kalman_oracle():
-    cfg = SonarFusionConfig()
     rng = np.random.default_rng(11)
     for _ in range(100):
         n = rng.integers(5, 40)
         z_seq = 2.0 + rng.normal(0, 0.3, size=(n, 2))
         z_seq = np.abs(z_seq) + 0.01
-        xs, ps = kalman_oracle(z_seq, np.diag(cfg.r), np.diag(cfg.q))
-        s = init(z_seq[0], cfg)
+        xs, ps = kalman_oracle(z_seq, np.diag(R), np.diag(Q))
+        s = init(z_seq[0])
         for k in range(1, n):
-            s = update(predict(s, cfg), z_seq[k], cfg)
+            s = update(predict(s), z_seq[k])
             assert_allclose(s.x, xs[k], atol=1e-12)
             assert_allclose(s.p, np.diag(ps[k]), atol=1e-12)
             # the full-matrix filter never correlates the two sensors
             assert ps[k][0, 1] == 0.0 and ps[k][1, 0] == 0.0
 
 
-@pytest.mark.parametrize(
-    "cfg", [SonarFusionConfig(), SonarFusionConfig((0.04, 0.2), (0.01, 0.003), 0.5)]
-)
-def test_matches_masked_matrix_update(cfg):
+def test_matches_masked_matrix_update():
     rng = np.random.default_rng(13)
     for _ in range(50):
         n = int(rng.integers(2, 60))
         z = np.abs(2.0 + rng.normal(0, 0.3, size=(n, 2))) + 0.01
         valid = (rng.random((n, 2)) < 0.7).tolist()
         pairs = list(zip(z.tolist(), valid))
-        for state, ref in zip(run_fusion(pairs, cfg), matrix_fusion(pairs, cfg), strict=True):
+        for state, ref in zip(run_fusion(pairs), matrix_fusion(pairs), strict=True):
             assert (state is None) == (ref is None)
             if state is not None:
                 assert_matches_matrix(state, ref)
@@ -208,7 +203,7 @@ def test_fuse_front_pair_matches_matrix_filter_on_walk110():
     front = log.channel == CHANNELS.index(SonarChannel.FRONT)
     pairs = list(zip(log.range_m[front].reshape(-1, 2), log.valid[front].reshape(-1, 2).tolist()))
     assert not all(map(all, (v for _, v in pairs)))  # the log has masked ticks
-    refs = [ref for ref in matrix_fusion(pairs, SonarFusionConfig()) if ref is not None]
+    refs = [ref for ref in matrix_fusion(pairs) if ref is not None]
     fused = fuse_front_pair(log)
     assert len(fused.t) == len(refs)
     for k, (x, p) in enumerate(refs):
@@ -219,59 +214,84 @@ def test_fuse_front_pair_matches_matrix_filter_on_walk110():
 def test_fused_variance_below_each_raw_sensor():
     # two sensors, sigma=0.3, fixed 2.0 m target: the fusion output must be
     # steadier than either raw stream
-    cfg = SonarFusionConfig()
     rng = np.random.default_rng(5)
     z = 2.0 + rng.normal(0, 0.3, size=(10_000, 2))
     fused = []
-    s = init(z[0], cfg)
+    s = init(z[0])
     for k in range(1, len(z)):
-        s = update(predict(s, cfg), z[k], cfg)
+        s = update(predict(s), z[k])
         fused.append(fused_distance(s))
     assert np.var(fused) < np.var(z[:, 0])
     assert np.var(fused) < np.var(z[:, 1])
 
 
 def test_bracketing_measurements_bound_posterior():
-    # Holds whenever the two gains are equal (symmetric process noise):
-    # the posterior mean is then a convex combination of the prior mean and
-    # the measurement mean.  The asymmetric default q = (0.001, 0)
-    # de-balances the gains and admits ~1e-3 m excursions past the bracket,
-    # so the sandwich property is checked under the symmetric config.
-    cfg = SonarFusionConfig(q=(0.001, 0.001))
+    # Holds whenever the two gains are equal: the posterior mean is then a
+    # convex combination of the prior mean and the measurement mean.  The
+    # asymmetric Q = (0.001, 0) de-balances the gains at every predict and
+    # admits ~1e-3 m excursions past the bracket, so the sandwich property
+    # is checked over updates alone, which keep the two variances equal.
     rng = np.random.default_rng(21)
     for _ in range(100):
-        s = init(np.abs(2.0 + rng.normal(0, 0.3, 2)) + 0.01, cfg)
+        s = init(np.abs(2.0 + rng.normal(0, 0.3, 2)) + 0.01)
         for _ in range(200):
-            s = predict(s, cfg)
             z = np.abs(2.0 + rng.normal(0, 0.3, 2)) + 0.01
             prior_fused = fused_distance(s)
-            s = update(s, z, cfg)
+            s = update(s, z)
+            assert s.p[0] == s.p[1]
             if min(z) <= prior_fused <= max(z):
                 assert min(z) - 1e-12 <= fused_distance(s) <= max(z) + 1e-12
 
 
 def test_missing_echo_masks_row():
-    cfg = SonarFusionConfig()
-    s = init([2.0, 2.0], cfg)
-    s1 = update(s, [1.5, -1.0], cfg, valid=(True, False))
+    s = init([2.0, 2.0])
+    s1 = update(s, [1.5, -1.0], valid=(True, False))
     # masked row untouched: component 1 keeps its prior state and variance
     assert s1.x[1] == pytest.approx(2.0)
     assert s1.p[1] == pytest.approx(1.0)
     assert s1.x[0] != pytest.approx(2.0)
     # both masked: state passes through
-    s2 = update(s, [9.0, 9.0], cfg, valid=(False, False))
+    s2 = update(s, [9.0, 9.0], valid=(False, False))
     assert_allclose(s2.x, s.x)
     assert_allclose(s2.p, s.p)
 
 
-def test_run_fusion_waits_for_first_full_pair():
-    cfg = SonarFusionConfig()
-    stream = [
-        (np.array([2.0, 2.0]), (True, False)),
-        (np.array([2.0, 2.1]), (True, True)),
-        (np.array([2.1, 2.0]), (True, True)),
-    ]
-    states = list(run_fusion(stream, cfg))
-    assert states[0] is None
-    assert_allclose(states[1].x, [2.0, 2.1])
-    assert states[2] is not None
+def test_fuse_front_pair_waits_for_first_full_pair():
+    f = SonarChannel.FRONT
+    log = sonar_log(
+        (0.0, f, 2.0, True), (0.0, f, 9.0, False),
+        (0.1, f, 2.0, True), (0.1, f, 2.1, True),
+        (0.2, f, 2.1, True), (0.2, f, 2.0, True),
+    )
+    fused = fuse_front_pair(log)
+    assert fused.t.tolist() == [0.1, 0.2]
+    assert fused.fused[0] == pytest.approx(2.05)
+    assert fused.p11[0] == P0
+
+
+def test_bench_reads_masked_ticks_from_update(monkeypatch):
+    # perfbench/layers.py counts sonar_ekf.masked_ticks with _masked, which
+    # reads update's ``valid`` from its arguments: fuse_front_pair's calls
+    # must carry it where _masked looks, or the bench silently reads 0.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from layers import _masked
+
+    masked = []
+    real_update = sonar_ekf.update
+
+    def traced_update(*args, **kwargs):
+        result = real_update(*args, **kwargs)
+        masked.append(_masked(args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(sonar_ekf, "update", traced_update)
+    sc = cli.load_scenario(WALK110)
+    log = sim.synth_sonar(sim.gen_walk(sc), sc, 0)
+    fuse_front_pair(log)
+
+    front = log.channel == CHANNELS.index(SonarChannel.FRONT)
+    valid = log.valid[front].reshape(-1, 2)
+    first = int(np.argmax(valid.all(axis=1)))  # the tick that initializes the filter
+    after_init = valid[first + 1 :]
+    assert len(masked) == len(after_init)
+    assert sum(masked) == int((~after_init.all(axis=1)).sum()) > 0
