@@ -10,7 +10,7 @@ Submodules:
 - perception: obstacle/drop-off detection, gated recognition dispatch
 - feedback: tactile intensity mapping, rate-limited audio scheduling
 - sim: deterministic scenario simulator (truth + IMU/GPS/sonar streams)
-- metrics: trajectory alignment and error reports
+- metrics: trajectory evaluation against ground truth
 - cli: command-line pipeline and file formats
 """
 

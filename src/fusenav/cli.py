@@ -387,6 +387,13 @@ def _parse_triple(value: str):
     return triple
 
 
+def _position(value: str) -> tuple:
+    """A 'lat, lon, alt' triple in a GPS fix's ranges."""
+    position = _parse_triple(value)
+    GpsFix(0.0, *position)  # its range check raises DataError, a ValueError
+    return position
+
+
 def load_scenario(path) -> sim.Scenario:
     """Parse a scenario config file, reporting errors with line numbers."""
     kv = _KvFile(path)
@@ -410,28 +417,26 @@ def load_scenario(path) -> sim.Scenario:
     # a Scenario with every other field at its default checks the route alone
     route = take("route", lambda v: sim.Scenario(_parse_tuple_list(v, 2)).route)
     take("front_sensors", _FRONT_PAIR, 2.0)
-    try:
-        scenario = sim.Scenario(
-            route=route,
-            speed=take("speed", _finite, 1.52),
-            imu_rate=take("imu_rate", _finite, 100.0),
-            gps_rate=take("gps_rate", _finite, 1.0),
-            noise=noise,
-            obstacles=tuple(
-                sim.Obstacle(*o)
-                for o in take("obstacles", lambda v: _parse_tuple_list(v, 3), ())
-            ),
-            dropoffs=tuple(
-                sim.DropoffZone(*z)
-                for z in take("dropoffs", lambda v: _parse_tuple_list(v, 3), ())
-            ),
-            gps_dropouts=take("gps_dropouts", lambda v: _parse_tuple_list(v, 2), ()),
-            seed=take("seed", _seed, 0),
-            anchor=take("anchor", _parse_triple, (37.0, -122.0, 30.0)),
-            geometry=geometry,
-        )
-    except sim.ScenarioError as exc:
-        raise DataError(f"{kv.path}: {exc}") from None
+    imu_rate = take("imu_rate", _POSITIVE, 100.0)
+    # each fix is applied at an IMU step, so gps_rate may not exceed imu_rate
+    gps_rate_conv = _finite_in(lambda x: 0.0 < x <= imu_rate, f"in (0, imu_rate = {imu_rate}]")
+    scenario = sim.Scenario(
+        route=route,
+        speed=take("speed", _POSITIVE, 1.52),
+        imu_rate=imu_rate,
+        gps_rate=take("gps_rate", gps_rate_conv, 1.0),
+        noise=noise,
+        obstacles=tuple(
+            sim.Obstacle(*o) for o in take("obstacles", lambda v: _parse_tuple_list(v, 3), ())
+        ),
+        dropoffs=tuple(
+            sim.DropoffZone(*z) for z in take("dropoffs", lambda v: _parse_tuple_list(v, 3), ())
+        ),
+        gps_dropouts=take("gps_dropouts", lambda v: _parse_tuple_list(v, 2), ()),
+        seed=take("seed", _seed, 0),
+        anchor=take("anchor", _position, (37.0, -122.0, 30.0)),
+        geometry=geometry,
+    )
     if kv.entries:
         key = next(iter(kv.entries))
         raise DataError(f"{kv.path}:{kv.lines[key]}: unknown key '{key}'")
@@ -506,8 +511,8 @@ def _write_est(out: Path, run, frame: GpsFix | None) -> None:
 
 def _evaluate(out: Path, est: metrics.Trajectory, truth: metrics.Trajectory) -> None:
     report = metrics.evaluate(est, truth)
-    _write_report_csv(out / "report.csv", [report])
-    print(metrics.format_table([report]))
+    _write_report_csv(out / "report.csv", report)
+    print(metrics.format_table(report))
 
 
 def cmd_simulate(args) -> int:
@@ -599,14 +604,10 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _write_report_csv(path, reports) -> None:
-    rows = [
-        [r.est_label, r.truth_label]
-        + [_fmt(x) for x in (r.mean, r.peak, r.relative_percent, r.path_length)]
-        + [str(r.n_points), _fmt(r.vertical_mean)]
-        for r in reports
-    ]
-    _write_csv(Path(path), REPORT_HEADER, list(zip(*rows)))
+def _write_report_csv(path, r: metrics.ErrorReport) -> None:
+    nums = map(_fmt, (r.mean, r.peak, r.relative_percent, r.path_length))
+    row = [r.est_label, r.truth_label, *nums, str(r.n_points), _fmt(r.vertical_mean)]
+    _write_csv(Path(path), REPORT_HEADER, [[cell] for cell in row])
 
 
 def cmd_run(args) -> int:

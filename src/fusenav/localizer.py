@@ -272,10 +272,6 @@ class LocalizerRun:
     accepted_fixes: int
     rejected_fixes: int
 
-    def positions_in(self, frame: GpsFix) -> np.ndarray:
-        """Positions re-anchored into another fix's ENU frame (exact)."""
-        return geo.enu_to_enu(self.p, self.ref, frame)
-
     def trajectory(self, label: str, frame: GpsFix | None = None):
         """As a metrics Trajectory, optionally re-anchored to ``frame``.
 
@@ -285,8 +281,15 @@ class LocalizerRun:
         """
         from .metrics import Trajectory
 
-        xyz = self.p if frame is None else self.positions_in(frame)
+        xyz = self.p if frame is None else geo.enu_to_enu(self.p, self.ref, frame)
         return Trajectory(t=self.t, xyz=xyz, label=label)
+
+
+def _noise_error(cfg: LocalizerConfig, what: str) -> NumericalError:
+    return NumericalError(
+        f"{what}; noise settings accel_noise={cfg.accel_noise}, "
+        f"gyro_noise={cfg.gyro_noise}, gps_pos_std={cfg.gps_pos_std}"
+    )
 
 
 def run_localizer(
@@ -303,7 +306,8 @@ def run_localizer(
     east.  IMU samples earlier than the anchor are dropped; every fix is
     applied at the first IMU step at or after its timestamp.  Output is
     one record per processed IMU sample; identical inputs produce
-    identical output.
+    identical output.  Noise settings whose squares overflow, or that
+    leave P non-finite at a fix, raise NumericalError.
     """
     if offsets is None:
         offsets = CalibrationOffsets.zero()
@@ -326,7 +330,10 @@ def run_localizer(
         )
     else:
         state = replace(initial, t=ref.t)
-    p_cov = initial_covariance(cfg)
+    try:  # if this square of gps_pos_std fits, so does gps_update's
+        p_cov = initial_covariance(cfg)
+    except OverflowError:
+        raise _noise_error(cfg, "initial covariance overflowed") from None
 
     accel = imu.accel - offsets.accel_offset
     gyro = imu.gyro - offsets.gyro_offset
@@ -348,12 +355,16 @@ def run_localizer(
                 raise ImuSampleError(i, t, exc) from None
             except ValueError as exc:  # math.sin of a rotation angle that overflowed
                 raise ImuSampleError(i, t, f"gyro reading too large ({exc})") from None
+            except OverflowError:  # squaring a noise setting
+                raise _noise_error(cfg, f"process noise overflowed at t={t}") from None
         elif not first:
             raise ImuSampleError(i, t, "duplicate timestamp")
         t_prev = t
         first = False
 
         while fix_idx < len(fixes) and fixes[fix_idx].t <= t:
+            if not np.isfinite(p_cov).all():  # the gate would reject every fix
+                raise _noise_error(cfg, f"covariance not finite at the fix t={fixes[fix_idx].t}")
             z = geo.wgs84_to_enu(fixes[fix_idx], ref)
             state, p_cov, ok = gps_update(state, p_cov, z, cfg)
             accepted += ok

@@ -1,11 +1,12 @@
 """Trajectory evaluation against ground truth.
 
-Estimated trajectories are paired with truth by linear interpolation of
-the truth at each estimate timestamp inside the overlapping time range.
-Errors are horizontal (east/north) distances -- the evaluation is planar;
-the vertical component is reported separately as an informational field.
+``evaluate`` pairs each estimate sample inside the two trajectories'
+overlapping time range with the truth linearly interpolated at its
+timestamp, and summarizes the pairs in one report.  Errors are horizontal
+(east/north) distances -- the evaluation is planar; the vertical component
+is reported separately as an informational field.
 
-The relative error percentage is defined as::
+The relative error percentage of ``evaluate`` is defined as::
 
     100 * sum(e_i) / sum(d_i)
 
@@ -22,10 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DataError
-
-
-class AlignmentError(DataError):
-    """Trajectories share no overlapping time range."""
 
 
 @dataclass(frozen=True)
@@ -52,17 +49,6 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class AlignedPairs:
-    """Estimate samples paired with interpolated truth."""
-
-    t: np.ndarray  # (m,)
-    est: np.ndarray  # (m, 3)
-    truth: np.ndarray  # (m, 3)
-    est_label: str
-    truth_label: str
-
-
-@dataclass(frozen=True)
 class ErrorReport:
     mean: float
     peak: float
@@ -74,71 +60,43 @@ class ErrorReport:
     truth_label: str
 
 
-def align(est: Trajectory, truth: Trajectory) -> AlignedPairs:
-    """Interpolate truth at each estimate timestamp within the overlap."""
+def evaluate(est: Trajectory, truth: Trajectory) -> ErrorReport:
+    """Error report of ``est`` against ``truth``, interpolated at each
+    estimate timestamp within the overlap, with the truth's full path length.
+
+    Raises DataError when no estimate sample lies inside the overlap, or
+    when the paired truth covers zero distance (the relative error is
+    undefined).
+    """
     t0 = max(est.t[0], truth.t[0])
     t1 = min(est.t[-1], truth.t[-1])
-    if t1 < t0:
-        raise AlignmentError(
-            f"no time overlap between '{est.label}' and '{truth.label}'"
-        )
     inside = (est.t >= t0) & (est.t <= t1)
+    if not inside.any():
+        raise DataError(f"no time overlap between '{est.label}' and '{truth.label}'")
     t = est.t[inside]
-    if len(t) == 0:
-        raise AlignmentError("no estimate samples inside the overlap")
-    truth_xyz = np.column_stack(
-        [np.interp(t, truth.t, truth.xyz[:, i]) for i in range(3)]
-    )
-    return AlignedPairs(
-        t=t,
-        est=est.xyz[inside],
-        truth=truth_xyz,
+    truth_xyz = np.column_stack([np.interp(t, truth.t, truth.xyz[:, i]) for i in range(3)])
+    diff = est.xyz[inside] - truth_xyz
+    errors = np.hypot(diff[:, 0], diff[:, 1])
+    seg = np.hypot(*np.diff(truth_xyz[:, :2], axis=0).T)
+    dist_mass = float(np.sum(np.concatenate([[0.0], np.cumsum(seg)])))
+    if dist_mass <= 0.0:
+        raise DataError("ground truth covers zero distance; relative error undefined")
+    return ErrorReport(
+        mean=float(np.mean(errors)),
+        peak=float(np.max(errors)),
+        relative_percent=100.0 * float(np.sum(errors)) / dist_mass,
+        path_length=truth.path_length(),
+        n_points=len(errors),
+        vertical_mean=float(np.mean(np.abs(diff[:, 2]))),
         est_label=est.label,
         truth_label=truth.label,
     )
 
 
-def error_report(pairs: AlignedPairs, truth_path_length: float | None = None) -> ErrorReport:
-    """Summarize per-point horizontal errors.
-
-    ``truth_path_length`` defaults to the distance covered by the paired
-    truth points.  Raises DataError when the truth covers zero distance
-    (the relative error is undefined).
-    """
-    if len(pairs.t) < 1:
-        raise DataError("need at least one aligned pair")
-    diff = pairs.est - pairs.truth
-    errors = np.hypot(diff[:, 0], diff[:, 1])
-    seg = np.hypot(*np.diff(pairs.truth[:, :2], axis=0).T)
-    cumdist = np.concatenate([[0.0], np.cumsum(seg)])
-    dist_mass = float(np.sum(cumdist))
-    if dist_mass <= 0.0:
-        raise DataError("ground truth covers zero distance; relative error undefined")
-    if truth_path_length is None:
-        truth_path_length = float(cumdist[-1])
-    return ErrorReport(
-        mean=float(np.mean(errors)),
-        peak=float(np.max(errors)),
-        relative_percent=100.0 * float(np.sum(errors)) / dist_mass,
-        path_length=truth_path_length,
-        n_points=len(errors),
-        vertical_mean=float(np.mean(np.abs(diff[:, 2]))),
-        est_label=pairs.est_label,
-        truth_label=pairs.truth_label,
+def format_table(report: ErrorReport) -> str:
+    """Human-readable table: a header row and the report's row."""
+    return (
+        f"{'trajectory':<18} {'mean_m':>8} {'peak_m':>8} {'rel_%':>8} {'points':>7}\n"
+        f"{report.est_label:<18} {report.mean:>8.3f} {report.peak:>8.3f} "
+        f"{report.relative_percent:>8.2f} {report.n_points:>7d}"
     )
-
-
-def evaluate(est: Trajectory, truth: Trajectory) -> ErrorReport:
-    """align + error_report in one call, with the truth's full path length."""
-    return error_report(align(est, truth), truth.path_length())
-
-
-def format_table(reports) -> str:
-    """Human-readable comparison table, one row per report in the given order."""
-    rows = [f"{'trajectory':<18} {'mean_m':>8} {'peak_m':>8} {'rel_%':>8} {'points':>7}"]
-    for r in reports:
-        rows.append(
-            f"{r.est_label:<18} {r.mean:>8.3f} {r.peak:>8.3f} "
-            f"{r.relative_percent:>8.2f} {r.n_points:>7d}"
-        )
-    return "\n".join(rows)

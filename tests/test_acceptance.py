@@ -98,7 +98,7 @@ def _walk_errors(seed, noise, gps_on=True):
         gps_pos_std=max(noise.gps_sigma, 0.01),
     )
     run = run_localizer(imu, fixes, cfg, offsets)
-    est = run.positions_in(sc.anchor_fix())
+    est = run.trajectory("est", sc.anchor_fix()).xyz
     err = np.hypot(*(est[:, :2] - truth.p[: len(est), :2]).T)
     gps_err = [
         np.hypot(
@@ -410,17 +410,21 @@ def test_criterion_11_metrics_oracle():
         truth = rng.standard_normal((n_truth, 3)) * 15
         t_est = np.sort(rng.uniform(t_truth[0], t_truth[-1], n_est)) + np.arange(n_est) * 1e-9
         est = rng.standard_normal((n_est, 3)) * 15
-        pairs = metrics.align(
+        got = metrics.evaluate(
             metrics.Trajectory(t_est, est, "est"),
             metrics.Trajectory(t_truth, truth, "truth"),
         )
-        got = metrics.error_report(pairs)
-        mean, peak, relative, _ = brute_force_report(t_est, est, t_truth, truth)
+        mean, peak, relative, vertical = brute_force_report(t_est, est, t_truth, truth)
+        t0, t1 = max(t_est[0], t_truth[0]), min(t_est[-1], t_truth[-1])
+        assert got.n_points == sum(t0 <= t <= t1 for t in t_est)
         assert abs(got.mean - mean) < 1e-12
         assert abs(got.peak - peak) < 1e-12
+        assert abs(got.vertical_mean - vertical) < 1e-12
         assert abs(got.relative_percent - relative) <= 1e-12 * max(relative, 1.0)
         assert got.mean <= got.peak
-        worst = max(worst, abs(got.mean - mean), abs(got.peak - peak))
+        worst = max(
+            worst, abs(got.mean - mean), abs(got.peak - peak), abs(got.vertical_mean - vertical)
+        )
     report(11, f"1000 random trajectory pairs match direct summation (worst {worst:.1e})")
 
 

@@ -171,6 +171,12 @@ class TestScenarioParsing:
             ("walk.cfg", "seed", "\u0664"),
             ("walk.cfg", "seed", "-1"),  # the generators take no negative seed
             ("walk.cfg", "front_sensors", "1"),
+            ("walk.cfg", "speed", "-1"),
+            ("walk.cfg", "imu_rate", "-5"),
+            ("walk.cfg", "gps_rate", "0"),
+            ("walk.cfg", "gps_rate", "1e300"),
+            ("walk.cfg", "gps_rate", "200"),  # faster than imu_rate = 100
+            ("walk.cfg", "anchor", "100, 0, 0"),
             ("offsets.cfg", "accel_offset", "1, 2"),
             ("offsets.cfg", "accel_offset", "nan, 0, 0"),
         ],
@@ -526,6 +532,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage: fusenav") and f"argument {flag}: invalid" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, setting, value, message",
+        [
+            ("localize", "--accel-noise", "1e200", "process noise overflowed"),
+            ("localize", "--gyro-noise", "1e200", "process noise overflowed"),
+            ("localize", "--gps-std", "1e200", "initial covariance overflowed"),
+            ("run", "gps_sigma", "1e200", "initial covariance overflowed"),
+            # squares that fit in a float, but P overflows before the first fix
+            ("localize", "--gps-std", "1.3e154", "covariance not finite at the fix t=1.0"),
+            ("localize", "--accel-noise", "1.3e155", "covariance not finite at the fix t=1.0"),
+        ],
+    )
+    def test_noise_that_overflows_exits_3(
+        self, scenario_file, tmp_path, capsys, command, setting, value, message
+    ):
+        sim_out, out = tmp_path / "sim", tmp_path / "o"
+        if command == "run":
+            scenario_file.write_text(
+                SHORT_SCENARIO.replace("gps_sigma = 1.5", f"{setting} = {value}")
+            )
+            argv = ["run", "--scenario", str(scenario_file)]
+        else:
+            assert cli.main(["simulate", "--scenario", str(scenario_file), "--out", str(sim_out)]) == 0
+            argv = ["localize", "--imu", str(sim_out / "imu.csv"), "--gps", str(sim_out / "gps.csv")]
+            argv += [setting, value]
+        with np.errstate(over="ignore", invalid="ignore"):  # P overflows on purpose
+            assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert f"numerical failure: {message}" in err and f"={float(value)}" in err
+        assert not (out / "est.csv").exists()
 
     def test_data_errors_exit_2(self, tmp_path):
         assert (

@@ -398,7 +398,7 @@ class TestRunLocalizer:
         cfg = make_cfg(accel_noise=1e-4, gyro_noise=1e-5, gps_pos_std=0.01)
         init = NominalState(p=truth.p[0], v=truth.v[0], q=truth.q[0], t=0.0)
         run = run_localizer(imu, fixes, cfg, initial=init)
-        err = np.linalg.norm(run.positions_in(sc.anchor_fix()) - truth.p, axis=1)
+        err = np.linalg.norm(run.trajectory("est", sc.anchor_fix()).xyz - truth.p, axis=1)
         assert err.max() < 0.05
 
     def test_imu_only_bias_drift_law(self):

@@ -2,17 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from fusenav.core import DataError
-from fusenav.metrics import (
-    AlignmentError,
-    Trajectory,
-    align,
-    error_report,
-    evaluate,
-    format_table,
-)
+from fusenav.metrics import Trajectory, evaluate, format_table
 
 
 def brute_force_report(t_est, est, t_truth, truth):
@@ -49,35 +41,48 @@ def straight(n=50, dt=0.5, speed=1.0):
 class TestAlign:
     def test_identical_trajectories_zero_offset(self):
         t, xyz = straight()
-        pairs = align(traj(t, xyz, "est"), traj(t, xyz, "truth"))
-        assert_allclose(pairs.est, pairs.truth, atol=1e-15)
-        assert len(pairs.t) == len(t)
+        report = evaluate(traj(t, xyz, "est"), traj(t, xyz, "truth"))
+        assert report.peak == 0.0 and report.vertical_mean == 0.0
+        assert report.n_points == len(t)
 
     def test_interpolation_density(self):
-        # truth at 1 Hz, estimate at 100 Hz: one pair per estimate sample
+        # truth at 1 Hz, estimate at 100 Hz on the same line: one pair per
+        # estimate sample, and interpolation makes every error zero
         t_truth = np.arange(0.0, 10.5, 1.0)
         truth = np.column_stack([t_truth, np.zeros_like(t_truth), np.zeros_like(t_truth)])
         t_est = np.arange(0.0, 10.0001, 0.01)
         est = np.column_stack([t_est, np.zeros_like(t_est), np.zeros_like(t_est)])
-        pairs = align(traj(t_est, est, "est"), traj(t_truth, truth, "truth"))
-        assert len(pairs.t) == len(t_est)
+        report = evaluate(traj(t_est, est, "est"), traj(t_truth, truth, "truth"))
+        assert report.n_points == len(t_est)
+        assert report.peak < 1e-12
 
     def test_constant_offset_construction(self):
         t, xyz = straight()
         shifted = xyz + np.array([1.0, 0.0, 0.0])
-        pairs = align(traj(t, shifted, "est"), traj(t, xyz, "truth"))
-        assert_allclose(pairs.est - pairs.truth, np.tile([1.0, 0, 0], (len(t), 1)), atol=1e-12)
+        report = evaluate(traj(t, shifted, "est"), traj(t, xyz, "truth"))
+        assert report.mean == pytest.approx(1.0, abs=1e-12)
+        assert report.peak == pytest.approx(1.0, abs=1e-12)
+        assert report.vertical_mean == 0.0
 
     def test_points_outside_overlap_dropped_and_counted(self):
+        # the estimate runs on past both truth ends, where truth would clamp:
+        # any pair outside the overlap would carry an error
         t, xyz = straight(n=100)
-        pairs = align(traj(t, xyz, "est"), traj(t[20:80], xyz[20:80], "truth"))
-        assert len(pairs.t) == len(t) - 20 - 20
-        assert pairs.t[0] == t[20] and pairs.t[-1] == t[79]
+        report = evaluate(traj(t, xyz, "est"), traj(t[20:80], xyz[20:80], "truth"))
+        assert report.n_points == len(t) - 20 - 20
+        assert report.peak == 0.0
 
     def test_no_overlap_raises(self):
         t, xyz = straight(n=10)
-        with pytest.raises(AlignmentError):
-            align(traj(t, xyz, "est"), traj(t + 100.0, xyz, "truth"))
+        with pytest.raises(DataError, match="no time overlap between 'est' and 'truth'"):
+            evaluate(traj(t, xyz, "est"), traj(t + 100.0, xyz, "truth"))
+
+    def test_no_sample_inside_overlap_raises(self):
+        # the estimate spans the truth's time range but has no sample inside it
+        t, xyz = straight(n=10)
+        est = traj([0.0, 10.0], np.zeros((2, 3)), "est")
+        with pytest.raises(DataError, match="no time overlap"):
+            evaluate(est, traj(t + 2.0, xyz, "truth"))
 
 
 class TestErrorReport:
@@ -92,7 +97,7 @@ class TestErrorReport:
         t = np.array([0.0, 1.0, 2.0])
         truth = np.column_stack([t * 10, np.zeros(3), np.zeros(3)])
         est = truth + np.array([[0, 1, 0], [0, 2, 0], [0, 3, 0]])
-        report = error_report(align(traj(t, est, "est"), traj(t, truth, "truth")))
+        report = evaluate(traj(t, est, "est"), traj(t, truth, "truth"))
         assert report.mean == pytest.approx(2.0)
         assert report.peak == pytest.approx(3.0)
 
@@ -102,7 +107,7 @@ class TestErrorReport:
         t = np.linspace(0.0, 10.0, n)
         truth = np.column_stack([t, np.zeros(n), np.zeros(n)])
         est = truth + np.array([0.0, 1.0, 0.0])
-        report = error_report(align(traj(t, est, "est"), traj(t, truth, "truth")))
+        report = evaluate(traj(t, est, "est"), traj(t, truth, "truth"))
         mean, peak, relative, _ = brute_force_report(t, est, t, truth)
         assert report.mean == pytest.approx(1.0)
         assert report.peak == pytest.approx(1.0)
@@ -119,8 +124,7 @@ class TestErrorReport:
             t_est = np.sort(rng.uniform(t_truth[0], t_truth[-1], n_est))
             t_est += np.arange(n_est) * 1e-9
             est = rng.standard_normal((n_est, 3)) * 20
-            pairs = align(traj(t_est, est, "est"), traj(t_truth, truth, "truth"))
-            report = error_report(pairs)
+            report = evaluate(traj(t_est, est, "est"), traj(t_truth, truth, "truth"))
             mean, peak, relative, vertical = brute_force_report(
                 t_est, est, t_truth, truth
             )
@@ -137,10 +141,8 @@ class TestErrorReport:
         truth = rng.standard_normal((40, 3)) * 10
         est = truth + rng.standard_normal((40, 3))
         offset = np.array([123.4, -56.7, 8.9])
-        r1 = error_report(align(traj(t, est, "e"), traj(t, truth, "t")))
-        r2 = error_report(
-            align(traj(t, est + offset, "e"), traj(t, truth + offset, "t"))
-        )
+        r1 = evaluate(traj(t, est, "e"), traj(t, truth, "t"))
+        r2 = evaluate(traj(t, est + offset, "e"), traj(t, truth + offset, "t"))
         assert r1.mean == pytest.approx(r2.mean, abs=1e-12)
         assert r1.peak == pytest.approx(r2.peak, abs=1e-12)
         assert r1.relative_percent == pytest.approx(r2.relative_percent, rel=1e-9)
@@ -149,20 +151,16 @@ class TestErrorReport:
         t = np.array([0.0, 1.0, 2.0])
         truth = np.tile([5.0, 5.0, 0.0], (3, 1))  # walker never moves
         est = truth + 1.0
-        with pytest.raises(DataError):
-            error_report(align(traj(t, est, "e"), traj(t, truth, "t")))
+        with pytest.raises(DataError, match="zero distance"):
+            evaluate(traj(t, est, "e"), traj(t, truth, "t"))
 
 
-class TestCompare:
-    def _report(self, mean_offset, label):
+class TestFormatTable:
+    def test_format_table_contains_labels(self):
         t = np.linspace(0, 10, 21)
         truth = np.column_stack([t, np.zeros_like(t), np.zeros_like(t)])
-        err = np.full_like(t, mean_offset)
-        est = truth + np.column_stack([np.zeros_like(t), err, np.zeros_like(t)])
-        return error_report(align(traj(t, est, label), traj(t, truth, "truth")))
-
-    def test_format_table_contains_labels(self):
-        a = self._report(1.0, "a")
-        b = self._report(2.0, "b")
-        table = format_table([a, b])
-        assert "a" in table and "b" in table and "mean_m" in table
+        est = truth + np.array([0.0, 1.0, 0.0])
+        table = format_table(evaluate(traj(t, est, "walk_a"), traj(t, truth, "truth")))
+        header, row = table.split("\n")
+        assert header.split() == ["trajectory", "mean_m", "peak_m", "rel_%", "points"]
+        assert row.split() == ["walk_a", "1.000", "1.000", "20.00", "21"]
