@@ -116,6 +116,7 @@ def _finite_in(test, what: str):
 _ANGLE_DEG = _finite_in(lambda x: 0.0 < x < 90.0, "in (0, 90) degrees")
 _POSITIVE = _finite_in(lambda x: x > 0.0, "positive")
 _SIGMA = _finite_in(lambda x: x >= 0.0, "non-negative")
+_MAX_IMU_SAMPLES = 10**7  # a walk's arrays hold one row per IMU sample
 # the fusion reads exactly one front pair; the key stays for files that state it
 _FRONT_PAIR = _finite_in(lambda x: x == 2.0, "2, the front pair the fusion reads")
 
@@ -417,12 +418,22 @@ def load_scenario(path) -> sim.Scenario:
     # a Scenario with every other field at its default checks the route alone
     route = take("route", lambda v: sim.Scenario(_parse_tuple_list(v, 2)).route)
     take("front_sensors", _FRONT_PAIR, 2.0)
-    imu_rate = take("imu_rate", _POSITIVE, 100.0)
+    speed = take("speed", _POSITIVE, 1.52)
+    # a walk's IMU samples: route length / speed * imu_rate
+    max_rate = _MAX_IMU_SAMPLES * speed / sum(map(math.dist, route, route[1:]))
+    imu_rate = take(
+        "imu_rate",
+        _finite_in(
+            lambda x: 0.0 < x <= max_rate,
+            f"in (0, {max_rate}], the rate of {_MAX_IMU_SAMPLES} IMU samples over the route",
+        ),
+        100.0,
+    )
     # each fix is applied at an IMU step, so gps_rate may not exceed imu_rate
     gps_rate_conv = _finite_in(lambda x: 0.0 < x <= imu_rate, f"in (0, imu_rate = {imu_rate}]")
     scenario = sim.Scenario(
         route=route,
-        speed=take("speed", _POSITIVE, 1.52),
+        speed=speed,
         imu_rate=imu_rate,
         gps_rate=take("gps_rate", gps_rate_conv, 1.0),
         noise=noise,

@@ -21,8 +21,8 @@ Each quaternion formula is written once, as a kernel over components
 (w, x, y, z).  ``hamilton`` and ``rotation_entries`` (the entries of
 R(q)) take all floats or all equal-length arrays, since
 ``level_heading_quat`` and ``quat_to_matrix`` run them on stacks.
-``unit`` and ``rotvec_quat`` take floats only: the localizer's per-step
-``propagate`` and ``gps_update`` are their only callers.
+``unit`` and ``rotvec_quat`` take floats only: the attitude loop of the
+localizer's ``propagate`` and ``gps_update`` are their only callers.
 """
 
 from __future__ import annotations

@@ -18,15 +18,17 @@ stream are a contract violation and raise.  Independent instances can run
 concurrently on separate data: ``propagate`` and ``gps_update`` keep no
 shared mutable state, and the module's arrays are read-only constants.
 
-The IMU step is the hot loop.  ``propagate`` reads its inputs once into
-Python floats and runs the nominal update, as ``gps_update`` its attitude
-correction, through ``core``'s quaternion kernels; NumPy only forms
-``F P F^T``.
+Between two fixes nothing reads P, so ``propagate`` steps one such
+segment of IMU samples at a time and ``run_localizer`` calls it once per
+fix (a longer gap in calls of at most 1,024 steps).  The nominal states are columns: the attitude is a float loop
+through ``core``'s quaternion kernels, as is ``gps_update``'s correction,
+and v and p are running sums that add in the order of one step at a
+time.  P is propagated once per segment, through the segment's
+closed-form transition and noise sum.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,6 +39,7 @@ from .core import (
     DataError,
     GpsFix,
     ImuLog,
+    InvalidQuaternionError,
     NumericalError,
     hamilton,
     level_heading_quat,
@@ -49,16 +52,24 @@ MAX_IMU_DT = 0.1  # s, sanity bound on a single strapdown step
 INNOVATION_GATE = 5.0  # per-axis gate, in innovation standard deviations
 INIT_VEL_STD = 1.0  # m/s, initial velocity uncertainty
 INIT_ATT_STD = 0.1  # rad, initial attitude uncertainty
-_GX, _GY, _GZ = GRAVITY.tolist()
+_MAX_SEGMENT = 1024  # steps per propagate call, which bounds its temporaries
 
-# Read-only constants of propagate: the 9x9 identity F starts from, the
-# flat indices of F's dt and [R accel]x entries, and of Qd's diagonal.
+# Read-only constants of propagate: the identities Phi and its blocks start
+# from, and the flat indices of Phi's tau and -[.]x entries.
 _EYE9 = np.eye(9)
 _EYE9.flags.writeable = False
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
 _F_INDEX = np.array([3, 13, 23, 7, 8, 15, 17, 24, 25, 34, 35, 42, 44, 51, 52])
 _F_INDEX.flags.writeable = False
-_QD_INDEX = np.array([30, 40, 50, 60, 70, 80])
-_QD_INDEX.flags.writeable = False
+
+
+def _blocks(tau, a, b) -> tuple:
+    """Values at _F_INDEX: tau on (dp, dv), -[a]x on (dp, dtheta) and
+    -[b]x on (dv, dtheta)."""
+    ax, ay, az = a.tolist()
+    bx, by, bz = b.tolist()
+    return (tau, tau, tau, az, -ay, -az, ax, ay, -ax, bz, -by, -bz, bx, by, -bx)
 
 
 class CalibrationDivergedError(NumericalError):
@@ -72,11 +83,20 @@ class CalibrationDivergedError(NumericalError):
 
 
 class ImuSampleError(DataError):
-    """A fault of the IMU sample at ``index`` in the log: its step failed."""
+    """A fault of the IMU sample at ``index`` in the log (in propagate, a
+    row of its readings): its step failed."""
 
     def __init__(self, index: int, t: float, why):
         self.index, self.why = index, why
         super().__init__(f"IMU sample {index} (t={t}): {why}")
+
+
+class _NoiseOverflow(OverflowError):
+    """The process noise of propagate's step ``index`` overflowed."""
+
+    def __init__(self, index: int):
+        self.index = index
+        super().__init__(f"process noise overflowed at step {index}")
 
 
 @dataclass(frozen=True)
@@ -175,61 +195,112 @@ def propagate(
     P: np.ndarray,
     accel: np.ndarray,
     gyro: np.ndarray,
-    dt: float,
+    dt: np.ndarray,
     cfg: LocalizerConfig,
 ) -> tuple[NominalState, np.ndarray]:
-    """One strapdown step plus covariance propagation.
+    """Strapdown steps over one segment, plus the covariance at its end.
 
-    ``accel`` and ``gyro`` are one offset-corrected body-frame reading,
-    (3,) each.  Nominal: a_nav = R(q) accel + g; p, v by
+    ``accel`` and ``gyro`` are (m, 3) offset-corrected body-frame readings
+    and ``dt`` their (m,) steps.  Each step: a_nav = R(q) accel + g; p, v by
     constant-acceleration kinematics; q right-multiplied by the gyro
-    increment.  Covariance:
-    P <- F P F^T + L Qd L^T with the error-state Jacobian (including the
-    -0.5 [R accel]x dt^2 position/attitude block, the exact derivative of
-    this integrator) and Qd = diag(sa^2 dt^2, sg^2 dt^2) on (dv, dtheta).
+    increment.  Returns the m states after each step, stacked in one
+    NominalState (p (m, 3), v (m, 3), q (m, 4), t (m,)), and P after the
+    last step.
 
-    The nominal step runs on floats through ``core``'s quaternion kernels;
-    only ``F P F^T`` is an array product.  Nothing is kept between calls.
+    Nothing inside a segment reads P, so it is propagated once, as
+    P <- Phi P Phi^T + sum_k Phi_k Qd_k Phi_k^T, with Phi_k = F_m ... F_k+1
+    the step Jacobians after step k and Phi all m of them.  Such products
+    keep the form [[I, tau I, -[sum_j (h_j + tau_j e_j)]x],
+    [0, I, -[sum_j e_j]x], [0, 0, I]] (j over the steps spanned, tau their
+    time, tau_j the time left after step j), with e = R(q) accel dt and
+    h = e dt / 2, the exact derivative of this integrator.  Qd_k is
+    diag(sa^2 dt^2 I, sg^2 dt^2 I) on (dv, dtheta), so the noise sum is a
+    few weighted outer products, since [a]x [b]x^T = (a.b) I - b a^T.
+
+    A bad step raises ImuSampleError naming its row, a noise setting whose
+    square overflows an OverflowError naming its step.
     """
-    if not 0.0 < dt <= MAX_IMU_DT:
-        raise DataError(f"dt={dt} outside (0, {MAX_IMU_DT}] s")
-    px, py, pz = p0 = s.p.tolist()
-    vx, vy, vz = v0 = s.v.tolist()
-    q0 = s.q.tolist()
-    ax, ay, az = a0 = accel.tolist()
-    wx, wy, wz = w0 = gyro.tolist()
-    if not all(map(math.isfinite, p0 + v0 + q0 + a0 + w0)):
-        raise DataError("non-finite propagation input")
+    # overflow and nan are checked for where they matter, and raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = gyro * dt[:, None]
+        tx, ty, tz = theta.T
+        qa = (cfg.accel_noise * dt) ** 2
+        qg = (cfg.gyro_noise * dt) ** 2
+        non_finite = ~(np.isfinite(accel).all(axis=1) & np.isfinite(gyro).all(axis=1))
+        non_finite[0] |= not np.isfinite(np.concatenate([s.p, s.v, s.q])).all()
+        faults = np.array(
+            [
+                ~((dt > 0.0) & (dt <= MAX_IMU_DT)),
+                non_finite,
+                ~np.isfinite(tx * tx + ty * ty + tz * tz),  # math.sin of it would raise
+                ~np.isfinite(qa + qg),
+            ]
+        )
+        t = np.cumsum(np.concatenate([[s.t], dt]))[1:]
+        if faults.any():
+            k = int(faults.any(axis=0).argmax())
+            kind = int(faults[:, k].argmax())
+            if kind == 3:
+                raise _NoiseOverflow(k)
+            why = (
+                f"dt={dt[k].item()} outside (0, {MAX_IMU_DT}] s",
+                "non-finite propagation input",
+                "gyro reading too large (math domain error)",
+            )[kind]
+            raise ImuSampleError(k, t[k].item(), why)
 
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = rotation_entries(q0)
-    cx = r00 * ax + r01 * ay + r02 * az
-    cy = r10 * ax + r11 * ay + r12 * az
-    cz = r20 * ax + r21 * ay + r22 * az
-    nx, ny, nz = cx + _GX, cy + _GY, cz + _GZ
-    p = np.array(
-        [
-            px + vx * dt + 0.5 * nx * dt * dt,
-            py + vy * dt + 0.5 * ny * dt * dt,
-            pz + vz * dt + 0.5 * nz * dt * dt,
-        ]
-    )
-    v = np.array([vx + nx * dt, vy + ny * dt, vz + nz * dt])
-    q = np.array(unit(hamilton(q0, rotvec_quat((wx * dt, wy * dt, wz * dt)))))
+        q = tuple(s.q.tolist())
+        qs = [q]
+        for th in theta.tolist():
+            q = unit(hamilton(q, rotvec_quat(th)))
+            qs.append(q)
+        qs = np.array(qs)
 
-    # F = I + dt on (dp, dv), -0.5 [R accel]x dt^2 on (dp, dtheta),
-    # -[R accel]x dt on (dv, dtheta)
-    hx, hy, hz = 0.5 * cx * dt * dt, 0.5 * cy * dt * dt, 0.5 * cz * dt * dt
-    ex, ey, ez = cx * dt, cy * dt, cz * dt
-    f = _EYE9.copy()
-    f.put(
-        _F_INDEX,
-        (dt, dt, dt, hz, -hy, -hz, hx, hy, -hx, ez, -ey, -ez, ex, ey, -ex),
-    )
-    p_cov = f @ P @ f.T
-    qa = (cfg.accel_noise * dt) ** 2
-    qg = (cfg.gyro_noise * dt) ** 2
-    p_cov.put(_QD_INDEX, p_cov.take(_QD_INDEX) + (qa, qa, qa, qg, qg, qg))
-    return NominalState(p=p, v=v, q=q, t=s.t + dt), 0.5 * (p_cov + p_cov.T)
+        # the nominal step's operations, in its order, as columns
+        r = rotation_entries(qs[:-1].T)
+        ax, ay, az = accel.T
+        c = np.column_stack([r[i] * ax + r[i + 1] * ay + r[i + 2] * az for i in (0, 3, 6)])
+        d = dt[:, None]
+        n = c + GRAVITY
+        v = np.cumsum(np.concatenate([s.v[None], n * d]), axis=0)
+        # p_k = (p_{k-1} + v_{k-1} dt) + 0.5 n dt dt, as one running sum
+        x = np.empty((2 * len(dt) + 1, 3))
+        x[0] = s.p
+        x[1::2] = v[:-1] * d
+        x[2::2] = 0.5 * n * d * d
+        p = np.cumsum(x, axis=0)[2::2]
+        v = v[1:]
+        finite = np.isfinite(p).all(axis=1) & np.isfinite(v).all(axis=1)
+        if not finite[:-1].all():  # the next step's input is not finite
+            k = int(finite.argmin()) + 1
+            raise ImuSampleError(k, t[k].item(), "non-finite propagation input")
+
+        e = c * d
+        tail = np.cumsum(dt[::-1])[::-1]  # from the start of each step to the end
+        tau = np.append(tail[1:], 0.0)
+        g = 0.5 * e * d + tau[:, None] * e
+        # sums over the steps after each step: (m, 3) each, side by side
+        after = np.zeros((len(dt), 6))
+        after[:-1] = np.cumsum(np.hstack([g, e])[:0:-1], axis=0)[::-1]
+        g_all, e_all = after[0, :3] + g[0], after[0, 3:] + e[0]
+        phi = _EYE9.copy()
+        phi.put(_F_INDEX, _blocks(tail[0], g_all, e_all))
+
+        w = qg[:, None] * after
+        outer = after.T @ w  # sum qg [a b] [a b]^T
+        aa, ab, bb = outer[:3, :3], outer[:3, 3:], outer[3:, 3:]
+        wa, wb = w.sum(axis=0).reshape(2, 3)
+        noise = np.zeros((9, 9))
+        noise[0:3, 0:3] = (qa @ (tau * tau) + np.trace(aa)) * _EYE3 - aa
+        noise[0:3, 3:6] = (qa @ tau + np.trace(ab)) * _EYE3 - ab.T
+        noise[3:6, 3:6] = (qa.sum() + np.trace(bb)) * _EYE3 - bb
+        noise.put(_F_INDEX[3:], _blocks(0.0, wa, wb)[3:])
+        noise[6:9, 6:9] = qg.sum() * _EYE3
+        noise[3:9, 0:3] = noise[0:3, 3:9].T
+        noise[6:9, 3:6] = noise[3:6, 6:9].T
+        p_cov = phi @ P @ phi.T + noise
+        p_cov = 0.5 * (p_cov + p_cov.T)
+    return NominalState(p=p, v=v, q=qs[1:], t=t), p_cov
 
 
 def gps_update(
@@ -335,34 +406,44 @@ def run_localizer(
     except OverflowError:
         raise _noise_error(cfg, "initial covariance overflowed") from None
 
-    accel = imu.accel - offsets.accel_offset
-    gyro = imu.gyro - offsets.gyro_offset
-    ts, ps, vs, qs = [], [], [], []
+    # samples before the anchor are dropped unchecked
+    keep = np.flatnonzero(~(imu.t < ref.t))
+    if not len(keep):
+        raise DataError("no IMU samples at or after the anchor fix")
+    t = imu.t[keep]
+    accel = imu.accel[keep] - offsets.accel_offset
+    gyro = imu.gyro[keep] - offsets.gyro_offset
+    dt = np.diff(t, prepend=ref.t)
+    lead = int(dt[0] == 0.0)  # a first sample on the anchor takes no step
+    # a step back in time or a repeated time raises after the samples before it
+    stop = np.flatnonzero(dt[1:] <= 0.0)
+    end = int(stop[0]) + 1 if len(stop) else len(t)
+    # each fix is applied after the first sample at or after its time
+    at = np.searchsorted(t[:end], [f.t for f in fixes[1:]]).tolist()
+
+    ps, vs, qs = np.empty((end, 3)), np.empty((end, 3)), np.empty((end, 4))
+    ps[0], vs[0], qs[0] = state.p, state.v, state.q
     accepted = rejected = 0
     fix_idx = 1  # the anchor fix is consumed by initialization
-    t_prev = ref.t
-    first = True
-    for i, t in enumerate(imu.t.tolist()):
-        if t < ref.t:
-            continue
-        dt = t - t_prev
-        if dt < 0.0:
-            raise ImuSampleError(i, t, "timestamps unsorted")
-        if dt > 0.0:
+    lo = lead
+    for hi in sorted({i + 1 for i in at if i < end} | {end}):
+        while lo < hi:
+            mid = min(hi, lo + _MAX_SEGMENT)
             try:
-                state, p_cov = propagate(state, p_cov, accel[i], gyro[i], dt, cfg)
-            except DataError as exc:
-                raise ImuSampleError(i, t, exc) from None
-            except ValueError as exc:  # math.sin of a rotation angle that overflowed
-                raise ImuSampleError(i, t, f"gyro reading too large ({exc})") from None
-            except OverflowError:  # squaring a noise setting
-                raise _noise_error(cfg, f"process noise overflowed at t={t}") from None
-        elif not first:
-            raise ImuSampleError(i, t, "duplicate timestamp")
-        t_prev = t
-        first = False
-
-        while fix_idx < len(fixes) and fixes[fix_idx].t <= t:
+                seg, p_cov = propagate(state, p_cov, accel[lo:mid], gyro[lo:mid], dt[lo:mid], cfg)
+            except ImuSampleError as exc:
+                i = lo + exc.index
+                raise ImuSampleError(int(keep[i]), t[i].item(), exc.why) from None
+            except InvalidQuaternionError as exc:  # the state's q, at the first step
+                raise ImuSampleError(int(keep[lo]), t[lo].item(), exc) from None
+            except _NoiseOverflow as exc:
+                raise _noise_error(
+                    cfg, f"process noise overflowed at t={t[lo + exc.index].item()}"
+                ) from None
+            ps[lo:mid], vs[lo:mid], qs[lo:mid] = seg.p, seg.v, seg.q
+            state = NominalState(p=seg.p[-1], v=seg.v[-1], q=seg.q[-1], t=seg.t[-1].item())
+            lo = mid
+        while fix_idx < len(fixes) and at[fix_idx - 1] == hi - 1:
             if not np.isfinite(p_cov).all():  # the gate would reject every fix
                 raise _noise_error(cfg, f"covariance not finite at the fix t={fixes[fix_idx].t}")
             z = geo.wgs84_to_enu(fixes[fix_idx], ref)
@@ -370,19 +451,16 @@ def run_localizer(
             accepted += ok
             rejected += not ok
             fix_idx += 1
+        ps[hi - 1], vs[hi - 1], qs[hi - 1] = state.p, state.v, state.q
 
-        ts.append(t)
-        ps.append(state.p)
-        vs.append(state.v)
-        qs.append(state.q)
-
-    if not ts:
-        raise DataError("no IMU samples at or after the anchor fix")
+    if end < len(t):
+        why = "timestamps unsorted" if dt[end] < 0.0 else "duplicate timestamp"
+        raise ImuSampleError(int(keep[end]), t[end].item(), why)
     return LocalizerRun(
-        t=np.array(ts),
-        p=np.array(ps),
-        v=np.array(vs),
-        q=np.array(qs),
+        t=t[:end],
+        p=ps,
+        v=vs,
+        q=qs,
         ref=ref,
         accepted_fixes=accepted,
         rejected_fixes=rejected,

@@ -1,11 +1,13 @@
+import itertools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fusenav import localizer, sim
+from fusenav import cli, geo, sim
 from fusenav.core import (
     GRAVITY,
     DataError,
@@ -15,6 +17,7 @@ from fusenav.core import (
     hamilton,
     level_heading_quat,
     quat_to_matrix,
+    rotation_entries,
     rotvec_quat,
     unit,
 )
@@ -33,6 +36,8 @@ from fusenav.localizer import (
 )
 
 G = 9.80665
+WALK110 = Path(cli.__file__).parent / "scenarios" / "walk110.cfg"
+CITY = Path(__file__).resolve().parents[1] / "perfbench" / "city.cfg"
 
 
 def skew(v) -> np.ndarray:
@@ -133,13 +138,77 @@ def assert_rel_close(got, want, rtol=1e-12):
     assert np.linalg.norm(np.asarray(got) - want) <= rtol * np.linalg.norm(want)
 
 
-def dense_propagate(s, P, accel, gyro, dt, cfg):
-    """Reference for propagate: the same step in dense NumPy, through the
-    core quaternion kernels and a 9x9 Qd."""
+# The per-step body's constants: the flat indices of F's dt and -[c]x
+# entries, and of Qd's diagonal.
+F_INDEX = [3, 13, 23, 7, 8, 15, 17, 24, 25, 34, 35, 42, 44, 51, 52]
+QD_INDEX = [30, 40, 50, 60, 70, 80]
+
+
+def step(s, P, accel, gyro, dt, cfg):
+    """Oracle for propagate: one strapdown step on floats through the core
+    quaternion kernels, and P <- F P F^T + Qd, symmetrised, per step."""
     if not 0.0 < dt <= MAX_IMU_DT:
         raise DataError(f"dt={dt} outside (0, {MAX_IMU_DT}] s")
-    if not all(np.all(np.isfinite(x)) for x in (accel, gyro, s.p, s.v, s.q)):
+    px, py, pz = p0 = s.p.tolist()
+    vx, vy, vz = v0 = s.v.tolist()
+    q0 = s.q.tolist()
+    ax, ay, az = a0 = accel.tolist()
+    wx, wy, wz = w0 = gyro.tolist()
+    if not all(map(math.isfinite, p0 + v0 + q0 + a0 + w0)):
         raise DataError("non-finite propagation input")
+
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = rotation_entries(q0)
+    cx = r00 * ax + r01 * ay + r02 * az
+    cy = r10 * ax + r11 * ay + r12 * az
+    cz = r20 * ax + r21 * ay + r22 * az
+    nx, ny, nz = cx + GRAVITY[0], cy + GRAVITY[1], cz + GRAVITY[2]
+    p = np.array(
+        [
+            px + vx * dt + 0.5 * nx * dt * dt,
+            py + vy * dt + 0.5 * ny * dt * dt,
+            pz + vz * dt + 0.5 * nz * dt * dt,
+        ]
+    )
+    v = np.array([vx + nx * dt, vy + ny * dt, vz + nz * dt])
+    q = np.array(unit(hamilton(q0, rotvec_quat((wx * dt, wy * dt, wz * dt)))))
+
+    hx, hy, hz = 0.5 * cx * dt * dt, 0.5 * cy * dt * dt, 0.5 * cz * dt * dt
+    ex, ey, ez = cx * dt, cy * dt, cz * dt
+    f = np.eye(9)
+    f.put(F_INDEX, (dt, dt, dt, hz, -hy, -hz, hx, hy, -hx, ez, -ey, -ez, ex, ey, -ex))
+    p_cov = f @ P @ f.T
+    qa = (cfg.accel_noise * dt) ** 2
+    qg = (cfg.gyro_noise * dt) ** 2
+    p_cov.put(QD_INDEX, p_cov.take(QD_INDEX) + (qa, qa, qa, qg, qg, qg))
+    return NominalState(p=p, v=v, q=q, t=s.t + dt), 0.5 * (p_cov + p_cov.T)
+
+
+def step_run(imu, fixes, cfg, offsets):
+    """Oracle for run_localizer: its contract as one loop over the samples,
+    each fix applied through gps_update after the step that reaches it."""
+    ref = fixes[0]
+    s = NominalState(geo.wgs84_to_enu(ref, ref), np.zeros(3), level_heading_quat(0.0), ref.t)
+    p_cov = initial_covariance(cfg)
+    accel = imu.accel - offsets.accel_offset
+    gyro = imu.gyro - offsets.gyro_offset
+    rows, accepted, rejected, k, t_prev = [], 0, 0, 1, ref.t
+    for i, t in enumerate(imu.t.tolist()):
+        if t < ref.t:
+            continue
+        if t > t_prev:
+            s, p_cov = step(s, p_cov, accel[i], gyro[i], t - t_prev, cfg)
+        t_prev = t
+        while k < len(fixes) and fixes[k].t <= t:
+            s, p_cov, ok = gps_update(s, p_cov, geo.wgs84_to_enu(fixes[k], ref), cfg)
+            accepted, rejected, k = accepted + ok, rejected + (not ok), k + 1
+        rows.append((t, s.p, s.v, s.q))
+    t, p, v, q = zip(*rows)
+    return np.array(t), np.array(p), np.array(v), np.array(q), accepted, rejected
+
+
+def dense_propagate(s, P, accel, gyro, dt, cfg):
+    """Second reference for one step: dense NumPy, through quat_to_matrix
+    and a 9x9 Qd."""
     c = quat_to_matrix(s.q)
     a_nav = c @ accel + GRAVITY
     p = s.p + s.v * dt + 0.5 * a_nav * dt * dt
@@ -157,6 +226,15 @@ def dense_propagate(s, P, accel, gyro, dt, cfg):
     return NominalState(p=p, v=v, q=q, t=s.t + dt), 0.5 * (p_cov + p_cov.T)
 
 
+def segment(s, P, accel, gyro, dt, cfg):
+    """propagate over the steps ``dt`` (one step: a float and (3,) readings),
+    as the state after the last step and P."""
+    seg, p_cov = propagate(
+        s, P, np.reshape(accel, (-1, 3)), np.reshape(gyro, (-1, 3)), np.atleast_1d(dt), cfg
+    )
+    return NominalState(p=seg.p[-1], v=seg.v[-1], q=seg.q[-1], t=seg.t[-1]), p_cov
+
+
 def make_cfg(**kw):
     defaults = dict(accel_noise=0.1, gyro_noise=0.01, gps_pos_std=3.0)
     defaults.update(kw)
@@ -171,44 +249,59 @@ class TestPropagate:
         p_cov = initial_covariance(cfg)
         # reading the gravity reaction of the z-down mount: -gravity in body
         accel = quat_to_matrix(q).T @ -GRAVITY
-        s1, _ = propagate(s, p_cov, accel, np.zeros(3), 0.02, cfg)
-        assert_allclose(s1.p, 0.0, atol=1e-12)
-        assert_allclose(s1.v, 0.0, atol=1e-12)
-        assert_allclose(s1.q, q, atol=1e-12)
+        s1, _ = segment(s, p_cov, accel, np.zeros(3), 0.02, cfg)
+        s50, _ = segment(s, p_cov, np.tile(accel, (50, 1)), np.zeros((50, 3)), [0.02] * 50, cfg)
+        for got in (s1, s50):
+            assert_allclose(got.p, 0.0, atol=1e-12)
+            assert_allclose(got.v, 0.0, atol=1e-12)
+            assert_allclose(got.q, q, atol=1e-12)
 
     def test_free_fall_closed_form(self):
         # accel = 0 (free fall), 1 s of 0.1 s steps: v = g t, p = g t^2 / 2
         cfg = make_cfg()
-        s = NominalState(np.zeros(3), np.zeros(3), np.array([1.0, 0, 0, 0]), 0.0)
-        p_cov = initial_covariance(cfg)
+        s0 = NominalState(np.zeros(3), np.zeros(3), np.array([1.0, 0, 0, 0]), 0.0)
+        s, p_cov = s0, initial_covariance(cfg)
         for _ in range(10):
-            s, p_cov = propagate(s, p_cov, np.zeros(3), np.zeros(3), 0.1, cfg)
-        assert_allclose(s.v, [0.0, 0.0, -9.80665], atol=1e-9)
-        assert_allclose(s.p, [0.0, 0.0, -4.9033], atol=1e-3)
+            s, p_cov = segment(s, p_cov, np.zeros(3), np.zeros(3), 0.1, cfg)
+        zeros = np.zeros((10, 3))
+        whole, _ = segment(s0, initial_covariance(cfg), zeros, zeros, [0.1] * 10, cfg)
+        for got in (s, whole):
+            assert_allclose(got.v, [0.0, 0.0, -9.80665], atol=1e-9)
+            assert_allclose(got.p, [0.0, 0.0, -4.9033], atol=1e-3)
 
     def test_constant_acceleration_half_a_t_squared(self):
         cfg = make_cfg()
-        s = NominalState(np.zeros(3), np.zeros(3), np.array([1.0, 0, 0, 0]), 0.0)
-        p_cov = initial_covariance(cfg)
+        s0 = NominalState(np.zeros(3), np.zeros(3), np.array([1.0, 0, 0, 0]), 0.0)
         # gravity-compensated: body reading includes the gravity reaction
         accel = np.array([1.0, 0.0, 0.0]) - GRAVITY
+        s, p_cov = s0, initial_covariance(cfg)
         for _ in range(100):
-            s, p_cov = propagate(s, p_cov, accel, np.zeros(3), 0.01, cfg)
-        assert_allclose(s.p, [0.5, 0.0, 0.0], atol=1e-2)
+            s, p_cov = segment(s, p_cov, accel, np.zeros(3), 0.01, cfg)
+        accels, zeros = np.tile(accel, (100, 1)), np.zeros((100, 3))
+        whole, _ = segment(s0, initial_covariance(cfg), accels, zeros, [0.01] * 100, cfg)
+        for got in (s, whole):
+            assert_allclose(got.p, [0.5, 0.0, 0.0], atol=1e-2)
 
     def test_dt_bounds_enforced(self):
         cfg = make_cfg()
         s = NominalState(np.zeros(3), np.zeros(3), np.array([1.0, 0, 0, 0]), 0.0)
-        for bad_dt in (0.0, -0.01, 0.2):
-            with pytest.raises(DataError):
-                propagate(s, initial_covariance(cfg), np.zeros(3), np.zeros(3), bad_dt, cfg)
+        zeros = np.zeros((5, 3))
+        for bad_dt in (0.0, -0.01, 0.2, np.nan):
+            with pytest.raises(DataError, match="outside"):
+                segment(s, initial_covariance(cfg), np.zeros(3), np.zeros(3), bad_dt, cfg)
+            # in a segment, the fault names its row
+            dt = np.full(5, 0.01)
+            dt[3] = bad_dt
+            with pytest.raises(ImuSampleError, match="outside") as info:
+                propagate(s, initial_covariance(cfg), zeros, zeros, dt, cfg)
+            assert info.value.index == 3
 
     def test_non_finite_input_rejected(self):
         cfg = make_cfg()
         s = NominalState(np.zeros(3), np.zeros(3), np.array([1.0, 0, 0, 0]), 0.0)
         accel = np.array([np.nan, 0, 0])
         with pytest.raises(DataError):
-            propagate(s, initial_covariance(cfg), accel, np.zeros(3), 0.01, cfg)
+            segment(s, initial_covariance(cfg), accel, np.zeros(3), 0.01, cfg)
         # the state's p, v and q and the gyro reading are checked as well
         p_cov, zero = initial_covariance(cfg), np.zeros(3)
         for bad in (np.nan, np.inf, -np.inf):
@@ -216,15 +309,32 @@ class TestPropagate:
                 value = getattr(s, field).copy()
                 value[-1] = bad
                 with pytest.raises(DataError, match="non-finite"):
-                    propagate(replace(s, **{field: value}), p_cov, zero, zero, 0.01, cfg)
+                    segment(replace(s, **{field: value}), p_cov, zero, zero, 0.01, cfg)
             with pytest.raises(DataError, match="non-finite"):
-                propagate(s, p_cov, zero, np.array([0.0, bad, 0.0]), 0.01, cfg)
+                segment(s, p_cov, zero, np.array([0.0, bad, 0.0]), 0.01, cfg)
+            # in a segment, the fault names its row
+            gyro = np.zeros((5, 3))
+            gyro[2, 1] = bad
+            with pytest.raises(ImuSampleError, match="non-finite") as info:
+                propagate(s, p_cov, np.zeros((5, 3)), gyro, np.full(5, 0.01), cfg)
+            assert info.value.index == 2
         with pytest.raises(InvalidQuaternionError):
-            propagate(replace(s, q=np.zeros(4)), p_cov, zero, zero, 0.01, cfg)
+            segment(replace(s, q=np.zeros(4)), p_cov, zero, zero, 0.01, cfg)
         # finite inputs whose product's norm overflows to inf; a nan norm
         # cannot arise, since a non-finite input is rejected above
         with pytest.raises(InvalidQuaternionError, match="norm inf"):
-            propagate(replace(s, q=np.full(4, 1e200)), p_cov, zero, zero, 0.01, cfg)
+            segment(replace(s, q=np.full(4, 1e200)), p_cov, zero, zero, 0.01, cfg)
+        # finite readings whose rotation into ENU overflows: the next
+        # step's input is not finite
+        huge = np.zeros((5, 3))
+        huge[1] = [1.7e308, 1.7e308, 0.0]
+        yawed = replace(s, q=rotvec_to_quat([0.0, 0.0, math.pi / 4]))
+        with pytest.raises(ImuSampleError, match="non-finite") as info:
+            propagate(yawed, p_cov, huge, np.zeros((5, 3)), np.full(5, 0.01), cfg)
+        assert info.value.index == 2
+        # a noise setting whose square overflows
+        with pytest.raises(OverflowError):
+            segment(s, p_cov, zero, zero, 0.01, make_cfg(gyro_noise=1e200))
 
     def test_jacobian_matches_finite_differences(self):
         # central differences of the nominal propagation over the 9 error
@@ -262,8 +372,8 @@ class TestPropagate:
             for j in range(9):
                 delta = np.zeros(9)
                 delta[j] = eps
-                plus, _ = propagate(perturb(delta), p_cov, accel, gyro, dt, cfg)
-                minus, _ = propagate(perturb(-delta), p_cov, accel, gyro, dt, cfg)
+                plus, _ = segment(perturb(delta), p_cov, accel, gyro, dt, cfg)
+                minus, _ = segment(perturb(-delta), p_cov, accel, gyro, dt, cfg)
                 fd[:, j] = error_between(plus, minus) / (2 * eps)
 
             # the analytic blocks match the finite differences ...
@@ -275,7 +385,7 @@ class TestPropagate:
             assert np.linalg.norm(fd - f) / np.linalg.norm(f) < 1e-5
             # ... and propagate's covariance of an identity P is F F^T
             zero_q = make_cfg(accel_noise=0.0, gyro_noise=1e-12)
-            _, f_cov = propagate(s, np.eye(9), accel, gyro, dt, zero_q)
+            _, f_cov = segment(s, np.eye(9), accel, gyro, dt, zero_q)
             assert_rel_close(f_cov, f @ f.T)
 
     def test_matches_dense_reference(self):
@@ -296,7 +406,7 @@ class TestPropagate:
             gyro = rng.standard_normal(3) * (1e-9 / dt if k % 4 == 0 else 1.0)
             small_angle += np.linalg.norm(gyro * dt) < 1e-8
             full_dt += dt == MAX_IMU_DT
-            got_s, got_p = propagate(s, p_cov, accel, gyro, dt, cfg)
+            got_s, got_p = segment(s, p_cov, accel, gyro, dt, cfg)
             want_s, want_p = dense_propagate(s, p_cov, accel, gyro, dt, cfg)
             for got, want in zip(
                 (got_s.p, got_s.v, got_s.q, got_p), (want_s.p, want_s.v, want_s.q, want_p)
@@ -305,38 +415,77 @@ class TestPropagate:
             assert got_s.t == want_s.t
         assert small_angle >= 100 and full_dt >= 100
 
-    def test_run_matches_dense_reference(self, monkeypatch):
-        noise = sim.NoiseConfig()
-        sc = straight_scenario(noise)
-        truth = sim.gen_walk(sc)
-        imu = sim.synth_imu(truth, noise, sc.seed)
-        fixes = sim.synth_gps(truth, noise, sc.seed, sc.gps_rate, sc.anchor_fix())
-        offsets = calibrate(sim.stationary_imu_source(noise, sc.seed))
-        cfg = make_cfg(accel_noise=noise.accel_sigma, gyro_noise=noise.gyro_sigma)
-        run = run_localizer(imu, fixes, cfg, offsets)
-        monkeypatch.setattr(localizer, "propagate", dense_propagate)
-        ref = run_localizer(imu, fixes, cfg, offsets)
-        assert run.accepted_fixes == ref.accepted_fixes > 0
-        assert run.rejected_fixes == ref.rejected_fixes
-        assert np.max(np.abs(run.p - ref.p)) < 1e-9
+    def test_segment_matches_chained_steps(self):
+        # random segments against the oracle stepped one sample at a time:
+        # the nominal states are the same floats, P agrees to 1e-12
+        cfg = make_cfg()
+        rng = np.random.default_rng(5)
+        for k in range(200):
+            m = int(rng.integers(1, 300))
+            s = NominalState(
+                p=rng.standard_normal(3) * 50,
+                v=rng.standard_normal(3) * 2,
+                q=np.array(unit(rng.standard_normal(4).tolist())),
+                t=rng.uniform(0.0, 100.0),
+            )
+            a = rng.standard_normal((9, 9))
+            p_cov = a @ a.T + np.diag(rng.uniform(0.01, 10.0, 9))
+            accel = rng.standard_normal((m, 3)) * 3 - GRAVITY
+            gyro = rng.standard_normal((m, 3)) * (1e-9 if k % 4 == 0 else 1.0)
+            dt = rng.uniform(1e-4, MAX_IMU_DT, m) if k % 2 else np.full(m, 0.01)
+            seg, got_p = propagate(s, p_cov, accel, gyro, dt, cfg)
+            want_p = p_cov
+            for j in range(m):
+                s, want_p = step(s, want_p, accel[j], gyro[j], dt[j].item(), cfg)
+                got = (seg.p[j], seg.v[j], seg.q[j], seg.t[j])
+                assert all(map(np.array_equal, got, (s.p, s.v, s.q, s.t)))
+            assert_rel_close(got_p, want_p)
+
+    def test_run_matches_dense_reference(self):
+        # run_localizer against its contract as one loop over the samples
+        # (step_run), on both scenarios, raw and dmp, GPS on and off
+        for path in (WALK110, CITY):
+            base = cli.load_scenario(path)
+            for noise, seed in itertools.product((base.noise, base.noise.dmp_like()), range(4)):
+                sc = replace(base, noise=noise, seed=seed)
+                truth = sim.gen_walk(sc)
+                imu = sim.synth_imu(truth, noise, seed)
+                fixes = sim.synth_gps(
+                    truth, noise, seed, sc.gps_rate, sc.anchor_fix(), sc.gps_dropouts
+                )
+                offsets = calibrate(sim.stationary_imu_source(noise, seed))
+                cfg = cli._localizer_config(noise)
+                for gps in (fixes, fixes[:1]):
+                    run = run_localizer(imu, gps, cfg, offsets)
+                    t, p, v, q, accepted, rejected = step_run(imu, gps, cfg, offsets)
+                    assert (run.accepted_fixes, run.rejected_fixes) == (accepted, rejected)
+                    assert np.array_equal(run.t, t)
+                    assert np.max(np.abs(run.p - p)) < 1e-9
+                    if len(gps) == 1:  # no fix reads P: the same floats
+                        for got, want in zip((run.p, run.v, run.q), (p, v, q)):
+                            assert np.array_equal(got, want)
+                    else:
+                        assert accepted > 0
 
     def test_covariance_stays_symmetric_psd_long_run(self):
+        # 100,000 steps as segments of 100, with a fix between segments
         cfg = make_cfg()
         rng = np.random.default_rng(17)
         s = NominalState(np.zeros(3), np.zeros(3), level_heading_quat(0.0), 0.0)
         p_cov = initial_covariance(cfg)
         worst_eig = 0.0
-        batch = np.empty((1000, 9, 9))  # every step's P, eigen-solved per batch
-        for k in range(100_000):
-            accel = rng.standard_normal(3) * 2 + [0, 0, -G]
-            gyro = rng.standard_normal(3) * 0.2
-            s, p_cov = propagate(s, p_cov, accel, gyro, 0.01, cfg)
-            if k % 100 == 0:
-                s, p_cov, _ = gps_update(s, p_cov, s.p + rng.standard_normal(3), cfg)
-            # both steps return 0.5 * (P + P^T), which is symmetric exactly
-            assert np.array_equal(p_cov, p_cov.T)
-            batch[k % 1000] = p_cov
-            if k % 1000 == 999:
+        batch = np.empty((20, 9, 9))  # P after each segment and fix, eigen-solved per batch
+        dt = np.full(100, 0.01)
+        for k in range(1000):
+            accel = rng.standard_normal((100, 3)) * 2 + [0, 0, -G]
+            gyro = rng.standard_normal((100, 3)) * 0.2
+            s, p_cov = segment(s, p_cov, accel, gyro, dt, cfg)
+            batch[2 * (k % 10)] = p_cov
+            s, p_cov, _ = gps_update(s, p_cov, s.p + rng.standard_normal(3), cfg)
+            batch[2 * (k % 10) + 1] = p_cov
+            if k % 10 == 9:
+                # both steps return 0.5 * (P + P^T), which is symmetric exactly
+                assert np.array_equal(batch, batch.transpose(0, 2, 1))
                 worst_eig = min(worst_eig, np.min(np.linalg.eigvalsh(batch)))
                 # keep the state bounded so the run exercises generic geometry
                 s = NominalState(np.zeros(3), np.zeros(3), s.q, s.t)
@@ -420,17 +569,23 @@ class TestRunLocalizer:
         with pytest.raises(DataError, match="unsorted"):
             run_localizer(imu, [anchor], make_cfg())
 
-    @pytest.mark.parametrize("case", ["gap", "huge_gyro"])
+    @pytest.mark.parametrize("case", ["gap", "huge_gyro", "duplicate", "nan_accel", "inf_gyro"])
     def test_bad_step_names_its_sample(self, case):
-        # a gap longer than MAX_IMU_DT, or a finite gyro reading whose
-        # rotation angle overflows
+        # a gap longer than MAX_IMU_DT, a finite gyro reading whose rotation
+        # angle overflows, a repeated time, or a non-finite reading
         anchor = GpsFix(0.0, 37.0, -122.0, 30.0)
         t = [0.0, 0.01, 0.02, 0.03]
         if case == "gap":
             t[2] += MAX_IMU_DT
+        if case == "duplicate":
+            t[2] = t[1]
         imu = imu_log(t, [0, 0, -G])
         if case == "huge_gyro":
             imu.gyro[2, 0] = 1e200
+        if case == "nan_accel":
+            imu.accel[2, 1] = np.nan
+        if case == "inf_gyro":
+            imu.gyro[2, 2] = np.inf
         with pytest.raises(ImuSampleError, match=r"IMU sample 2 \(t=") as info:
             run_localizer(imu, [anchor], make_cfg())
         assert info.value.index == 2
