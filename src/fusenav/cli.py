@@ -399,12 +399,15 @@ def load_scenario(path) -> sim.Scenario:
     """Parse a scenario config file, reporting errors with line numbers."""
     kv = _KvFile(path)
     take = kv.take
+    geometry = sim.SonarGeometry()  # its defaults, then the file's values
     geometry = sim.SonarGeometry(
-        belt_height=take("belt_height", _POSITIVE, 1.0),
-        inclined_depression_deg=take("inclined_depression_deg", _ANGLE_DEG, 45.0),
-        inclined_azimuth_deg=take("inclined_azimuth_deg", _finite, 25.0),
-        beam_half_angle_deg=take("beam_half_angle_deg", _ANGLE_DEG, 15.0),
-        max_range=take("max_range", _POSITIVE, 4.0),
+        belt_height=take("belt_height", _POSITIVE, geometry.belt_height),
+        inclined_depression_deg=take(
+            "inclined_depression_deg", _ANGLE_DEG, geometry.inclined_depression_deg
+        ),
+        inclined_azimuth_deg=take("inclined_azimuth_deg", _finite, geometry.inclined_azimuth_deg),
+        beam_half_angle_deg=take("beam_half_angle_deg", _ANGLE_DEG, geometry.beam_half_angle_deg),
+        max_range=take("max_range", _POSITIVE, geometry.max_range),
     )
     defaults = sim.NoiseConfig()
     noise = sim.NoiseConfig(
@@ -415,10 +418,12 @@ def load_scenario(path) -> sim.Scenario:
         gps_sigma=take("gps_sigma", _SIGMA, defaults.gps_sigma),
         sonar_sigma=take("sonar_sigma", _SIGMA, defaults.sonar_sigma),
     )
-    # a Scenario with every other field at its default checks the route alone
-    route = take("route", lambda v: sim.Scenario(_parse_tuple_list(v, 2)).route)
+    # a Scenario with every other field at its default checks the route
+    # alone, and holds the defaults of the keys below
+    scenario = take("route", lambda v: sim.Scenario(_parse_tuple_list(v, 2)))
+    route = scenario.route
     take("front_sensors", _FRONT_PAIR, 2.0)
-    speed = take("speed", _POSITIVE, 1.52)
+    speed = take("speed", _POSITIVE, scenario.speed)
     # a walk's IMU samples: route length / speed * imu_rate
     max_rate = _MAX_IMU_SAMPLES * speed / sum(map(math.dist, route, route[1:]))
     imu_rate = take(
@@ -427,7 +432,7 @@ def load_scenario(path) -> sim.Scenario:
             lambda x: 0.0 < x <= max_rate,
             f"in (0, {max_rate}], the rate of {_MAX_IMU_SAMPLES} IMU samples over the route",
         ),
-        100.0,
+        scenario.imu_rate,
     )
     # each fix is applied at an IMU step, so gps_rate may not exceed imu_rate
     gps_rate_conv = _finite_in(lambda x: 0.0 < x <= imu_rate, f"in (0, imu_rate = {imu_rate}]")
@@ -435,7 +440,7 @@ def load_scenario(path) -> sim.Scenario:
         route=route,
         speed=speed,
         imu_rate=imu_rate,
-        gps_rate=take("gps_rate", gps_rate_conv, 1.0),
+        gps_rate=take("gps_rate", gps_rate_conv, scenario.gps_rate),
         noise=noise,
         obstacles=tuple(
             sim.Obstacle(*o) for o in take("obstacles", lambda v: _parse_tuple_list(v, 3), ())
@@ -444,8 +449,8 @@ def load_scenario(path) -> sim.Scenario:
             sim.DropoffZone(*z) for z in take("dropoffs", lambda v: _parse_tuple_list(v, 3), ())
         ),
         gps_dropouts=take("gps_dropouts", lambda v: _parse_tuple_list(v, 2), ()),
-        seed=take("seed", _seed, 0),
-        anchor=take("anchor", _position, (37.0, -122.0, 30.0)),
+        seed=take("seed", _seed, scenario.seed),
+        anchor=take("anchor", _position, scenario.anchor),
         geometry=geometry,
     )
     if kv.entries:
@@ -511,13 +516,15 @@ def _fuse_sonar(log: SonarLog, out: Path) -> sonar_ekf.FusedFront:
     return fused
 
 
-def _write_est(out: Path, run, frame: GpsFix | None) -> None:
-    """est.csv re-anchored into ``frame`` (None: the run's own frame)."""
+def _write_est(out: Path, run, frame: GpsFix | None) -> np.ndarray:
+    """est.csv re-anchored into ``frame`` (None: the run's own frame);
+    returns the positions written."""
     p, v = run.p, run.v
     if frame is not None:
         r, d = geo.enu_frame_transform(run.ref, frame)
         p, v = run.p @ r.T + d, run.v @ r.T
     write_pose_csv(out / "est.csv", run.t, p, v, run.q)
+    return p
 
 
 def _evaluate(out: Path, est: metrics.Trajectory, truth: metrics.Trajectory) -> None:
@@ -648,7 +655,7 @@ def cmd_run(args) -> int:
 
     # localize; est.csv shares truth.csv's frame (the scenario anchor)
     run = run_localizer(imu, fixes, _localizer_config(scenario.noise), offsets)
-    _write_est(out, run, scenario.anchor_fix())
+    est_p = _write_est(out, run, scenario.anchor_fix())
 
     # detect + feedback
     tick_t, ranges = perception.tick_ranges(sonar, fused.t, fused.fused)
@@ -693,11 +700,7 @@ def cmd_run(args) -> int:
     offer_results(gate.flush())
     _write_csv(out / "feedback.csv", FEEDBACK_HEADER, list(zip(*feedback_rows)))
 
-    _evaluate(
-        out,
-        run.trajectory("est", frame=scenario.anchor_fix()),
-        sim.truth_trajectory(truth, "truth"),
-    )
+    _evaluate(out, metrics.Trajectory(run.t, est_p, "est"), sim.truth_trajectory(truth, "truth"))
     print(f"pipeline outputs in {out}")
     # never spoken: the scheduler is not polled after the last tick
     print(f"audio messages pending at end of run: {scheduler.pending}")

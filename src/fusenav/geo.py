@@ -41,10 +41,6 @@ class WaypointCluster:
     end_t: float
     ref: GpsFix
 
-    @property
-    def dwell(self) -> float:
-        return self.end_t - self.start_t
-
 
 @dataclass(frozen=True)
 class GroundTruthPath:

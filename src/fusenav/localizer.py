@@ -20,16 +20,25 @@ shared mutable state, and the module's arrays are read-only constants.
 
 Between two fixes nothing reads P, so ``propagate`` steps one such
 segment of IMU samples at a time and ``run_localizer`` calls it once per
-fix (a longer gap in calls of at most 1,024 steps).  The nominal states are columns: the attitude is a float loop
-through ``core``'s quaternion kernels, as is ``gps_update``'s correction,
-and v and p are running sums that add in the order of one step at a
-time.  P is propagated once per segment, through the segment's
-closed-form transition and noise sum.
+fix (a longer gap in calls of at most 1,024 steps).  The nominal states
+are columns: the attitude is a float loop through ``core``'s quaternion
+kernels, as is ``gps_update``'s correction, and v and p are running sums
+that add in the order of one step at a time.  P is propagated once per
+segment, through the segment's closed-form transition and noise sum.
+
+Faults are found in ``run_localizer`` alone; ``propagate`` only steps.
+One column pass over the kept samples finds the first sample whose step
+cannot run, and propagation stops before it.  The states ``propagate``
+returns are checked as they come, each at the sample it feeds (the final
+state at the last sample), after the fixes that precede that sample.  At
+one sample the order is: a time step outside (0, MAX_IMU_DT], a
+non-finite reading or state, a gyro rotation angle whose square
+overflows, then process noise whose square overflows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,20 +92,12 @@ class CalibrationDivergedError(NumericalError):
 
 
 class ImuSampleError(DataError):
-    """A fault of the IMU sample at ``index`` in the log (in propagate, a
-    row of its readings): its step failed."""
+    """A fault of the IMU sample at ``index`` in the log: its step cannot
+    run, or, for the last sample, the state after it is not finite."""
 
     def __init__(self, index: int, t: float, why):
         self.index, self.why = index, why
         super().__init__(f"IMU sample {index} (t={t}): {why}")
-
-
-class _NoiseOverflow(OverflowError):
-    """The process noise of propagate's step ``index`` overflowed."""
-
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"process noise overflowed at step {index}")
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,6 @@ class NominalState:
     p: np.ndarray  # (3,) ENU position, m
     v: np.ndarray  # (3,) ENU velocity, m/s
     q: np.ndarray  # (4,) body->ENU quaternion, scalar-first
-    t: float
 
 
 @dataclass(frozen=True)
@@ -204,8 +204,8 @@ def propagate(
     and ``dt`` their (m,) steps.  Each step: a_nav = R(q) accel + g; p, v by
     constant-acceleration kinematics; q right-multiplied by the gyro
     increment.  Returns the m states after each step, stacked in one
-    NominalState (p (m, 3), v (m, 3), q (m, 4), t (m,)), and P after the
-    last step.
+    NominalState (p (m, 3), v (m, 3), q (m, 4)), and P after the last
+    step.
 
     Nothing inside a segment reads P, so it is propagated once, as
     P <- Phi P Phi^T + sum_k Phi_k Qd_k Phi_k^T, with Phi_k = F_m ... F_k+1
@@ -217,38 +217,17 @@ def propagate(
     diag(sa^2 dt^2 I, sg^2 dt^2 I) on (dv, dtheta), so the noise sum is a
     few weighted outer products, since [a]x [b]x^T = (a.b) I - b a^T.
 
-    A bad step raises ImuSampleError naming its row, a noise setting whose
-    square overflows an OverflowError naming its step.
+    The caller checks the preconditions: every dt in (0, MAX_IMU_DT],
+    finite readings and state, gyro rotation angles whose squares are
+    finite and process noise whose squares are finite.  ``unit`` raises
+    InvalidQuaternionError on a state q it cannot normalize.  The states
+    and P it returns may still overflow, and are the caller's to check.
     """
-    # overflow and nan are checked for where they matter, and raise
+    # the caller checks the returned states and P for overflow and nan
     with np.errstate(over="ignore", invalid="ignore"):
         theta = gyro * dt[:, None]
-        tx, ty, tz = theta.T
         qa = (cfg.accel_noise * dt) ** 2
         qg = (cfg.gyro_noise * dt) ** 2
-        non_finite = ~(np.isfinite(accel).all(axis=1) & np.isfinite(gyro).all(axis=1))
-        non_finite[0] |= not np.isfinite(np.concatenate([s.p, s.v, s.q])).all()
-        faults = np.array(
-            [
-                ~((dt > 0.0) & (dt <= MAX_IMU_DT)),
-                non_finite,
-                ~np.isfinite(tx * tx + ty * ty + tz * tz),  # math.sin of it would raise
-                ~np.isfinite(qa + qg),
-            ]
-        )
-        t = np.cumsum(np.concatenate([[s.t], dt]))[1:]
-        if faults.any():
-            k = int(faults.any(axis=0).argmax())
-            kind = int(faults[:, k].argmax())
-            if kind == 3:
-                raise _NoiseOverflow(k)
-            why = (
-                f"dt={dt[k].item()} outside (0, {MAX_IMU_DT}] s",
-                "non-finite propagation input",
-                "gyro reading too large (math domain error)",
-            )[kind]
-            raise ImuSampleError(k, t[k].item(), why)
-
         q = tuple(s.q.tolist())
         qs = [q]
         for th in theta.tolist():
@@ -270,10 +249,6 @@ def propagate(
         x[2::2] = 0.5 * n * d * d
         p = np.cumsum(x, axis=0)[2::2]
         v = v[1:]
-        finite = np.isfinite(p).all(axis=1) & np.isfinite(v).all(axis=1)
-        if not finite[:-1].all():  # the next step's input is not finite
-            k = int(finite.argmin()) + 1
-            raise ImuSampleError(k, t[k].item(), "non-finite propagation input")
 
         e = c * d
         tail = np.cumsum(dt[::-1])[::-1]  # from the start of each step to the end
@@ -300,7 +275,7 @@ def propagate(
         noise[6:9, 3:6] = noise[3:6, 6:9].T
         p_cov = phi @ P @ phi.T + noise
         p_cov = 0.5 * (p_cov + p_cov.T)
-    return NominalState(p=p, v=v, q=qs[1:], t=t), p_cov
+    return NominalState(p=p, v=v, q=qs[1:]), p_cov
 
 
 def gps_update(
@@ -328,7 +303,7 @@ def gps_update(
     v = s.v + dx[3:6]
     q = np.array(unit(hamilton(rotvec_quat(dx[6:9].tolist()), s.q.tolist())))
     p_cov = P - k @ P[0:3, :]
-    return NominalState(p=p, v=v, q=q, t=s.t), 0.5 * (p_cov + p_cov.T), True
+    return NominalState(p=p, v=v, q=q), 0.5 * (p_cov + p_cov.T), True
 
 
 @dataclass(frozen=True)
@@ -377,8 +352,11 @@ def run_localizer(
     east.  IMU samples earlier than the anchor are dropped; every fix is
     applied at the first IMU step at or after its timestamp.  Output is
     one record per processed IMU sample; identical inputs produce
-    identical output.  Noise settings whose squares overflow, or that
-    leave P non-finite at a fix, raise NumericalError.
+    identical output.  The first IMU sample whose step cannot run, or
+    that a non-finite state feeds, raises ImuSampleError naming it, as
+    does a non-finite state after the last sample.  Noise settings whose
+    squares overflow, or that leave P non-finite at a fix, raise
+    NumericalError.
     """
     if offsets is None:
         offsets = CalibrationOffsets.zero()
@@ -392,15 +370,9 @@ def run_localizer(
             raise DataError(f"GPS stream unsorted at index {i} (t={fixes[i].t})")
 
     ref = fixes[0]
-    if initial is None:
-        state = NominalState(
-            p=geo.wgs84_to_enu(ref, ref),
-            v=np.zeros(3),
-            q=level_heading_quat(0.0),
-            t=ref.t,
-        )
-    else:
-        state = replace(initial, t=ref.t)
+    state = initial
+    if state is None:
+        state = NominalState(geo.wgs84_to_enu(ref, ref), np.zeros(3), level_heading_quat(0.0))
     try:  # if this square of gps_pos_std fits, so does gps_update's
         p_cov = initial_covariance(cfg)
     except OverflowError:
@@ -410,39 +382,54 @@ def run_localizer(
     keep = np.flatnonzero(~(imu.t < ref.t))
     if not len(keep):
         raise DataError("no IMU samples at or after the anchor fix")
+    n = len(keep)
     t = imu.t[keep]
     accel = imu.accel[keep] - offsets.accel_offset
     gyro = imu.gyro[keep] - offsets.gyro_offset
     dt = np.diff(t, prepend=ref.t)
     lead = int(dt[0] == 0.0)  # a first sample on the anchor takes no step
-    # a step back in time or a repeated time raises after the samples before it
-    stop = np.flatnonzero(dt[1:] <= 0.0)
-    end = int(stop[0]) + 1 if len(stop) else len(t)
-    # each fix is applied after the first sample at or after its time
-    at = np.searchsorted(t[:end], [f.t for f in fixes[1:]]).tolist()
 
-    ps, vs, qs = np.empty((end, 3)), np.empty((end, 3)), np.empty((end, 4))
-    ps[0], vs[0], qs[0] = state.p, state.v, state.q
+    # the faults of each sample's step, in the order they are reported in
+    with np.errstate(over="ignore", invalid="ignore"):
+        tx, ty, tz = (gyro * dt[:, None]).T
+        faults = np.array(
+            [
+                ~((dt > 0.0) & (dt <= MAX_IMU_DT)),
+                ~(np.isfinite(accel).all(axis=1) & np.isfinite(gyro).all(axis=1)),
+                ~np.isfinite(tx * tx + ty * ty + tz * tz),  # math.sin of it would raise
+                ~np.isfinite((cfg.accel_noise * dt) ** 2 + (cfg.gyro_noise * dt) ** 2),
+            ]
+        )
+    faults[:, :lead] = False
+    if lead < n:  # the initial state feeds the first step
+        faults[1, lead] |= not np.isfinite(np.concatenate([state.p, state.v, state.q])).all()
+    bad = int(faults.any(axis=0).argmax()) if faults.any() else n
+    # each fix is applied after the first sample at or after its time
+    at = np.searchsorted(t[:bad], [f.t for f in fixes[1:]]).tolist()
+
+    # row i holds the state that feeds sample i, row n the final state
+    ps, vs, qs = np.empty((n + 1, 3)), np.empty((n + 1, 3)), np.empty((n + 1, 4))
+    ps[lead], vs[lead], qs[lead] = state.p, state.v, state.q
     accepted = rejected = 0
     fix_idx = 1  # the anchor fix is consumed by initialization
     lo = lead
-    for hi in sorted({i + 1 for i in at if i < end} | {end}):
-        while lo < hi:
+    for hi in sorted({i + 1 for i in at if i < bad} | {bad}):
+        start = lo
+        while lo < hi:  # propagation stops before the first faulty sample
             mid = min(hi, lo + _MAX_SEGMENT)
             try:
                 seg, p_cov = propagate(state, p_cov, accel[lo:mid], gyro[lo:mid], dt[lo:mid], cfg)
-            except ImuSampleError as exc:
-                i = lo + exc.index
-                raise ImuSampleError(int(keep[i]), t[i].item(), exc.why) from None
-            except InvalidQuaternionError as exc:  # the state's q, at the first step
+            except InvalidQuaternionError as exc:  # the initial state's q, at the first step
                 raise ImuSampleError(int(keep[lo]), t[lo].item(), exc) from None
-            except _NoiseOverflow as exc:
-                raise _noise_error(
-                    cfg, f"process noise overflowed at t={t[lo + exc.index].item()}"
-                ) from None
-            ps[lo:mid], vs[lo:mid], qs[lo:mid] = seg.p, seg.v, seg.q
-            state = NominalState(p=seg.p[-1], v=seg.v[-1], q=seg.q[-1], t=seg.t[-1].item())
+            ps[lo + 1 : mid + 1], vs[lo + 1 : mid + 1], qs[lo + 1 : mid + 1] = seg.p, seg.v, seg.q
+            state = NominalState(p=seg.p[-1], v=seg.v[-1], q=seg.q[-1])
             lo = mid
+        # the states that feed the samples before this span's fixes
+        finite = np.isfinite(ps[start:hi]).all(axis=1) & np.isfinite(vs[start:hi]).all(axis=1)
+        if not finite.all():
+            bad = start + int(finite.argmin())
+            faults[1, bad] = True
+            break
         while fix_idx < len(fixes) and at[fix_idx - 1] == hi - 1:
             if not np.isfinite(p_cov).all():  # the gate would reject every fix
                 raise _noise_error(cfg, f"covariance not finite at the fix t={fixes[fix_idx].t}")
@@ -451,16 +438,32 @@ def run_localizer(
             accepted += ok
             rejected += not ok
             fix_idx += 1
-        ps[hi - 1], vs[hi - 1], qs[hi - 1] = state.p, state.v, state.q
+        ps[hi], vs[hi], qs[hi] = state.p, state.v, state.q
+    else:  # the state that feeds the faulty sample, or the final state
+        if not (np.isfinite(ps[bad]).all() and np.isfinite(vs[bad]).all()):
+            if bad == n:
+                why = "non-finite state after the last sample"
+                raise ImuSampleError(int(keep[-1]), t[-1].item(), why)
+            faults[1, bad] = True
 
-    if end < len(t):
-        why = "timestamps unsorted" if dt[end] < 0.0 else "duplicate timestamp"
-        raise ImuSampleError(int(keep[end]), t[end].item(), why)
+    if bad < n:
+        kind = int(faults[:, bad].argmax())  # the first fault in the reporting order
+        if kind == 3:
+            raise _noise_error(cfg, f"process noise overflowed at t={t[bad].item()}")
+        d = dt[bad].item()
+        why = (
+            "timestamps unsorted" if d < 0.0
+            else "duplicate timestamp" if d == 0.0
+            else f"dt={d} outside (0, {MAX_IMU_DT}] s",
+            "non-finite propagation input",
+            "gyro reading too large (math domain error)",
+        )[kind]
+        raise ImuSampleError(int(keep[bad]), t[bad].item(), why)
     return LocalizerRun(
-        t=t[:end],
-        p=ps,
-        v=vs,
-        q=qs,
+        t=t,
+        p=ps[1:],
+        v=vs[1:],
+        q=qs[1:],
         ref=ref,
         accepted_fixes=accepted,
         rejected_fixes=rejected,

@@ -90,11 +90,6 @@ class NoiseConfig:
             gyro_bias=(0.0, 0.0, 0.0),
         )
 
-    @staticmethod
-    def quiet() -> "NoiseConfig":
-        """All noise and biases zero (perfect sensors)."""
-        return NoiseConfig(0.0, 0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.0, 0.0)
-
 
 @dataclass(frozen=True)
 class Obstacle:
@@ -483,9 +478,7 @@ def synth_gps(
     return fixes
 
 
-def synth_sonar(
-    truth: GroundTruth, scenario: Scenario, seed: int | None = None
-) -> SonarLog:
+def synth_sonar(truth: GroundTruth, scenario: Scenario) -> SonarLog:
     """Noisy readings per tick, in CHANNELS order within each tick.
 
     The front channel carries two independent readings per tick (the
@@ -493,15 +486,13 @@ def synth_sonar(
     Readings with no echo within ``max_range`` carry ``range_m = max_range``
     and ``valid = False``.
     """
-    if seed is None:
-        seed = scenario.seed
     max_range = scenario.geometry.max_range
     sigma = scenario.noise.sonar_sigma
     n = len(truth.t)
     columns, channel = [], []
     for ci, ch in enumerate(CHANNELS):
         copies = 2 if ch is SonarChannel.FRONT else 1
-        rng = np.random.default_rng([seed, _STREAM_SONAR, ci])
+        rng = np.random.default_rng([scenario.seed, _STREAM_SONAR, ci])
         # noise leaves an inf (no echo) true range inf
         columns.extend(truth.sonar_true[ch] + sigma * rng.standard_normal((copies, n)))
         channel.extend([ci] * copies)

@@ -323,7 +323,7 @@ def _detection_recall(sonar_sigma, seed):
         max_range=sc.geometry.max_range,
     )
     windows = _expected_windows(truth, det_cfg)
-    log = sim.synth_sonar(truth, sc, seed)
+    log = sim.synth_sonar(truth, sc)
     fused = sonar_ekf.fuse_front_pair(log)
     events = ObstacleDetector(det_cfg).process(
         *perception.tick_ranges(log, fused.t, fused.fused)

@@ -606,6 +606,23 @@ class TestExitCodes:
         assert f"imu.csv:4: {message}" in err
         assert not (tmp_path / "out" / "est.csv").exists()
 
+    def test_localize_final_state_overflow_exits_2_with_row(self, tmp_path, capsys):
+        # readings that overflow the state only after the last of 111 samples
+        sim_out, out = tmp_path / "sim", tmp_path / "o"
+        argv = ["simulate", "--scenario", str(WALK110), "--gps", "off", "--out", str(sim_out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        imu = sim_out / "imu.csv"
+        header, *rows = imu.read_text().splitlines()
+        rows = rows[:111]
+        for i in range(5, 111):
+            t, _, _, _, *gyro = rows[i].split(",")
+            rows[i] = ",".join([t, "1.7e308", "1.7e308", "1.7e308", *gyro])
+        imu.write_text("\n".join([header, *rows]) + "\n")
+        argv = ["localize", "--imu", str(imu), "--gps", str(sim_out / "gps.csv"), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert "imu.csv:112: non-finite state after the last sample" in capsys.readouterr().err
+        assert not (out / "est.csv").exists()
+
     def test_run_checks_max_range_before_writing(self, tmp_path, capsys):
         path = tmp_path / "short_range.cfg"
         path.write_text(SHORT_SCENARIO + "max_range = 1.0\n")

@@ -13,7 +13,7 @@ from fusenav.core import (
     DataError,
     GpsFix,
     ImuLog,
-    InvalidQuaternionError,
+    NumericalError,
     hamilton,
     level_heading_quat,
     quat_to_matrix,
@@ -34,6 +34,7 @@ from fusenav.localizer import (
     propagate,
     run_localizer,
 )
+from test_sim import QUIET
 
 G = 9.80665
 WALK110 = Path(cli.__file__).parent / "scenarios" / "walk110.cfg"
@@ -180,14 +181,24 @@ def step(s, P, accel, gyro, dt, cfg):
     qa = (cfg.accel_noise * dt) ** 2
     qg = (cfg.gyro_noise * dt) ** 2
     p_cov.put(QD_INDEX, p_cov.take(QD_INDEX) + (qa, qa, qa, qg, qg, qg))
-    return NominalState(p=p, v=v, q=q, t=s.t + dt), 0.5 * (p_cov + p_cov.T)
+    return NominalState(p=p, v=v, q=q), 0.5 * (p_cov + p_cov.T)
 
 
-def step_run(imu, fixes, cfg, offsets):
+def noise_error(cfg, what):
+    return NumericalError(
+        f"{what}; noise settings accel_noise={cfg.accel_noise}, "
+        f"gyro_noise={cfg.gyro_noise}, gps_pos_std={cfg.gps_pos_std}"
+    )
+
+
+def step_run(imu, fixes, cfg, offsets, initial=None):
     """Oracle for run_localizer: its contract as one loop over the samples,
-    each fix applied through gps_update after the step that reaches it."""
+    each fix applied through gps_update after the step that reaches it.  A
+    step that cannot run raises ImuSampleError naming its sample, as does a
+    non-finite state after the last sample; noise that overflows, or that
+    leaves P non-finite at a fix, raises NumericalError."""
     ref = fixes[0]
-    s = NominalState(geo.wgs84_to_enu(ref, ref), np.zeros(3), level_heading_quat(0.0), ref.t)
+    s = initial or NominalState(geo.wgs84_to_enu(ref, ref), np.zeros(3), level_heading_quat(0.0))
     p_cov = initial_covariance(cfg)
     accel = imu.accel - offsets.accel_offset
     gyro = imu.gyro - offsets.gyro_offset
@@ -195,13 +206,29 @@ def step_run(imu, fixes, cfg, offsets):
     for i, t in enumerate(imu.t.tolist()):
         if t < ref.t:
             continue
-        if t > t_prev:
-            s, p_cov = step(s, p_cov, accel[i], gyro[i], t - t_prev, cfg)
+        dt = t - t_prev
+        if dt < 0.0:
+            raise ImuSampleError(i, t, "timestamps unsorted")
+        if dt == 0.0 and rows:
+            raise ImuSampleError(i, t, "duplicate timestamp")
+        if dt != 0.0:  # a first sample on the anchor takes no step
+            try:
+                s, p_cov = step(s, p_cov, accel[i], gyro[i], dt, cfg)
+            except DataError as exc:
+                raise ImuSampleError(i, t, exc) from None
+            except ValueError as exc:  # math.sin of a rotation angle that overflowed
+                raise ImuSampleError(i, t, f"gyro reading too large ({exc})") from None
+            except OverflowError:  # squaring a noise setting
+                raise noise_error(cfg, f"process noise overflowed at t={t}") from None
         t_prev = t
         while k < len(fixes) and fixes[k].t <= t:
+            if not np.isfinite(p_cov).all():
+                raise noise_error(cfg, f"covariance not finite at the fix t={fixes[k].t}")
             s, p_cov, ok = gps_update(s, p_cov, geo.wgs84_to_enu(fixes[k], ref), cfg)
             accepted, rejected, k = accepted + ok, rejected + (not ok), k + 1
         rows.append((t, s.p, s.v, s.q))
+    if not np.isfinite(np.concatenate([s.p, s.v, s.q])).all():
+        raise ImuSampleError(i, t, "non-finite state after the last sample")
     t, p, v, q = zip(*rows)
     return np.array(t), np.array(p), np.array(v), np.array(q), accepted, rejected
 
@@ -223,7 +250,7 @@ def dense_propagate(s, P, accel, gyro, dt, cfg):
     qd[3:6, 3:6] = np.eye(3) * (cfg.accel_noise * dt) ** 2
     qd[6:9, 6:9] = np.eye(3) * (cfg.gyro_noise * dt) ** 2
     p_cov = f @ P @ f.T + qd
-    return NominalState(p=p, v=v, q=q, t=s.t + dt), 0.5 * (p_cov + p_cov.T)
+    return NominalState(p=p, v=v, q=q), 0.5 * (p_cov + p_cov.T)
 
 
 def segment(s, P, accel, gyro, dt, cfg):
@@ -232,7 +259,7 @@ def segment(s, P, accel, gyro, dt, cfg):
     seg, p_cov = propagate(
         s, P, np.reshape(accel, (-1, 3)), np.reshape(gyro, (-1, 3)), np.atleast_1d(dt), cfg
     )
-    return NominalState(p=seg.p[-1], v=seg.v[-1], q=seg.q[-1], t=seg.t[-1]), p_cov
+    return NominalState(p=seg.p[-1], v=seg.v[-1], q=seg.q[-1]), p_cov
 
 
 def make_cfg(**kw):
@@ -245,7 +272,7 @@ class TestPropagate:
     def test_stationary_level_mount_is_fixed_point(self):
         cfg = make_cfg()
         q = level_heading_quat(0.7)
-        s = NominalState(p=np.zeros(3), v=np.zeros(3), q=q, t=0.0)
+        s = NominalState(p=np.zeros(3), v=np.zeros(3), q=q)
         p_cov = initial_covariance(cfg)
         # reading the gravity reaction of the z-down mount: -gravity in body
         accel = quat_to_matrix(q).T @ -GRAVITY
@@ -259,7 +286,7 @@ class TestPropagate:
     def test_free_fall_closed_form(self):
         # accel = 0 (free fall), 1 s of 0.1 s steps: v = g t, p = g t^2 / 2
         cfg = make_cfg()
-        s0 = NominalState(np.zeros(3), np.zeros(3), np.array([1.0, 0, 0, 0]), 0.0)
+        s0 = NominalState(np.zeros(3), np.zeros(3), np.array([1.0, 0, 0, 0]))
         s, p_cov = s0, initial_covariance(cfg)
         for _ in range(10):
             s, p_cov = segment(s, p_cov, np.zeros(3), np.zeros(3), 0.1, cfg)
@@ -271,7 +298,7 @@ class TestPropagate:
 
     def test_constant_acceleration_half_a_t_squared(self):
         cfg = make_cfg()
-        s0 = NominalState(np.zeros(3), np.zeros(3), np.array([1.0, 0, 0, 0]), 0.0)
+        s0 = NominalState(np.zeros(3), np.zeros(3), np.array([1.0, 0, 0, 0]))
         # gravity-compensated: body reading includes the gravity reaction
         accel = np.array([1.0, 0.0, 0.0]) - GRAVITY
         s, p_cov = s0, initial_covariance(cfg)
@@ -281,60 +308,6 @@ class TestPropagate:
         whole, _ = segment(s0, initial_covariance(cfg), accels, zeros, [0.01] * 100, cfg)
         for got in (s, whole):
             assert_allclose(got.p, [0.5, 0.0, 0.0], atol=1e-2)
-
-    def test_dt_bounds_enforced(self):
-        cfg = make_cfg()
-        s = NominalState(np.zeros(3), np.zeros(3), np.array([1.0, 0, 0, 0]), 0.0)
-        zeros = np.zeros((5, 3))
-        for bad_dt in (0.0, -0.01, 0.2, np.nan):
-            with pytest.raises(DataError, match="outside"):
-                segment(s, initial_covariance(cfg), np.zeros(3), np.zeros(3), bad_dt, cfg)
-            # in a segment, the fault names its row
-            dt = np.full(5, 0.01)
-            dt[3] = bad_dt
-            with pytest.raises(ImuSampleError, match="outside") as info:
-                propagate(s, initial_covariance(cfg), zeros, zeros, dt, cfg)
-            assert info.value.index == 3
-
-    def test_non_finite_input_rejected(self):
-        cfg = make_cfg()
-        s = NominalState(np.zeros(3), np.zeros(3), np.array([1.0, 0, 0, 0]), 0.0)
-        accel = np.array([np.nan, 0, 0])
-        with pytest.raises(DataError):
-            segment(s, initial_covariance(cfg), accel, np.zeros(3), 0.01, cfg)
-        # the state's p, v and q and the gyro reading are checked as well
-        p_cov, zero = initial_covariance(cfg), np.zeros(3)
-        for bad in (np.nan, np.inf, -np.inf):
-            for field in ("p", "v", "q"):
-                value = getattr(s, field).copy()
-                value[-1] = bad
-                with pytest.raises(DataError, match="non-finite"):
-                    segment(replace(s, **{field: value}), p_cov, zero, zero, 0.01, cfg)
-            with pytest.raises(DataError, match="non-finite"):
-                segment(s, p_cov, zero, np.array([0.0, bad, 0.0]), 0.01, cfg)
-            # in a segment, the fault names its row
-            gyro = np.zeros((5, 3))
-            gyro[2, 1] = bad
-            with pytest.raises(ImuSampleError, match="non-finite") as info:
-                propagate(s, p_cov, np.zeros((5, 3)), gyro, np.full(5, 0.01), cfg)
-            assert info.value.index == 2
-        with pytest.raises(InvalidQuaternionError):
-            segment(replace(s, q=np.zeros(4)), p_cov, zero, zero, 0.01, cfg)
-        # finite inputs whose product's norm overflows to inf; a nan norm
-        # cannot arise, since a non-finite input is rejected above
-        with pytest.raises(InvalidQuaternionError, match="norm inf"):
-            segment(replace(s, q=np.full(4, 1e200)), p_cov, zero, zero, 0.01, cfg)
-        # finite readings whose rotation into ENU overflows: the next
-        # step's input is not finite
-        huge = np.zeros((5, 3))
-        huge[1] = [1.7e308, 1.7e308, 0.0]
-        yawed = replace(s, q=rotvec_to_quat([0.0, 0.0, math.pi / 4]))
-        with pytest.raises(ImuSampleError, match="non-finite") as info:
-            propagate(yawed, p_cov, huge, np.zeros((5, 3)), np.full(5, 0.01), cfg)
-        assert info.value.index == 2
-        # a noise setting whose square overflows
-        with pytest.raises(OverflowError):
-            segment(s, p_cov, zero, zero, 0.01, make_cfg(gyro_noise=1e200))
 
     def test_jacobian_matches_finite_differences(self):
         # central differences of the nominal propagation over the 9 error
@@ -348,7 +321,6 @@ class TestPropagate:
                 p=rng.standard_normal(3) * 10,
                 v=rng.standard_normal(3) * 2,
                 q=q,
-                t=0.0,
             )
             accel = rng.standard_normal(3) * 5
             gyro = rng.standard_normal(3) * 0.5
@@ -360,7 +332,6 @@ class TestPropagate:
                     p=s.p + dp,
                     v=s.v + dv,
                     q=quat_product(rotvec_to_quat(dth), s.q),
-                    t=s.t,
                 )
 
             def error_between(sa, sb):
@@ -397,7 +368,6 @@ class TestPropagate:
                 p=rng.standard_normal(3) * 50,
                 v=rng.standard_normal(3) * 2,
                 q=np.array(unit(rng.standard_normal(4).tolist())),
-                t=rng.uniform(0.0, 100.0),
             )
             a = rng.standard_normal((9, 9))
             p_cov = a @ a.T + np.diag(rng.uniform(0.01, 10.0, 9))
@@ -412,7 +382,6 @@ class TestPropagate:
                 (got_s.p, got_s.v, got_s.q, got_p), (want_s.p, want_s.v, want_s.q, want_p)
             ):
                 assert_rel_close(got, want)
-            assert got_s.t == want_s.t
         assert small_angle >= 100 and full_dt >= 100
 
     def test_segment_matches_chained_steps(self):
@@ -426,7 +395,6 @@ class TestPropagate:
                 p=rng.standard_normal(3) * 50,
                 v=rng.standard_normal(3) * 2,
                 q=np.array(unit(rng.standard_normal(4).tolist())),
-                t=rng.uniform(0.0, 100.0),
             )
             a = rng.standard_normal((9, 9))
             p_cov = a @ a.T + np.diag(rng.uniform(0.01, 10.0, 9))
@@ -437,8 +405,8 @@ class TestPropagate:
             want_p = p_cov
             for j in range(m):
                 s, want_p = step(s, want_p, accel[j], gyro[j], dt[j].item(), cfg)
-                got = (seg.p[j], seg.v[j], seg.q[j], seg.t[j])
-                assert all(map(np.array_equal, got, (s.p, s.v, s.q, s.t)))
+                got = (seg.p[j], seg.v[j], seg.q[j])
+                assert all(map(np.array_equal, got, (s.p, s.v, s.q)))
             assert_rel_close(got_p, want_p)
 
     def test_run_matches_dense_reference(self):
@@ -471,7 +439,7 @@ class TestPropagate:
         # 100,000 steps as segments of 100, with a fix between segments
         cfg = make_cfg()
         rng = np.random.default_rng(17)
-        s = NominalState(np.zeros(3), np.zeros(3), level_heading_quat(0.0), 0.0)
+        s = NominalState(np.zeros(3), np.zeros(3), level_heading_quat(0.0))
         p_cov = initial_covariance(cfg)
         worst_eig = 0.0
         batch = np.empty((20, 9, 9))  # P after each segment and fix, eigen-solved per batch
@@ -488,14 +456,14 @@ class TestPropagate:
                 assert np.array_equal(batch, batch.transpose(0, 2, 1))
                 worst_eig = min(worst_eig, np.min(np.linalg.eigvalsh(batch)))
                 # keep the state bounded so the run exercises generic geometry
-                s = NominalState(np.zeros(3), np.zeros(3), s.q, s.t)
+                s = NominalState(np.zeros(3), np.zeros(3), s.q)
         assert worst_eig >= -1e-9
 
 
 class TestGpsUpdate:
     def test_zero_innovation_contracts_covariance_only(self):
         cfg = make_cfg()
-        s = NominalState(np.array([1.0, 2.0, 3.0]), np.zeros(3), level_heading_quat(0), 0.0)
+        s = NominalState(np.array([1.0, 2.0, 3.0]), np.zeros(3), level_heading_quat(0))
         p_cov = initial_covariance(cfg)
         s1, p1, ok = gps_update(s, p_cov, s.p.copy(), cfg)
         assert ok
@@ -505,7 +473,7 @@ class TestGpsUpdate:
     def test_scalar_posterior_variance(self):
         # uncorrelated prior variance 4, measurement variance 4 -> posterior 2
         cfg = make_cfg(gps_pos_std=2.0)
-        s = NominalState(np.zeros(3), np.zeros(3), level_heading_quat(0), 0.0)
+        s = NominalState(np.zeros(3), np.zeros(3), level_heading_quat(0))
         p_cov = np.diag([4.0] * 3 + [1.0] * 6)
         _, p1, ok = gps_update(s, p_cov, np.array([0.5, -0.5, 0.2]), cfg)
         assert ok
@@ -515,7 +483,7 @@ class TestGpsUpdate:
         # tight prior (0.01) and sigma 3: threshold 5*sqrt(9.01) ~ 15 m,
         # so a 20 m east displacement must be rejected
         cfg = make_cfg(gps_pos_std=3.0)
-        s = NominalState(np.zeros(3), np.zeros(3), level_heading_quat(0), 0.0)
+        s = NominalState(np.zeros(3), np.zeros(3), level_heading_quat(0))
         p_cov = np.diag([0.01] * 3 + [1.0] * 6)
         s1, p1, ok = gps_update(s, p_cov, np.array([20.0, 0.0, 0.0]), cfg)
         assert not ok
@@ -527,11 +495,22 @@ class TestGpsUpdate:
 
     def test_gate_fails_closed_on_nan_fix(self):
         cfg = make_cfg()
-        s = NominalState(np.zeros(3), np.zeros(3), level_heading_quat(0), 0.0)
+        s = NominalState(np.zeros(3), np.zeros(3), level_heading_quat(0))
         p_cov = initial_covariance(cfg)
         s1, p1, ok = gps_update(s, p_cov, np.array([1.0, np.nan, 0.0]), cfg)
         assert not ok
         assert s1 is s and p1 is p_cov
+
+
+@pytest.fixture(scope="module")
+def walk110_streams():
+    """walk110's raw streams at seed 0, with its localizer settings."""
+    sc = replace(cli.load_scenario(WALK110), seed=0)
+    truth = sim.gen_walk(sc)
+    imu = sim.synth_imu(truth, sc.noise, sc.seed)
+    fixes = sim.synth_gps(truth, sc.noise, sc.seed, sc.gps_rate, sc.anchor_fix(), sc.gps_dropouts)
+    offsets = calibrate(sim.stationary_imu_source(sc.noise, sc.seed))
+    return imu, fixes, cli._localizer_config(sc.noise), offsets
 
 
 def straight_scenario(noise, seed=0, length=110.0):
@@ -540,12 +519,12 @@ def straight_scenario(noise, seed=0, length=110.0):
 
 class TestRunLocalizer:
     def test_zero_noise_straight_walk(self):
-        sc = straight_scenario(sim.NoiseConfig.quiet())
+        sc = straight_scenario(QUIET)
         truth = sim.gen_walk(sc)
         imu = sim.synth_imu(truth, sc.noise, sc.seed)
         fixes = sim.synth_gps(truth, sc.noise, sc.seed, sc.gps_rate, sc.anchor_fix())
         cfg = make_cfg(accel_noise=1e-4, gyro_noise=1e-5, gps_pos_std=0.01)
-        init = NominalState(p=truth.p[0], v=truth.v[0], q=truth.q[0], t=0.0)
+        init = NominalState(p=truth.p[0], v=truth.v[0], q=truth.q[0])
         run = run_localizer(imu, fixes, cfg, initial=init)
         err = np.linalg.norm(run.trajectory("est", sc.anchor_fix()).xyz - truth.p, axis=1)
         assert err.max() < 0.05
@@ -590,6 +569,88 @@ class TestRunLocalizer:
             run_localizer(imu, [anchor], make_cfg())
         assert info.value.index == 2
 
+    @pytest.mark.parametrize("gps", ["on", "off"])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "gap@300",
+            "duplicate@300",
+            "unsorted@300",
+            "nan_time@300",
+            "nan_accel@300",
+            "inf_gyro@300",
+            "huge_gyro@300",
+            "noise",
+            "p=nan",
+            "v=inf",
+            "q=-inf",
+            "q=0",
+            "q=1e200",
+            "yaw45+spike@2",
+            "overflow@5",
+            "overflow@5+nan_accel@400",
+            "overflow@5+gap@400",
+            "overflow@5+huge_gyro@112",
+            "overflow@5+gap@111",
+            "overflow@5+cut@111",
+        ],
+    )
+    def test_faults_match_the_step_oracle(self, walk110_streams, case, gps):
+        # the same exception type, sample and message as the per-step loop;
+        # "overflow@5" makes the GPS-off state overflow going into sample 111
+        imu, fixes, cfg, offsets = walk110_streams
+        fixes = fixes if gps == "on" else fixes[:1]
+        ref = fixes[0]
+        initial = NominalState(geo.wgs84_to_enu(ref, ref), np.zeros(3), level_heading_quat(0.0))
+        t, accel, gyro = imu.t.copy(), imu.accel.copy(), imu.gyro.copy()
+        for part in case.split("+"):
+            if "=" in part:  # a state field, filled with one value
+                field, value = part.split("=")
+                bad = np.full_like(getattr(initial, field), float(value))
+                initial = replace(initial, **{field: bad})
+                continue
+            kind, _, at = part.partition("@")
+            k = int(at or 0)
+            if kind == "gap":
+                t[k:] += MAX_IMU_DT
+            elif kind == "duplicate":
+                t[k] = t[k - 1]
+            elif kind == "unsorted":
+                t[k] = t[k - 1] - 0.005
+            elif kind == "nan_time":
+                t[k] = np.nan
+            elif kind == "nan_accel":
+                accel[k, 1] = np.nan
+            elif kind == "inf_gyro":
+                gyro[k, 2] = np.inf
+            elif kind == "huge_gyro":
+                gyro[k, 0] = 1e200
+            elif kind == "noise":
+                cfg = replace(cfg, gyro_noise=1e200)
+            elif kind == "yaw45":
+                initial = replace(initial, q=rotvec_to_quat([0.0, 0.0, math.pi / 4]))
+            elif kind == "spike":  # its rotation into ENU overflows
+                accel[k] = [1.7e308, 1.7e308, 0.0]
+            elif kind == "overflow":
+                accel[k:] = 1.7e308
+            elif kind == "cut":
+                t, accel, gyro = t[:k], accel[:k], gyro[:k]
+        log = ImuLog(t, accel, gyro)
+        # the oracle's float steps overflow P and the state before they raise
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises((DataError, NumericalError)) as want:
+                step_run(log, fixes, cfg, offsets, initial)
+        with pytest.raises((DataError, NumericalError)) as got:
+            run_localizer(log, fixes, cfg, offsets, initial)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert getattr(got.value, "index", None) == getattr(want.value, "index", None)
+        if case == "yaw45+spike@2":
+            assert want.value.index == 3
+        if gps == "off" and case.startswith("overflow@5"):
+            # the state after sample 110 is the first fault, unless it is the last
+            assert want.value.index == (110 if "cut" in case else 111)
+
     def test_empty_streams_error(self):
         anchor = GpsFix(0.0, 37.0, -122.0, 30.0)
         with pytest.raises(DataError):
@@ -610,7 +671,7 @@ class TestRunLocalizer:
         imu = sim.synth_imu(truth, noise, sc.seed)
         fixes = sim.synth_gps(truth, noise, sc.seed, 1.0, sc.anchor_fix())
         cfg = make_cfg(gps_pos_std=0.05)
-        init = NominalState(p=truth.p[0], v=truth.v[0], q=truth.q[0], t=0.0)
+        init = NominalState(p=truth.p[0], v=truth.v[0], q=truth.q[0])
         offsets = CalibrationOffsets(np.array([0.3, -0.2, 0.1]), np.zeros(3))
         run_with = run_localizer(imu, fixes, cfg, offsets, initial=init)
         run_without = run_localizer(imu, fixes, cfg, initial=init)

@@ -1,12 +1,13 @@
 """Every public name of the package is used by the package or the bench.
 
-A public module-level function or class of ``src/fusenav`` stays only if
-a ``fusenav`` command, the bench (``perfbench/``) or other package code
-uses it; one that only tests call is dead weight.  A name counts as used
-where it appears as an identifier (a name or an attribute) in ``src/`` or
-``perfbench/`` outside its own definition, or as a dotted part of a
-string in ``perfbench/layers.py``, the table of traced targets (its
-``GEO_FUNCS`` lists the ``geo`` functions by name).
+A public module-level function or class of ``src/fusenav``, or a public
+method or property of such a class, stays only if a ``fusenav`` command,
+the bench (``perfbench/``) or other package code uses it; one that only
+tests call is dead weight.  A name counts as used where it appears as an
+identifier (a name or an attribute) in ``src/`` or ``perfbench/``
+outside its own definition, or as a dotted part of a string in
+``perfbench/layers.py``, the table of traced targets (its ``GEO_FUNCS``
+lists the ``geo`` functions by name).
 """
 
 import ast
@@ -28,6 +29,17 @@ def _identifiers(tree) -> Counter:
     return out
 
 
+def _public_defs(module):
+    """(dotted name, node) of each public function and class of ``module``
+    and of each public method and property of its public classes."""
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+            yield node.name, node
+            for member in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(member, ast.FunctionDef) and member.name[0] != "_":
+                    yield f"{node.name}.{member.name}", member
+
+
 def test_every_public_name_is_used_outside_tests():
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"))
@@ -43,10 +55,8 @@ def test_every_public_name_is_used_outside_tests():
 
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
-                continue
+        for dotted, node in _public_defs(trees[path]):
             # uses inside its own definition (recursion, methods) do not count
             if used[node.name] <= _identifiers(node)[node.name]:
-                unused.append(f"{path.stem}.{node.name}")
+                unused.append(f"{path.stem}.{dotted}")
     assert unused == [], f"public names used only by tests: {unused}"

@@ -11,8 +11,12 @@ from fusenav.core import CHANNELS, INCLINED_CHANNELS, SonarChannel, quat_to_matr
 FRONT = CHANNELS.index(SonarChannel.FRONT)
 
 
+# all noise and biases zero (perfect sensors)
+QUIET = sim.NoiseConfig(0.0, 0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.0, 0.0)
+
+
 def quiet_scenario(route, **kw):
-    return sim.Scenario(route=route, noise=sim.NoiseConfig.quiet(), **kw)
+    return sim.Scenario(route=route, noise=QUIET, **kw)
 
 
 class TestGenWalk:
@@ -68,7 +72,7 @@ class TestGenWalk:
 class TestSynthImu:
     def test_statics_zero_noise(self):
         truth = sim.gen_walk(quiet_scenario(((0, 0), (30, 0))))
-        log = sim.synth_imu(truth, sim.NoiseConfig.quiet(), seed=0)
+        log = sim.synth_imu(truth, QUIET, seed=0)
         # constant-speed straight walk: same readings as standing still
         for k in range(0, len(log), len(log) // 7):
             assert_allclose(log.accel[k], [0.0, 0.0, -9.80665], atol=1e-9)
@@ -224,7 +228,7 @@ class TestSynthSonar:
 
 class TestStationarySource:
     def test_reading_statics(self):
-        source = sim.stationary_imu_source(sim.NoiseConfig.quiet(), seed=0)
+        source = sim.stationary_imu_source(QUIET, seed=0)
         accel, gyro = source(100)
         assert_allclose(accel, np.tile([0.0, 0.0, -9.80665], (100, 1)), atol=1e-9)
         assert_allclose(gyro, 0.0, atol=1e-12)

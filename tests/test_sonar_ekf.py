@@ -1,4 +1,5 @@
 import importlib.resources
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -199,7 +200,7 @@ def test_matches_masked_matrix_update():
 
 def test_fuse_front_pair_matches_matrix_filter_on_walk110():
     sc = cli.load_scenario(WALK110)
-    log = sim.synth_sonar(sim.gen_walk(sc), sc, 0)
+    log = sim.synth_sonar(sim.gen_walk(sc), replace(sc, seed=0))
     front = log.channel == CHANNELS.index(SonarChannel.FRONT)
     pairs = list(zip(log.range_m[front].reshape(-1, 2), log.valid[front].reshape(-1, 2).tolist()))
     assert not all(map(all, (v for _, v in pairs)))  # the log has masked ticks
@@ -286,7 +287,7 @@ def test_bench_reads_masked_ticks_from_update(monkeypatch):
 
     monkeypatch.setattr(sonar_ekf, "update", traced_update)
     sc = cli.load_scenario(WALK110)
-    log = sim.synth_sonar(sim.gen_walk(sc), sc, 0)
+    log = sim.synth_sonar(sim.gen_walk(sc), replace(sc, seed=0))
     fuse_front_pair(log)
 
     front = log.channel == CHANNELS.index(SonarChannel.FRONT)
