@@ -395,6 +395,9 @@ def _position(value: str) -> tuple:
     return position
 
 
+_position.__name__ = "'lat, lon, alt' position"  # argparse names a rejected value by it
+
+
 def load_scenario(path) -> sim.Scenario:
     """Parse a scenario config file, reporting errors with line numbers."""
     kv = _KvFile(path)
@@ -542,14 +545,16 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _file_batch_source(log: ImuLog):
+def _file_batch_source(path):
+    """calibrate's sample source: the readings of an imu.csv, in file order."""
+    log = read_imu_csv(path)
     pos = 0
 
     def source(n: int):
         nonlocal pos
         if pos + n > len(log):
             raise DataError(
-                f"calibration needs {n} more readings but only "
+                f"{Path(path)}: calibration needs {n} more readings but only "
                 f"{len(log) - pos} remain"
             )
         chunk = slice(pos, pos + n)
@@ -560,13 +565,8 @@ def _file_batch_source(log: ImuLog):
 
 
 def cmd_calibrate(args) -> int:
-    imu = read_imu_csv(args.imu)
-    offsets = calibrate(
-        _file_batch_source(imu),
-        batch=args.batch,
-        tol=args.tol,
-        max_iter=args.max_iter,
-    )
+    source = _file_batch_source(args.imu)
+    offsets = calibrate(source, batch=args.batch, tol=args.tol, max_iter=args.max_iter)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_offsets_cfg(out / "offsets.cfg", offsets)
@@ -593,19 +593,13 @@ def cmd_localize(args) -> int:
         gyro_noise=args.gyro_noise,
         gps_pos_std=args.gps_std,
     )
-    frame = None
-    if args.ref is not None:
-        try:
-            frame = GpsFix(0.0, *_parse_triple(args.ref))
-        except ValueError as exc:
-            raise DataError(f"--ref: {exc}") from None
     try:
         run = run_localizer(imu, fixes, cfg, offsets)
     except ImuSampleError as exc:  # sample i is on file row i + 2
         raise DataError(f"{Path(args.imu)}:{exc.index + 2}: {exc.why}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_est(out, run, frame)
+    _write_est(out, run, None if args.ref is None else GpsFix(0.0, *args.ref))
     print(
         f"localized {len(run.t)} steps ({run.accepted_fixes} fixes applied, "
         f"{run.rejected_fixes} rejected) -> {out / 'est.csv'}"
@@ -754,6 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offsets", default=None, help="offsets.cfg from calibrate")
     p.add_argument(
         "--ref",
+        type=_position,
         default=None,
         help="'lat, lon, alt' ENU frame for est.csv (default: first GPS fix)",
     )

@@ -42,10 +42,6 @@ class NumericalError(ArithmeticError):
     """A numerical procedure failed to produce a usable result (exit code 3)."""
 
 
-class InvalidQuaternionError(DataError):
-    """Quaternion input that cannot be normalized (zero or non-finite norm)."""
-
-
 GRAVITY = np.array([0.0, 0.0, -9.80665])
 
 
@@ -133,11 +129,11 @@ def hamilton(a, b) -> tuple:
 
 
 def unit(q) -> tuple:
-    """Components of q / |q|; InvalidQuaternionError on a zero or non-finite norm."""
+    """Components of q / |q|; DataError on a zero or non-finite norm."""
     w, x, y, z = q
     n = math.sqrt(w * w + x * x + y * y + z * z)
     if not 0.0 < n < math.inf:  # false for nan
-        raise InvalidQuaternionError(f"cannot normalize quaternion of norm {n}")
+        raise DataError(f"cannot normalize quaternion of norm {n}")
     return w / n, x / n, y / n, z / n
 
 

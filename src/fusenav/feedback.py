@@ -94,8 +94,7 @@ class AudioScheduler:
             raise DataError("min_gap must be positive")
         self.min_gap = min_gap
         self.staleness = staleness
-        self._pending: list[tuple[int, float, int, AudioMessage]] = []
-        self._counter = 0
+        self._pending: list[AudioMessage] = []  # in offer order
         self._last_emit: float | None = None
 
     @property
@@ -104,18 +103,16 @@ class AudioScheduler:
         return len(self._pending)
 
     def offer(self, msg: AudioMessage) -> None:
-        self._pending.append((msg.priority, msg.t, self._counter, msg))
-        self._counter += 1
+        self._pending.append(msg)
 
     def poll(self, now: float) -> AudioMessage | None:
-        self._pending = [
-            entry for entry in self._pending if now - entry[3].t <= self.staleness
-        ]
+        self._pending = [msg for msg in self._pending if now - msg.t <= self.staleness]
         if self._last_emit is not None and now - self._last_emit < self.min_gap:
             return None
         if not self._pending:
             return None
-        self._pending.sort(key=lambda entry: entry[:3])
-        _, _, _, msg = self._pending.pop(0)
+        # a stable sort: equal (priority, t) stay in offer order
+        self._pending.sort(key=lambda msg: (msg.priority, msg.t))
+        msg = self._pending.pop(0)
         self._last_emit = now
         return msg

@@ -27,13 +27,16 @@ that add in the order of one step at a time.  P is propagated once per
 segment, through the segment's closed-form transition and noise sum.
 
 Faults are found in ``run_localizer`` alone; ``propagate`` only steps.
-One column pass over the kept samples finds the first sample whose step
-cannot run, and propagation stops before it.  The states ``propagate``
-returns are checked as they come, each at the sample it feeds (the final
-state at the last sample), after the fixes that precede that sample.  At
-one sample the order is: a time step outside (0, MAX_IMU_DT], a
-non-finite reading or state, a gyro rotation angle whose square
-overflows, then process noise whose square overflows.
+The initial state is an argument, checked first: a non-finite position
+or velocity, or a q that ``unit`` cannot normalize, is a DataError that
+names it, and q is used normalized.  Then one column pass over the kept
+samples finds the first sample whose step cannot run, and propagation
+stops before it.  The states ``propagate`` returns are checked as they
+come, each at the sample it feeds (the final state at the last sample),
+after the fixes that precede that sample.  At one sample the order is: a
+time step outside (0, MAX_IMU_DT], a non-finite reading or state, a gyro
+rotation angle whose square overflows, then process noise whose square
+overflows.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .core import (
     DataError,
     GpsFix,
     ImuLog,
-    InvalidQuaternionError,
     NumericalError,
     hamilton,
     level_heading_quat,
@@ -79,16 +81,6 @@ def _blocks(tau, a, b) -> tuple:
     ax, ay, az = a.tolist()
     bx, by, bz = b.tolist()
     return (tau, tau, tau, az, -ay, -az, ax, ay, -ax, bz, -by, -bz, bx, by, -bx)
-
-
-class CalibrationDivergedError(NumericalError):
-    def __init__(self, accel_residual, gyro_residual):
-        self.accel_residual = np.asarray(accel_residual)
-        self.gyro_residual = np.asarray(gyro_residual)
-        super().__init__(
-            "calibration did not converge: accel residual "
-            f"{self.accel_residual}, gyro residual {self.gyro_residual}"
-        )
 
 
 class ImuSampleError(DataError):
@@ -150,8 +142,8 @@ def calibrate(
     accumulation shrinks the measurement noise floor below any fixed
     tolerance, which a fixed-size batch mean cannot do.
 
-    Raises CalibrationDivergedError with the final residuals after
-    ``max_iter`` iterations.
+    Raises NumericalError naming the final residuals after ``max_iter``
+    iterations.
     """
     accel_target = GRAVITY
     accel_off = np.zeros(3)
@@ -179,7 +171,9 @@ def calibrate(
             return CalibrationOffsets(accel_off, gyro_off)
         accel_off = accel_off + resid_a
         gyro_off = gyro_off + resid_g
-    raise CalibrationDivergedError(resid_a, resid_g)
+    raise NumericalError(
+        f"calibration did not converge: accel residual {resid_a}, gyro residual {resid_g}"
+    )
 
 
 def initial_covariance(cfg: LocalizerConfig) -> np.ndarray:
@@ -218,10 +212,10 @@ def propagate(
     few weighted outer products, since [a]x [b]x^T = (a.b) I - b a^T.
 
     The caller checks the preconditions: every dt in (0, MAX_IMU_DT],
-    finite readings and state, gyro rotation angles whose squares are
-    finite and process noise whose squares are finite.  ``unit`` raises
-    InvalidQuaternionError on a state q it cannot normalize.  The states
-    and P it returns may still overflow, and are the caller's to check.
+    finite readings, a finite state with a unit q, gyro rotation angles
+    whose squares are finite and process noise whose squares are finite.
+    The states and P it returns may still overflow, and are the caller's
+    to check.
     """
     # the caller checks the returned states and P for overflow and nan
     with np.errstate(over="ignore", invalid="ignore"):
@@ -349,14 +343,15 @@ def run_localizer(
 
     The first GPS fix anchors the ENU frame and the initial position.
     Unless ``initial`` is given, the walker starts at rest, level, facing
-    east.  IMU samples earlier than the anchor are dropped; every fix is
-    applied at the first IMU step at or after its timestamp.  Output is
-    one record per processed IMU sample; identical inputs produce
-    identical output.  The first IMU sample whose step cannot run, or
-    that a non-finite state feeds, raises ImuSampleError naming it, as
-    does a non-finite state after the last sample.  Noise settings whose
-    squares overflow, or that leave P non-finite at a fix, raise
-    NumericalError.
+    east; a given p or v that is not finite, or a q that ``unit`` cannot
+    normalize, is a DataError before any sample (q is used normalized).
+    IMU samples earlier than the anchor are dropped; every fix is applied
+    at the first IMU step at or after its timestamp.  Output is one
+    record per processed IMU sample; identical inputs produce identical
+    output.  The first IMU sample whose step cannot run, or that a
+    non-finite state feeds, raises ImuSampleError naming it, as does a
+    non-finite state after the last sample.  Noise settings whose squares
+    overflow, or that leave P non-finite at a fix, raise NumericalError.
     """
     if offsets is None:
         offsets = CalibrationOffsets.zero()
@@ -373,6 +368,12 @@ def run_localizer(
     state = initial
     if state is None:
         state = NominalState(geo.wgs84_to_enu(ref, ref), np.zeros(3), level_heading_quat(0.0))
+    if not np.isfinite(np.concatenate([state.p, state.v])).all():
+        raise DataError(f"initial state: position {state.p} or velocity {state.v} not finite")
+    try:  # the first step's R(q) needs a unit q
+        state = NominalState(state.p, state.v, np.array(unit(state.q.tolist())))
+    except DataError as exc:
+        raise DataError(f"initial state: {exc}") from None
     try:  # if this square of gps_pos_std fits, so does gps_update's
         p_cov = initial_covariance(cfg)
     except OverflowError:
@@ -401,8 +402,6 @@ def run_localizer(
             ]
         )
     faults[:, :lead] = False
-    if lead < n:  # the initial state feeds the first step
-        faults[1, lead] |= not np.isfinite(np.concatenate([state.p, state.v, state.q])).all()
     bad = int(faults.any(axis=0).argmax()) if faults.any() else n
     # each fix is applied after the first sample at or after its time
     at = np.searchsorted(t[:bad], [f.t for f in fixes[1:]]).tolist()
@@ -417,10 +416,7 @@ def run_localizer(
         start = lo
         while lo < hi:  # propagation stops before the first faulty sample
             mid = min(hi, lo + _MAX_SEGMENT)
-            try:
-                seg, p_cov = propagate(state, p_cov, accel[lo:mid], gyro[lo:mid], dt[lo:mid], cfg)
-            except InvalidQuaternionError as exc:  # the initial state's q, at the first step
-                raise ImuSampleError(int(keep[lo]), t[lo].item(), exc) from None
+            seg, p_cov = propagate(state, p_cov, accel[lo:mid], gyro[lo:mid], dt[lo:mid], cfg)
             ps[lo + 1 : mid + 1], vs[lo + 1 : mid + 1], qs[lo + 1 : mid + 1] = seg.p, seg.v, seg.q
             state = NominalState(p=seg.p[-1], v=seg.v[-1], q=seg.q[-1])
             lo = mid

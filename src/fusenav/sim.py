@@ -67,10 +67,6 @@ _STREAM_SONAR = 103
 _STREAM_STATIC = 104
 
 
-class ScenarioError(DataError):
-    """Invalid scenario definition."""
-
-
 @dataclass(frozen=True)
 class NoiseConfig:
     accel_sigma: float = 0.25  # m/s^2 white noise per sample
@@ -150,14 +146,14 @@ class Scenario:
 
     def __post_init__(self):
         if self.speed <= 0.0:
-            raise ScenarioError("speed must be positive")
+            raise DataError("speed must be positive")
         if self.imu_rate <= 0.0 or self.gps_rate <= 0.0:
-            raise ScenarioError("sample rates must be positive")
+            raise DataError("sample rates must be positive")
         if len(self.route) < 2:
-            raise ScenarioError("route needs at least 2 waypoints")
+            raise DataError("route needs at least 2 waypoints")
         for a, b in zip(self.route, self.route[1:]):
             if math.hypot(b[0] - a[0], b[1] - a[1]) < 1e-9:
-                raise ScenarioError(f"degenerate (repeated) waypoint at {a}")
+                raise DataError(f"degenerate (repeated) waypoint at {a}")
         _build_path(self.route)  # corners it cannot blend
 
     def anchor_fix(self) -> GpsFix:
@@ -264,7 +260,7 @@ def _build_path(route) -> tuple[list, float]:
         if abs(dtheta) < 1e-12:
             continue
         if abs(dtheta) > math.radians(_MAX_CORNER_DEG):
-            raise ScenarioError(
+            raise DataError(
                 f"corner at waypoint {i + 1} turns {math.degrees(abs(dtheta)):.0f} deg;"
                 " near-reversals cannot be blended"
             )
@@ -279,7 +275,7 @@ def _build_path(route) -> tuple[list, float]:
 
     for i in range(n_seg):
         if trim_start[i] + trim_end[i] > seg_len[i] + 1e-9:
-            raise ScenarioError(
+            raise DataError(
                 f"segment {i} ({seg_len[i]:.2f} m) too short to blend its corners"
             )
 

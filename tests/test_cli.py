@@ -517,6 +517,7 @@ class TestExitCodes:
             ("localize", "--accel-noise", "inf"),
             ("localize", "--gyro-noise", "-0.5"),
             ("localize", "--gps-std", "nan"),
+            ("localize", "--ref", "37.0, -122.0, nan"),
             ("calibrate", "--tol", "nan"),
             ("calibrate", "--batch", "0"),
             ("calibrate", "--max-iter", "-5"),
@@ -583,12 +584,16 @@ class TestExitCodes:
         assert cli.main(argv) == cli.EXIT_DATA
         assert f"{tmp_path}: " in capsys.readouterr().err
 
-    def test_localize_non_finite_ref_exits_2(self, tmp_path, tiny_streams, capsys):
-        imu, gps = tiny_streams
-        argv = ["localize", "--imu", str(imu), "--gps", str(gps), "--out", str(tmp_path / "o")]
-        assert cli.main([*argv, "--ref", "37.0, -122.0, nan"]) == cli.EXIT_DATA
-        assert "--ref:" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "est.csv").exists()
+    def test_calibrate_short_log_exits_2_with_path(self, tmp_path, capsys):
+        # 500 stationary readings, where the first batch needs 1000
+        path = tmp_path / "imu.csv"
+        accel = np.tile([0.0, 0.0, -9.80665], (500, 1))
+        cli.write_imu_csv(path, ImuLog(0.01 * np.arange(500), accel, np.zeros((500, 3))))
+        out = tmp_path / "o"
+        assert cli.main(["calibrate", "--imu", str(path), "--out", str(out)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {path}: calibration needs 1000 more readings but only 500 remain" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "row, message",

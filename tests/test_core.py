@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from fusenav.core import (
     DataError,
     GpsFix,
-    InvalidQuaternionError,
     hamilton,
     level_heading_quat,
     quat_to_matrix,
@@ -74,7 +73,7 @@ def test_normalize_preserves_direction_and_unit_norm():
 
 
 def test_normalize_zero_raises():
-    with pytest.raises(InvalidQuaternionError):
+    with pytest.raises(DataError, match="cannot normalize quaternion of norm 0.0"):
         unit([0.0, 0.0, 0.0, 0.0])
 
 
@@ -256,7 +255,7 @@ def test_component_kernels_match_oracles_on_stacks():
 
 @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
 def test_normalize_zero_or_non_finite_norm_raises(bad):
-    with pytest.raises(InvalidQuaternionError):
+    with pytest.raises(DataError, match=f"cannot normalize quaternion of norm {abs(bad)}"):
         unit([bad, 0.0, 0.0, 0.0])
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,7 +24,6 @@ from fusenav.core import (
 )
 from fusenav.localizer import (
     MAX_IMU_DT,
-    CalibrationDivergedError,
     CalibrationOffsets,
     ImuSampleError,
     LocalizerConfig,
@@ -123,9 +123,12 @@ class TestCalibrate:
             a[:, 2] -= G
             return a, np.zeros((n, 3))
 
-        with pytest.raises(CalibrationDivergedError) as info:
+        with pytest.raises(NumericalError, match="calibration did not converge") as info:
             calibrate(drifting, batch=100, tol=1e-6, max_iter=5)
-        assert np.all(np.isfinite(info.value.accel_residual))
+        pattern = r"calibration did not converge: accel residual \[(.*)\], gyro residual \[(.*)\]"
+        residuals = re.fullmatch(pattern, str(info.value)).groups()
+        for numbers in residuals:
+            assert np.all(np.isfinite(np.array(numbers.split(), dtype=float)))
 
 
 def imu_log(t, accel, gyro=(0.0, 0.0, 0.0)):
@@ -193,12 +196,20 @@ def noise_error(cfg, what):
 
 def step_run(imu, fixes, cfg, offsets, initial=None):
     """Oracle for run_localizer: its contract as one loop over the samples,
-    each fix applied through gps_update after the step that reaches it.  A
-    step that cannot run raises ImuSampleError naming its sample, as does a
-    non-finite state after the last sample; noise that overflows, or that
-    leaves P non-finite at a fix, raises NumericalError."""
+    each fix applied through gps_update after the step that reaches it.  An
+    initial state with a non-finite p or v, or a q that unit cannot
+    normalize, raises DataError before any sample; q is used normalized.
+    A step that cannot run raises ImuSampleError naming its sample, as
+    does a non-finite state after the last sample; noise that overflows,
+    or that leaves P non-finite at a fix, raises NumericalError."""
     ref = fixes[0]
     s = initial or NominalState(geo.wgs84_to_enu(ref, ref), np.zeros(3), level_heading_quat(0.0))
+    if not np.isfinite(np.concatenate([s.p, s.v])).all():
+        raise DataError(f"initial state: position {s.p} or velocity {s.v} not finite")
+    try:
+        s = replace(s, q=np.array(unit(s.q.tolist())))
+    except DataError as exc:
+        raise DataError(f"initial state: {exc}") from None
     p_cov = initial_covariance(cfg)
     accel = imu.accel - offsets.accel_offset
     gyro = imu.gyro - offsets.gyro_offset
@@ -586,6 +597,7 @@ class TestRunLocalizer:
             "q=-inf",
             "q=0",
             "q=1e200",
+            "q=0+noise",
             "yaw45+spike@2",
             "overflow@5",
             "overflow@5+nan_accel@400",
@@ -597,7 +609,8 @@ class TestRunLocalizer:
     )
     def test_faults_match_the_step_oracle(self, walk110_streams, case, gps):
         # the same exception type, sample and message as the per-step loop;
-        # "overflow@5" makes the GPS-off state overflow going into sample 111
+        # "overflow@5" makes the GPS-off state overflow going into sample 111;
+        # a bad initial state is an argument error, named before any sample
         imu, fixes, cfg, offsets = walk110_streams
         fixes = fixes if gps == "on" else fixes[:1]
         ref = fixes[0]
@@ -645,6 +658,9 @@ class TestRunLocalizer:
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
         assert getattr(got.value, "index", None) == getattr(want.value, "index", None)
+        if case.startswith(("p=", "v=", "q=")):
+            assert type(want.value) is DataError
+            assert str(want.value).startswith("initial state: ")
         if case == "yaw45+spike@2":
             assert want.value.index == 3
         if gps == "off" and case.startswith("overflow@5"):

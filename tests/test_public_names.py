@@ -8,9 +8,15 @@ identifier (a name or an attribute) in ``src/`` or ``perfbench/``
 outside its own definition, or as a dotted part of a string in
 ``perfbench/layers.py``, the table of traced targets (its ``GEO_FUNCS``
 lists the ``geo`` functions by name).
+
+An exception class of the package stays only if an ``except`` clause in
+``src/`` or ``perfbench/`` names it: one that nothing catches tells no
+caller anything its base class does not.
 """
 
 import ast
+import importlib
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -40,11 +46,15 @@ def _public_defs(module):
                     yield f"{node.name}.{member.name}", member
 
 
-def test_every_public_name_is_used_outside_tests():
-    trees = {
+def _trees() -> dict:
+    return {
         path: ast.parse(path.read_text(encoding="utf-8"))
         for path in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     }
+
+
+def test_every_public_name_is_used_outside_tests():
+    trees = _trees()
     used = Counter()
     for tree in trees.values():
         used += _identifiers(tree)
@@ -60,3 +70,20 @@ def test_every_public_name_is_used_outside_tests():
             if used[node.name] <= _identifiers(node)[node.name]:
                 unused.append(f"{path.stem}.{dotted}")
     assert unused == [], f"public names used only by tests: {unused}"
+
+
+def test_every_exception_class_is_caught_somewhere():
+    caught = Counter()
+    for tree in _trees().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught += _identifiers(node.type)
+
+    uncaught = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"fusenav.{path.stem}")
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            own = cls.__module__ == module.__name__
+            if own and issubclass(cls, BaseException) and not caught[name]:
+                uncaught.append(f"{path.stem}.{name}")
+    assert uncaught == [], f"exception classes no except clause names: {uncaught}"

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fusenav import cli, geo, sim
-from fusenav.core import CHANNELS, INCLINED_CHANNELS, SonarChannel, quat_to_matrix
+from fusenav.core import CHANNELS, INCLINED_CHANNELS, DataError, SonarChannel, quat_to_matrix
 
 FRONT = CHANNELS.index(SonarChannel.FRONT)
 
@@ -41,15 +41,15 @@ class TestGenWalk:
         assert truth.path_length > 78.0
 
     def test_degenerate_waypoints_rejected(self):
-        with pytest.raises(sim.ScenarioError):
+        with pytest.raises(DataError, match=r"degenerate \(repeated\) waypoint at \(0, 0\)"):
             quiet_scenario(((0, 0), (0, 0)))
 
     def test_reversal_rejected(self):
-        with pytest.raises(sim.ScenarioError):
+        with pytest.raises(DataError, match="corner at waypoint 1 turns 180 deg; near-reversals"):
             sim.gen_walk(quiet_scenario(((0, 0), (10, 0), (0, 0))))
 
     def test_short_segment_between_corners_rejected(self):
-        with pytest.raises(sim.ScenarioError):
+        with pytest.raises(DataError, match=r"segment 1 \(0.40 m\) too short to blend"):
             sim.gen_walk(quiet_scenario(((0, 0), (10, 0), (10, 0.4), (20, 0.4))))
 
     def test_kinematic_consistency_curved_route(self):
