@@ -519,15 +519,22 @@ def _fuse_sonar(log: SonarLog, out: Path) -> sonar_ekf.FusedFront:
     return fused
 
 
-def _write_est(out: Path, run, frame: GpsFix | None) -> np.ndarray:
-    """est.csv re-anchored into ``frame`` (None: the run's own frame);
-    returns the positions written."""
+def _localize(imu_path: Path, imu: ImuLog, fixes, cfg, offsets, out: Path, ref):
+    """Run the filter and write est.csv in the ENU frame at the ``ref``
+    'lat, lon, alt' (None: the run's own frame); returns the run and the
+    positions written.  A bad IMU sample is a data error on its
+    ``imu_path`` row."""
+    try:
+        run = run_localizer(imu, fixes, cfg, offsets)
+    except ImuSampleError as exc:  # sample i is on file row i + 2
+        raise DataError(f"{imu_path}:{exc.index + 2}: {exc.why}") from None
     p, v = run.p, run.v
-    if frame is not None:
-        r, d = geo.enu_frame_transform(run.ref, frame)
+    if ref is not None:
+        r, d = geo.enu_frame_transform(run.ref, GpsFix(0.0, *ref))
         p, v = run.p @ r.T + d, run.v @ r.T
+    out.mkdir(parents=True, exist_ok=True)
     write_pose_csv(out / "est.csv", run.t, p, v, run.q)
-    return p
+    return run, p
 
 
 def _evaluate(out: Path, est: metrics.Trajectory, truth: metrics.Trajectory) -> None:
@@ -593,13 +600,8 @@ def cmd_localize(args) -> int:
         gyro_noise=args.gyro_noise,
         gps_pos_std=args.gps_std,
     )
-    try:
-        run = run_localizer(imu, fixes, cfg, offsets)
-    except ImuSampleError as exc:  # sample i is on file row i + 2
-        raise DataError(f"{Path(args.imu)}:{exc.index + 2}: {exc.why}") from None
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_est(out, run, None if args.ref is None else GpsFix(0.0, *args.ref))
+    run, _ = _localize(Path(args.imu), imu, fixes, cfg, offsets, out, args.ref)
     print(
         f"localized {len(run.t)} steps ({run.accepted_fixes} fixes applied, "
         f"{run.rejected_fixes} rejected) -> {out / 'est.csv'}"
@@ -648,51 +650,16 @@ def cmd_run(args) -> int:
     fused = _fuse_sonar(sonar, out)
 
     # localize; est.csv shares truth.csv's frame (the scenario anchor)
-    run = run_localizer(imu, fixes, _localizer_config(scenario.noise), offsets)
-    est_p = _write_est(out, run, scenario.anchor_fix())
+    cfg = _localizer_config(scenario.noise)
+    run, est_p = _localize(out / "imu.csv", imu, fixes, cfg, offsets, out, scenario.anchor)
 
-    # detect + feedback
     tick_t, ranges = perception.tick_ranges(sonar, fused.t, fused.fused)
-    events_at: dict[float, list] = {}
-    for event in perception.ObstacleDetector(detection).process(tick_t, ranges):
-        events_at.setdefault(event.t, []).append(event)
+    events = perception.ObstacleDetector(detection).process(tick_t, ranges)
     gate = perception.RecognitionGate(perception.MockRecognizer(seed=scenario.seed))
     scheduler = fb.AudioScheduler()
-    feedback_rows = []
-
-    def offer_results(results):
-        for res in results:
-            if res.failed or not res.labels:
-                continue
-            name, conf = res.labels[0]
-            scheduler.offer(
-                fb.AudioMessage(
-                    priority=fb.PRIORITY_RECOGNITION,
-                    text=f"label {name} {conf}",
-                    t=res.completed_t,
-                )
-            )
-
-    for t in tick_t.tolist():
-        offer_results(gate.poll(t))
-        for event in events_at.get(t, ()):
-            cmd = fb.route_event(event)
-            feedback_rows.append(
-                (_fmt(event.t), "tactile", str(cmd.motor), _fmt(cmd.intensity))
-            )
-            scheduler.offer(
-                fb.AudioMessage(
-                    priority=fb.priority_for(event),
-                    text=f"{event.kind.value} {event.channel.value}",
-                    t=event.t,
-                )
-            )
-            offer_results(gate.submit(event))
-        msg = scheduler.poll(t)
-        if msg is not None:
-            feedback_rows.append((_fmt(t), "audio", str(msg.priority), msg.text))
-    offer_results(gate.flush())
-    _write_csv(out / "feedback.csv", FEEDBACK_HEADER, list(zip(*feedback_rows)))
+    rows = fb.respond(tick_t.tolist(), events, gate, scheduler)
+    cells = [(_fmt(t), kind, str(n), v if kind == "audio" else _fmt(v)) for t, kind, n, v in rows]
+    _write_csv(out / "feedback.csv", FEEDBACK_HEADER, list(zip(*cells)))
 
     _evaluate(out, metrics.Trajectory(run.t, est_p, "est"), sim.truth_trajectory(truth, "truth"))
     print(f"pipeline outputs in {out}")

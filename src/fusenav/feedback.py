@@ -13,6 +13,13 @@ timestamp breaking ties), and silently drops anything older than the
 staleness window -- a stale obstacle announcement is worse than none.
 Unlike the ramp, ``min_gap`` and ``staleness`` stay parameters: the
 scheduler's bound on emissions is checked over a sweep of gaps.
+
+``respond`` runs detection events through recognition to feedback, one
+sonar tick at a time: it polls the recognition gate and offers the labels
+it finished, then gives each of the tick's events a motor row, a spoken
+warning and a recognition request, then polls the scheduler once.  After
+the last tick the gate is flushed: those labels are offered but never
+polled, so they stay pending in the scheduler and are only counted.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import DataError, SonarChannel
-from .perception import DetectionEvent, DetectionKind
+from .perception import DetectionEvent, DetectionKind, RecognitionGate
 
 # Audio priority classes, most urgent first.
 PRIORITY_DROPOFF = 0
@@ -37,12 +44,6 @@ MOTOR_FOR_CHANNEL = {
     SonarChannel.INCLINED_RIGHT: 4,
     SonarChannel.RIGHT: 5,
 }
-
-
-@dataclass(frozen=True)
-class TactileCommand:
-    motor: int  # 1..5
-    intensity: float  # 0..1
 
 
 @dataclass(frozen=True)
@@ -67,17 +68,6 @@ def intensity_map(distance: float) -> float:
     if distance >= RAMP_FAR:
         return 0.0
     return (RAMP_FAR - distance) / (RAMP_FAR - RAMP_NEAR)
-
-
-def route_event(event: DetectionEvent) -> TactileCommand:
-    """Map a detection event to its belt motor and intensity."""
-    return TactileCommand(MOTOR_FOR_CHANNEL[event.channel], intensity_map(event.range_m))
-
-
-def priority_for(event: DetectionEvent) -> int:
-    return (
-        PRIORITY_DROPOFF if event.kind is DetectionKind.DROPOFF else PRIORITY_OBSTACLE
-    )
 
 
 class AudioScheduler:
@@ -116,3 +106,40 @@ class AudioScheduler:
         msg = self._pending.pop(0)
         self._last_emit = now
         return msg
+
+
+def respond(
+    tick_t, events: list[DetectionEvent], gate: RecognitionGate, scheduler: AudioScheduler
+) -> list[tuple]:
+    """The feedback of the sorted float times ``tick_t``, in the tick order
+    above: a row ``(event.t, "tactile", motor, intensity)`` per event and
+    ``(t, "audio", priority, text)`` per message spoken at tick ``t``.
+    ``events`` are in tick order (``ObstacleDetector.process``), each
+    handled at the first tick at or after its time; a drop-off warning
+    is more urgent than an obstacle's."""
+    rows, k = [], 0
+    for t in tick_t:
+        _offer_labels(scheduler, gate.poll(t))
+        while k < len(events) and events[k].t <= t:
+            event, k = events[k], k + 1
+            motor = MOTOR_FOR_CHANNEL[event.channel]
+            rows.append((event.t, "tactile", motor, intensity_map(event.range_m)))
+            dropoff = event.kind is DetectionKind.DROPOFF
+            urgency = PRIORITY_DROPOFF if dropoff else PRIORITY_OBSTACLE
+            text = f"{event.kind.value} {event.channel.value}"
+            scheduler.offer(AudioMessage(urgency, text, event.t))
+            _offer_labels(scheduler, gate.submit(event))
+        msg = scheduler.poll(t)
+        if msg is not None:
+            rows.append((t, "audio", msg.priority, msg.text))
+    _offer_labels(scheduler, gate.flush())
+    return rows
+
+
+def _offer_labels(scheduler: AudioScheduler, results) -> None:
+    """Offer the top label of each recognition that gave one."""
+    for res in results:
+        if not res.failed and res.labels:
+            name, conf = res.labels[0]
+            text = f"label {name} {conf}"
+            scheduler.offer(AudioMessage(PRIORITY_RECOGNITION, text, res.completed_t))

@@ -628,6 +628,17 @@ class TestExitCodes:
         assert "imu.csv:112: non-finite state after the last sample" in capsys.readouterr().err
         assert not (out / "est.csv").exists()
 
+    def test_run_bad_imu_sample_exits_2_with_row(self, tmp_path, capsys):
+        # the simulated readings rotate too far from sample 1, row 3 of imu.csv
+        path = tmp_path / "spin.cfg"
+        lines = [ln for ln in WALK110.read_text().splitlines() if not ln.startswith("gyro_bias")]
+        path.write_text("\n".join([*lines, "gyro_bias = 0, 0, 1e300"]) + "\n")
+        out = tmp_path / "o"
+        assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {out / 'imu.csv'}:3: gyro reading too large" in err
+        assert not (out / "est.csv").exists()
+
     def test_run_checks_max_range_before_writing(self, tmp_path, capsys):
         path = tmp_path / "short_range.cfg"
         path.write_text(SHORT_SCENARIO + "max_range = 1.0\n")

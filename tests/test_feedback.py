@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 
 from fusenav.core import DataError, SonarChannel
-from fusenav.feedback import (
-    AudioMessage,
-    AudioScheduler,
-    MOTOR_FOR_CHANNEL,
-    intensity_map,
-    priority_for,
-    route_event,
-)
-from fusenav.perception import DetectionEvent, DetectionKind
+from fusenav.feedback import AudioMessage, AudioScheduler, intensity_map, respond
+from fusenav.perception import DetectionEvent, DetectionKind, MockRecognizer, RecognitionGate
+
+OBSTACLE, DROPOFF = DetectionKind.OBSTACLE, DetectionKind.DROPOFF
 
 
 class TestIntensityMap:
@@ -36,7 +31,22 @@ class TestIntensityMap:
         assert np.all((vals_lo >= 0.0) & (vals_lo <= 1.0))
 
 
+def respond_to(events, ticks=(0.0,), min_gap=2.0):
+    """respond() over hand-made ticks and events with a real gate and
+    scheduler; returns the rows, the gate and the scheduler."""
+    gate = RecognitionGate(MockRecognizer(seed=3))
+    scheduler = AudioScheduler(min_gap=min_gap)
+    return respond(ticks, events, gate, scheduler), gate, scheduler
+
+
+def top_label(event):
+    name, conf = MockRecognizer(seed=3).recognize(event)[0]
+    return f"label {name} {conf}"
+
+
 class TestRouteEvent:
+    """respond()'s tactile row and spoken warning for each event."""
+
     def test_channel_motor_mapping(self):
         cases = [
             (SonarChannel.LEFT, 1),
@@ -46,37 +56,86 @@ class TestRouteEvent:
             (SonarChannel.RIGHT, 5),
         ]
         for channel, motor in cases:
-            ev = DetectionEvent(0.0, channel, DetectionKind.OBSTACLE, 0.5)
-            assert route_event(ev).motor == motor
+            rows, _, _ = respond_to([DetectionEvent(0.0, channel, OBSTACLE, 0.5)])
+            assert rows == [
+                (0.0, "tactile", motor, 1.0),
+                (0.0, "audio", 1, f"obstacle {channel.value}"),
+            ]
 
     def test_front_at_min_distance_full_intensity(self):
-        ev = DetectionEvent(0.0, SonarChannel.FRONT, DetectionKind.OBSTACLE, 0.5)
-        cmd = route_event(ev)
-        assert cmd.motor == 3 and cmd.intensity == 1.0
+        rows, _, _ = respond_to([DetectionEvent(0.0, SonarChannel.FRONT, OBSTACLE, 0.5)])
+        assert rows[0] == (0.0, "tactile", 3, 1.0)
 
     def test_left_at_max_distance_silent(self):
-        ev = DetectionEvent(0.0, SonarChannel.LEFT, DetectionKind.OBSTACLE, 2.5)
-        cmd = route_event(ev)
-        assert cmd.motor == 1 and cmd.intensity == 0.0
+        rows, _, _ = respond_to([DetectionEvent(0.0, SonarChannel.LEFT, OBSTACLE, 2.5)])
+        assert rows[0] == (0.0, "tactile", 1, 0.0)
 
     def test_inclined_dropoff_midrange(self):
-        ev = DetectionEvent(0.0, SonarChannel.INCLINED_RIGHT, DetectionKind.DROPOFF, 1.5)
-        cmd = route_event(ev)
-        assert cmd.motor == 4 and cmd.intensity == pytest.approx(0.5)
+        event = DetectionEvent(0.0, SonarChannel.INCLINED_RIGHT, DROPOFF, 1.5)
+        rows, gate, _ = respond_to([event])
+        assert rows[0] == (0.0, "tactile", 4, pytest.approx(0.5))
+        assert rows[1] == (0.0, "audio", 0, "dropoff inclined_right")
+        assert gate.processed_count == 0  # drop-offs are not recognized
 
     def test_total_over_channel_kind_pairs(self):
+        motors = {}
         for channel in SonarChannel:
             for kind in DetectionKind:
-                ev = DetectionEvent(0.0, channel, kind, 1.0)
-                cmd = route_event(ev)
-                assert 1 <= cmd.motor <= 5
-                assert 0.0 <= cmd.intensity <= 1.0
-        assert set(MOTOR_FOR_CHANNEL.values()) == {1, 2, 3, 4, 5}
+                rows, _, _ = respond_to([DetectionEvent(0.0, channel, kind, 1.0)])
+                (_, _, motor, intensity), (_, _, priority, text) = rows
+                assert 0.0 <= intensity <= 1.0
+                assert text == f"{kind.value} {channel.value}"
+                assert priority == (0 if kind is DROPOFF else 1)
+                motors.setdefault(channel, set()).add(motor)
+        # one motor per channel, all five used
+        assert sorted(m for (m,) in motors.values()) == [1, 2, 3, 4, 5]
 
     def test_priority_classes(self):
-        drop = DetectionEvent(0.0, SonarChannel.INCLINED_LEFT, DetectionKind.DROPOFF, 2.0)
-        obst = DetectionEvent(0.0, SonarChannel.FRONT, DetectionKind.OBSTACLE, 1.0)
-        assert priority_for(drop) < priority_for(obst)
+        # a drop-off and an obstacle in one tick: tactile rows in event
+        # order, and the drop-off is spoken first
+        obstacle = DetectionEvent(0.0, SonarChannel.LEFT, OBSTACLE, 0.5)
+        dropoff = DetectionEvent(0.0, SonarChannel.INCLINED_RIGHT, DROPOFF, 1.5)
+        rows, gate, scheduler = respond_to([obstacle, dropoff], ticks=[0.0, 2.0])
+        assert rows == [
+            (0.0, "tactile", 1, 1.0),
+            (0.0, "tactile", 4, 0.5),
+            (0.0, "audio", 0, "dropoff inclined_right"),
+            (2.0, "audio", 1, "obstacle left"),
+        ]
+        # only the obstacle went to the recognizer; its label waits
+        assert gate.processed_count == 1 and scheduler.pending == 1
+
+
+class TestRespond:
+    """respond()'s order within and across ticks."""
+
+    def test_recognition_finished_between_ticks_is_offered_at_next_tick(self):
+        # the frame takes 0.604 s: done between the ticks at 0.5 and 1.0
+        event = DetectionEvent(0.0, SonarChannel.FRONT, OBSTACLE, 1.0)
+        rows, gate, scheduler = respond_to([event], ticks=[0.0, 0.5, 1.0], min_gap=0.1)
+        assert rows == [
+            (0.0, "tactile", 3, 0.75),
+            (0.0, "audio", 1, "obstacle front"),
+            (1.0, "audio", 2, top_label(event)),
+        ]
+        assert gate.processed_count == 1 and scheduler.pending == 0
+
+    def test_event_between_ticks_is_handled_at_the_next_tick(self):
+        event = DetectionEvent(0.05, SonarChannel.FRONT, OBSTACLE, 3.0)
+        rows, _, _ = respond_to([event], ticks=[0.0, 0.1])
+        assert rows == [(0.05, "tactile", 3, 0.0), (0.1, "audio", 1, "obstacle front")]
+
+    def test_labels_flushed_after_the_last_tick_stay_pending(self):
+        # the second obstacle waits in the gate's slot behind the first
+        first = DetectionEvent(0.0, SonarChannel.FRONT, OBSTACLE, 1.0)
+        second = DetectionEvent(0.1, SonarChannel.LEFT, OBSTACLE, 1.0)
+        rows, gate, scheduler = respond_to([first, second], ticks=[0.0, 0.1], min_gap=0.05)
+        assert [row[1:3] for row in rows] == [
+            ("tactile", 3), ("audio", 1), ("tactile", 1), ("audio", 1)
+        ]
+        assert gate.processed_count == 2 and scheduler.pending == 2
+        assert scheduler.poll(1.5).text == top_label(first)
+        assert scheduler.poll(1.6).text == top_label(second)
 
 
 class TestAudioScheduler:

@@ -1,11 +1,12 @@
 """Every public name of the package is used by the package or the bench.
 
-A public module-level function or class of ``src/fusenav``, or a public
-method or property of such a class, stays only if a ``fusenav`` command,
-the bench (``perfbench/``) or other package code uses it; one that only
-tests call is dead weight.  A name counts as used where it appears as an
-identifier (a name or an attribute) in ``src/`` or ``perfbench/``
-outside its own definition, or as a dotted part of a string in
+A public module-level function, class or ALL_CAPS constant of
+``src/fusenav``, or a public method or property of such a class, stays
+only if a ``fusenav`` command, the bench (``perfbench/``) or other
+package code uses it; one that only tests use is dead weight.  A name
+counts as used where it appears as an identifier (a name or an
+attribute) in ``src/`` or ``perfbench/`` outside its own definition
+(for a constant, its assignment), or as a dotted part of a string in
 ``perfbench/layers.py``, the table of traced targets (its ``GEO_FUNCS``
 lists the ``geo`` functions by name).
 
@@ -36,14 +37,19 @@ def _identifiers(tree) -> Counter:
 
 
 def _public_defs(module):
-    """(dotted name, node) of each public function and class of ``module``
-    and of each public method and property of its public classes."""
+    """(dotted name, name, node) of each public function, class and ALL_CAPS
+    constant of ``module`` and of each public method and property of its
+    public classes."""
     for node in module.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
-            yield node.name, node
+            yield node.name, node.name, node
             for member in node.body if isinstance(node, ast.ClassDef) else ():
                 if isinstance(member, ast.FunctionDef) and member.name[0] != "_":
-                    yield f"{node.name}.{member.name}", member
+                    yield f"{node.name}.{member.name}", member.name, member
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name) and target.id.isupper() and target.id[0] != "_":
+                    yield target.id, target.id, node
 
 
 def _trees() -> dict:
@@ -65,9 +71,9 @@ def test_every_public_name_is_used_outside_tests():
 
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for dotted, node in _public_defs(trees[path]):
+        for dotted, name, node in _public_defs(trees[path]):
             # uses inside its own definition (recursion, methods) do not count
-            if used[node.name] <= _identifiers(node)[node.name]:
+            if used[name] <= _identifiers(node)[name]:
                 unused.append(f"{path.stem}.{dotted}")
     assert unused == [], f"public names used only by tests: {unused}"
 
