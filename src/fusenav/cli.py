@@ -429,14 +429,20 @@ def load_scenario(path) -> sim.Scenario:
     speed = take("speed", _POSITIVE, scenario.speed)
     # a walk's IMU samples: route length / speed * imu_rate
     max_rate = _MAX_IMU_SAMPLES * speed / sum(map(math.dist, route, route[1:]))
-    imu_rate = take(
-        "imu_rate",
-        _finite_in(
-            lambda x: 0.0 < x <= max_rate,
-            f"in (0, {max_rate}], the rate of {_MAX_IMU_SAMPLES} IMU samples over the route",
-        ),
-        scenario.imu_rate,
+    rate_in = _finite_in(
+        lambda x: 0.0 < x <= max_rate,
+        f"in (0, {max_rate}], the rate of {_MAX_IMU_SAMPLES} IMU samples over the route",
     )
+    # a 1e-9 s margin: gen_walk's grid k / imu_rate rounds a step by < ulp(1e6 s) ~ 1.2e-10 s
+    max_dt = MAX_IMU_DT * (1.0 - 1e-8)
+
+    def imu_rate_in(text: str) -> float:
+        rate = rate_in(text)
+        if not 1.0 / rate <= max_dt:
+            raise ValueError(f"step {1.0 / rate} s above {max_dt} s")
+        return rate
+
+    imu_rate = take("imu_rate", imu_rate_in, scenario.imu_rate)
     # each fix is applied at an IMU step, so gps_rate may not exceed imu_rate
     gps_rate_conv = _finite_in(lambda x: 0.0 < x <= imu_rate, f"in (0, imu_rate = {imu_rate}]")
     scenario = sim.Scenario(
@@ -627,9 +633,6 @@ def _write_report_csv(path, r: metrics.ErrorReport) -> None:
 def cmd_run(args) -> int:
     scenario = _scenario(args)
     geometry = scenario.geometry
-    # Checked before any file is written; rounding can lengthen a 1/imu_rate step.
-    if not 1.0 / scenario.imu_rate < MAX_IMU_DT:
-        raise DataError(f"{args.scenario}: key 'imu_rate': step not below {MAX_IMU_DT} s")
     try:  # the default ground echo is valid wherever the thresholds are
         detection = perception.DetectionConfig(max_range=geometry.max_range)
     except DataError as exc:

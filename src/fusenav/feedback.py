@@ -24,6 +24,7 @@ polled, so they stay pending in the scheduler and are only counted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import DataError, SonarChannel
@@ -85,7 +86,7 @@ class AudioScheduler:
         self.min_gap = min_gap
         self.staleness = staleness
         self._pending: list[AudioMessage] = []  # in offer order
-        self._last_emit: float | None = None
+        self._last_emit = -math.inf
 
     @property
     def pending(self) -> int:
@@ -97,9 +98,7 @@ class AudioScheduler:
 
     def poll(self, now: float) -> AudioMessage | None:
         self._pending = [msg for msg in self._pending if now - msg.t <= self.staleness]
-        if self._last_emit is not None and now - self._last_emit < self.min_gap:
-            return None
-        if not self._pending:
+        if not self._pending or now - self._last_emit < self.min_gap:
             return None
         # a stable sort: equal (priority, t) stay in offer order
         self._pending.sort(key=lambda msg: (msg.priority, msg.t))

@@ -18,15 +18,15 @@ reading, ``inf`` for no echo, ``nan`` where the tick has no row of that
 channel.  ``ObstacleDetector.process`` turns each latch's trigger and
 re-arm masks into events, in tick order and within a tick in EVENT_ORDER.
 
-Recognition is gated by detection: the recognizer processes at most one
-frame at a time, and events arriving while it is busy are coalesced down
-to the single most recent one -- a stale frame is useless for navigation.
-The gate runs in simulated time (timestamps on the events drive it); only
-the ordering and coalescing semantics are contractual.  A frame takes
-``latency_model(resolution)`` ms: LATENCY_BASE_MS plus
-LATENCY_PER_PIXEL_MS per pixel, anchored at the measured 604 ms for
-640x480.  These are constants, not settings, and the stand-in
-``MockRecognizer`` runs at DEFAULT_RESOLUTION.
+Recognition is gated by detection: the recognizer has one in-flight slot,
+and events arriving while it is busy are coalesced down to the single
+most recent one -- a stale frame is useless for navigation.  The gate
+runs in simulated time (event timestamps drive it) in one advance loop,
+which ``flush`` runs to the end; only the ordering and coalescing
+semantics are contractual.  A frame takes ``latency_model(resolution)``
+ms: LATENCY_BASE_MS plus LATENCY_PER_PIXEL_MS per pixel, anchored at the
+measured 604 ms for 640x480.  These are constants, not settings, and the
+stand-in ``MockRecognizer`` runs at DEFAULT_RESOLUTION.
 """
 
 from __future__ import annotations
@@ -219,54 +219,39 @@ class RecognitionGate:
     any recognition that completed meanwhile, and either starts the event
     (recognizer idle) or coalesces it into the single pending slot
     (recognizer busy, newest event wins).  DropOff events are never
-    dispatched.  ``flush`` drains in-flight and pending work.
+    dispatched.  ``flush`` runs the same advance to the end.
     """
 
     def __init__(self, recognizer: Recognizer):
         self.recognizer = recognizer
-        self._busy_until: Optional[float] = None
-        self._in_flight: Optional[DetectionEvent] = None
+        self._latency_s = latency_model(recognizer.resolution) / 1000.0
+        self._in_flight: Optional[tuple[DetectionEvent, float]] = None
         self._pending: Optional[DetectionEvent] = None
         self.processed_count = 0
 
-    def _start(self, event: DetectionEvent, start_t: float) -> None:
-        self._in_flight = event
-        self._busy_until = start_t + latency_model(self.recognizer.resolution) / 1000.0
-
-    def _complete(self) -> RecognitionResult:
-        event = self._in_flight
-        done_t = self._busy_until
-        self._in_flight = None
-        self._busy_until = None
-        self.processed_count += 1
-        try:
-            labels = tuple(self.recognizer.recognize(event))
-            failed = False
-        except Exception:
-            labels = ()
-            failed = True
-        result = RecognitionResult(event=event, labels=labels, completed_t=done_t, failed=failed)
-        if self._pending is not None:
-            nxt, self._pending = self._pending, None
-            # the queued frame starts as soon as the slot frees up
-            self._start(nxt, done_t)
-        return result
-
     def _advance(self, now: float) -> list[RecognitionResult]:
+        """Complete each frame done by ``now``; a pending frame starts as one completes."""
         out = []
-        while self._busy_until is not None and self._busy_until <= now:
-            out.append(self._complete())
+        while self._in_flight is not None and self._in_flight[1] <= now:
+            event, done_t = self._in_flight
+            self.processed_count += 1
+            try:
+                labels, failed = tuple(self.recognizer.recognize(event)), False
+            except Exception:
+                labels, failed = (), True
+            out.append(RecognitionResult(event, labels, done_t, failed))
+            nxt, self._pending = self._pending, None
+            self._in_flight = None if nxt is None else (nxt, done_t + self._latency_s)
         return out
 
     def submit(self, event: DetectionEvent) -> list[RecognitionResult]:
         """Feed one detection event; returns results completed by event.t."""
         completed = self._advance(event.t)
-        if event.kind is not DetectionKind.OBSTACLE:
-            return completed
-        if self._busy_until is not None:
-            self._pending = event  # coalesce: keep only the latest
-        else:
-            self._start(event, event.t)
+        if event.kind is DetectionKind.OBSTACLE:
+            if self._in_flight is None:
+                self._in_flight = (event, event.t + self._latency_s)
+            else:
+                self._pending = event  # coalesce: keep only the latest
         return completed
 
     def poll(self, now: float) -> list[RecognitionResult]:
@@ -275,7 +260,5 @@ class RecognitionGate:
 
     def flush(self) -> list[RecognitionResult]:
         """Complete all in-flight and pending recognitions."""
-        out = []
-        while self._busy_until is not None:
-            out.append(self._complete())
-        return out
+        # _advance, not poll: the bench's traced poll would count them twice
+        return self._advance(math.inf)

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from fusenav import cli, sim
 from fusenav.core import CHANNELS, DataError, GpsFix, ImuLog, SonarChannel, SonarLog
-from fusenav.localizer import CalibrationOffsets
+from fusenav.localizer import MAX_IMU_DT, CalibrationOffsets
 
 WALK110 = importlib.resources.files("fusenav") / "scenarios" / "walk110.cfg"
 CITY = Path(__file__).resolve().parents[1] / "perfbench" / "city.cfg"
@@ -176,6 +176,9 @@ class TestScenarioParsing:
             ("walk.cfg", "imu_rate", "1e300"),
             # 110 m at 1.52 m/s: 1.0000013e7 samples, just above the cap
             ("walk.cfg", "imu_rate", "138182"),
+            # the 0.1 s tick grids of these rates have steps above 0.1 s
+            ("walk.cfg", "imu_rate", "10"),
+            ("walk.cfg", "imu_rate", "10.000000000000002"),
             ("walk.cfg", "gps_rate", "0"),
             ("walk.cfg", "gps_rate", "1e300"),
             ("walk.cfg", "gps_rate", "200"),  # faster than imu_rate = 100
@@ -205,6 +208,28 @@ class TestScenarioParsing:
         with pytest.raises(DataError, match=rf"{name}:{len(lines)}: key '{key}'"):
             load(path)
         assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_DATA
+
+    def test_admitted_imu_rates_keep_grid_steps_within_bound(self, tmp_path):
+        # the floats around the lowest rate load_scenario admits
+        lowest = 1.0 / (MAX_IMU_DT * (1.0 - 1e-8))
+        rates = [10.0, 10.000000000000002, 10.0000001, 10.00000011, 10.0000002, 10.5]
+        below = above = lowest
+        for _ in range(4):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            rates += [float(below), float(above)]
+        base = [ln for ln in WALK110.read_text().splitlines() if not ln.startswith("imu_rate =")]
+        admitted = 0
+        for rate in [lowest, *rates]:
+            path = tmp_path / "walk.cfg"
+            path.write_text("\n".join([*base, f"imu_rate = {rate!r}"]) + "\n")
+            try:
+                scenario = cli.load_scenario(path)
+            except DataError:
+                assert rate < lowest
+                continue
+            admitted += 1
+            assert np.diff(sim.gen_walk(scenario).t).max() <= MAX_IMU_DT, rate
+        assert admitted == 8
 
 
 class TestCsvRoundTrips:
@@ -651,24 +676,27 @@ class TestExitCodes:
         assert cli.main(["simulate", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_OK
 
     @pytest.mark.parametrize(
-        "line, message",
+        "line, message, located",
         [
             # ground echo 4.24 m: every inclined reading is a no-echo
-            ("belt_height = 3.0", "keys 'belt_height', 'inclined_depression_deg', 'max_range'"),
-            ("belt_height = 0.2", "keys 'belt_height', 'inclined_depression_deg', 'max_range'"),
-            ("imu_rate = 5", "key 'imu_rate': step not below 0.1 s"),
+            ("belt_height = 3.0", "keys 'belt_height', 'inclined_depression_deg', 'max_range'", False),
+            ("belt_height = 0.2", "keys 'belt_height', 'inclined_depression_deg', 'max_range'", False),
+            # refused at load, so located at the key's line, the file's last
+            ("imu_rate = 5", "key 'imu_rate': step 0.2 s above 0.099999999 s", True),
             # the 0.1 s tick grid has steps of 0.10000000000000003 s
-            ("imu_rate = 10", "key 'imu_rate': step not below 0.1 s"),
+            ("imu_rate = 10", "key 'imu_rate': step 0.1 s above 0.099999999 s", True),
+            ("imu_rate = 10.000000000000002", "key 'imu_rate': step 0.09999999999999998 s", True),
         ],
     )
-    def test_run_checks_scenario_before_writing(self, tmp_path, capsys, line, message):
+    def test_run_checks_scenario_before_writing(self, tmp_path, capsys, line, message, located):
         path = tmp_path / "walk.cfg"
         key = line.split(" =")[0]
         base = [x for x in WALK110.read_text().splitlines() if not x.startswith(f"{key} =")]
         path.write_text("\n".join(base + [line]) + "\n")
         out = tmp_path / "o"
         assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_DATA
-        assert f"{path}: {message}" in capsys.readouterr().err
+        where = f"{path}:{len(base) + 1}" if located else str(path)
+        assert f"{where}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_run_rejects_one_front_sensor_before_writing(self, tmp_path, capsys):

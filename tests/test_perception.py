@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 from itertools import groupby
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from fusenav.perception import (
     MockRecognizer,
     ObstacleDetector,
     RecognitionGate,
+    RecognitionResult,
     latency_model,
     tick_ranges,
 )
@@ -407,7 +409,136 @@ class TestRecognitionGate:
         assert result.failed
         assert result.labels == ()
 
+    def test_bad_resolution_refused_when_built(self):
+        class TinyRecognizer(MockRecognizer):
+            resolution = (0, 480)
+
+        with pytest.raises(DataError, match="resolution must be positive"):
+            RecognitionGate(TinyRecognizer())
+
     def test_mock_recognizer_deterministic(self):
         a = MockRecognizer(seed=9).recognize(obstacle_event(t=3.25))
         b = MockRecognizer(seed=9).recognize(obstacle_event(t=3.25))
         assert a == b
+
+
+class ReferenceGate:
+    """The gate before it kept its in-flight frame as one value: busy-until
+    time and in-flight event in two fields, and a completion loop in both
+    ``_advance`` and ``flush``."""
+
+    def __init__(self, recognizer):
+        self.recognizer = recognizer
+        self._busy_until: Optional[float] = None
+        self._in_flight: Optional[DetectionEvent] = None
+        self._pending: Optional[DetectionEvent] = None
+        self.processed_count = 0
+
+    def _start(self, event: DetectionEvent, start_t: float) -> None:
+        self._in_flight = event
+        self._busy_until = start_t + latency_model(self.recognizer.resolution) / 1000.0
+
+    def _complete(self) -> RecognitionResult:
+        event = self._in_flight
+        done_t = self._busy_until
+        self._in_flight = None
+        self._busy_until = None
+        self.processed_count += 1
+        try:
+            labels = tuple(self.recognizer.recognize(event))
+            failed = False
+        except Exception:
+            labels = ()
+            failed = True
+        result = RecognitionResult(event=event, labels=labels, completed_t=done_t, failed=failed)
+        if self._pending is not None:
+            nxt, self._pending = self._pending, None
+            self._start(nxt, done_t)
+        return result
+
+    def _advance(self, now: float) -> list[RecognitionResult]:
+        out = []
+        while self._busy_until is not None and self._busy_until <= now:
+            out.append(self._complete())
+        return out
+
+    def submit(self, event: DetectionEvent) -> list[RecognitionResult]:
+        completed = self._advance(event.t)
+        if event.kind is not DetectionKind.OBSTACLE:
+            return completed
+        if self._busy_until is not None:
+            self._pending = event
+        else:
+            self._start(event, event.t)
+        return completed
+
+    def poll(self, now: float) -> list[RecognitionResult]:
+        return self._advance(now)
+
+    def flush(self) -> list[RecognitionResult]:
+        out = []
+        while self._busy_until is not None:
+            out.append(self._complete())
+        return out
+
+
+class FlakyRecognizer(MockRecognizer):
+    """A mock recognizer that raises on every event nearer than 1 m."""
+
+    def recognize(self, event):
+        if event.range_m < 1.0:
+            raise RuntimeError("recognizer failure")
+        return super().recognize(event)
+
+
+def random_gate_calls(rng, n):
+    """``n`` calls ``(method, argument)`` in time order: events (a quarter of
+    them drop-offs) spaced mostly well inside one frame latency, so bursts
+    coalesce, with polls and flushes between them."""
+    latency = latency_model(DEFAULT_RESOLUTION) / 1000.0
+    t, calls = 0.0, []
+    for _ in range(n):
+        t += float(rng.uniform(0.0, latency / 4 if rng.random() < 0.7 else 3 * latency))
+        u = rng.random()
+        if u < 0.6:
+            channel = CHANNELS[int(rng.integers(len(CHANNELS)))]
+            dropoff = rng.random() < 0.25
+            kind = DetectionKind.DROPOFF if dropoff else DetectionKind.OBSTACLE
+            calls.append(("submit", DetectionEvent(t, channel, kind, float(rng.uniform(0.3, 2.0)))))
+        elif u < 0.9:
+            calls.append(("poll", t))
+        else:
+            calls.append(("flush", None))
+    return calls
+
+
+class TestGateOracle:
+    @pytest.mark.parametrize("recognizer", [MockRecognizer, FlakyRecognizer])
+    def test_random_streams_match_reference(self, recognizer):
+        rng = np.random.default_rng(17)
+        failed = flushed = 0
+        for seed in range(40):
+            ref = ReferenceGate(recognizer(seed=seed))
+            gate = RecognitionGate(recognizer(seed=seed))
+            # takes poll(math.inf) wherever gate takes flush()
+            twin = RecognitionGate(recognizer(seed=seed))
+            for method, arg in random_gate_calls(rng, int(rng.integers(1, 120))):
+                done_t = ref._busy_until
+                if method != "flush" and done_t is not None and rng.random() < 0.2:
+                    # exactly when the in-flight frame completes
+                    arg = replace(arg, t=done_t) if method == "submit" else done_t
+                if method == "flush":
+                    got = gate.flush()
+                    assert ref.flush() == got
+                    assert twin.poll(math.inf) == got
+                    flushed += len(got)
+                else:
+                    got = getattr(gate, method)(arg)
+                    assert getattr(ref, method)(arg) == got
+                    assert getattr(twin, method)(arg) == got
+                failed += sum(r.failed for r in got)
+                assert gate.processed_count == ref.processed_count == twin.processed_count
+            assert gate.flush() == ref.flush() == twin.poll(math.inf)
+            assert gate.processed_count == ref.processed_count
+        assert flushed > 0
+        assert (failed > 0) == (recognizer is FlakyRecognizer)

@@ -13,11 +13,18 @@ lists the ``geo`` functions by name).
 An exception class of the package stays only if an ``except`` clause in
 ``src/`` or ``perfbench/`` names it: one that nothing catches tells no
 caller anything its base class does not.
+
+The other way round, every target of the traced bench's ``WRAPS`` table
+resolves to a function of the package.  The tracer lists a target that
+does not as absent and runs on, so a rename would silently drop a layer
+from the bench's per-layer metrics.
 """
 
 import ast
 import importlib
+import importlib.util
 import inspect
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -93,3 +100,26 @@ def test_every_exception_class_is_caught_somewhere():
             if own and issubclass(cls, BaseException) and not caught[name]:
                 uncaught.append(f"{path.stem}.{name}")
     assert uncaught == [], f"exception classes no except clause names: {uncaught}"
+
+
+def _load(name: str, monkeypatch):
+    """Execute ``perfbench/<name>.py`` as module ``name``, known to
+    ``sys.modules`` for this test only."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_resolves(monkeypatch):
+    spans = _load("spans", monkeypatch)  # layers imports it by this name
+    layers = _load("layers", monkeypatch)
+    names = {target.split(".")[0] for target, _, _ in layers.WRAPS}
+    modules = {name: importlib.import_module(f"fusenav.{name}") for name in names}
+    tracer = spans.Tracer()
+    try:
+        tracer.install(modules, layers.WRAPS)
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == [], f"traced targets that do not resolve: {tracer.absent}"
