@@ -27,7 +27,12 @@ list values use ``;`` between items and ``,`` within (see
 scenarios/walk110.cfg).
 Every command is deterministic given its inputs and seed, across
 processes as well (no output depends on the hash seed).  Exit codes:
-0 success, 1 usage, 2 data error, 3 numerical failure.
+0 success, 1 usage, 2 data error, 3 numerical failure; an output that
+cannot be written is a data error naming its path.  ``run`` writes
+truth/imu/gps/sonar.csv from a forked child once the walk is simulated,
+and est.csv from another once the filter has run, while it computes on;
+it joins both before it returns, on success or error, and a child's
+write error exits 2.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
@@ -174,6 +180,23 @@ def _cells(col) -> list[str]:
     return np.repeat(cells, np.diff(np.r_[starts, len(col)])).tolist()
 
 
+@contextmanager
+def _writing(path: Path):
+    """Make an OSError of the block a DataError naming the output ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror}") from None
+
+
+def _out_dir(path) -> Path:
+    """The output directory ``path``, made if missing."""
+    out = Path(path)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _write_csv(path: Path, header: list[str], columns) -> None:
     """Write ``header``, then one row per index of ``columns``, _BLOCK_ROWS
     rows at a time.  Nothing is quoted: a text cell holding ',', '"' or a
@@ -181,20 +204,21 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
     ``path`` only when complete, so a failed write leaves no partial file."""
     n = len(columns[0]) if columns else 0
     part = path.with_name(path.name + ".part")
-    try:
-        with open(part, "w", encoding="utf-8", newline="") as f:
-            f.write(",".join(header) + "\n")
-            for lo in range(0, n, _BLOCK_ROWS):
-                cells = [_cells(col[lo : lo + _BLOCK_ROWS]) for col in columns]
-                text = "\n".join(map(",".join, zip(*cells))) + "\n"
-                # a row holds len(header) - 1 commas and one newline, unless a cell needs quotes
-                if sum(map(text.count, ',"\r\n')) != len(cells[0]) * len(header):
-                    bad = next(c for col in cells for c in col if set(c) & set(',"\r\n'))
-                    raise DataError(f"{path}: cannot write {bad!r} unquoted")
-                f.write(text)
-        os.replace(part, path)
-    finally:
-        part.unlink(missing_ok=True)
+    with _writing(path):
+        try:
+            with open(part, "w", encoding="utf-8", newline="") as f:
+                f.write(",".join(header) + "\n")
+                for lo in range(0, n, _BLOCK_ROWS):
+                    cells = [_cells(col[lo : lo + _BLOCK_ROWS]) for col in columns]
+                    text = "\n".join(map(",".join, zip(*cells))) + "\n"
+                    # a row holds len(header) - 1 commas and one newline, unless a cell needs quotes
+                    if sum(map(text.count, ',"\r\n')) != len(cells[0]) * len(header):
+                        bad = next(c for col in cells for c in col if set(c) & set(',"\r\n'))
+                        raise DataError(f"{path}: cannot write {bad!r} unquoted")
+                    f.write(text)
+            os.replace(part, path)
+        finally:
+            part.unlink(missing_ok=True)
 
 
 def _read_csv(path, header: list[str], increasing=False, codes=None) -> np.ndarray:
@@ -317,7 +341,7 @@ def read_pose_csv(path, label: str) -> metrics.Trajectory:
 
 
 def write_offsets_cfg(path, offsets: CalibrationOffsets) -> None:
-    with open(path, "w") as f:
+    with _writing(path), open(path, "w") as f:
         f.write("# IMU calibration offsets (subtract from raw readings)\n")
         f.write("accel_offset = " + ", ".join(map(_fmt, offsets.accel_offset)) + "\n")
         f.write("gyro_offset = " + ", ".join(map(_fmt, offsets.gyro_offset)) + "\n")
@@ -496,9 +520,8 @@ def _localizer_config(noise: sim.NoiseConfig) -> LocalizerConfig:
 
 
 def _simulate(scenario: sim.Scenario, args):
-    """Simulate ``scenario`` and write its four streams to ``args.out``."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    """Make the directory ``args.out`` and simulate ``scenario``'s four streams."""
+    out = _out_dir(args.out)
     truth = sim.gen_walk(scenario)
     imu = sim.synth_imu(truth, scenario.noise, scenario.seed)
     fixes = sim.synth_gps(
@@ -512,11 +535,14 @@ def _simulate(scenario: sim.Scenario, args):
     if args.gps == "off":
         fixes = fixes[:1]  # keep only the anchor fix
     sonar = sim.synth_sonar(truth, scenario)
+    return truth, imu, fixes, sonar, out
+
+
+def _write_streams(out: Path, truth: sim.GroundTruth, imu: ImuLog, fixes, sonar: SonarLog) -> None:
     write_pose_csv(out / "truth.csv", truth.t, truth.p, truth.v, truth.q)
     write_imu_csv(out / "imu.csv", imu)
     write_gps_csv(out / "gps.csv", fixes)
     write_sonar_csv(out / "sonar.csv", sonar)
-    return truth, imu, fixes, sonar, out
 
 
 def _fuse_sonar(log: SonarLog, out: Path) -> sonar_ekf.FusedFront:
@@ -525,10 +551,10 @@ def _fuse_sonar(log: SonarLog, out: Path) -> sonar_ekf.FusedFront:
     return fused
 
 
-def _localize(imu_path: Path, imu: ImuLog, fixes, cfg, offsets, out: Path, ref):
-    """Run the filter and write est.csv in the ENU frame at the ``ref``
-    'lat, lon, alt' (None: the run's own frame); returns the run and the
-    positions written.  A bad IMU sample is a data error on its
+def _localize(imu_path: Path, imu: ImuLog, fixes, cfg, offsets, ref):
+    """Run the filter; returns the run and its positions and velocities in
+    the ENU frame at the ``ref`` 'lat, lon, alt' (None: the run's own
+    frame), est.csv's columns.  A bad IMU sample is a data error on its
     ``imu_path`` row."""
     try:
         run = run_localizer(imu, fixes, cfg, offsets)
@@ -538,9 +564,7 @@ def _localize(imu_path: Path, imu: ImuLog, fixes, cfg, offsets, out: Path, ref):
     if ref is not None:
         r, d = geo.enu_frame_transform(run.ref, GpsFix(0.0, *ref))
         p, v = run.p @ r.T + d, run.v @ r.T
-    out.mkdir(parents=True, exist_ok=True)
-    write_pose_csv(out / "est.csv", run.t, p, v, run.q)
-    return run, p
+    return run, p, v
 
 
 def _evaluate(out: Path, est: metrics.Trajectory, truth: metrics.Trajectory) -> None:
@@ -551,6 +575,7 @@ def _evaluate(out: Path, est: metrics.Trajectory, truth: metrics.Trajectory) -> 
 
 def cmd_simulate(args) -> int:
     truth, imu, fixes, sonar, out = _simulate(_scenario(args), args)
+    _write_streams(out, truth, imu, fixes, sonar)
     print(
         f"simulated {truth.path_length:.2f} m / {truth.duration:.2f} s "
         f"({len(imu)} IMU, {len(fixes)} GPS, {len(sonar)} sonar) -> {out}"
@@ -580,8 +605,7 @@ def _file_batch_source(path):
 def cmd_calibrate(args) -> int:
     source = _file_batch_source(args.imu)
     offsets = calibrate(source, batch=args.batch, tol=args.tol, max_iter=args.max_iter)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     write_offsets_cfg(out / "offsets.cfg", offsets)
     print("accel_offset =", ", ".join(map(_fmt, offsets.accel_offset)))
     print("gyro_offset =", ", ".join(map(_fmt, offsets.gyro_offset)))
@@ -590,8 +614,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_fuse_sonar(args) -> int:
     log = read_sonar_csv(args.sonar)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     fused = _fuse_sonar(log, out)
     print(f"fused {len(fused.t)} front-channel ticks -> {out / 'fused.csv'}")
     return EXIT_OK
@@ -606,8 +629,9 @@ def cmd_localize(args) -> int:
         gyro_noise=args.gyro_noise,
         gps_pos_std=args.gps_std,
     )
-    out = Path(args.out)
-    run, _ = _localize(Path(args.imu), imu, fixes, cfg, offsets, out, args.ref)
+    run, p, v = _localize(Path(args.imu), imu, fixes, cfg, offsets, args.ref)
+    out = _out_dir(args.out)
+    write_pose_csv(out / "est.csv", run.t, p, v, run.q)
     print(
         f"localized {len(run.t)} steps ({run.accepted_fixes} fixes applied, "
         f"{run.rejected_fixes} rejected) -> {out / 'est.csv'}"
@@ -618,8 +642,7 @@ def cmd_localize(args) -> int:
 def cmd_evaluate(args) -> int:
     est = read_pose_csv(args.est, Path(args.est).stem)
     truth = read_pose_csv(args.truth, Path(args.truth).stem)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     _evaluate(out, est, truth)
     return EXIT_OK
 
@@ -628,6 +651,46 @@ def _write_report_csv(path, r: metrics.ErrorReport) -> None:
     nums = map(_fmt, (r.mean, r.peak, r.relative_percent, r.path_length))
     row = [r.est_label, r.truth_label, *nums, str(r.n_points), _fmt(r.vertical_mean)]
     _write_csv(Path(path), REPORT_HEADER, [[cell] for cell in row])
+
+
+@contextmanager
+def _forked_writes():
+    """Yield ``spawn(write, *args)``, which runs ``write(*args)`` in a forked
+    child while this process computes on; every child is joined on leaving
+    the block, and the first one's error is raised here as a DataError.
+    The children call no BLAS, which is why forking a process that has
+    OpenBLAS threads is safe.  Without ``os.fork`` the write runs inline."""
+    children = []
+
+    def spawn(write, *args) -> None:
+        if not hasattr(os, "fork"):
+            write(*args)
+            return
+        r, w = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: leaves only through os._exit, never into the caller
+            status = 1
+            try:
+                write(*args)
+                status = 0
+            except BaseException as exc:  # reported to the parent, which raises it
+                os.write(w, (str(exc) if isinstance(exc, DataError) else repr(exc)).encode())
+            finally:
+                os._exit(status)
+        os.close(w)
+        children.append((pid, r))
+
+    try:
+        yield spawn
+    finally:
+        errors = []
+        for pid, r in children:
+            with open(r, "rb") as pipe:
+                why = pipe.read().decode(errors="replace")
+            if os.waitpid(pid, 0)[1]:
+                errors.append(why or f"writer process {pid} ended abnormally")
+        if errors:
+            raise DataError(errors[0])
 
 
 def cmd_run(args) -> int:
@@ -643,28 +706,32 @@ def cmd_run(args) -> int:
         keys = "'belt_height', 'inclined_depression_deg', 'max_range'"
         raise DataError(f"{args.scenario}: keys {keys}: {exc}") from None
     truth, imu, fixes, sonar, out = _simulate(scenario, args)
+    with _forked_writes() as spawn:
+        spawn(_write_streams, out, truth, imu, fixes, sonar)
 
-    # calibrate on a stationary bench stream with the scenario's sensors
-    offsets = calibrate(
-        sim.stationary_imu_source(scenario.noise, scenario.seed)
-    )
-    write_offsets_cfg(out / "offsets.cfg", offsets)
+        # calibrate on a stationary bench stream with the scenario's sensors
+        offsets = calibrate(sim.stationary_imu_source(scenario.noise, scenario.seed))
+        write_offsets_cfg(out / "offsets.cfg", offsets)
 
-    fused = _fuse_sonar(sonar, out)
+        fused = _fuse_sonar(sonar, out)
 
-    # localize; est.csv shares truth.csv's frame (the scenario anchor)
-    cfg = _localizer_config(scenario.noise)
-    run, est_p = _localize(out / "imu.csv", imu, fixes, cfg, offsets, out, scenario.anchor)
+        # localize; est.csv shares truth.csv's frame (the scenario anchor)
+        cfg = _localizer_config(scenario.noise)
+        run, est_p, est_v = _localize(out / "imu.csv", imu, fixes, cfg, offsets, scenario.anchor)
+        spawn(write_pose_csv, out / "est.csv", run.t, est_p, est_v, run.q)
 
-    tick_t, ranges = perception.tick_ranges(sonar, fused.t, fused.fused)
-    events = perception.ObstacleDetector(detection).process(tick_t, ranges)
-    gate = perception.RecognitionGate(perception.MockRecognizer(seed=scenario.seed))
-    scheduler = fb.AudioScheduler()
-    rows = fb.respond(tick_t.tolist(), events, gate, scheduler)
-    cells = [(_fmt(t), kind, str(n), v if kind == "audio" else _fmt(v)) for t, kind, n, v in rows]
-    _write_csv(out / "feedback.csv", FEEDBACK_HEADER, list(zip(*cells)))
+        tick_t, ranges = perception.tick_ranges(sonar, fused.t, fused.fused)
+        events = perception.ObstacleDetector(detection).process(tick_t, ranges)
+        gate = perception.RecognitionGate(perception.MockRecognizer(seed=scenario.seed))
+        scheduler = fb.AudioScheduler()
+        rows = fb.respond(tick_t.tolist(), events, gate, scheduler)
+        cells = [
+            (_fmt(t), kind, str(n), v if kind == "audio" else _fmt(v)) for t, kind, n, v in rows
+        ]
+        _write_csv(out / "feedback.csv", FEEDBACK_HEADER, list(zip(*cells)))
 
-    _evaluate(out, metrics.Trajectory(run.t, est_p, "est"), sim.truth_trajectory(truth, "truth"))
+        est = metrics.Trajectory(run.t, est_p, "est")
+        _evaluate(out, est, sim.truth_trajectory(truth, "truth"))
     print(f"pipeline outputs in {out}")
     # never spoken: the scheduler is not polled after the last tick
     print(f"audio messages pending at end of run: {scheduler.pending}")

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import importlib.resources
+import os
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,15 @@ def same_result(a, b) -> bool:
         np.array_equal(getattr(a, f.name), getattr(b, f.name))
         for f in dataclasses.fields(a)
     )
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """No command leaves a child process behind: ``run`` waits for the
+    children that write its files, on success and on error."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
@@ -664,6 +674,57 @@ class TestExitCodes:
         assert f"data error: {out / 'imu.csv'}:3: gyro reading too large" in err
         assert not (out / "est.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, output",
+        [
+            ("simulate", "gps.csv"),
+            ("calibrate", "offsets.cfg"),
+            ("fuse-sonar", "fused.csv"),
+            ("localize", "est.csv"),
+            ("evaluate", "report.csv"),
+            ("run", "est.csv"),  # written by a child process
+        ],
+    )
+    @pytest.mark.parametrize("blocker", ["out_is_a_file", "out_under_a_file", "output_is_a_dir"])
+    def test_unwritable_output_exits_2_with_path(
+        self, scenario_file, tmp_path, capsys, command, output, blocker
+    ):
+        streams = tmp_path / "sim"
+        assert cli.main(["simulate", "--scenario", str(scenario_file), "--out", str(streams)]) == 0
+        still = tmp_path / "still.csv"
+        accel = np.tile([0.0, 0.0, -9.80665], (200, 1))
+        cli.write_imu_csv(still, ImuLog(0.01 * np.arange(200), accel, np.zeros((200, 3))))
+        truth = str(streams / "truth.csv")
+        inputs = {
+            "simulate": ["--scenario", str(scenario_file)],
+            "calibrate": ["--imu", str(still), "--batch", "100"],
+            "fuse-sonar": ["--sonar", str(streams / "sonar.csv")],
+            "localize": ["--imu", str(streams / "imu.csv"), "--gps", str(streams / "gps.csv")],
+            "evaluate": ["--est", truth, "--truth", truth],
+            "run": ["--scenario", str(scenario_file)],
+        }
+        file = tmp_path / "file"
+        file.write_text("")
+        out, path, why = {
+            "out_is_a_file": (file, file, "File exists"),
+            "out_under_a_file": (file / "o", file / "o", "Not a directory"),
+            "output_is_a_dir": (tmp_path / "o", tmp_path / "o" / output, "Is a directory"),
+        }[blocker]
+        if blocker == "output_is_a_dir":
+            path.mkdir(parents=True)
+        argv = [command, *inputs[command], "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert f"data error: {path}: {why}\n" in capsys.readouterr().err
+        assert list(tmp_path.glob("**/*.part")) == []
+
+    def test_run_child_write_error_exits_2_with_path(self, tmp_path, capsys):
+        # imu.csv is written by a child process; its os.replace fails
+        out = tmp_path / "o"
+        (out / "imu.csv").mkdir(parents=True)
+        assert cli.main(["run", "--scenario", str(WALK110), "--out", str(out)]) == cli.EXIT_DATA
+        assert f"data error: {out / 'imu.csv'}: Is a directory\n" in capsys.readouterr().err
+        assert list(out.glob("*.part")) == []
+
     def test_run_checks_max_range_before_writing(self, tmp_path, capsys):
         path = tmp_path / "short_range.cfg"
         path.write_text(SHORT_SCENARIO + "max_range = 1.0\n")
@@ -843,6 +904,31 @@ class TestCommands:
         assert feedback[0] == "t,kind,motor_or_priority,value"
         kinds = {line.split(",")[1] for line in feedback[1:]}
         assert "tactile" in kinds and "audio" in kinds
+
+    @pytest.mark.parametrize("scenario", [WALK110, CITY], ids=["walk110", "city"])
+    def test_run_writes_what_simulate_and_localize_write(self, tmp_path, scenario):
+        # run writes the streams and est.csv from child processes: no byte changes
+        run, streams, est = tmp_path / "run", tmp_path / "sim", tmp_path / "est"
+        common = ["--scenario", str(scenario), "--seed", "0"]
+        assert cli.main(["run", *common, "--out", str(run)]) == 0
+        assert cli.main(["simulate", *common, "--out", str(streams)]) == 0
+        for name in ("truth.csv", "imu.csv", "gps.csv", "sonar.csv"):
+            assert (run / name).read_bytes() == (streams / name).read_bytes(), name
+        loaded = cli.load_scenario(scenario)
+        cfg = cli._localizer_config(loaded.noise)
+        argv = [
+            "localize",
+            "--imu", str(run / "imu.csv"),
+            "--gps", str(run / "gps.csv"),
+            "--offsets", str(run / "offsets.cfg"),
+            "--ref", ", ".join(map(repr, loaded.anchor)),
+            "--accel-noise", repr(cfg.accel_noise),
+            "--gyro-noise", repr(cfg.gyro_noise),
+            "--gps-std", repr(cfg.gps_pos_std),
+            "--out", str(est),
+        ]
+        assert cli.main(argv) == 0
+        assert (est / "est.csv").read_bytes() == (run / "est.csv").read_bytes()
 
     def test_run_reports_unspoken_audio(self, tmp_path, capsys):
         out = tmp_path / "city"
