@@ -351,6 +351,7 @@ def read_offsets_cfg(path) -> CalibrationOffsets:
     kv = _KvFile(path)
     accel = kv.take("accel_offset", _parse_triple)
     gyro = kv.take("gyro_offset", _parse_triple)
+    kv.done()
     return CalibrationOffsets(np.array(accel), np.array(gyro))
 
 
@@ -394,21 +395,39 @@ class _KvFile:
         except ValueError as exc:
             raise DataError(f"{self.path}:{self.lines[key]}: key '{key}': {exc}") from None
 
+    def take_fields(self, cls, **convs):
+        """A ``cls`` whose fields named in ``convs`` are keys of the file,
+        each taken as ``take`` does, with the field's default if absent."""
+        defaults = cls()
+        return cls(**{k: self.take(k, conv, getattr(defaults, k)) for k, conv in convs.items()})
 
-def _parse_tuple_list(value: str, arity: int):
-    if not value:
-        return ()
-    out = []
-    for item in value.split(";"):
-        parts = [p.strip() for p in item.split(",")]
-        if len(parts) != arity:
-            raise ValueError(f"expected {arity} comma-separated numbers per item")
-        out.append(tuple(_finite(p) for p in parts))
-    return tuple(out)
+    def done(self) -> None:
+        """Refuse the first key that no ``take`` removed."""
+        if self.entries:
+            key = next(iter(self.entries))
+            raise DataError(f"{self.path}:{self.lines[key]}: unknown key '{key}'")
+
+
+def _items(arity: int, test=lambda *item: True, what: str = ""):
+    """A converter of ';'-separated items of ``arity`` ','-separated numbers,
+    each of which passes ``test(*item)``; ``what`` names the rule."""
+
+    def conv(value: str) -> tuple:
+        out = []
+        for text in value.split(";") if value else ():
+            parts = [p.strip() for p in text.split(",")]
+            if len(parts) != arity:
+                raise ValueError(f"expected {arity} comma-separated numbers per item")
+            out.append(tuple(_finite(p) for p in parts))
+            if not test(*out[-1]):
+                raise ValueError(f"item {text.strip()!r} needs {what}")
+        return tuple(out)
+
+    return conv
 
 
 def _parse_triple(value: str):
-    (triple,) = _parse_tuple_list(value, 3)
+    (triple,) = _items(3)(value)
     return triple
 
 
@@ -422,32 +441,26 @@ def _position(value: str) -> tuple:
 _position.__name__ = "'lat, lon, alt' position"  # argparse names a rejected value by it
 
 
+_OBSTACLES = _items(3, lambda e, n, radius: radius > 0.0, "a positive radius")
+_ZONES = _items(3, lambda start, end, depth: start <= end, "start <= end")
+_WINDOWS = _items(2, lambda start, end: start <= end, "start <= end")
+
+
 def load_scenario(path) -> sim.Scenario:
     """Parse a scenario config file, reporting errors with line numbers."""
     kv = _KvFile(path)
     take = kv.take
-    geometry = sim.SonarGeometry()  # its defaults, then the file's values
-    geometry = sim.SonarGeometry(
-        belt_height=take("belt_height", _POSITIVE, geometry.belt_height),
-        inclined_depression_deg=take(
-            "inclined_depression_deg", _ANGLE_DEG, geometry.inclined_depression_deg
-        ),
-        inclined_azimuth_deg=take("inclined_azimuth_deg", _finite, geometry.inclined_azimuth_deg),
-        beam_half_angle_deg=take("beam_half_angle_deg", _ANGLE_DEG, geometry.beam_half_angle_deg),
-        max_range=take("max_range", _POSITIVE, geometry.max_range),
+    geometry = kv.take_fields(
+        sim.SonarGeometry, belt_height=_POSITIVE, inclined_depression_deg=_ANGLE_DEG,
+        inclined_azimuth_deg=_finite, beam_half_angle_deg=_ANGLE_DEG, max_range=_POSITIVE,
     )
-    defaults = sim.NoiseConfig()
-    noise = sim.NoiseConfig(
-        accel_sigma=take("accel_sigma", _SIGMA, defaults.accel_sigma),
-        gyro_sigma=take("gyro_sigma", _SIGMA, defaults.gyro_sigma),
-        accel_bias=take("accel_bias", _parse_triple, defaults.accel_bias),
-        gyro_bias=take("gyro_bias", _parse_triple, defaults.gyro_bias),
-        gps_sigma=take("gps_sigma", _SIGMA, defaults.gps_sigma),
-        sonar_sigma=take("sonar_sigma", _SIGMA, defaults.sonar_sigma),
+    noise = kv.take_fields(
+        sim.NoiseConfig, accel_sigma=_SIGMA, gyro_sigma=_SIGMA, accel_bias=_parse_triple,
+        gyro_bias=_parse_triple, gps_sigma=_SIGMA, sonar_sigma=_SIGMA,
     )
     # a Scenario with every other field at its default checks the route
     # alone, and holds the defaults of the keys below
-    scenario = take("route", lambda v: sim.Scenario(_parse_tuple_list(v, 2)))
+    scenario = take("route", lambda v: sim.Scenario(_items(2)(v)))
     route = scenario.route
     take("front_sensors", _FRONT_PAIR, 2.0)
     speed = take("speed", _POSITIVE, scenario.speed)
@@ -475,20 +488,14 @@ def load_scenario(path) -> sim.Scenario:
         imu_rate=imu_rate,
         gps_rate=take("gps_rate", gps_rate_conv, scenario.gps_rate),
         noise=noise,
-        obstacles=tuple(
-            sim.Obstacle(*o) for o in take("obstacles", lambda v: _parse_tuple_list(v, 3), ())
-        ),
-        dropoffs=tuple(
-            sim.DropoffZone(*z) for z in take("dropoffs", lambda v: _parse_tuple_list(v, 3), ())
-        ),
-        gps_dropouts=take("gps_dropouts", lambda v: _parse_tuple_list(v, 2), ()),
+        obstacles=tuple(sim.Obstacle(*o) for o in take("obstacles", _OBSTACLES, ())),
+        dropoffs=tuple(sim.DropoffZone(*z) for z in take("dropoffs", _ZONES, ())),
+        gps_dropouts=take("gps_dropouts", _WINDOWS, ()),
         seed=take("seed", _seed, scenario.seed),
         anchor=take("anchor", _position, scenario.anchor),
         geometry=geometry,
     )
-    if kv.entries:
-        key = next(iter(kv.entries))
-        raise DataError(f"{kv.path}:{kv.lines[key]}: unknown key '{key}'")
+    kv.done()
     return scenario
 
 
@@ -695,16 +702,10 @@ def _forked_writes():
 
 def cmd_run(args) -> int:
     scenario = _scenario(args)
-    geometry = scenario.geometry
-    try:  # the default ground echo is valid wherever the thresholds are
-        detection = perception.DetectionConfig(max_range=geometry.max_range)
+    try:  # before any file is written
+        detector = perception.ObstacleDetector(scenario.geometry)
     except DataError as exc:
-        raise DataError(f"{args.scenario}: key 'max_range': {exc}") from None
-    try:
-        detection = replace(detection, expected_ground_range=geometry.expected_ground_range)
-    except DataError as exc:
-        keys = "'belt_height', 'inclined_depression_deg', 'max_range'"
-        raise DataError(f"{args.scenario}: keys {keys}: {exc}") from None
+        raise DataError(f"{args.scenario}: {exc}") from None
     truth, imu, fixes, sonar, out = _simulate(scenario, args)
     with _forked_writes() as spawn:
         spawn(_write_streams, out, truth, imu, fixes, sonar)
@@ -721,7 +722,7 @@ def cmd_run(args) -> int:
         spawn(write_pose_csv, out / "est.csv", run.t, est_p, est_v, run.q)
 
         tick_t, ranges = perception.tick_ranges(sonar, fused.t, fused.fused)
-        events = perception.ObstacleDetector(detection).process(tick_t, ranges)
+        events = detector.process(tick_t, ranges)
         gate = perception.RecognitionGate(perception.MockRecognizer(seed=scenario.seed))
         scheduler = fb.AudioScheduler()
         rows = fb.respond(tick_t.tolist(), events, gate, scheduler)

@@ -14,7 +14,8 @@ Conventions used across the toolkit (fixed here, inherited everywhere):
 3-vectors are ``numpy`` arrays of shape (3,).  The high-rate streams are
 columnar logs (ImuLog, SonarLog): frozen dataclasses of arrays, one row
 per sample, which no stage modifies.  GPS fixes, about one a second, stay
-one frozen GpsFix each.  Every operation in this module is a pure
+one frozen GpsFix each.  The sonar belt's mounting, SonarGeometry, lives
+beside the channel order.  Every operation in this module is a pure
 function.
 
 Each quaternion formula is written once, as a kernel over components
@@ -64,6 +65,22 @@ CHANNELS = (
     SonarChannel.INCLINED_RIGHT,
 )
 INCLINED_CHANNELS = (SonarChannel.INCLINED_LEFT, SonarChannel.INCLINED_RIGHT)
+
+
+@dataclass(frozen=True)
+class SonarGeometry:
+    """Belt mounting geometry of the five sonar channels; each field is the
+    scenario key of the same name."""
+
+    belt_height: float = 1.0  # m above the floor
+    inclined_depression_deg: float = 45.0
+    inclined_azimuth_deg: float = 25.0
+    beam_half_angle_deg: float = 15.0
+    max_range: float = 4.0
+
+    @property
+    def expected_ground_range(self) -> float:
+        return self.belt_height / math.sin(math.radians(self.inclined_depression_deg))
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,10 +7,11 @@ channels watch the ground echo and report a DropOff when it comes back
 longer than ``expected_ground_range`` plus DROPOFF_MARGIN (0.3 m: the
 floor is missing), or an Obstacle when it comes back shorter by the same
 margin.  The thresholds and margin are constants, not settings; only the
-ground echo and ``max_range`` come from the scenario's sonar geometry.
-Every trigger latches and only re-arms after the range clears by 10% of
-the trigger level, so a static obstacle produces exactly one event
-instead of a storm.
+ground echo and ``max_range`` come from the scenario's SonarGeometry,
+which ObstacleDetector checks when built: every trigger must lie within
+``max_range``.  Every trigger latches and only re-arms after the range
+clears by 10% of the trigger level, so a static obstacle produces exactly
+one event instead of a storm.
 
 Detection is column arithmetic over a whole run.  ``tick_ranges`` lays a
 sonar log out as one (ticks x channels) array in CHANNELS column order: a
@@ -38,7 +39,7 @@ from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
-from .core import CHANNELS, DataError, INCLINED_CHANNELS, SonarChannel, SonarLog
+from .core import CHANNELS, DataError, INCLINED_CHANNELS, SonarChannel, SonarGeometry, SonarLog
 
 REARM_FRACTION = 0.10  # a trigger re-arms after clearing by 10% of its level
 # horizontal channels' trigger ranges, m; checked against max_range in this order
@@ -51,24 +52,6 @@ EVENT_ORDER = tuple(c for c in CHANNELS if c is not SonarChannel.FRONT) + (Sonar
 class DetectionKind(enum.Enum):
     OBSTACLE = "obstacle"
     DROPOFF = "dropoff"
-
-
-@dataclass(frozen=True)
-class DetectionConfig:
-    """The sonar geometry detection depends on (m): ``expected_ground_range``
-    is the inclined channels' nominal ground echo (belt height /
-    sin(depression)); every trigger must lie within ``max_range``."""
-
-    expected_ground_range: float = math.sqrt(2.0)
-    max_range: float = 4.0
-
-    def __post_init__(self):
-        for ch, thr in THRESHOLDS.items():
-            if not thr <= self.max_range:
-                raise DataError(f"threshold {thr} for {ch.value} outside (0, max_range]")
-        ground, margin = self.expected_ground_range, DROPOFF_MARGIN
-        if not (0.0 < ground - margin and ground + margin <= self.max_range):
-            raise DataError(f"inclined trigger {ground:.6g} -/+ {margin} m outside (0, max_range]")
 
 
 @dataclass(frozen=True)
@@ -92,12 +75,23 @@ class ObstacleDetector:
     Events come in tick order, within a tick in EVENT_ORDER.
     """
 
-    def __init__(self, cfg: DetectionConfig | None = None):
-        self.cfg = cfg or DetectionConfig()
+    def __init__(self, geometry: SonarGeometry):
+        for ch, thr in THRESHOLDS.items():
+            if not thr <= geometry.max_range:
+                raise DataError(
+                    f"key 'max_range': threshold {thr} for {ch.value} outside (0, max_range]"
+                )
+        ground, margin = geometry.expected_ground_range, DROPOFF_MARGIN
+        if not (0.0 < ground - margin and ground + margin <= geometry.max_range):
+            raise DataError(
+                "keys 'belt_height', 'inclined_depression_deg', 'max_range': "
+                f"inclined trigger {ground:.6g} -/+ {margin} m outside (0, max_range]"
+            )
+        self.geometry = geometry
 
     def _latches(self, ranges: np.ndarray):
         """Yield ``(channel, kind, trigger, rearm)`` masks in EVENT_ORDER."""
-        ground = self.cfg.expected_ground_range
+        ground = self.geometry.expected_ground_range
         for channel in EVENT_ORDER:
             r = ranges[:, CHANNELS.index(channel)]
             if channel in INCLINED_CHANNELS:

@@ -14,10 +14,11 @@ constant bias plus white Gaussian noise; GPS = truth sampled at the GPS
 rate with horizontal Gaussian noise, converted to WGS84 about the
 scenario anchor; sonar = cone ray-cast to cylinder obstacles (and, for
 the inclined channels, the ground, lengthened over drop-off zones) plus
-range noise.  All draws come from per-stream generators seeded from the
-scenario seed: identical scenario + seed gives identical streams.  The
-"dmp_like" noise preset models the cleaner pre-fused data path as the
-same pipeline with 5x lower noise and no residual bias.
+range noise; the belt mounting is ``core.SonarGeometry``, which this
+module re-exports.  All draws come from per-stream generators seeded
+from the scenario seed: identical scenario + seed gives identical
+streams.  The "dmp_like" noise preset models the cleaner pre-fused data
+path as the same pipeline with 5x lower noise and no residual bias.
 
 The walk and the ray-cast run over whole columns of ticks.  In the
 ray-cast NumPy is only a conservative prefilter: every range and every
@@ -47,6 +48,7 @@ from .core import (
     GpsFix,
     ImuLog,
     SonarChannel,
+    SonarGeometry,
     SonarLog,
     level_heading_quat,
     quat_to_matrix,
@@ -101,21 +103,6 @@ class DropoffZone:
     start_s: float
     end_s: float
     depth: float = 0.5
-
-
-@dataclass(frozen=True)
-class SonarGeometry:
-    """Belt mounting geometry of the five sonar channels."""
-
-    belt_height: float = 1.0  # m above the floor
-    inclined_depression_deg: float = 45.0
-    inclined_azimuth_deg: float = 25.0
-    beam_half_angle_deg: float = 15.0
-    max_range: float = 4.0
-
-    @property
-    def expected_ground_range(self) -> float:
-        return self.belt_height / math.sin(math.radians(self.inclined_depression_deg))
 
 
 # Channel boresight azimuths relative to the walking direction (rad, CCW).

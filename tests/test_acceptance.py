@@ -293,14 +293,14 @@ def _detection_course(sonar_sigma, seed):
     )
 
 
-def _expected_windows(truth, cfg):
+def _expected_windows(truth, geometry):
     """Contiguous regions where the noiseless ranges satisfy a trigger rule."""
     windows = []
     for channel, ranges in truth.sonar_true.items():
         if channel in (SonarChannel.INCLINED_LEFT, SonarChannel.INCLINED_RIGHT):
             rules = [
-                (DetectionKind.DROPOFF, ranges >= cfg.expected_ground_range + DROPOFF_MARGIN),
-                (DetectionKind.OBSTACLE, ranges <= cfg.expected_ground_range - DROPOFF_MARGIN),
+                (DetectionKind.DROPOFF, ranges >= geometry.expected_ground_range + DROPOFF_MARGIN),
+                (DetectionKind.OBSTACLE, ranges <= geometry.expected_ground_range - DROPOFF_MARGIN),
             ]
         else:
             thr = THRESHOLDS[channel]
@@ -318,14 +318,10 @@ def _expected_windows(truth, cfg):
 def _detection_recall(sonar_sigma, seed):
     sc = _detection_course(sonar_sigma, seed)
     truth = sim.gen_walk(sc)
-    det_cfg = perception.DetectionConfig(
-        expected_ground_range=sc.geometry.expected_ground_range,
-        max_range=sc.geometry.max_range,
-    )
-    windows = _expected_windows(truth, det_cfg)
+    windows = _expected_windows(truth, sc.geometry)
     log = sim.synth_sonar(truth, sc)
     fused = sonar_ekf.fuse_front_pair(log)
-    events = ObstacleDetector(det_cfg).process(
+    events = ObstacleDetector(sc.geometry).process(
         *perception.tick_ranges(log, fused.t, fused.fused)
     )
     hits = 0

@@ -127,11 +127,26 @@ class TestScenarioParsing:
         with pytest.raises(DataError, match=r"bad\.cfg:2"):
             cli.load_scenario(path)
 
-    def test_unknown_key_rejected_with_line(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("route = 0,0 ; 10,0\nwarp_speed = 9\n")
-        with pytest.raises(DataError, match=r"bad\.cfg:2.*warp_speed"):
-            cli.load_scenario(path)
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("walk.cfg", "route = 0,0 ; 10,0\nwarp_speed = 9\n"),
+            # a misspelt key would leave its offset at zero
+            (
+                "offsets.cfg",
+                "accel_offset = 0, 0, 0\ngyro_offset = 0, 0, 0\naccel_ofset = 1, 2, 3\n",
+            ),
+        ],
+        ids=["walk.cfg", "offsets.cfg"],
+    )
+    def test_unknown_key_rejected_with_line(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        load = cli.read_offsets_cfg if name == "offsets.cfg" else cli.load_scenario
+        line = text.count("\n")
+        key = text.splitlines()[-1].split(" =")[0]
+        with pytest.raises(DataError, match=rf"{name}:{line}: unknown key '{key}'"):
+            load(path)
 
     def test_missing_route_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -193,6 +208,9 @@ class TestScenarioParsing:
             ("walk.cfg", "gps_rate", "1e300"),
             ("walk.cfg", "gps_rate", "200"),  # faster than imu_rate = 100
             ("walk.cfg", "anchor", "100, 0, 0"),
+            ("walk.cfg", "obstacles", "30, 0.3, -0.25"),
+            ("walk.cfg", "dropoffs", "93, 90, 0.5"),  # start after end
+            ("walk.cfg", "gps_dropouts", "30, 20"),
             ("offsets.cfg", "accel_offset", "1, 2"),
             ("offsets.cfg", "accel_offset", "nan, 0, 0"),
         ],

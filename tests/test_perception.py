@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from fusenav import cli, sim, sonar_ekf
-from fusenav.core import CHANNELS, DataError, INCLINED_CHANNELS, SonarChannel, SonarLog
+from fusenav.core import (
+    CHANNELS, DataError, INCLINED_CHANNELS, SonarChannel, SonarGeometry, SonarLog,
+)
 from fusenav.perception import (
     DEFAULT_RESOLUTION,
     DROPOFF_MARGIN,
@@ -17,7 +19,6 @@ from fusenav.perception import (
     LATENCY_PER_PIXEL_MS,
     REARM_FRACTION,
     THRESHOLDS,
-    DetectionConfig,
     DetectionEvent,
     DetectionKind,
     MockRecognizer,
@@ -47,9 +48,9 @@ def stream(*ticks):
     return np.array([t for t, _ in ticks], dtype=float), ranges
 
 
-def process(*ticks, cfg=None):
+def process(*ticks, geometry=SonarGeometry()):
     """Events of one detector run over ``(t, {channel: range})`` ticks."""
-    return ObstacleDetector(cfg).process(*stream(*ticks))
+    return ObstacleDetector(geometry).process(*stream(*ticks))
 
 
 def per_tick(*ticks):
@@ -85,13 +86,13 @@ class TestDetector:
         assert process((0.0, {IL: ground, IR: ground})) == []
 
     def test_dropoff_rule(self):
-        r = DetectionConfig().expected_ground_range + 2 * DROPOFF_MARGIN
+        r = SonarGeometry().expected_ground_range + 2 * DROPOFF_MARGIN
         events = process((0.0, {IR: r}))
         assert [e.kind for e in events] == [DetectionKind.DROPOFF]
         assert events[0].channel is IR
 
     def test_inclined_short_echo_is_obstacle(self):
-        r = DetectionConfig().expected_ground_range - 2 * DROPOFF_MARGIN
+        r = SonarGeometry().expected_ground_range - 2 * DROPOFF_MARGIN
         events = process((0.0, {IL: r}))
         assert [e.kind for e in events] == [DetectionKind.OBSTACLE]
 
@@ -125,7 +126,7 @@ class TestDetector:
         assert len(events) == 1 and events[0].t == 0.1
 
     def test_every_call_starts_armed(self):
-        det = ObstacleDetector()
+        det = ObstacleDetector(SonarGeometry())
         t, ranges = stream((0.0, {F: 1.2}), (0.1, {F: 1.2}))
         assert len(det.process(t, ranges)) == 1
         assert len(det.process(t, ranges)) == 1
@@ -135,38 +136,45 @@ class TestDetector:
         assert [(e.t, e.channel) for e in events] == [(0.0, L), (0.0, IR), (0.0, F), (0.1, R), (0.1, IL)]
 
     def test_config_validation(self):
-        with pytest.raises(DataError, match="for front outside"):
-            DetectionConfig(max_range=1.9)
-        DetectionConfig(max_range=2.0, expected_ground_range=1.7)  # every trigger reachable
+        def looking_down(ground, max_range=4.0):
+            """A geometry whose ground echo is ``ground`` exactly: the belt height."""
+            return SonarGeometry(
+                belt_height=ground, inclined_depression_deg=90.0, max_range=max_range
+            )
+
+        with pytest.raises(DataError, match="key 'max_range': threshold 2.0 for front outside"):
+            ObstacleDetector(SonarGeometry(max_range=1.9))
+        ObstacleDetector(looking_down(1.7, max_range=2.0))  # every trigger reachable
         # an inclined trigger no reading can reach: drop-off beyond
         # max_range, obstacle at or below 0
+        keys = "keys 'belt_height', 'inclined_depression_deg', 'max_range': inclined trigger"
         for ground in (3.8, 0.3, 0.2, math.nan):
-            with pytest.raises(DataError, match="inclined trigger"):
-                DetectionConfig(expected_ground_range=ground)
-        DetectionConfig(expected_ground_range=3.7)  # 4.0 m: reachable
+            with pytest.raises(DataError, match=keys):
+                ObstacleDetector(looking_down(ground))
+        assert looking_down(3.7).expected_ground_range + DROPOFF_MARGIN == 4.0
+        ObstacleDetector(looking_down(3.7))  # 4.0 m: reachable
 
 
 class ReferenceDetector:
     """The per-tick detector that ``ObstacleDetector`` replaced: one mapping
     of channel -> range per tick, latches kept across calls in a dict."""
 
-    def __init__(self, cfg: DetectionConfig | None = None):
-        self.cfg = cfg or DetectionConfig()
+    def __init__(self, geometry: SonarGeometry):
+        self.ground = geometry.expected_ground_range
         self._armed = {}
 
     def _is_armed(self, key) -> bool:
         return self._armed.get(key, True)
 
     def process(self, t, ranges):
-        cfg = self.cfg
         events = []
         for channel, r in ranges.items():
             no_echo = r is None or not math.isfinite(r)
             if channel in INCLINED_CHANNELS:
                 if no_echo:
                     continue
-                hi = cfg.expected_ground_range + DROPOFF_MARGIN
-                lo = cfg.expected_ground_range - DROPOFF_MARGIN
+                hi = self.ground + DROPOFF_MARGIN
+                lo = self.ground - DROPOFF_MARGIN
                 key_hi = (channel, DetectionKind.DROPOFF)
                 key_lo = (channel, DetectionKind.OBSTACLE)
                 if r >= hi:
@@ -210,8 +218,8 @@ def reference_ticks(log, fused_t, fused):
         yield t, tick
 
 
-def reference_events(ticks, cfg=None):
-    detector = ReferenceDetector(cfg)
+def reference_events(ticks, geometry):
+    detector = ReferenceDetector(geometry)
     return [e for t, tick in ticks for e in detector.process(t, tick)]
 
 
@@ -230,19 +238,16 @@ class TestOracle:
             scenario = replace(base, seed=seed)
             log = sim.synth_sonar(sim.gen_walk(scenario), scenario)
             fused = sonar_ekf.fuse_front_pair(log)
-            cfg = DetectionConfig(
-                expected_ground_range=scenario.geometry.expected_ground_range,
-                max_range=scenario.geometry.max_range,
-            )
-            expected = reference_events(reference_ticks(log, fused.t, fused.fused), cfg)
-            got = ObstacleDetector(cfg).process(*tick_ranges(log, fused.t, fused.fused))
+            geometry = scenario.geometry
+            expected = reference_events(reference_ticks(log, fused.t, fused.fused), geometry)
+            got = ObstacleDetector(geometry).process(*tick_ranges(log, fused.t, fused.fused))
             assert expected
             assert as_tuples(got) == as_tuples(expected)
 
-    @pytest.mark.parametrize("cfg", [DetectionConfig()], ids=["default"])
-    def test_random_streams_on_every_level(self, cfg):
-        hi = cfg.expected_ground_range + DROPOFF_MARGIN
-        lo = cfg.expected_ground_range - DROPOFF_MARGIN
+    @pytest.mark.parametrize("geometry", [SonarGeometry()], ids=["default"])
+    def test_random_streams_on_every_level(self, geometry):
+        hi = geometry.expected_ground_range + DROPOFF_MARGIN
+        lo = geometry.expected_ground_range - DROPOFF_MARGIN
         inclined = [hi, hi * (1.0 - REARM_FRACTION), lo, lo * (1.0 + REARM_FRACTION)]
         levels = {IL: inclined, IR: inclined}
         for channel, thr in THRESHOLDS.items():
@@ -267,8 +272,8 @@ class TestOracle:
                     if not math.isnan(r):
                         tick[channel] = r
                 ticks.append((0.01 * k, tick))
-            expected = reference_events(ticks, cfg)
-            assert as_tuples(process(*ticks, cfg=cfg)) == as_tuples(expected)
+            expected = reference_events(ticks, geometry)
+            assert as_tuples(process(*ticks, geometry=geometry)) == as_tuples(expected)
 
 
 class TestTickRanges:
@@ -278,11 +283,11 @@ class TestTickRanges:
         t, ranges = tick_ranges(log, no_fused, no_fused)
         assert t.tolist() == [0.0, 0.1, 0.2]
         assert math.isnan(ranges[1, CHANNELS.index(L)])
-        assert [e.t for e in ObstacleDetector().process(t, ranges)] == [0.0]
+        assert [e.t for e in ObstacleDetector(SonarGeometry()).process(t, ranges)] == [0.0]
         # a no-echo row in its place re-arms
         log = sonar_log((0.0, L, 1.0, True), (0.1, L, 4.0, False), (0.2, L, 1.0, True))
         t, ranges = tick_ranges(log, no_fused, no_fused)
-        assert [e.t for e in ObstacleDetector().process(t, ranges)] == [0.0, 0.2]
+        assert [e.t for e in ObstacleDetector(SonarGeometry()).process(t, ranges)] == [0.0, 0.2]
 
     def test_single_front_sensor_no_echo_reads_inf_and_rearms(self):
         log = sonar_log(
@@ -294,7 +299,7 @@ class TestTickRanges:
         t, ranges = tick_ranges(log, fused_t, fused)
         front = ranges[:, CHANNELS.index(F)]
         assert front.tolist() == [1.0, math.inf, 1.2]
-        events = ObstacleDetector().process(t, ranges)
+        events = ObstacleDetector(SonarGeometry()).process(t, ranges)
         assert as_tuples(events) == [
             (0.0, F, DetectionKind.OBSTACLE, 1.0),
             (0.2, F, DetectionKind.OBSTACLE, 1.2),
