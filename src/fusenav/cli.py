@@ -442,7 +442,6 @@ _position.__name__ = "'lat, lon, alt' position"  # argparse names a rejected val
 
 
 _OBSTACLES = _items(3, lambda e, n, radius: radius > 0.0, "a positive radius")
-_ZONES = _items(3, lambda start, end, depth: start <= end, "start <= end")
 _WINDOWS = _items(2, lambda start, end: start <= end, "start <= end")
 
 
@@ -482,6 +481,12 @@ def load_scenario(path) -> sim.Scenario:
     imu_rate = take("imu_rate", imu_rate_in, scenario.imu_rate)
     # each fix is applied at an IMU step, so gps_rate may not exceed imu_rate
     gps_rate_conv = _finite_in(lambda x: 0.0 < x <= imu_rate, f"in (0, imu_rate = {imu_rate}]")
+    # a floor raised to the belt or above would give non-positive slant ranges
+    floor = -geometry.belt_height
+    zones = _items(
+        3, lambda start, end, depth: start <= end and depth > floor,
+        f"start <= end and depth > -belt_height = {floor}",
+    )
     scenario = sim.Scenario(
         route=route,
         speed=speed,
@@ -489,7 +494,7 @@ def load_scenario(path) -> sim.Scenario:
         gps_rate=take("gps_rate", gps_rate_conv, scenario.gps_rate),
         noise=noise,
         obstacles=tuple(sim.Obstacle(*o) for o in take("obstacles", _OBSTACLES, ())),
-        dropoffs=tuple(sim.DropoffZone(*z) for z in take("dropoffs", _ZONES, ())),
+        dropoffs=tuple(sim.DropoffZone(*z) for z in take("dropoffs", zones, ())),
         gps_dropouts=take("gps_dropouts", _WINDOWS, ()),
         seed=take("seed", _seed, scenario.seed),
         anchor=take("anchor", _position, scenario.anchor),
@@ -574,10 +579,11 @@ def _localize(imu_path: Path, imu: ImuLog, fixes, cfg, offsets, ref):
     return run, p, v
 
 
-def _evaluate(out: Path, est: metrics.Trajectory, truth: metrics.Trajectory) -> None:
+def _evaluate(out: Path, est: metrics.Trajectory, truth: metrics.Trajectory) -> str:
+    """Write ``report.csv``; return the table to print."""
     report = metrics.evaluate(est, truth)
     _write_report_csv(out / "report.csv", report)
-    print(metrics.format_table(report))
+    return metrics.format_table(report)
 
 
 def cmd_simulate(args) -> int:
@@ -650,7 +656,7 @@ def cmd_evaluate(args) -> int:
     est = read_pose_csv(args.est, Path(args.est).stem)
     truth = read_pose_csv(args.truth, Path(args.truth).stem)
     out = _out_dir(args.out)
-    _evaluate(out, est, truth)
+    print(_evaluate(out, est, truth))
     return EXIT_OK
 
 
@@ -721,18 +727,18 @@ def cmd_run(args) -> int:
         run, est_p, est_v = _localize(out / "imu.csv", imu, fixes, cfg, offsets, scenario.anchor)
         spawn(write_pose_csv, out / "est.csv", run.t, est_p, est_v, run.q)
 
-        tick_t, ranges = perception.tick_ranges(sonar, fused.t, fused.fused)
-        events = detector.process(tick_t, ranges)
+        events = detector.process(sonar, fused.t, fused.fused)
         gate = perception.RecognitionGate(perception.MockRecognizer(seed=scenario.seed))
         scheduler = fb.AudioScheduler()
-        rows = fb.respond(tick_t.tolist(), events, gate, scheduler)
+        rows = fb.respond(truth.t.tolist(), events, gate, scheduler)
         cells = [
             (_fmt(t), kind, str(n), v if kind == "audio" else _fmt(v)) for t, kind, n, v in rows
         ]
         _write_csv(out / "feedback.csv", FEEDBACK_HEADER, list(zip(*cells)))
 
         est = metrics.Trajectory(run.t, est_p, "est")
-        _evaluate(out, est, sim.truth_trajectory(truth, "truth"))
+        table = _evaluate(out, est, sim.truth_trajectory(truth, "truth"))
+    print(table)  # only once every child has written its files
     print(f"pipeline outputs in {out}")
     # never spoken: the scheduler is not polled after the last tick
     print(f"audio messages pending at end of run: {scheduler.pending}")

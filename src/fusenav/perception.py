@@ -13,11 +13,12 @@ which ObstacleDetector checks when built: every trigger must lie within
 clears by 10% of the trigger level, so a static obstacle produces exactly
 one event instead of a storm.
 
-Detection is column arithmetic over a whole run.  ``tick_ranges`` lays a
-sonar log out as one (ticks x channels) array in CHANNELS column order: a
-reading, ``inf`` for no echo, ``nan`` where the tick has no row of that
-channel.  ``ObstacleDetector.process`` turns each latch's trigger and
-re-arm masks into events, in tick order and within a tick in EVENT_ORDER.
+Detection is column arithmetic over a whole run.  Each latch watches one
+channel as a time series: ``ObstacleDetector.process`` reads each
+channel's own rows of the sonar log (the front channel's fused estimate
+in its place) and turns the latch's trigger and re-arm masks into events,
+in tick order and within a tick in EVENT_ORDER.  A tick with no row of a
+channel neither triggers nor re-arms that channel's latches.
 
 Recognition is gated by detection: the recognizer has one in-flight slot,
 and events arriving while it is busy are coalesced down to the single
@@ -65,14 +66,21 @@ class DetectionEvent:
 class ObstacleDetector:
     """Threshold detector with one hysteresis latch per (channel, kind).
 
-    ``process(t, ranges)`` takes a whole stream laid out as ``tick_ranges``
-    returns it, and starts with every latch armed.  A ``nan`` cell (no row)
-    neither triggers nor re-arms.  A no-echo ``inf`` never triggers, but it
-    re-arms the horizontal-channel obstacle latch (the obstacle left the
-    beam); on inclined channels a missing ground echo is ambiguous and is
-    ignored outright.  A latch fires on a trigger tick when the latest
-    earlier trigger or re-arm tick was a re-arm, or when there is none.
-    Events come in tick order, within a tick in EVENT_ORDER.
+    ``process(log, fused_t, fused)`` takes a whole sonar log and the fused
+    front estimate, and starts with every latch armed.  Each latch reads
+    its own channel's stream:
+
+    - a side channel: its rows, ``inf`` where there is no echo;
+    - an inclined channel: its rows that have an echo; a missing ground
+      echo is ambiguous and is ignored outright;
+    - the front: the fused ticks, each reading the fused value if the
+      tick has a front echo, else ``inf``.
+
+    A no-echo ``inf`` never triggers, but it re-arms a horizontal
+    channel's obstacle latch (the obstacle left the beam).  A latch fires
+    on a trigger tick when the latest earlier trigger or re-arm tick was a
+    re-arm, or when there is none.  Events come in tick order, within a
+    tick in EVENT_ORDER.
     """
 
     def __init__(self, geometry: SonarGeometry):
@@ -89,59 +97,42 @@ class ObstacleDetector:
             )
         self.geometry = geometry
 
-    def _latches(self, ranges: np.ndarray):
-        """Yield ``(channel, kind, trigger, rearm)`` masks in EVENT_ORDER."""
-        ground = self.geometry.expected_ground_range
-        for channel in EVENT_ORDER:
-            r = ranges[:, CHANNELS.index(channel)]
-            if channel in INCLINED_CHANNELS:
-                r = np.where(np.isinf(r), np.nan, r)
-                hi = ground + DROPOFF_MARGIN
-                lo = ground - DROPOFF_MARGIN
-                yield channel, DetectionKind.DROPOFF, r >= hi, r <= hi * (1.0 - REARM_FRACTION)
-                yield channel, DetectionKind.OBSTACLE, r <= lo, r >= lo * (1.0 + REARM_FRACTION)
-            else:
-                thr = THRESHOLDS[channel]
-                yield channel, DetectionKind.OBSTACLE, r <= thr, r >= thr * (1.0 + REARM_FRACTION)
+    def _latches(self, channel: SonarChannel, r: np.ndarray):
+        """Yield ``(kind, trigger, rearm)`` masks of ``channel``'s latches over ``r``."""
+        if channel in INCLINED_CHANNELS:
+            hi = self.geometry.expected_ground_range + DROPOFF_MARGIN
+            lo = self.geometry.expected_ground_range - DROPOFF_MARGIN
+            yield DetectionKind.DROPOFF, r >= hi, r <= hi * (1.0 - REARM_FRACTION)
+            yield DetectionKind.OBSTACLE, r <= lo, r >= lo * (1.0 + REARM_FRACTION)
+        else:
+            thr = THRESHOLDS[channel]
+            yield DetectionKind.OBSTACLE, r <= thr, r >= thr * (1.0 + REARM_FRACTION)
 
-    def process(self, t: np.ndarray, ranges: np.ndarray) -> list[DetectionEvent]:
+    def process(
+        self, log: SonarLog, fused_t: np.ndarray, fused: np.ndarray
+    ) -> list[DetectionEvent]:
+        ranges = np.where(log.valid, log.range_m, np.inf)
         events = []
-        for channel, kind, trigger, rearm in self._latches(ranges):
-            marked = np.flatnonzero(trigger | rearm)
-            hit = trigger[marked]
-            fires = marked[hit & ~np.r_[False, hit[:-1]]]
-            r = ranges[fires, CHANNELS.index(channel)]
-            events += [
-                DetectionEvent(tt, channel, kind, rr)
-                for tt, rr in zip(t[fires].tolist(), r.tolist())
-            ]
+        for channel in EVENT_ORDER:
+            own = log.channel == CHANNELS.index(channel)
+            if channel is SonarChannel.FRONT:
+                # not np.isin: its np.unique holds ~1 MiB from its first call on (NumPy 2.4)
+                echo_t = log.t[own & log.valid]  # time-sorted, as the log's rows are
+                echo = np.searchsorted(echo_t, fused_t, "right") > np.searchsorted(echo_t, fused_t)
+                t, r = fused_t, np.where(echo, fused, np.inf)
+            else:
+                rows = np.flatnonzero(own & log.valid if channel in INCLINED_CHANNELS else own)
+                t, r = log.t[rows], ranges[rows]
+            for kind, trigger, rearm in self._latches(channel, r):
+                marked = np.flatnonzero(trigger | rearm)
+                hit = trigger[marked]
+                fires = marked[hit & ~np.r_[False, hit[:-1]]]
+                events += [
+                    DetectionEvent(tt, channel, kind, rr)
+                    for tt, rr in zip(t[fires].tolist(), r[fires].tolist())
+                ]
         events.sort(key=lambda event: event.t)  # stable: EVENT_ORDER within a tick
         return events
-
-
-def tick_ranges(log: SonarLog, fused_t: np.ndarray, fused: np.ndarray):
-    """``(t, ranges)`` of ``log`` for ``ObstacleDetector.process``.
-
-    ``t`` holds the unique tick times; ``ranges[i, c]`` is tick i's reading
-    of ``CHANNELS[c]``, ``inf`` without an echo, ``nan`` if the tick has no
-    row of that channel.  The front column takes the fused estimate at the
-    same time in the sorted ``fused_t`` if the tick has a front echo, else
-    ``inf``.
-    """
-    first = np.ones(len(log), bool)  # rows are time-sorted: a tick starts where t changes
-    first[1:] = log.t[1:] != log.t[:-1]
-    t = log.t[first]
-    tick = np.cumsum(first, dtype=np.int32) - 1  # half the memory of the default int64
-    front = CHANNELS.index(SonarChannel.FRONT)
-    echo = np.zeros(len(t), bool)
-    echo[tick[(log.channel == front) & log.valid]] = True
-    # the nan sentinel matches no tick, so ticks without a fused value stay inf
-    pos = np.searchsorted(fused_t, t)
-    echo &= np.r_[fused_t, np.nan][pos] == t
-    ranges = np.full((len(t), len(CHANNELS)), np.nan)
-    ranges[tick, log.channel] = np.where(log.valid, log.range_m, np.inf)
-    ranges[:, front] = np.where(echo, np.r_[fused, np.inf][pos], np.inf)
-    return t, ranges
 
 
 DEFAULT_RESOLUTION = (640, 480)

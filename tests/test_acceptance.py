@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fusenav import cli, geo, metrics, perception, sim, sonar_ekf
+from fusenav import cli, geo, metrics, sim, sonar_ekf
 from fusenav.core import GRAVITY, GpsFix, ImuLog, SonarChannel, quat_to_matrix
 from fusenav.feedback import AudioMessage, AudioScheduler, intensity_map
 from fusenav.localizer import (
@@ -321,9 +321,7 @@ def _detection_recall(sonar_sigma, seed):
     windows = _expected_windows(truth, sc.geometry)
     log = sim.synth_sonar(truth, sc)
     fused = sonar_ekf.fuse_front_pair(log)
-    events = ObstacleDetector(sc.geometry).process(
-        *perception.tick_ranges(log, fused.t, fused.fused)
-    )
+    events = ObstacleDetector(sc.geometry).process(log, fused.t, fused.fused)
     hits = 0
     for channel, kind, t0, t1 in windows:
         if any(

@@ -210,6 +210,9 @@ class TestScenarioParsing:
             ("walk.cfg", "anchor", "100, 0, 0"),
             ("walk.cfg", "obstacles", "30, 0.3, -0.25"),
             ("walk.cfg", "dropoffs", "93, 90, 0.5"),  # start after end
+            # a floor raised to the 1.0 m belt or above it
+            ("walk.cfg", "dropoffs", "90, 93, -1.5"),
+            ("walk.cfg", "dropoffs", "90, 93, -1.0"),
             ("walk.cfg", "gps_dropouts", "30, 20"),
             ("offsets.cfg", "accel_offset", "1, 2"),
             ("offsets.cfg", "accel_offset", "nan, 0, 0"),
@@ -740,7 +743,9 @@ class TestExitCodes:
         out = tmp_path / "o"
         (out / "imu.csv").mkdir(parents=True)
         assert cli.main(["run", "--scenario", str(WALK110), "--out", str(out)]) == cli.EXIT_DATA
-        assert f"data error: {out / 'imu.csv'}: Is a directory\n" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert f"data error: {out / 'imu.csv'}: Is a directory\n" in captured.err
+        assert captured.out == ""  # no report table for a run that failed
         assert list(out.glob("*.part")) == []
 
     def test_run_checks_max_range_before_writing(self, tmp_path, capsys):

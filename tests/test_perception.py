@@ -26,7 +26,6 @@ from fusenav.perception import (
     RecognitionGate,
     RecognitionResult,
     latency_model,
-    tick_ranges,
 )
 
 L, R, F = SonarChannel.LEFT, SonarChannel.RIGHT, SonarChannel.FRONT
@@ -40,12 +39,16 @@ def obstacle_event(t=0.0, channel=F, range_m=1.5):
 
 
 def stream(*ticks):
-    """``(t, ranges)`` of ``(t, {channel: range})`` ticks, nan for an omitted channel."""
-    ranges = np.full((len(ticks), len(CHANNELS)), np.nan)
-    for row, (_, tick) in zip(ranges, ticks):
-        for channel, r in tick.items():
-            row[CHANNELS.index(channel)] = r
-    return np.array([t for t, _ in ticks], dtype=float), ranges
+    """``(log, fused_t, fused)`` of ``(t, {channel: range})`` ticks.
+
+    Each channel given becomes one row, with an echo if its range is
+    finite; a front range is also the tick's fused value.  An omitted
+    channel has no row.
+    """
+    rows = [(t, c, r, math.isfinite(r)) for t, tick in ticks for c, r in tick.items()]
+    front = [(t, r) for t, c, r, _ in rows if c is F]
+    fused_t, fused = np.array(front, dtype=float).reshape(-1, 2).T
+    return sonar_log(*rows), fused_t, fused
 
 
 def process(*ticks, geometry=SonarGeometry()):
@@ -61,7 +64,7 @@ def per_tick(*ticks):
 
 def sonar_log(*rows):
     """SonarLog from ``(t, channel, range, valid)`` rows."""
-    t, channel, range_m, valid = zip(*rows)
+    t, channel, range_m, valid = zip(*rows) if rows else ((),) * 4
     return SonarLog(
         t=np.array(t, dtype=float),
         channel=np.array([CHANNELS.index(c) for c in channel]),
@@ -127,9 +130,9 @@ class TestDetector:
 
     def test_every_call_starts_armed(self):
         det = ObstacleDetector(SonarGeometry())
-        t, ranges = stream((0.0, {F: 1.2}), (0.1, {F: 1.2}))
-        assert len(det.process(t, ranges)) == 1
-        assert len(det.process(t, ranges)) == 1
+        log, fused_t, fused = stream((0.0, {F: 1.2}), (0.1, {F: 1.2}))
+        assert len(det.process(log, fused_t, fused)) == 1
+        assert len(det.process(log, fused_t, fused)) == 1
 
     def test_events_in_tick_then_channel_order(self):
         events = process((0.0, {F: 1.0, IR: 3.0, L: 1.0}), (0.1, {R: 1.0, IL: 0.5}))
@@ -203,7 +206,9 @@ class ReferenceDetector:
 
 
 def reference_ticks(log, fused_t, fused):
-    """The per-tick ``(t, {channel: range})`` stream that ``tick_ranges`` replaced."""
+    """The per-tick ``(t, {channel: range})`` stream of the (ticks x channels)
+    grid that ``ObstacleDetector.process`` replaced: every tick of the log,
+    its front reading ``inf`` if it has no front echo or no fused value."""
     tick_t, starts = np.unique(log.t, return_index=True)
     front = CHANNELS.index(F)
     echo = np.logical_or.reduceat((log.channel == front) & log.valid, starts)
@@ -240,7 +245,7 @@ class TestOracle:
             fused = sonar_ekf.fuse_front_pair(log)
             geometry = scenario.geometry
             expected = reference_events(reference_ticks(log, fused.t, fused.fused), geometry)
-            got = ObstacleDetector(geometry).process(*tick_ranges(log, fused.t, fused.fused))
+            got = ObstacleDetector(geometry).process(log, fused.t, fused.fused)
             assert expected
             assert as_tuples(got) == as_tuples(expected)
 
@@ -276,18 +281,16 @@ class TestOracle:
             assert as_tuples(process(*ticks, geometry=geometry)) == as_tuples(expected)
 
 
-class TestTickRanges:
+class TestChannelRows:
     def test_missing_side_row_leaves_latch_untouched(self):
         log = sonar_log((0.0, L, 1.0, True), (0.1, F, 3.0, False), (0.2, L, 1.0, True))
         no_fused = np.array([])
-        t, ranges = tick_ranges(log, no_fused, no_fused)
-        assert t.tolist() == [0.0, 0.1, 0.2]
-        assert math.isnan(ranges[1, CHANNELS.index(L)])
-        assert [e.t for e in ObstacleDetector(SonarGeometry()).process(t, ranges)] == [0.0]
+        events = ObstacleDetector(SonarGeometry()).process(log, no_fused, no_fused)
+        assert [e.t for e in events] == [0.0]
         # a no-echo row in its place re-arms
         log = sonar_log((0.0, L, 1.0, True), (0.1, L, 4.0, False), (0.2, L, 1.0, True))
-        t, ranges = tick_ranges(log, no_fused, no_fused)
-        assert [e.t for e in ObstacleDetector(SonarGeometry()).process(t, ranges)] == [0.0, 0.2]
+        events = ObstacleDetector(SonarGeometry()).process(log, no_fused, no_fused)
+        assert [e.t for e in events] == [0.0, 0.2]
 
     def test_single_front_sensor_no_echo_reads_inf_and_rearms(self):
         log = sonar_log(
@@ -295,22 +298,25 @@ class TestTickRanges:
             (0.1, L, 4.0, False), (0.1, F, 4.0, False),
             (0.2, L, 4.0, False), (0.2, F, 1.0, True),
         )
+        # the fused 1.5 at 0.1 would keep the latch closed: the tick reads inf
         fused_t, fused = np.array([0.0, 0.1, 0.2]), np.array([1.0, 1.5, 1.2])
-        t, ranges = tick_ranges(log, fused_t, fused)
-        front = ranges[:, CHANNELS.index(F)]
-        assert front.tolist() == [1.0, math.inf, 1.2]
-        events = ObstacleDetector(SonarGeometry()).process(t, ranges)
+        events = ObstacleDetector(SonarGeometry()).process(log, fused_t, fused)
         assert as_tuples(events) == [
             (0.0, F, DetectionKind.OBSTACLE, 1.0),
             (0.2, F, DetectionKind.OBSTACLE, 1.2),
         ]
 
-    def test_front_echo_without_fused_value_reads_inf(self):
+    def test_front_reads_fused_value_not_echo(self):
         log = sonar_log((0.0, F, 1.0, True), (0.0, F, 1.1, True), (0.1, F, 1.0, True))
-        t, ranges = tick_ranges(log, np.array([0.1]), np.array([1.05]))
-        assert ranges[:, CHANNELS.index(F)].tolist() == [math.inf, 1.05]
-        # channels without a row are nan, the front column never is
-        assert np.isnan(np.delete(ranges, CHANNELS.index(F), axis=1)).all()
+        events = ObstacleDetector(SonarGeometry()).process(log, np.array([0.1]), np.array([1.05]))
+        assert as_tuples(events) == [(0.1, F, DetectionKind.OBSTACLE, 1.05)]
+
+    def test_front_echo_without_fused_value_neither_triggers_nor_rearms(self):
+        log = sonar_log(*[(t, F, 1.0, True) for t in (0.0, 0.1, 0.2)])
+        fused_t, fused = np.array([0.0, 0.2]), np.array([1.0, 1.2])
+        # the grid read the 0.1 tick as inf, which re-armed: two events
+        events = ObstacleDetector(SonarGeometry()).process(log, fused_t, fused)
+        assert as_tuples(events) == [(0.0, F, DetectionKind.OBSTACLE, 1.0)]
 
 
 class TestLatencyModel:

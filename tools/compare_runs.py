@@ -13,7 +13,9 @@ Each root is a checkout of this repository.  Both trees run
 compares the exit codes, the stdout and stderr with the output directory
 masked, the sets of files written, and each file byte for byte.  It
 prints one line per configuration and exits 1 on any difference.  Runs
-go one at a time, so at most one pipeline is in memory.
+go one at a time, so at most one pipeline is in memory.  A last line
+gives each tree's line total over ``src/fusenav/*.py``, as ``wc -l``
+counts them.
 """
 
 from __future__ import annotations
@@ -58,6 +60,11 @@ def run(root: Path, scenario: Path, out: Path, seed: int, mode: str, gps: str) -
     }
 
 
+def source_lines(root: Path) -> int:
+    """Newlines in ``root/src/fusenav/*.py``, the ``wc -l`` total."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "fusenav").glob("*.py"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="root of the parent tree")
@@ -88,6 +95,7 @@ def main(argv=None) -> int:
                 print(f"{label}: identical (exit {code}, {len(results[0]['files'])} files)")
     total = len(SCENARIOS) * len(SEEDS) * len(MODES) * len(GPS)
     print(f"{total - differ} of {total} configurations identical")
+    print(f"src/fusenav/*.py lines: parent {source_lines(parent)}, change {source_lines(change)}")
     return 1 if differ else 0
 
 
