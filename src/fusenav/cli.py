@@ -453,9 +453,12 @@ def load_scenario(path) -> sim.Scenario:
         sim.SonarGeometry, belt_height=_POSITIVE, inclined_depression_deg=_ANGLE_DEG,
         inclined_azimuth_deg=_finite, beam_half_angle_deg=_ANGLE_DEG, max_range=_POSITIVE,
     )
+    # a ranging sigma as wide as the range carries no range; the bound keeps true + sigma * N finite
+    top = geometry.max_range
+    in_range = _finite_in(lambda x: 0.0 <= x <= top, f"in [0, max_range = {top}]")
     noise = kv.take_fields(
         sim.NoiseConfig, accel_sigma=_SIGMA, gyro_sigma=_SIGMA, accel_bias=_parse_triple,
-        gyro_bias=_parse_triple, gps_sigma=_SIGMA, sonar_sigma=_SIGMA,
+        gyro_bias=_parse_triple, gps_sigma=_SIGMA, sonar_sigma=in_range,
     )
     # a Scenario with every other field at its default checks the route
     # alone, and holds the defaults of the keys below

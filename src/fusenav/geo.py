@@ -6,6 +6,11 @@ the closed-form variants.  ENU frames are tangent planes anchored at a
 reference :class:`~fusenav.core.GpsFix`; every ENU-carrying structure records
 its reference.
 
+``wgs84_to_enu`` and ``enu_to_wgs84`` also take a stream (fixes, an (n, 3)
+array): its frame, the reference's rotation and ECEF origin, is built once,
+and each point takes its own 3x3 product, as a single point does.  One
+(n, 3) @ R^T product would run another BLAS routine, off in the last bit.
+
 Clustering is the dwell ("stay-point") detector used to label ground truth
 from a walk with deliberate stops: fixes join the current cluster while they
 stay within ``cluster_radius`` of its running centroid, and clusters shorter
@@ -121,12 +126,21 @@ def enu_to_ecef(enu, ref: GpsFix) -> np.ndarray:
     return _enu_rotation(ref).T @ np.asarray(enu, dtype=float) + wgs84_to_ecef(ref)
 
 
-def wgs84_to_enu(fix: GpsFix, ref: GpsFix) -> np.ndarray:
-    return ecef_to_enu(wgs84_to_ecef(fix), ref)
+def wgs84_to_enu(fix, ref: GpsFix) -> np.ndarray:
+    """ENU meters about ``ref`` of one fix (3,), or of a sequence of fixes (n, 3)."""
+    if isinstance(fix, GpsFix):
+        return wgs84_to_enu([fix], ref)[0]
+    r, origin = _enu_rotation(ref), wgs84_to_ecef(ref)
+    return np.array([r @ (wgs84_to_ecef(f) - origin) for f in fix]).reshape(-1, 3)
 
 
-def enu_to_wgs84(enu, ref: GpsFix) -> tuple[float, float, float]:
-    return ecef_to_wgs84(enu_to_ecef(enu, ref))
+def enu_to_wgs84(enu, ref: GpsFix):
+    """(lat, lon, alt) of one ENU point (3,) about ``ref``, or their list for (n, 3)."""
+    enu = np.asarray(enu, dtype=float)
+    if enu.ndim == 1:
+        return enu_to_wgs84(enu[None], ref)[0]
+    rt, origin = _enu_rotation(ref).T, wgs84_to_ecef(ref)
+    return [ecef_to_wgs84(rt @ p + origin) for p in enu]
 
 
 def enu_frame_transform(ref: GpsFix, target: GpsFix) -> tuple[np.ndarray, np.ndarray]:
@@ -166,7 +180,7 @@ def cluster_waypoints(
     if not fixes:
         return []
     ref = fixes[0]
-    enu = np.array([wgs84_to_enu(f, ref) for f in fixes])
+    enu = wgs84_to_enu(fixes, ref)
 
     clusters: list[WaypointCluster] = []
     start = 0

@@ -22,9 +22,11 @@ Between two fixes nothing reads P, so ``propagate`` steps one such
 segment of IMU samples at a time and ``run_localizer`` calls it once per
 fix (a longer gap in calls of at most 1,024 steps).  The nominal states
 are columns: the attitude is a float loop through ``core``'s quaternion
-kernels, as is ``gps_update``'s correction, and v and p are running sums
-that add in the order of one step at a time.  P is propagated once per
-segment, through the segment's closed-form transition and noise sum.
+kernels, as is ``gps_update``'s correction; its steps fill one flat list,
+then one (m + 1, 4) array, whose stacked ``rotation_entries`` give R(q) a
+in three row products.  v and p are running sums that add in the order of
+one step at a time.  P is propagated once per segment, through the
+segment's closed-form transition and noise sum.
 
 Faults are found in ``run_localizer`` alone; ``propagate`` only steps.
 The initial state is an argument, checked first: a non-finite position
@@ -222,17 +224,17 @@ def propagate(
         theta = gyro * dt[:, None]
         qa = (cfg.accel_noise * dt) ** 2
         qg = (cfg.gyro_noise * dt) ** 2
-        q = tuple(s.q.tolist())
-        qs = [q]
+        q = s.q.tolist()
+        flat = list(q)
         for th in theta.tolist():
             q = unit(hamilton(q, rotvec_quat(th)))
-            qs.append(q)
-        qs = np.array(qs)
+            flat += q
+        qs = np.array(flat, dtype=float).reshape(-1, 4)
 
         # the nominal step's operations, in its order, as columns
-        r = rotation_entries(qs[:-1].T)
+        r = np.array(rotation_entries(qs[:-1].T))
         ax, ay, az = accel.T
-        c = np.column_stack([r[i] * ax + r[i + 1] * ay + r[i + 2] * az for i in (0, 3, 6)])
+        c = (r[0::3] * ax + r[1::3] * ay + r[2::3] * az).T
         d = dt[:, None]
         n = c + GRAVITY
         v = np.cumsum(np.concatenate([s.v[None], n * d]), axis=0)
@@ -403,8 +405,9 @@ def run_localizer(
         )
     faults[:, :lead] = False
     bad = int(faults.any(axis=0).argmax()) if faults.any() else n
-    # each fix is applied after the first sample at or after its time
+    # each fix is applied, in ENU, after the first sample at or after its time
     at = np.searchsorted(t[:bad], [f.t for f in fixes[1:]]).tolist()
+    z = geo.wgs84_to_enu(fixes[: 1 + int(np.searchsorted(at, bad))], ref)
 
     # row i holds the state that feeds sample i, row n the final state
     ps, vs, qs = np.empty((n + 1, 3)), np.empty((n + 1, 3)), np.empty((n + 1, 4))
@@ -429,8 +432,7 @@ def run_localizer(
         while fix_idx < len(fixes) and at[fix_idx - 1] == hi - 1:
             if not np.isfinite(p_cov).all():  # the gate would reject every fix
                 raise _noise_error(cfg, f"covariance not finite at the fix t={fixes[fix_idx].t}")
-            z = geo.wgs84_to_enu(fixes[fix_idx], ref)
-            state, p_cov, ok = gps_update(state, p_cov, z, cfg)
+            state, p_cov, ok = gps_update(state, p_cov, z[fix_idx], cfg)
             accepted += ok
             rejected += not ok
             fix_idx += 1

@@ -443,22 +443,19 @@ def synth_gps(
     anchor: GpsFix,
     dropout_windows: Sequence = (),
 ) -> list[GpsFix]:
-    """Truth positions at the GPS rate, horizontally perturbed, as WGS84 fixes."""
+    """Truth positions at the GPS rate, horizontally perturbed, as WGS84 fixes.
+
+    The noise is one draw of two normals for every epoch, dropped ones
+    included, so a dropout shifts no later fix's noise.
+    """
     rng = np.random.default_rng([seed, _STREAM_GPS])
     epochs = np.arange(0.0, truth.duration + 1e-9, 1.0 / rate)
-    fixes = []
-    for t in epochs:
-        if any(t0 <= t <= t1 for t0, t1 in dropout_windows):
-            # draw anyway so dropouts do not shift later fixes' noise
-            rng.standard_normal(2)
-            continue
-        enu = np.array(
-            [np.interp(t, truth.t, truth.p[:, i]) for i in range(3)]
-        )
-        enu[:2] += noise.gps_sigma * rng.standard_normal(2)
-        lat, lon, alt = geo.enu_to_wgs84(enu, anchor)
-        fixes.append(GpsFix(t=float(t), lat=lat, lon=lon, alt=alt))
-    return fixes
+    draws = rng.standard_normal((len(epochs), 2))
+    keep = [not any(t0 <= t <= t1 for t0, t1 in dropout_windows) for t in epochs]
+    epochs = epochs[keep]
+    enu = np.column_stack([np.interp(epochs, truth.t, truth.p[:, i]) for i in range(3)])
+    enu[:, :2] += noise.gps_sigma * draws[keep]
+    return [GpsFix(t, *fix) for t, fix in zip(epochs.tolist(), geo.enu_to_wgs84(enu, anchor))]
 
 
 def synth_sonar(truth: GroundTruth, scenario: Scenario) -> SonarLog:

@@ -189,6 +189,9 @@ class TestScenarioParsing:
             ("walk.cfg", "gyro_sigma", "-0.025"),
             ("walk.cfg", "gps_sigma", "-1"),
             ("walk.cfg", "sonar_sigma", "-0.003"),
+            # a ranging sigma wider than max_range = 4 (and one that overflows)
+            ("walk.cfg", "sonar_sigma", "4.000001"),
+            ("walk.cfg", "sonar_sigma", "1e308"),
             # plain decimal only, though float() and int() read these
             ("walk.cfg", "speed", "1_5"),
             ("walk.cfg", "anchor", "37.0, -122.0, \u0663\u0660"),

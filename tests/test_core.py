@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fusenav.core import (
@@ -251,6 +253,47 @@ def test_component_kernels_match_oracles_on_stacks():
     assert np.array_equal(products, [hamilton(a, b) for a, b in zip(q.tolist(), q[::-1].tolist())])
     assert np.array_equal(quat_to_matrix(u), [quat_to_matrix(x) for x in u])
     assert np.array_equal(entries, [np.reshape(rotation_entries(x), (3, 3)) for x in u.tolist()])
+
+
+def _oracle_rotation_entries(q):
+    """R(q)'s entries as the component expressions, each product formed
+    where it is used."""
+    w, x, y, z = q
+    return (
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    )
+
+
+def _oracle_quat_to_matrix(q):
+    q = np.asarray(q, dtype=float)
+    entries = _oracle_rotation_entries(np.moveaxis(q, -1, 0))
+    return np.stack(entries, axis=-1).reshape(q.shape[:-1] + (3, 3))
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want)), "sign of zero"
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 1100), seed=st.integers(0, 2**32 - 1), zeros=st.floats(0.0, 0.5))
+def test_rotation_kernel_equals_component_expressions(n, seed, zeros):
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((n, 4))
+    # components zeroed with their signs kept put signed zeros in the products
+    q[rng.random((n, 4)) < zeros] *= 0.0
+    q[~q.any(axis=1), 0] = 1.0
+    u = q / np.linalg.norm(q, axis=1, keepdims=True)
+    for got, want in zip(rotation_entries(u.T), _oracle_rotation_entries(u.T), strict=True):
+        assert_bitwise(got, want)
+    assert_bitwise(quat_to_matrix(u), _oracle_quat_to_matrix(u))
+    assert_bitwise(quat_to_matrix(u[-1]), _oracle_quat_to_matrix(u[-1]))
+    floats = u[0].tolist()
+    assert_bitwise(rotation_entries(floats), _oracle_rotation_entries(floats))
 
 
 @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])

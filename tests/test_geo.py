@@ -117,6 +117,32 @@ def test_enu_to_enu_rebase_exact():
     assert_allclose(geo.enu_to_enu(pts, ref, target), direct, atol=1e-9)
 
 
+# fixes around walk110.cfg's anchor; frames at it, 0.1 degree away, far away,
+# and above 45 degrees, where the inverse takes its other altitude branch
+ANCHOR = GpsFix(0.0, 37.0, -122.0, 30.0)
+FRAMES = [ANCHOR, GpsFix(0.0, 37.1, -122.0, 30.0), GpsFix(0.0, -33.9, 151.2, 40.0), GpsFix(0.0, 64.1, -21.9, 5.0)]
+
+
+@pytest.mark.parametrize("ref", FRAMES, ids=["anchor", "near", "far", "north"])
+def test_stream_conversions_equal_per_point_calls(ref):
+    rng = np.random.default_rng(31)
+    enu = rng.uniform(-300.0, 300.0, (400, 3)) * [1.0, 1.0, 0.05]
+    enu[:20] = 0.0  # the frame's origin
+    # the per-point conversions as written before streams: frame per call
+    want = [geo.ecef_to_wgs84(geo.enu_to_ecef(p, ref)) for p in enu]
+    assert geo.enu_to_wgs84(enu, ref) == want
+    assert [geo.enu_to_wgs84(p, ref) for p in enu] == want
+    fixes = [ANCHOR] + [GpsFix(float(i), *geo.enu_to_wgs84(p, ANCHOR)) for i, p in enumerate(enu)]
+    want = np.array([geo.ecef_to_enu(geo.wgs84_to_ecef(f), ref) for f in fixes])
+    for got in (geo.wgs84_to_enu(fixes, ref), np.array([geo.wgs84_to_enu(f, ref) for f in fixes])):
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_empty_streams_convert_to_empty():
+    assert geo.wgs84_to_enu([], ANCHOR).shape == (0, 3)
+    assert geo.enu_to_wgs84(np.empty((0, 3)), ANCHOR) == []
+
+
 def _fix_at(ref, e, n, t):
     lat, lon, alt = geo.enu_to_wgs84(np.array([e, n, 0.0]), ref)
     return GpsFix(t, lat, lon, alt)

@@ -1,6 +1,9 @@
+import importlib
+import importlib.util
 import itertools
 import math
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,7 +41,8 @@ from test_sim import QUIET
 
 G = 9.80665
 WALK110 = Path(cli.__file__).parent / "scenarios" / "walk110.cfg"
-CITY = Path(__file__).resolve().parents[1] / "perfbench" / "city.cfg"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+CITY = PERFBENCH / "city.cfg"
 
 
 def skew(v) -> np.ndarray:
@@ -695,3 +699,19 @@ class TestRunLocalizer:
         err_without = np.linalg.norm(run_without.p - truth.p, axis=1).mean()
         assert err_with < 0.05
         assert err_without > 5 * err_with
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_montecarlo_walks_match_the_bench_references(seed, monkeypatch):
+    # the bench's montecarlo job: simulate, calibrate, localize and evaluate,
+    # through LocalizerRun.trajectory's re-anchoring, which `run` never takes
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    mods = {name: importlib.import_module(f"fusenav.{name}") for name in ("sim", "metrics", "localizer")}
+    errs = workloads.montecarlo_walks(mods, seed)
+    # recorded when the bench was made; today's errors are up to about 1e-13 m off
+    want = workloads.load_references()["montecarlo"][str(seed)]
+    assert len(errs) == len(want) == 3
+    assert all(abs(e - w) <= workloads.TOLERANCE_M for e, w in zip(errs, want)), (errs, want)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fusenav import cli, geo, sim
-from fusenav.core import CHANNELS, INCLINED_CHANNELS, DataError, SonarChannel, quat_to_matrix
+from fusenav.core import (
+    CHANNELS,
+    INCLINED_CHANNELS,
+    DataError,
+    GpsFix,
+    SonarChannel,
+    quat_to_matrix,
+)
 
 FRONT = CHANNELS.index(SonarChannel.FRONT)
 
@@ -157,6 +165,46 @@ class TestSynthGps:
             )
             == []
         )
+
+
+def _oracle_synth_gps(truth, noise, seed, rate, anchor, dropout_windows=()):
+    """synth_gps as a loop over epochs: a draw, three interpolations and
+    a geodetic conversion per epoch."""
+    rng = np.random.default_rng([seed, sim._STREAM_GPS])
+    epochs = np.arange(0.0, truth.duration + 1e-9, 1.0 / rate)
+    fixes = []
+    for t in epochs:
+        if any(t0 <= t <= t1 for t0, t1 in dropout_windows):
+            rng.standard_normal(2)
+            continue
+        enu = np.array([np.interp(t, truth.t, truth.p[:, i]) for i in range(3)])
+        enu[:2] += noise.gps_sigma * rng.standard_normal(2)
+        lat, lon, alt = geo.ecef_to_wgs84(geo.enu_to_ecef(enu, anchor))
+        fixes.append(GpsFix(t=float(t), lat=lat, lon=lon, alt=alt))
+    return fixes
+
+
+@pytest.mark.parametrize("mode", ["raw", "dmp"])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        Path(sim.__file__).parent / "scenarios" / "walk110.cfg",
+        Path(__file__).resolve().parents[1] / "perfbench" / "city.cfg",
+    ],
+    ids=["walk110", "city"],
+)
+def test_synth_gps_equals_per_epoch_loop(cfg, seed, mode):
+    sc = cli.load_scenario(cfg)
+    noise = sc.noise.dmp_like() if mode == "dmp" else sc.noise
+    truth = sim.gen_walk(sc)
+    args = (truth, noise, seed, sc.gps_rate, sc.anchor_fix(), sc.gps_dropouts)
+    got, want = sim.synth_gps(*args), _oracle_synth_gps(*args)
+    assert len(got) == len(want) and all(type(f.t) is float for f in got)
+    for g, w in zip(got, want):
+        assert_bitwise_equal(np.array(astuple(g)), np.array(astuple(w)), f"fix at t={w.t}")
+    if sc.gps_dropouts:  # city's two windows drop fixes
+        assert len(want) < len(np.arange(0.0, truth.duration + 1e-9, 1.0 / sc.gps_rate))
 
 
 class TestSynthSonar:

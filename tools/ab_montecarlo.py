@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""In-process A/B timing of the bench's ``montecarlo`` job on two source trees.
+
+Usage::
+
+    python3 tools/ab_montecarlo.py PARENT_ROOT CHANGE_ROOT [--rounds N]
+
+Each root is a checkout of this repository.  Each tree's ``src/fusenav``
+is copied into a temporary directory under its own package name
+(``fusenav_parent``, ``fusenav_change``; the package imports itself
+relatively), so both run in this one process.  The job is
+``montecarlo_walks`` from CHANGE_ROOT's ``perfbench/workloads.py``: the
+three localizer walks of one seed.
+
+Both trees first run every seed once, untimed; the script exits 1 unless
+each seed's three errors are identical between them.  Then, for ``--rounds``
+rounds over the seeds, it times one job of each tree per (round, seed),
+alternating which tree goes first, and prints both trees' median job time,
+their ratio (parent over change, above 1 when the change is faster) and
+in how many of the pairs the change was faster.
+
+Running both trees side by side in one process keeps a shared host's
+drift, which moves whole subprocess runs by up to 1.5x, out of the ratio.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import shutil
+import statistics
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+SEEDS = range(8)  # the montecarlo workload's k
+MODULES = ("sim", "metrics", "localizer")
+
+
+def load_tree(root: Path, name: str, tmp: Path) -> dict:
+    """The modules the walks use, imported from a copy of ``root``'s package."""
+    shutil.copytree(root / "src" / "fusenav", tmp / name)
+    return {m: importlib.import_module(f"{name}.{m}") for m in MODULES}
+
+
+def load_walks(root: Path):
+    spec = importlib.util.spec_from_file_location("ab_workloads", root / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.montecarlo_walks
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="root of the parent tree")
+    parser.add_argument("change", type=Path, help="root of the changed tree")
+    parser.add_argument("--rounds", type=int, default=6, help="timed rounds over the seeds")
+    args = parser.parse_args(argv)
+    parent, change = args.parent.resolve(), args.change.resolve()
+    for root in (parent, change):
+        if not (root / "src" / "fusenav").is_dir():
+            parser.error(f"{root} holds no src/fusenav")
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    walks = load_walks(change)
+    with tempfile.TemporaryDirectory(prefix="ab_montecarlo_") as tmp:
+        sys.path.insert(0, tmp)
+        trees = {
+            "parent": load_tree(parent, "fusenav_parent", Path(tmp)),
+            "change": load_tree(change, "fusenav_change", Path(tmp)),
+        }
+        differ = 0
+        for seed in SEEDS:
+            errs = {side: walks(mods, seed) for side, mods in trees.items()}
+            if errs["parent"] != errs["change"]:
+                differ += 1
+                print(f"seed {seed}: errors differ: parent {errs['parent']}, change {errs['change']}")
+        if differ:
+            print(f"{differ} of {len(SEEDS)} seeds differ; no timing run")
+            return 1
+        print(f"errors identical on seeds {SEEDS.start}-{SEEDS.stop - 1} (three walks each)")
+
+        times = {side: [] for side in trees}
+        for rnd in range(args.rounds):
+            for seed in SEEDS:
+                order = ("parent", "change") if (rnd + seed) % 2 == 0 else ("change", "parent")
+                for side in order:
+                    t0 = perf_counter()
+                    walks(trees[side], seed)
+                    times[side].append(perf_counter() - t0)
+    pairs = len(times["parent"])
+    wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
+    med = {side: statistics.median(ts) for side, ts in times.items()}
+    print(
+        f"median job (three walks): parent {med['parent'] * 1e3:.2f} ms, "
+        f"change {med['change'] * 1e3:.2f} ms"
+    )
+    print(f"ratio parent/change {med['parent'] / med['change']:.3f}; change faster in {wins} of {pairs} pairs")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
