@@ -50,7 +50,7 @@ import numpy as np
 
 from . import feedback as fb
 from . import geo, metrics, perception, sim, sonar_ekf
-from .core import CHANNELS, DataError, GpsFix, ImuLog, NumericalError, SonarLog
+from .core import CHANNELS, DataError, GpsFix, ImuLog, NumericalError, SonarLog, StreamError
 from .localizer import (
     MAX_IMU_DT,
     CalibrationOffsets,
@@ -456,9 +456,11 @@ def load_scenario(path) -> sim.Scenario:
     # a ranging sigma as wide as the range carries no range; the bound keeps true + sigma * N finite
     top = geometry.max_range
     in_range = _finite_in(lambda x: 0.0 <= x <= top, f"in [0, max_range = {top}]")
+    # and a horizontal sigma wider than the Earth carries no position
+    on_earth = _finite_in(lambda x: 0.0 <= x <= geo.WGS84_A, f"in [0, WGS84_A = {geo.WGS84_A}] m")
     noise = kv.take_fields(
         sim.NoiseConfig, accel_sigma=_SIGMA, gyro_sigma=_SIGMA, accel_bias=_parse_triple,
-        gyro_bias=_parse_triple, gps_sigma=_SIGMA, sonar_sigma=in_range,
+        gyro_bias=_parse_triple, gps_sigma=on_earth, sonar_sigma=in_range,
     )
     # a Scenario with every other field at its default checks the route
     # alone, and holds the defaults of the keys below
@@ -560,21 +562,17 @@ def _write_streams(out: Path, truth: sim.GroundTruth, imu: ImuLog, fixes, sonar:
     write_sonar_csv(out / "sonar.csv", sonar)
 
 
-def _fuse_sonar(log: SonarLog, out: Path) -> sonar_ekf.FusedFront:
-    fused = sonar_ekf.fuse_front_pair(log)
-    _write_csv(out / "fused.csv", FUSED_HEADER, list(fused))
-    return fused
-
-
-def _localize(imu_path: Path, imu: ImuLog, fixes, cfg, offsets, ref):
+def _localize(paths: dict, imu: ImuLog, fixes, cfg, offsets, ref):
     """Run the filter; returns the run and its positions and velocities in
     the ENU frame at the ``ref`` 'lat, lon, alt' (None: the run's own
     frame), est.csv's columns.  A bad IMU sample is a data error on its
-    ``imu_path`` row."""
+    ``paths["imu"]`` row, and a faulty stream one naming its file."""
     try:
         run = run_localizer(imu, fixes, cfg, offsets)
     except ImuSampleError as exc:  # sample i is on file row i + 2
-        raise DataError(f"{imu_path}:{exc.index + 2}: {exc.why}") from None
+        raise DataError(f"{paths['imu']}:{exc.index + 2}: {exc.why}") from None
+    except StreamError as exc:
+        raise DataError(f"{paths[exc.stream]}: {exc}") from None
     p, v = run.p, run.v
     if ref is not None:
         r, d = geo.enu_frame_transform(run.ref, GpsFix(0.0, *ref))
@@ -630,8 +628,12 @@ def cmd_calibrate(args) -> int:
 
 def cmd_fuse_sonar(args) -> int:
     log = read_sonar_csv(args.sonar)
+    try:
+        fused = sonar_ekf.fuse_front_pair(log)
+    except StreamError as exc:  # row i is on file row i + 2
+        raise DataError(f"{args.sonar}:{exc.index + 2}: {exc}") from None
     out = _out_dir(args.out)
-    fused = _fuse_sonar(log, out)
+    _write_csv(out / "fused.csv", FUSED_HEADER, list(fused))
     print(f"fused {len(fused.t)} front-channel ticks -> {out / 'fused.csv'}")
     return EXIT_OK
 
@@ -645,7 +647,8 @@ def cmd_localize(args) -> int:
         gyro_noise=args.gyro_noise,
         gps_pos_std=args.gps_std,
     )
-    run, p, v = _localize(Path(args.imu), imu, fixes, cfg, offsets, args.ref)
+    paths = {"imu": args.imu, "gps": args.gps}
+    run, p, v = _localize(paths, imu, fixes, cfg, offsets, args.ref)
     out = _out_dir(args.out)
     write_pose_csv(out / "est.csv", run.t, p, v, run.q)
     print(
@@ -720,14 +723,20 @@ def cmd_run(args) -> int:
         spawn(_write_streams, out, truth, imu, fixes, sonar)
 
         # calibrate on a stationary bench stream with the scenario's sensors
-        offsets = calibrate(sim.stationary_imu_source(scenario.noise, scenario.seed))
+        try:
+            offsets = calibrate(sim.stationary_imu_source(scenario.noise, scenario.seed))
+        except NumericalError as exc:  # its noise is the scenario's
+            keys = "keys 'accel_sigma', 'gyro_sigma'"
+            raise NumericalError(f"{args.scenario}: {keys}: {exc}") from None
         write_offsets_cfg(out / "offsets.cfg", offsets)
 
-        fused = _fuse_sonar(sonar, out)
+        fused = sonar_ekf.fuse_front_pair(sonar)
+        _write_csv(out / "fused.csv", FUSED_HEADER, list(fused))
 
         # localize; est.csv shares truth.csv's frame (the scenario anchor)
         cfg = _localizer_config(scenario.noise)
-        run, est_p, est_v = _localize(out / "imu.csv", imu, fixes, cfg, offsets, scenario.anchor)
+        paths = {"imu": out / "imu.csv", "gps": out / "gps.csv"}
+        run, est_p, est_v = _localize(paths, imu, fixes, cfg, offsets, scenario.anchor)
         spawn(write_pose_csv, out / "est.csv", run.t, est_p, est_v, run.q)
 
         events = detector.process(sonar, fused.t, fused.fused)

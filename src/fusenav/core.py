@@ -41,6 +41,15 @@ class DataError(ValueError):
     """Invalid or contract-violating input data (CLI exit code 2)."""
 
 
+class StreamError(DataError):
+    """A fault of one input stream, ``stream`` ("imu", "gps" or "sonar"),
+    shown at its row ``index`` when one row shows it."""
+
+    def __init__(self, stream: str, why: str, index: int | None = None):
+        self.stream, self.index = stream, index
+        super().__init__(why)
+
+
 class NumericalError(ArithmeticError):
     """A numerical procedure failed to produce a usable result (exit code 3)."""
 

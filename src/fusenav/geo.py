@@ -74,7 +74,7 @@ def wgs84_to_ecef(fix: GpsFix) -> np.ndarray:
 
 def ecef_to_wgs84(p) -> tuple[float, float, float]:
     """ECEF meters to geodetic (lat deg, lon deg, alt m), iterative latitude."""
-    x, y, z = np.asarray(p, dtype=float)
+    x, y, z = np.asarray(p, dtype=float).tolist()
     lon = math.atan2(y, x)
     rho = math.hypot(x, y)
     if rho < 1e-9:

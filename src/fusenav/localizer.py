@@ -28,17 +28,15 @@ in three row products.  v and p are running sums that add in the order of
 one step at a time.  P is propagated once per segment, through the
 segment's closed-form transition and noise sum.
 
+Every run starts at the anchor fix, at rest, level and facing east.
 Faults are found in ``run_localizer`` alone; ``propagate`` only steps.
-The initial state is an argument, checked first: a non-finite position
-or velocity, or a q that ``unit`` cannot normalize, is a DataError that
-names it, and q is used normalized.  Then one column pass over the kept
-samples finds the first sample whose step cannot run, and propagation
-stops before it.  The states ``propagate`` returns are checked as they
-come, each at the sample it feeds (the final state at the last sample),
-after the fixes that precede that sample.  At one sample the order is: a
-time step outside (0, MAX_IMU_DT], a non-finite reading or state, a gyro
-rotation angle whose square overflows, then process noise whose square
-overflows.
+One column pass over the kept samples finds the first sample whose step
+cannot run, and propagation stops before it.  The states ``propagate``
+returns are checked as they come, each at the sample it feeds (the final
+state at the last sample), after the fixes that precede that sample.  At
+one sample the order is: a time step outside (0, MAX_IMU_DT], a
+non-finite reading or state, a gyro rotation angle whose square
+overflows, then process noise whose square overflows.
 """
 
 from __future__ import annotations
@@ -54,6 +52,7 @@ from .core import (
     GpsFix,
     ImuLog,
     NumericalError,
+    StreamError,
     hamilton,
     level_heading_quat,
     rotation_entries,
@@ -314,17 +313,15 @@ class LocalizerRun:
     accepted_fixes: int
     rejected_fixes: int
 
-    def trajectory(self, label: str, frame: GpsFix | None = None):
-        """As a metrics Trajectory, optionally re-anchored to ``frame``.
+    def trajectory(self, label: str, frame: GpsFix):
+        """As a metrics Trajectory in the ENU frame at ``frame``.
 
-        Re-anchor before evaluating against a truth trajectory expressed
-        in a different frame; the run's own frame sits at the (noisy)
-        first fix, and the frame offset would otherwise count as error.
+        The run's own frame sits at the (noisy) first fix; against a truth
+        trajectory in another frame, the frame offset would count as error.
         """
         from .metrics import Trajectory
 
-        xyz = self.p if frame is None else geo.enu_to_enu(self.p, self.ref, frame)
-        return Trajectory(t=self.t, xyz=xyz, label=label)
+        return Trajectory(t=self.t, xyz=geo.enu_to_enu(self.p, self.ref, frame), label=label)
 
 
 def _noise_error(cfg: LocalizerConfig, what: str) -> NumericalError:
@@ -339,43 +336,34 @@ def run_localizer(
     gps_stream,
     cfg: LocalizerConfig,
     offsets: CalibrationOffsets | None = None,
-    initial: NominalState | None = None,
 ) -> LocalizerRun:
     """Fuse a full IMU stream with GPS fixes into a trajectory.
 
-    The first GPS fix anchors the ENU frame and the initial position.
-    Unless ``initial`` is given, the walker starts at rest, level, facing
-    east; a given p or v that is not finite, or a q that ``unit`` cannot
-    normalize, is a DataError before any sample (q is used normalized).
-    IMU samples earlier than the anchor are dropped; every fix is applied
-    at the first IMU step at or after its timestamp.  Output is one
-    record per processed IMU sample; identical inputs produce identical
-    output.  The first IMU sample whose step cannot run, or that a
-    non-finite state feeds, raises ImuSampleError naming it, as does a
-    non-finite state after the last sample.  Noise settings whose squares
-    overflow, or that leave P non-finite at a fix, raise NumericalError.
+    The first GPS fix anchors the ENU frame and the initial position; the
+    walker starts there at rest, level, facing east.  IMU samples earlier
+    than the anchor are dropped; every fix is applied at the first IMU
+    step at or after its timestamp.  Output is one record per processed
+    IMU sample; identical inputs produce identical output.  An empty
+    stream, or no IMU sample at or after the anchor, raises StreamError
+    naming the stream.  The first IMU sample whose step cannot run, or
+    that a non-finite state feeds, raises ImuSampleError naming it, as
+    does a non-finite state after the last sample.  Noise settings whose
+    squares overflow, or that leave P non-finite at a fix, raise
+    NumericalError.
     """
     if offsets is None:
         offsets = CalibrationOffsets.zero()
     fixes = list(gps_stream)
     if not len(imu):
-        raise DataError("empty IMU stream")
+        raise StreamError("imu", "empty IMU stream")
     if not fixes:
-        raise DataError("empty GPS stream: no fix to anchor the ENU frame")
+        raise StreamError("gps", "empty GPS stream: no fix to anchor the ENU frame")
     for i in range(1, len(fixes)):
         if fixes[i].t < fixes[i - 1].t:
             raise DataError(f"GPS stream unsorted at index {i} (t={fixes[i].t})")
 
     ref = fixes[0]
-    state = initial
-    if state is None:
-        state = NominalState(geo.wgs84_to_enu(ref, ref), np.zeros(3), level_heading_quat(0.0))
-    if not np.isfinite(np.concatenate([state.p, state.v])).all():
-        raise DataError(f"initial state: position {state.p} or velocity {state.v} not finite")
-    try:  # the first step's R(q) needs a unit q
-        state = NominalState(state.p, state.v, np.array(unit(state.q.tolist())))
-    except DataError as exc:
-        raise DataError(f"initial state: {exc}") from None
+    state = NominalState(geo.wgs84_to_enu(ref, ref), np.zeros(3), level_heading_quat(0.0))
     try:  # if this square of gps_pos_std fits, so does gps_update's
         p_cov = initial_covariance(cfg)
     except OverflowError:
@@ -384,7 +372,7 @@ def run_localizer(
     # samples before the anchor are dropped unchecked
     keep = np.flatnonzero(~(imu.t < ref.t))
     if not len(keep):
-        raise DataError("no IMU samples at or after the anchor fix")
+        raise StreamError("imu", "no IMU samples at or after the anchor fix")
     n = len(keep)
     t = imu.t[keep]
     accel = imu.accel[keep] - offsets.accel_offset

@@ -25,10 +25,10 @@ and events arriving while it is busy are coalesced down to the single
 most recent one -- a stale frame is useless for navigation.  The gate
 runs in simulated time (event timestamps drive it) in one advance loop,
 which ``flush`` runs to the end; only the ordering and coalescing
-semantics are contractual.  A frame takes ``latency_model(resolution)``
-ms: LATENCY_BASE_MS plus LATENCY_PER_PIXEL_MS per pixel, anchored at the
-measured 604 ms for 640x480.  These are constants, not settings, and the
-stand-in ``MockRecognizer`` runs at DEFAULT_RESOLUTION.
+semantics are contractual.  Every frame takes
+``latency_model(DEFAULT_RESOLUTION)``, the measured 604 ms for 640x480;
+the model is LATENCY_BASE_MS plus LATENCY_PER_PIXEL_MS per pixel.  These
+are constants, not settings.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Protocol, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -150,15 +150,6 @@ def latency_model(resolution: tuple[int, int]) -> float:
     return LATENCY_BASE_MS + LATENCY_PER_PIXEL_MS * (w * h)
 
 
-class Recognizer(Protocol):
-    """Pluggable recognizer: labels a frame triggered by a detection event."""
-
-    resolution: tuple[int, int]
-
-    def recognize(self, event: DetectionEvent) -> Sequence[tuple[str, float]]:
-        ...
-
-
 LABELS = ("person", "chair", "door", "pole", "bin", "bicycle")
 
 
@@ -169,8 +160,6 @@ class MockRecognizer:
     (seed, event time, channel index), so results depend neither on call
     order nor on the process's hash seed.  It never fails.
     """
-
-    resolution = DEFAULT_RESOLUTION
 
     def __init__(self, seed: int = 0):
         self.seed = seed
@@ -204,12 +193,13 @@ class RecognitionGate:
     any recognition that completed meanwhile, and either starts the event
     (recognizer idle) or coalesces it into the single pending slot
     (recognizer busy, newest event wins).  DropOff events are never
-    dispatched.  ``flush`` runs the same advance to the end.
+    dispatched.  ``flush`` runs the same advance to the end.  The
+    recognizer is any object with MockRecognizer's ``recognize``.
     """
 
-    def __init__(self, recognizer: Recognizer):
+    def __init__(self, recognizer: MockRecognizer):
         self.recognizer = recognizer
-        self._latency_s = latency_model(recognizer.resolution) / 1000.0
+        self._latency_s = latency_model(DEFAULT_RESOLUTION) / 1000.0
         self._in_flight: Optional[tuple[DetectionEvent, float]] = None
         self._pending: Optional[DetectionEvent] = None
         self.processed_count = 0

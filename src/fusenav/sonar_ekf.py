@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import CHANNELS, DataError, SonarChannel, SonarLog
+from .core import CHANNELS, DataError, SonarChannel, SonarLog, StreamError
 
 R = (0.09, 0.09)  # per-sensor measurement variances, m^2
 Q = (0.001, 0.0)  # per-sensor process noise, m^2
@@ -101,18 +101,17 @@ _FRONT = CHANNELS.index(SonarChannel.FRONT)
 def fuse_front_pair(log: SonarLog) -> FusedFront:
     """Run the filter over the front channel of a sonar log.
 
-    Every front tick must carry exactly two readings (DataError otherwise).
-    The first fully valid pair initializes the filter; ticks before it are
-    not fused and get no entry.
+    Every front tick must carry exactly two readings (else a StreamError at
+    the tick's first row).  The first fully valid pair initializes the
+    filter; ticks before it are not fused and get no entry.
     """
     front = log.channel == _FRONT
     ticks, counts = np.unique(log.t[front], return_counts=True)
     if np.any(counts != 2):
         k = int(np.argmax(counts != 2))
-        raise DataError(
-            f"unsupported sonar layout: {counts[k]} front ping(s) at t={float(ticks[k])}; "
-            "fusion needs exactly two front sensors"
-        )
+        row = int(np.flatnonzero(front)[np.searchsorted(log.t[front], ticks[k])])
+        why = f"unsupported sonar layout: {counts[k]} front ping(s) at t={float(ticks[k])}"
+        raise StreamError("sonar", why + "; fusion needs exactly two front sensors", row)
     z = log.range_m[front].reshape(-1, 2).tolist()
     valid = log.valid[front].reshape(-1, 2).tolist()
     rows, state = [], None

@@ -188,6 +188,12 @@ class TestScenarioParsing:
             ("walk.cfg", "accel_sigma", "-0.25"),
             ("walk.cfg", "gyro_sigma", "-0.025"),
             ("walk.cfg", "gps_sigma", "-1"),
+            # a horizontal sigma wider than the Earth: it carries no position, and
+            # 1e160 and 1e200 overflow the filter, 1e308 the simulated fixes
+            ("walk.cfg", "gps_sigma", "6378137.000001"),
+            ("walk.cfg", "gps_sigma", "1e160"),
+            ("walk.cfg", "gps_sigma", "1e200"),
+            ("walk.cfg", "gps_sigma", "1e308"),
             ("walk.cfg", "sonar_sigma", "-0.003"),
             # a ranging sigma wider than max_range = 4 (and one that overflows)
             ("walk.cfg", "sonar_sigma", "4.000001"),
@@ -602,7 +608,6 @@ class TestExitCodes:
             ("localize", "--accel-noise", "1e200", "process noise overflowed"),
             ("localize", "--gyro-noise", "1e200", "process noise overflowed"),
             ("localize", "--gps-std", "1e200", "initial covariance overflowed"),
-            ("run", "gps_sigma", "1e200", "initial covariance overflowed"),
             # squares that fit in a float, but P overflows before the first fix
             ("localize", "--gps-std", "1.3e154", "covariance not finite at the fix t=1.0"),
             ("localize", "--accel-noise", "1.3e155", "covariance not finite at the fix t=1.0"),
@@ -612,19 +617,64 @@ class TestExitCodes:
         self, scenario_file, tmp_path, capsys, command, setting, value, message
     ):
         sim_out, out = tmp_path / "sim", tmp_path / "o"
-        if command == "run":
-            scenario_file.write_text(
-                SHORT_SCENARIO.replace("gps_sigma = 1.5", f"{setting} = {value}")
-            )
-            argv = ["run", "--scenario", str(scenario_file)]
-        else:
-            assert cli.main(["simulate", "--scenario", str(scenario_file), "--out", str(sim_out)]) == 0
-            argv = ["localize", "--imu", str(sim_out / "imu.csv"), "--gps", str(sim_out / "gps.csv")]
-            argv += [setting, value]
+        assert cli.main(["simulate", "--scenario", str(scenario_file), "--out", str(sim_out)]) == 0
+        argv = ["localize", "--imu", str(sim_out / "imu.csv"), "--gps", str(sim_out / "gps.csv")]
+        argv += [setting, value]
         assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert f"numerical failure: {message}" in err and f"={float(value)}" in err
         assert not (out / "est.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [("accel_sigma", "5"), ("gyro_sigma", "34.9")])
+    def test_run_calibration_failure_names_the_keys(self, scenario_file, tmp_path, capsys, key, value):
+        # the bench stream's mean does not settle within calibrate's tolerance
+        lines = [ln for ln in SHORT_SCENARIO.splitlines() if not ln.startswith(f"{key} =")]
+        scenario_file.write_text("\n".join([*lines, f"{key} = {value}"]) + "\n")
+        out = tmp_path / "o"
+        assert cli.main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        want = f"numerical failure: {scenario_file}: keys 'accel_sigma', 'gyro_sigma': calibration"
+        assert want in err
+        assert not (out / "est.csv").exists()
+
+    def test_run_takes_gps_sigma_at_its_bound(self, scenario_file, tmp_path):
+        scenario_file.write_text(SHORT_SCENARIO.replace("gps_sigma = 1.5", "gps_sigma = 6378137"))
+        out = tmp_path / "o"
+        assert cli.main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize(
+        "fault", ["gps_header_only", "imu_header_only", "imu_before_anchor", "one_front_row"]
+    )
+    def test_stream_faults_exit_2_naming_the_file(
+        self, scenario_file, tmp_path, tiny_streams, capsys, fault
+    ):
+        imu, gps = tiny_streams
+        argv = ["localize", "--imu", str(imu), "--gps", str(gps)]
+        if fault == "gps_header_only":
+            gps.write_text("t,lat,lon,alt\n")
+            where, message = gps, "empty GPS stream: no fix to anchor the ENU frame"
+        elif fault == "imu_header_only":
+            imu.write_text("t,ax,ay,az,gx,gy,gz\n")
+            where, message = imu, "empty IMU stream"
+        elif fault == "imu_before_anchor":
+            gps.write_text("t,lat,lon,alt\n1.0,37.0,-122.0,30.0\n")
+            where, message = imu, "no IMU samples at or after the anchor fix"
+        else:
+            sim_out = tmp_path / "sim"
+            assert cli.main(["simulate", "--scenario", str(scenario_file), "--out", str(sim_out)]) == 0
+            sonar = sim_out / "sonar.csv"
+            lines = sonar.read_text().splitlines()
+            first, second = [i for i, line in enumerate(lines) if ",front," in line][:2]
+            t = float(lines.pop(first).split(",")[0])
+            sonar.write_text("\n".join(lines) + "\n")
+            argv = ["fuse-sonar", "--sonar", str(sonar)]
+            # list index i is file row i + 1; the tick's other front row moved up by one
+            where = f"{sonar}:{second}"
+            message = f"unsupported sonar layout: 1 front ping(s) at t={t}; "
+        out = tmp_path / "o"
+        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_DATA
+        assert f"data error: {where}: {message}" in capsys.readouterr().err
+        assert not out.exists()  # refused before the output directory is made
 
     def test_data_errors_exit_2(self, tmp_path):
         assert (
@@ -955,6 +1005,17 @@ class TestCommands:
         ]
         assert cli.main(argv) == 0
         assert (est / "est.csv").read_bytes() == (run / "est.csv").read_bytes()
+
+    def test_run_writes_inline_without_fork(self, scenario_file, tmp_path, monkeypatch):
+        # where os has no fork, run writes each file itself: the same bytes
+        forked, inline = tmp_path / "forked", tmp_path / "inline"
+        assert cli.main(["run", "--scenario", str(scenario_file), "--out", str(forked)]) == 0
+        monkeypatch.delattr(os, "fork")
+        assert cli.main(["run", "--scenario", str(scenario_file), "--out", str(inline)]) == 0
+        names = sorted(path.name for path in forked.iterdir())
+        assert len(names) == 9 and names == sorted(path.name for path in inline.iterdir())
+        for name in names:
+            assert (inline / name).read_bytes() == (forked / name).read_bytes(), name
 
     def test_run_reports_unspoken_audio(self, tmp_path, capsys):
         out = tmp_path / "city"

@@ -63,6 +63,15 @@ def test_forward_matches_independent_closed_form_inverse():
         assert abs(alt - fix.alt) < 1e-6
 
 
+@pytest.mark.parametrize("lat", [90.0, 60.0, 37.0, 0.0, -60.0])
+def test_inverse_returns_python_floats(lat):
+    # at |lat| >= 45 degrees the altitude takes its z / sin branch; 90 is the polar axis
+    fix = GpsFix(0.0, lat, -122.0, 30.0)
+    out = geo.ecef_to_wgs84(geo.wgs84_to_ecef(fix))
+    assert [type(x) for x in out] == [float, float, float]  # np.float64 is a float subclass
+    assert_allclose(out, (lat, 0.0 if lat == 90.0 else -122.0, 30.0), atol=1e-6)
+
+
 def test_round_trip_10k_random_fixes():
     rng = np.random.default_rng(123)
     for _ in range(10_000):

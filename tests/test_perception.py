@@ -409,8 +409,6 @@ class TestRecognitionGate:
 
     def test_recognizer_failure_flagged(self):
         class FailingRecognizer:
-            resolution = DEFAULT_RESOLUTION
-
             def recognize(self, event):
                 raise RuntimeError("recognizer failure")
 
@@ -419,13 +417,6 @@ class TestRecognitionGate:
         (result,) = gate.flush()
         assert result.failed
         assert result.labels == ()
-
-    def test_bad_resolution_refused_when_built(self):
-        class TinyRecognizer(MockRecognizer):
-            resolution = (0, 480)
-
-        with pytest.raises(DataError, match="resolution must be positive"):
-            RecognitionGate(TinyRecognizer())
 
     def test_mock_recognizer_deterministic(self):
         a = MockRecognizer(seed=9).recognize(obstacle_event(t=3.25))
@@ -447,7 +438,7 @@ class ReferenceGate:
 
     def _start(self, event: DetectionEvent, start_t: float) -> None:
         self._in_flight = event
-        self._busy_until = start_t + latency_model(self.recognizer.resolution) / 1000.0
+        self._busy_until = start_t + latency_model(DEFAULT_RESOLUTION) / 1000.0
 
     def _complete(self) -> RecognitionResult:
         event = self._in_flight
