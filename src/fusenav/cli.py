@@ -52,6 +52,8 @@ from . import feedback as fb
 from . import geo, metrics, perception, sim, sonar_ekf
 from .core import CHANNELS, DataError, GpsFix, ImuLog, NumericalError, SonarLog, StreamError
 from .localizer import (
+    MAX_ACCEL,
+    MAX_GYRO,
     MAX_IMU_DT,
     CalibrationOffsets,
     ImuSampleError,
@@ -121,7 +123,6 @@ def _finite_in(test, what: str):
 # these ranges crash the simulator or silently blind or flip a sensor.
 _ANGLE_DEG = _finite_in(lambda x: 0.0 < x < 90.0, "in (0, 90) degrees")
 _POSITIVE = _finite_in(lambda x: x > 0.0, "positive")
-_SIGMA = _finite_in(lambda x: x >= 0.0, "non-negative")
 _MAX_IMU_SAMPLES = 10**7  # a walk's arrays hold one row per IMU sample
 # the fusion reads exactly one front pair; the key stays for files that state it
 _FRONT_PAIR = _finite_in(lambda x: x == 2.0, "2, the front pair the fusion reads")
@@ -458,8 +459,11 @@ def load_scenario(path) -> sim.Scenario:
     in_range = _finite_in(lambda x: 0.0 <= x <= top, f"in [0, max_range = {top}]")
     # and a horizontal sigma wider than the Earth carries no position
     on_earth = _finite_in(lambda x: 0.0 <= x <= geo.WGS84_A, f"in [0, WGS84_A = {geo.WGS84_A}] m")
+    # an IMU noise sigma beyond the sensor's full scale carries no reading
+    accel_in = _finite_in(lambda x: 0.0 <= x <= MAX_ACCEL, f"in [0, MAX_ACCEL = {MAX_ACCEL}] m/s^2")
+    gyro_in = _finite_in(lambda x: 0.0 <= x <= MAX_GYRO, f"in [0, MAX_GYRO = {MAX_GYRO}] rad/s")
     noise = kv.take_fields(
-        sim.NoiseConfig, accel_sigma=_SIGMA, gyro_sigma=_SIGMA, accel_bias=_parse_triple,
+        sim.NoiseConfig, accel_sigma=accel_in, gyro_sigma=gyro_in, accel_bias=_parse_triple,
         gyro_bias=_parse_triple, gps_sigma=on_earth, sonar_sigma=in_range,
     )
     # a Scenario with every other field at its default checks the route

@@ -23,9 +23,9 @@ Each quaternion formula is written once, as a kernel over components
 R(q), take all floats or all equal-length arrays: ``level_heading_quat``
 runs ``hamilton`` on stacks, ``quat_to_matrix`` runs ``rotation_entries``
 on the component views of a (..., 4) stack, and the localizer's
-``propagate`` on the (4, m) attitude columns of a segment.
-``unit`` and ``rotvec_quat`` take floats only: the attitude loop of the
-localizer's ``propagate`` and ``gps_update`` are their only callers.
+``propagate`` on the (4, m) attitude columns of a segment, whose
+increments ``rotvec_quat`` forms as one stack.  ``unit`` takes floats
+only: the attitude loop of ``propagate`` and ``gps_update`` call it.
 """
 
 from __future__ import annotations
@@ -165,16 +165,23 @@ def unit(q) -> tuple:
     return w / n, x / n, y / n, z / n
 
 
-def rotvec_quat(theta) -> tuple:
-    """Components of the quaternion of rotation vector theta, exact for any
-    |theta| < pi; below 1e-8 rad the first-order (1, theta/2), normalized."""
-    tx, ty, tz = theta
-    angle = math.sqrt(tx * tx + ty * ty + tz * tz)
-    if angle < 1e-8:
-        return unit((1.0, 0.5 * tx, 0.5 * ty, 0.5 * tz))
-    half = 0.5 * angle
-    k = math.sin(half) / angle
-    return math.cos(half), k * tx, k * ty, k * tz
+def rotvec_quat(theta):
+    """Quaternions of rotation vectors, exact for any |theta| < pi; below
+    1e-8 rad the first-order (1, theta/2), normalized.  ``theta`` is (3,)
+    or (m, 3), the result four floats or (m, 4): columns, but libm's sin and
+    cos on each half-angle (NumPy's may differ in the last bit)."""
+    theta = np.asarray(theta, dtype=float)
+    rows = theta.reshape(-1, 3)
+    tx, ty, tz = rows.T
+    angle = np.sqrt(tx * tx + ty * ty + tz * tz)
+    half = (0.5 * angle).tolist()
+    q = np.empty((4, len(half)))
+    q[0] = list(map(math.cos, half))
+    # a row below 1e-8 rad divides by 1e-8, not by a zero angle, and is replaced
+    q[1:] = rows.T * (np.array(list(map(math.sin, half))) / np.maximum(angle, 1e-8))
+    for i in (angle < 1e-8).nonzero()[0].tolist():
+        q[:, i] = unit((1.0, *(0.5 * rows[i]).tolist()))
+    return q.T if theta.ndim == 2 else tuple(q[:, 0].tolist())
 
 
 def rotation_entries(q) -> tuple:

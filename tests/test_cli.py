@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from fusenav import cli, sim
 from fusenav.core import CHANNELS, DataError, GpsFix, ImuLog, SonarChannel, SonarLog
-from fusenav.localizer import MAX_IMU_DT, CalibrationOffsets
+from fusenav.localizer import MAX_ACCEL, MAX_GYRO, MAX_IMU_DT, CalibrationOffsets
 
 WALK110 = importlib.resources.files("fusenav") / "scenarios" / "walk110.cfg"
 CITY = Path(__file__).resolve().parents[1] / "perfbench" / "city.cfg"
@@ -187,6 +187,11 @@ class TestScenarioParsing:
             ("walk.cfg", "route", "0, 0 ; 10, 0 ; 10, 0.4 ; 20, 0.4"),
             ("walk.cfg", "accel_sigma", "-0.25"),
             ("walk.cfg", "gyro_sigma", "-0.025"),
+            # IMU noise beyond full scale, 16 g and 2000 deg/s (and one that overflows)
+            ("walk.cfg", "accel_sigma", "156.91"),
+            ("walk.cfg", "accel_sigma", "1e200"),
+            ("walk.cfg", "gyro_sigma", "34.91"),
+            ("walk.cfg", "gyro_sigma", "1e10"),
             ("walk.cfg", "gps_sigma", "-1"),
             # a horizontal sigma wider than the Earth: it carries no position, and
             # 1e160 and 1e200 overflow the filter, 1e308 the simulated fixes
@@ -248,6 +253,16 @@ class TestScenarioParsing:
         with pytest.raises(DataError, match=rf"{name}:{len(lines)}: key '{key}'"):
             load(path)
         assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_DATA
+
+    def test_imu_sigmas_load_at_full_scale(self, tmp_path):
+        path = tmp_path / "walk.cfg"
+        keys = ("accel_sigma =", "gyro_sigma =")
+        lines = [line for line in WALK110.read_text().splitlines() if not line.startswith(keys)]
+        lines += [f"accel_sigma = {MAX_ACCEL!r}", f"gyro_sigma = {MAX_GYRO!r}"]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        noise = cli.load_scenario(path).noise
+        assert (noise.accel_sigma, noise.gyro_sigma) == (MAX_ACCEL, MAX_GYRO)
+        assert (MAX_ACCEL, MAX_GYRO) == (16 * 9.80665, 34.90658503988659)  # 16 g, 2000 deg/s
 
     def test_admitted_imu_rates_keep_grid_steps_within_bound(self, tmp_path):
         # the floats around the lowest rate load_scenario admits

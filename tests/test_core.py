@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -155,13 +155,13 @@ def test_rotation_vector_round_trip():
 
 def test_unit_norm_preserved_under_many_compositions():
     # long composition chains must not drift off the unit sphere; the
-    # kernels run on floats, as in propagate
+    # increments come as one stack and compose on floats, as in propagate
     rng = np.random.default_rng(1)
     q = (1.0, 0.0, 0.0, 0.0)
     worst = 0.0
     for _ in range(10**6 // 100):
-        for theta in (rng.standard_normal((100, 3)) * 0.01).tolist():
-            q = hamilton(q, rotvec_quat(theta))
+        for d in rotvec_quat(rng.standard_normal((100, 3)) * 0.01).tolist():
+            q = hamilton(q, d)
         q = unit(q)
         worst = max(worst, abs(math.hypot(*q) - 1.0))
     assert worst < 1e-9
@@ -294,6 +294,58 @@ def test_rotation_kernel_equals_component_expressions(n, seed, zeros):
     assert_bitwise(quat_to_matrix(u[-1]), _oracle_quat_to_matrix(u[-1]))
     floats = u[0].tolist()
     assert_bitwise(rotation_entries(floats), _oracle_rotation_entries(floats))
+
+
+def _float_rotvec_quat(theta):
+    """The one-vector formula on floats with libm's sqrt, sin and cos: what
+    the attitude loop computed per sample before the stack form."""
+    tx, ty, tz = theta
+    angle = math.sqrt(tx * tx + ty * ty + tz * tz)
+    if angle < 1e-8:
+        return unit((1.0, 0.5 * tx, 0.5 * ty, 0.5 * tz))
+    half = 0.5 * angle
+    k = math.sin(half) / angle
+    return math.cos(half), k * tx, k * ty, k * tz
+
+
+_BELOW, _AT, _ABOVE = np.nextafter(1e-8, 0.0), 1e-8, np.nextafter(1e-8, 1.0)
+_UNDER_PI = np.nextafter(math.pi, 0.0)
+# zeros of both signs, subnormals, the small-angle branch's edge and pi's
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, _BELOW, -_AT, _AT, _ABOVE, -_UNDER_PI]
+
+
+@st.composite
+def _rotation_vectors(draw):
+    """Mixed-sign components, or one axis at a special or random angle."""
+    if draw(st.booleans()):
+        part = st.sampled_from(_SPECIAL) | st.floats(-1.8, 1.8)  # |theta| < pi
+        return draw(st.tuples(part, part, part))
+    row = [0.0, 0.0, 0.0]
+    angle = draw(st.sampled_from(_SPECIAL) | st.floats(-_UNDER_PI, _UNDER_PI))
+    row[draw(st.integers(0, 2))] = angle
+    return tuple(row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_rotation_vectors(), min_size=1, max_size=64))
+@example(rows=[(_BELOW, 0.0, 0.0), (0.0, -_AT, 0.0), (0.0, 0.0, _ABOVE), (0.0, -0.0, 5e-324)])
+def test_rotvec_quat_stack_equals_its_rows_bit_for_bit(rows):
+    theta = np.array(rows, dtype=float)
+    stacked = rotvec_quat(theta)
+    assert stacked.shape == (len(rows), 4)
+    alone = [rotvec_quat(row) for row in theta]
+    assert all(type(c) is float for q in alone for c in q)
+    floats = [_float_rotvec_quat(row) for row in theta.tolist()]
+    assert np.array_equal(stacked.view(np.uint64), np.array(alone).view(np.uint64))
+    assert np.array_equal(stacked.view(np.uint64), np.array(floats).view(np.uint64))
+
+
+def test_rotvec_quat_boundary_rows_take_both_branches():
+    # just below 1e-8 rad the first-order form, from 1e-8 on the exact one
+    (below, at, above) = (rotvec_quat([x, 0.0, 0.0]) for x in (_BELOW, _AT, _ABOVE))
+    assert below == unit((1.0, 0.5 * _BELOW, 0.0, 0.0))
+    assert at == (math.cos(0.5 * _AT), math.sin(0.5 * _AT) / _AT * _AT, 0.0, 0.0)
+    assert above[1] == math.sin(0.5 * _ABOVE) / _ABOVE * _ABOVE
 
 
 @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])

@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -509,6 +510,31 @@ class TestGpsUpdate:
         s1, p1, ok = gps_update(s, p_cov, np.array([1.0, np.nan, 0.0]), cfg)
         assert not ok
         assert s1 is s and p1 is p_cov
+
+    @pytest.mark.parametrize(
+        "var, fix",
+        [(-100.0, 0.0), (np.nan, 0.0), (np.inf, 0.0), (1.0, np.inf), (1.0, -np.inf)],
+    )
+    def test_gate_fails_closed_silently_on_a_bad_variance_or_innovation(self, var, fix):
+        # a negative, nan or infinite S diagonal, or an infinite innovation,
+        # is rejected as a nan fix is: no warning, the state passes through
+        cfg = make_cfg()
+        s = NominalState(np.zeros(3), np.zeros(3), level_heading_quat(0))
+        p_cov = initial_covariance(cfg)
+        p_cov[1, 1] = var
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s1, p1, ok = gps_update(s, p_cov, np.array([0.5, fix, 0.0]), cfg)
+        assert not ok
+        assert s1 is s and p1 is p_cov
+
+    def test_gate_accepts_an_innovation_on_its_bound(self):
+        # S = 3 + 1 = 4 on each axis, so the bound is exactly 5 * 2 = 10 m
+        cfg = make_cfg(gps_pos_std=1.0)
+        s = NominalState(np.zeros(3), np.zeros(3), level_heading_quat(0))
+        p_cov = np.diag([3.0] * 3 + [1.0] * 6)
+        assert gps_update(s, p_cov, np.array([10.0, -10.0, 10.0]), cfg)[2]
+        assert not gps_update(s, p_cov, np.array([0.0, 0.0, np.nextafter(10.0, 11.0)]), cfg)[2]
 
 
 @pytest.fixture(scope="module")

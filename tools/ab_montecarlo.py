@@ -13,11 +13,13 @@ relatively), so both run in this one process.  The job is
 three localizer walks of one seed.
 
 Both trees first run every seed once, untimed; the script exits 1 unless
-each seed's three errors are identical between them.  Then, for ``--rounds``
+each seed's three errors are identical between them, and so is each
+walk's ``LocalizerRun``: its ``t``, ``p``, ``v`` and ``q`` arrays bit for
+bit, and its accepted and rejected fix counts.  Then, for ``--rounds``
 rounds over the seeds, it times one job of each tree per (round, seed),
-alternating which tree goes first, and prints both trees' median job time,
-their ratio (parent over change, above 1 when the change is faster) and
-in how many of the pairs the change was faster.
+alternating which tree goes first, and prints both trees' median job time
+with its quartiles, their ratio (parent over change, above 1 when the
+change is faster) and in how many of the pairs the change was faster.
 
 Running both trees side by side in one process keeps a shared host's
 drift, which moves whole subprocess runs by up to 1.5x, out of the ratio.
@@ -32,6 +34,7 @@ import shutil
 import statistics
 import sys
 import tempfile
+import types
 from pathlib import Path
 from time import perf_counter
 
@@ -51,6 +54,29 @@ def load_walks(root: Path):
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module.montecarlo_walks
+
+
+def recorded(mods: dict, walks, seed: int) -> tuple[list, list]:
+    """A seed's walk errors, and the ``LocalizerRun`` of each walk."""
+    runs, loc = [], mods["localizer"]
+
+    def run_localizer(*args, **kwargs):
+        runs.append(loc.run_localizer(*args, **kwargs))
+        return runs[-1]
+
+    spy = types.SimpleNamespace(**{**vars(loc), "run_localizer": run_localizer})
+    return walks({**mods, "localizer": spy}, seed), runs
+
+
+def same_bits(x, y) -> bool:
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def run_differences(a, b) -> list[str]:
+    """The fields in which two ``LocalizerRun`` differ, arrays bit for bit."""
+    arrays = [k for k in ("t", "p", "v", "q") if not same_bits(getattr(a, k), getattr(b, k))]
+    counts = [k for k in ("accepted_fixes", "rejected_fixes") if getattr(a, k) != getattr(b, k)]
+    return arrays + counts
 
 
 def main(argv=None) -> int:
@@ -74,14 +100,18 @@ def main(argv=None) -> int:
         }
         differ = 0
         for seed in SEEDS:
-            errs = {side: walks(mods, seed) for side, mods in trees.items()}
-            if errs["parent"] != errs["change"]:
+            (errs, runs), (errs_c, runs_c) = (recorded(m, walks, seed) for m in trees.values())
+            fields = [run_differences(a, b) for a, b in zip(runs, runs_c, strict=True)]
+            if errs != errs_c or any(fields):
                 differ += 1
-                print(f"seed {seed}: errors differ: parent {errs['parent']}, change {errs['change']}")
+                print(f"seed {seed}: errors {errs} and {errs_c}; runs differ in {fields}")
         if differ:
             print(f"{differ} of {len(SEEDS)} seeds differ; no timing run")
             return 1
-        print(f"errors identical on seeds {SEEDS.start}-{SEEDS.stop - 1} (three walks each)")
+        print(
+            f"errors and runs (t, p, v, q bit for bit, fix counts) identical on seeds "
+            f"{SEEDS.start}-{SEEDS.stop - 1} (three walks each)"
+        )
 
         times = {side: [] for side in trees}
         for rnd in range(args.rounds):
@@ -93,11 +123,13 @@ def main(argv=None) -> int:
                     times[side].append(perf_counter() - t0)
     pairs = len(times["parent"])
     wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
-    med = {side: statistics.median(ts) for side, ts in times.items()}
-    print(
-        f"median job (three walks): parent {med['parent'] * 1e3:.2f} ms, "
-        f"change {med['change'] * 1e3:.2f} ms"
-    )
+    quart = {side: statistics.quantiles(ts, n=4) for side, ts in times.items()}
+    med = {side: q[1] for side, q in quart.items()}
+    for side, (q1, q2, q3) in quart.items():
+        print(
+            f"{side} job (three walks): median {q2 * 1e3:.2f} ms, "
+            f"quartiles {q1 * 1e3:.2f}-{q3 * 1e3:.2f} ms"
+        )
     print(f"ratio parent/change {med['parent'] / med['change']:.3f}; change faster in {wins} of {pairs} pairs")
     return 0
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that two source trees give byte-identical ``fusenav run`` results.
+"""Check that two source trees give byte-identical ``fusenav`` results.
 
 Usage::
 
@@ -8,13 +8,17 @@ Usage::
 Each root is a checkout of this repository.  Both trees run
 ``python -m fusenav.cli run`` on the parent's ``walk110.cfg`` and
 ``perfbench/city.cfg``, seeds 0-3, ``--mode raw|dmp`` and ``--gps on|off``:
-32 configurations.  Each run has ``PYTHONPATH=<root>/src``,
+32 configurations.  For each walk110 configuration, both trees then
+replay the per-stage commands that the bench's replay110 job times,
+``fuse-sonar``, ``localize --offsets --ref <walk110 anchor>`` and
+``evaluate``, over the files of the parent's run, so that both read the
+same bytes.  Each command has ``PYTHONPATH=<root>/src``,
 ``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONHASHSEED=0``.  The script
 compares the exit codes, the stdout and stderr with the output directory
 masked, the sets of files written, and each file byte for byte.  It
-prints one line per configuration and exits 1 on any difference.  Runs
-go one at a time, so at most one pipeline is in memory.  A last line
-gives each tree's line total over ``src/fusenav/*.py``, as ``wc -l``
+prints one line per configuration and exits 1 on any difference.
+Commands go one at a time, so at most one pipeline is in memory.  A last
+line gives each tree's line total over ``src/fusenav/*.py``, as ``wc -l``
 counts them.
 """
 
@@ -35,29 +39,55 @@ SCENARIOS = {
 SEEDS = range(4)
 MODES = ("raw", "dmp")
 GPS = ("on", "off")
+WALK110_ANCHOR = "37.0, -122.0, 30.0"  # walk110.cfg's anchor, as the replay110 job passes it
 
 
-def run(root: Path, scenario: Path, out: Path, seed: int, mode: str, gps: str) -> dict:
-    """Exit code, masked stdout and stderr, and files of one run of ``root``."""
+def fusenav(root: Path, commands, out: Path) -> dict:
+    """Exit codes, masked stdout and stderr, and files written of ``root``'s
+    ``fusenav`` commands, each an argv without ``--out``, run in turn."""
     env = dict(
         os.environ,
         PYTHONPATH=str(root / "src"),
         PYTHONDONTWRITEBYTECODE="1",
         PYTHONHASHSEED="0",
     )
-    argv = [
-        sys.executable, "-m", "fusenav.cli", "run", "--scenario", str(scenario),
-        "--out", str(out), "--seed", str(seed), "--mode", mode, "--gps", gps,
-    ]
-    proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
+    result = {}
+    for argv in commands:
+        argv = [sys.executable, "-m", "fusenav.cli", *argv, "--out", str(out)]
+        proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
+        for key, value in (
+            ("exit code", proc.returncode),
+            ("stdout", proc.stdout.replace(str(out), "<OUT>")),
+            ("stderr", proc.stderr.replace(str(out), "<OUT>")),
+        ):
+            result.setdefault(key, []).append(value)
     files = sorted(out.iterdir()) if out.is_dir() else []
-    return {
-        "exit code": proc.returncode,
-        "stdout": proc.stdout.replace(str(out), "<OUT>"),
-        "stderr": proc.stderr.replace(str(out), "<OUT>"),
-        "files": [f.name for f in files],
-        **{f.name: f.read_bytes() for f in files},
-    }
+    result["files"] = [f.name for f in files]
+    return {**result, **{f.name: f.read_bytes() for f in files}}
+
+
+def replay(run_dir: Path, out: Path) -> list:
+    """The replay110 job's per-stage commands over the files of one run."""
+    return [
+        ["fuse-sonar", "--sonar", str(run_dir / "sonar.csv")],
+        [
+            "localize", "--imu", str(run_dir / "imu.csv"), "--gps", str(run_dir / "gps.csv"),
+            "--offsets", str(run_dir / "offsets.cfg"), "--ref", WALK110_ANCHOR,
+        ],
+        ["evaluate", "--est", str(out / "est.csv"), "--truth", str(run_dir / "truth.csv")],
+    ]
+
+
+def compare(label: str, results: list) -> bool:
+    """Print whether two trees' results agree; True when they do."""
+    keys = sorted(set(results[0]) | set(results[1]))
+    diffs = [k for k in keys if results[0].get(k) != results[1].get(k)]
+    codes = " ".join(map(str, results[0]["exit code"]))
+    if diffs:
+        print(f"{label}: DIFFERENT ({', '.join(diffs)})")
+    else:
+        print(f"{label}: identical (exit {codes}, {len(results[0]['files'])} files)")
+    return not diffs
 
 
 def source_lines(root: Path) -> int:
@@ -74,29 +104,29 @@ def main(argv=None) -> int:
     for root in (parent, change):
         if not (root / "src" / "fusenav").is_dir():
             parser.error(f"{root} holds no src/fusenav")
-    differ = 0
+    same = total = 0
     with tempfile.TemporaryDirectory(prefix="compare_runs_") as tmp:
         for (name, rel), seed, mode, gps in itertools.product(
             SCENARIOS.items(), SEEDS, MODES, GPS
         ):
             label = f"{name} seed={seed} mode={mode} gps={gps}"
-            scenario = parent / rel
-            results = [
-                run(root, scenario, Path(tmp) / side / label.replace(" ", "_"), seed, mode, gps)
-                for side, root in (("parent", parent), ("change", change))
-            ]
-            keys = sorted(set(results[0]) | set(results[1]))
-            diffs = [k for k in keys if results[0].get(k) != results[1].get(k)]
-            code = results[0]["exit code"]
-            if diffs:
-                differ += 1
-                print(f"{label}: DIFFERENT ({', '.join(diffs)})")
-            else:
-                print(f"{label}: identical (exit {code}, {len(results[0]['files'])} files)")
-    total = len(SCENARIOS) * len(SEEDS) * len(MODES) * len(GPS)
-    print(f"{total - differ} of {total} configurations identical")
+            argv = ["run", "--scenario", str(parent / rel), "--seed", str(seed)]
+            argv += ["--mode", mode, "--gps", gps]
+            sides = (("parent", parent), ("change", change))
+            outs = {side: Path(tmp) / side / label.replace(" ", "_") for side, _ in sides}
+            results = [fusenav(root, [argv], outs[side]) for side, root in sides]
+            same += compare(label, results)
+            total += 1
+            if name == "walk110":
+                results = []
+                for side, root in sides:
+                    out = outs[side].with_name(outs[side].name + "_replay")
+                    results.append(fusenav(root, replay(outs["parent"], out), out))
+                same += compare(f"{label} replay", results)
+                total += 1
+    print(f"{same} of {total} configurations identical")
     print(f"src/fusenav/*.py lines: parent {source_lines(parent)}, change {source_lines(change)}")
-    return 1 if differ else 0
+    return 0 if same == total else 1
 
 
 if __name__ == "__main__":
