@@ -42,7 +42,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import MISSING, astuple, fields, replace
 from itertools import islice
 from pathlib import Path
 
@@ -123,7 +123,14 @@ def _finite_in(test, what: str):
 # these ranges crash the simulator or silently blind or flip a sensor.
 _ANGLE_DEG = _finite_in(lambda x: 0.0 < x < 90.0, "in (0, 90) degrees")
 _POSITIVE = _finite_in(lambda x: x > 0.0, "positive")
+_NON_NEGATIVE = _finite_in(lambda x: x >= 0.0, "non-negative")
+# an IMU sigma beyond the sensor's full scale, or a GPS one wider than the Earth, carries nothing
+_ACCEL_SIGMA = _finite_in(lambda x: 0.0 <= x <= MAX_ACCEL, f"in [0, MAX_ACCEL = {MAX_ACCEL}] m/s^2")
+_GYRO_SIGMA = _finite_in(lambda x: 0.0 <= x <= MAX_GYRO, f"in [0, MAX_GYRO = {MAX_GYRO}] rad/s")
+_GPS_SIGMA = _finite_in(lambda x: 0.0 <= x <= geo.WGS84_A, f"in [0, WGS84_A = {geo.WGS84_A}] m")
 _MAX_IMU_SAMPLES = 10**7  # a walk's arrays hold one row per IMU sample
+# a 1e-9 s margin: gen_walk's grid k / imu_rate rounds a step by < ulp(1e6 s) ~ 1.2e-10 s
+_MAX_DT = MAX_IMU_DT * (1.0 - 1e-8)
 # the fusion reads exactly one front pair; the key stays for files that state it
 _FRONT_PAIR = _finite_in(lambda x: x == 2.0, "2, the front pair the fusion reads")
 
@@ -359,8 +366,6 @@ def read_offsets_cfg(path) -> CalibrationOffsets:
 # ---------------------------------------------------------------------------
 # Scenario files
 
-_REQUIRED = object()
-
 
 class _KvFile:
     """Flat ``key = value`` file whose values are converted with file:line context."""
@@ -384,23 +389,28 @@ class _KvFile:
             self.entries[key] = val.strip()
             self.lines[key] = i
 
-    def take(self, key: str, conv, default=_REQUIRED):
+    def where(self, key: str, value=None) -> str:
+        """``file:line: key 'k'``, or ``file: key 'k' (default value)`` for a key not stated."""
+        if key in self.lines:
+            return f"{self.path}:{self.lines[key]}: key '{key}'"
+        return f"{self.path}: key '{key}' (default {value})"
+
+    def take(self, key: str, conv, default=MISSING):
         """Remove ``key`` and return ``conv(value)``, or ``default`` if absent."""
         if key not in self.entries:
-            if default is _REQUIRED:
+            if default is MISSING:
                 raise DataError(f"{self.path}: missing required key '{key}'")
             return default
         raw = self.entries.pop(key)
         try:
             return conv(raw)
         except ValueError as exc:
-            raise DataError(f"{self.path}:{self.lines[key]}: key '{key}': {exc}") from None
+            raise DataError(f"{self.where(key)}: {exc}") from None
 
-    def take_fields(self, cls, **convs):
-        """A ``cls`` whose fields named in ``convs`` are keys of the file,
-        each taken as ``take`` does, with the field's default if absent."""
-        defaults = cls()
-        return cls(**{k: self.take(k, conv, getattr(defaults, k)) for k, conv in convs.items()})
+    def take_fields(self, cls, given=(), **convs):
+        """A ``cls`` of the ``given`` fields and of ``convs``' keys, each taken as ``take`` does."""
+        defaults = {f.name: f.default for f in fields(cls)}
+        return cls(**dict(given), **{k: self.take(k, c, defaults[k]) for k, c in convs.items()})
 
     def done(self) -> None:
         """Refuse the first key that no ``take`` removed."""
@@ -409,9 +419,9 @@ class _KvFile:
             raise DataError(f"{self.path}:{self.lines[key]}: unknown key '{key}'")
 
 
-def _items(arity: int, test=lambda *item: True, what: str = ""):
+def _items(arity: int, test=lambda *item: True, what: str = "", make=lambda *item: item):
     """A converter of ';'-separated items of ``arity`` ','-separated numbers,
-    each of which passes ``test(*item)``; ``what`` names the rule."""
+    each of which passes ``test(*item)`` and gives ``make(*item)``; ``what`` names the rule."""
 
     def conv(value: str) -> tuple:
         out = []
@@ -419,9 +429,10 @@ def _items(arity: int, test=lambda *item: True, what: str = ""):
             parts = [p.strip() for p in text.split(",")]
             if len(parts) != arity:
                 raise ValueError(f"expected {arity} comma-separated numbers per item")
-            out.append(tuple(_finite(p) for p in parts))
-            if not test(*out[-1]):
+            item = [_finite(p) for p in parts]
+            if not test(*item):
                 raise ValueError(f"item {text.strip()!r} needs {what}")
+            out.append(make(*item))
         return tuple(out)
 
     return conv
@@ -442,74 +453,66 @@ def _position(value: str) -> tuple:
 _position.__name__ = "'lat, lon, alt' position"  # argparse names a rejected value by it
 
 
-_OBSTACLES = _items(3, lambda e, n, radius: radius > 0.0, "a positive radius")
+def _route(value: str) -> tuple:
+    """Waypoints that a Scenario walks: its checks raise DataError, a ValueError."""
+    return sim.Scenario(_items(2)(value)).route
+
+
+def _imu_rate(text: str) -> float:
+    rate = _POSITIVE(text)
+    if not 1.0 / rate <= _MAX_DT:
+        raise ValueError(f"step {1.0 / rate} s above {_MAX_DT} s")
+    return rate
+
+
+_OBSTACLES = _items(3, lambda e, n, radius: radius > 0.0, "a positive radius", sim.Obstacle)
+_DROPOFFS = _items(3, lambda start, end, depth: start <= end, "start <= end", sim.DropoffZone)
 _WINDOWS = _items(2, lambda start, end: start <= end, "start <= end")
 
 
+def _cross_bounds(s: sim.Scenario) -> list:
+    """(key, value, holds, why) rows of the bounds that tie keys together."""
+    length = sum(map(math.dist, s.route, s.route[1:]))
+    max_rate = _MAX_IMU_SAMPLES * s.speed / length  # a walk holds length / speed * imu_rate rows
+    duration, step = length / s.speed, 1.0 / s.imu_rate
+    sigma, top, floor = s.noise.sonar_sigma, s.geometry.max_range, -s.geometry.belt_height
+    return [
+        ("imu_rate", s.imu_rate, s.imu_rate <= max_rate,
+         f"above {max_rate}, the rate of {_MAX_IMU_SAMPLES} IMU samples over the route"),
+        # a walk and its estimate need two samples, one step apart
+        ("speed", s.speed, duration >= step,
+         f"the {length} m route takes {duration} s, less than one IMU step of {step} s"),
+        # each fix is applied at an IMU step
+        ("gps_rate", s.gps_rate, s.gps_rate <= s.imu_rate, f"above imu_rate = {s.imu_rate}"),
+        # a ranging sigma as wide as the range carries no range; the bound keeps each reading finite
+        ("sonar_sigma", sigma, sigma <= top, f"above max_range = {top}"),
+        # a floor raised to the belt or above would give non-positive slant ranges
+        *(("dropoffs", (), z.depth > floor, f"item {astuple(z)}: depth <= -belt_height = {floor}")
+          for z in s.dropoffs),
+    ]
+
+
 def load_scenario(path) -> sim.Scenario:
-    """Parse a scenario config file, reporting errors with line numbers."""
+    """A scenario config file whose keys, each read alone, then meet _cross_bounds."""
     kv = _KvFile(path)
-    take = kv.take
     geometry = kv.take_fields(
         sim.SonarGeometry, belt_height=_POSITIVE, inclined_depression_deg=_ANGLE_DEG,
         inclined_azimuth_deg=_finite, beam_half_angle_deg=_ANGLE_DEG, max_range=_POSITIVE,
     )
-    # a ranging sigma as wide as the range carries no range; the bound keeps true + sigma * N finite
-    top = geometry.max_range
-    in_range = _finite_in(lambda x: 0.0 <= x <= top, f"in [0, max_range = {top}]")
-    # and a horizontal sigma wider than the Earth carries no position
-    on_earth = _finite_in(lambda x: 0.0 <= x <= geo.WGS84_A, f"in [0, WGS84_A = {geo.WGS84_A}] m")
-    # an IMU noise sigma beyond the sensor's full scale carries no reading
-    accel_in = _finite_in(lambda x: 0.0 <= x <= MAX_ACCEL, f"in [0, MAX_ACCEL = {MAX_ACCEL}] m/s^2")
-    gyro_in = _finite_in(lambda x: 0.0 <= x <= MAX_GYRO, f"in [0, MAX_GYRO = {MAX_GYRO}] rad/s")
     noise = kv.take_fields(
-        sim.NoiseConfig, accel_sigma=accel_in, gyro_sigma=gyro_in, accel_bias=_parse_triple,
-        gyro_bias=_parse_triple, gps_sigma=on_earth, sonar_sigma=in_range,
+        sim.NoiseConfig, accel_sigma=_ACCEL_SIGMA, gyro_sigma=_GYRO_SIGMA, accel_bias=_parse_triple,
+        gyro_bias=_parse_triple, gps_sigma=_GPS_SIGMA, sonar_sigma=_NON_NEGATIVE,
     )
-    # a Scenario with every other field at its default checks the route
-    # alone, and holds the defaults of the keys below
-    scenario = take("route", lambda v: sim.Scenario(_items(2)(v)))
-    route = scenario.route
-    take("front_sensors", _FRONT_PAIR, 2.0)
-    speed = take("speed", _POSITIVE, scenario.speed)
-    # a walk's IMU samples: route length / speed * imu_rate
-    max_rate = _MAX_IMU_SAMPLES * speed / sum(map(math.dist, route, route[1:]))
-    rate_in = _finite_in(
-        lambda x: 0.0 < x <= max_rate,
-        f"in (0, {max_rate}], the rate of {_MAX_IMU_SAMPLES} IMU samples over the route",
+    scenario = kv.take_fields(
+        sim.Scenario, {"noise": noise, "geometry": geometry}, route=_route, speed=_POSITIVE,
+        imu_rate=_imu_rate, gps_rate=_POSITIVE, obstacles=_OBSTACLES, dropoffs=_DROPOFFS,
+        gps_dropouts=_WINDOWS, seed=_seed, anchor=_position,
     )
-    # a 1e-9 s margin: gen_walk's grid k / imu_rate rounds a step by < ulp(1e6 s) ~ 1.2e-10 s
-    max_dt = MAX_IMU_DT * (1.0 - 1e-8)
-
-    def imu_rate_in(text: str) -> float:
-        rate = rate_in(text)
-        if not 1.0 / rate <= max_dt:
-            raise ValueError(f"step {1.0 / rate} s above {max_dt} s")
-        return rate
-
-    imu_rate = take("imu_rate", imu_rate_in, scenario.imu_rate)
-    # each fix is applied at an IMU step, so gps_rate may not exceed imu_rate
-    gps_rate_conv = _finite_in(lambda x: 0.0 < x <= imu_rate, f"in (0, imu_rate = {imu_rate}]")
-    # a floor raised to the belt or above would give non-positive slant ranges
-    floor = -geometry.belt_height
-    zones = _items(
-        3, lambda start, end, depth: start <= end and depth > floor,
-        f"start <= end and depth > -belt_height = {floor}",
-    )
-    scenario = sim.Scenario(
-        route=route,
-        speed=speed,
-        imu_rate=imu_rate,
-        gps_rate=take("gps_rate", gps_rate_conv, scenario.gps_rate),
-        noise=noise,
-        obstacles=tuple(sim.Obstacle(*o) for o in take("obstacles", _OBSTACLES, ())),
-        dropoffs=tuple(sim.DropoffZone(*z) for z in take("dropoffs", zones, ())),
-        gps_dropouts=take("gps_dropouts", _WINDOWS, ()),
-        seed=take("seed", _seed, scenario.seed),
-        anchor=take("anchor", _position, scenario.anchor),
-        geometry=geometry,
-    )
+    kv.take("front_sensors", _FRONT_PAIR, 2.0)
     kv.done()
+    for key, value, holds, why in _cross_bounds(scenario):
+        if not holds:
+            raise DataError(f"{kv.where(key, value)}: {why}")
     return scenario
 
 

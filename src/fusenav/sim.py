@@ -141,6 +141,8 @@ class Scenario:
         for a, b in zip(self.route, self.route[1:]):
             if math.hypot(b[0] - a[0], b[1] - a[1]) < 1e-9:
                 raise DataError(f"degenerate (repeated) waypoint at {a}")
+        if not math.isfinite(sum(map(math.dist, self.route, self.route[1:]))):
+            raise DataError("route length overflows")
         _build_path(self.route)  # corners it cannot blend
 
     def anchor_fix(self) -> GpsFix:

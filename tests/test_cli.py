@@ -851,6 +851,39 @@ class TestExitCodes:
         assert f"{where}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "run"])
+    @pytest.mark.parametrize(
+        "drop, lines, message",
+        [
+            # 10^6 m at 1.52 m/s and 100 Hz: 65.8 M samples, (n, 3) arrays of 1.6 GB each
+            ("imu_rate", ["route = 0, 0 ; 1000000, 0"], "key 'imu_rate' (default 100.0): above 15.2"),
+            ("sonar_sigma", ["max_range = 0.002"], "key 'sonar_sigma' (default 0.003): above max_range"),
+            # a route whose length overflows a float
+            ("route", ["route = 0, 0 ; 1.7e308, 1.7e308"], "key 'route': route length overflows"),
+            ("imu_rate", ["route = 0, 0 ; 1.7e308, 1.7e308"], "key 'route': route length overflows"),
+            # 110 m in 1.1e-10 s, less than one 0.01 s IMU step
+            ("speed", ["speed = 1e12"], "key 'speed': the 110.0 m route takes 1.1e-10 s"),
+        ],
+        ids=["default_imu_rate", "default_sonar_sigma", "overflowing_route",
+             "overflowing_route_default_imu_rate", "sub_step_walk"],
+    )
+    def test_scenario_bounds_refused_before_writing(
+        self, tmp_path, capsys, command, drop, lines, message
+    ):
+        # the stated line goes last, so a located key is on the file's last line
+        keys = tuple(f"{k} =" for k in {drop, *(line.split(" =")[0] for line in lines)})
+        base = [x for x in WALK110.read_text().splitlines() if not x.startswith(keys)]
+        path = tmp_path / "walk.cfg"
+        path.write_text("\n".join(base + lines) + "\n")
+        where = str(path) if "(default" in message else f"{path}:{len(base) + len(lines)}"
+        with pytest.raises(DataError) as refused:  # first, so that no huge walk is simulated
+            cli.load_scenario(path)
+        assert str(refused.value).startswith(f"{where}: {message}")
+        out = tmp_path / "o"
+        assert cli.main([command, "--scenario", str(path), "--out", str(out)]) == cli.EXIT_DATA
+        assert f"data error: {where}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_rejects_one_front_sensor_before_writing(self, tmp_path, capsys):
         path = tmp_path / "walk.cfg"
         path.write_text(WALK110.read_text().replace("front_sensors = 2", "front_sensors = 1"))

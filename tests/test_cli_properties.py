@@ -5,6 +5,10 @@ returns one of the documented exit codes (MacIver et al., "Hypothesis: a
 new approach to property-based testing", JOSS 2019).
 """
 
+import dataclasses
+import importlib.resources
+import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -15,7 +19,7 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from fusenav import cli  # noqa: E402
-from fusenav.core import DataError  # noqa: E402
+from fusenav.core import DataError, SonarGeometry  # noqa: E402
 
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_NUMERICAL}
 PROPERTY = settings(
@@ -112,3 +116,82 @@ def test_load_scenario_gives_value_or_data_error(data):
             cli.load_scenario(path)
         except DataError:
             pass
+
+
+# walk110.cfg's keys and values, and the belt geometry's keys at their defaults
+WALK110 = importlib.resources.files("fusenav") / "scenarios" / "walk110.cfg"
+WALK110_KEYS = {
+    **dict(line.split(" = ", 1) for line in WALK110.read_text().splitlines() if " = " in line),
+    **{f.name: repr(f.default) for f in dataclasses.fields(SonarGeometry)},
+}
+# (numbers per item, fewest items, most items) of each list key; other keys hold one number
+ITEMS = {
+    "route": (2, 2, 3), "obstacles": (3, 0, 2), "dropoffs": (3, 0, 2),
+    "accel_bias": (3, 1, 1), "gyro_bias": (3, 1, 1), "anchor": (3, 1, 1),
+}
+# finite numbers, often at or near a bound of some key
+NUMBERS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-12, 0.002, 0.003, 0.5, 1.0, 1.52, 2.0, 4.0, 10.0,
+                     45.0, 100.0, 1e6, 1e12, 1.7e308, -1.0, -1.5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+).map(repr)
+
+
+@st.composite
+def walk110_variants(draw) -> list[tuple[str, str]]:
+    """walk110.cfg's (key, value) pairs less a subset of keys, with up to
+    three values drawn anew."""
+    keys = st.sampled_from(list(WALK110_KEYS))
+    dropped, drawn = draw(st.sets(keys)), draw(st.sets(keys, max_size=3))
+    pairs = []
+    for key, value in WALK110_KEYS.items():
+        if key in dropped:
+            continue
+        if key == "seed" and key in drawn:
+            value = str(draw(st.integers(0, 2**64)))
+        elif key in drawn:
+            arity, fewest, most = ITEMS.get(key, (1, 1, 1))
+            item = st.lists(NUMBERS, min_size=arity, max_size=arity).map(", ".join)
+            value = " ; ".join(draw(st.lists(item, min_size=fewest, max_size=most)))
+        pairs.append((key, value))
+    return pairs
+
+
+def cross_bounds_hold(s) -> bool:
+    """The bounds that tie a scenario's keys together: 1 to 10^7 IMU samples
+    over the route (to a rounding of the two ways to compute them), a GPS rate
+    within the IMU rate, a ranging sigma within max_range and drop-off floors
+    below the belt."""
+    samples = sum(map(math.dist, s.route, s.route[1:])) / s.speed * s.imu_rate
+    return (
+        1.0 - 1e-12 <= samples <= 1e7 * (1.0 + 1e-12)
+        and s.gps_rate <= s.imu_rate
+        and s.noise.sonar_sigma <= s.geometry.max_range
+        and all(z.depth > -s.geometry.belt_height for z in s.dropoffs)
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(pairs=walk110_variants())
+def test_walk110_variants_load_within_bounds_or_name_the_key(pairs):
+    # each key on its own line, so its line number is its index + 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "walk.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in pairs))
+        try:
+            scenario = cli.load_scenario(path)
+        except DataError as exc:
+            where = re.escape(str(path))
+            found = re.match(
+                rf"{where}(?::(\d+))?: (?:key '(\w+)'( \(default )?|missing required key '(\w+)')",
+                str(exc),
+            )
+            assert found, str(exc)
+            line, key, default, missing = found.groups()
+            stated = {k: i for i, (k, _) in enumerate(pairs, start=1)}
+            if key in stated:
+                assert (line, default) == (str(stated[key]), None), str(exc)
+            else:
+                assert line is None and (default or missing), str(exc)
+            return
+    assert cross_bounds_hold(scenario), pairs
