@@ -56,7 +56,6 @@ from .localizer import (
     MAX_GYRO,
     MAX_IMU_DT,
     CalibrationOffsets,
-    ImuSampleError,
     LocalizerConfig,
     calibrate,
     run_localizer,
@@ -470,13 +469,15 @@ _DROPOFFS = _items(3, lambda start, end, depth: start <= end, "start <= end", si
 _WINDOWS = _items(2, lambda start, end: start <= end, "start <= end")
 
 
-def _cross_bounds(s: sim.Scenario) -> list:
-    """(key, value, holds, why) rows of the bounds that tie keys together."""
+def _cross_bounds(s: sim.Scenario):
+    """(key, value, holds, why) rows of the bounds that tie keys together,
+    in the order they are checked; the GPS epochs are formed last, once
+    the rows before have bounded their number by the IMU samples'."""
     length = sum(map(math.dist, s.route, s.route[1:]))
     max_rate = _MAX_IMU_SAMPLES * s.speed / length  # a walk holds length / speed * imu_rate rows
     duration, step = length / s.speed, 1.0 / s.imu_rate
     sigma, top, floor = s.noise.sonar_sigma, s.geometry.max_range, -s.geometry.belt_height
-    return [
+    yield from [
         ("imu_rate", s.imu_rate, s.imu_rate <= max_rate,
          f"above {max_rate}, the rate of {_MAX_IMU_SAMPLES} IMU samples over the route"),
         # a walk and its estimate need two samples, one step apart
@@ -490,6 +491,10 @@ def _cross_bounds(s: sim.Scenario) -> list:
         *(("dropoffs", (), z.depth > floor, f"item {astuple(z)}: depth <= -belt_height = {floor}")
           for z in s.dropoffs),
     ]
+    # the first fix anchors the localizer's frame
+    walk, rate = s.duration, s.gps_rate
+    yield ("gps_dropouts", (), sim.gps_epochs(walk, rate, s.gps_dropouts)[1].any(),
+           f"no GPS epoch of the {walk} s walk at gps_rate = {rate} lies outside every window")
 
 
 def load_scenario(path) -> sim.Scenario:
@@ -569,17 +574,23 @@ def _write_streams(out: Path, truth: sim.GroundTruth, imu: ImuLog, fixes, sonar:
     write_sonar_csv(out / "sonar.csv", sonar)
 
 
+@contextmanager
+def _stream_files(paths: dict):
+    """Raise a StreamError of the block as a DataError at its stream's file
+    ``paths[stream]``, and at file row i + 2 (below the header) for item i."""
+    try:
+        yield
+    except StreamError as exc:
+        where = paths[exc.stream] if exc.index is None else f"{paths[exc.stream]}:{exc.index + 2}"
+        raise DataError(f"{where}: {exc}") from None
+
+
 def _localize(paths: dict, imu: ImuLog, fixes, cfg, offsets, ref):
     """Run the filter; returns the run and its positions and velocities in
     the ENU frame at the ``ref`` 'lat, lon, alt' (None: the run's own
-    frame), est.csv's columns.  A bad IMU sample is a data error on its
-    ``paths["imu"]`` row, and a faulty stream one naming its file."""
-    try:
+    frame), est.csv's columns; a stream fault is one at its file in ``paths``."""
+    with _stream_files(paths):
         run = run_localizer(imu, fixes, cfg, offsets)
-    except ImuSampleError as exc:  # sample i is on file row i + 2
-        raise DataError(f"{paths['imu']}:{exc.index + 2}: {exc.why}") from None
-    except StreamError as exc:
-        raise DataError(f"{paths[exc.stream]}: {exc}") from None
     p, v = run.p, run.v
     if ref is not None:
         r, d = geo.enu_frame_transform(run.ref, GpsFix(0.0, *ref))
@@ -635,10 +646,8 @@ def cmd_calibrate(args) -> int:
 
 def cmd_fuse_sonar(args) -> int:
     log = read_sonar_csv(args.sonar)
-    try:
+    with _stream_files({"sonar": args.sonar}):
         fused = sonar_ekf.fuse_front_pair(log)
-    except StreamError as exc:  # row i is on file row i + 2
-        raise DataError(f"{args.sonar}:{exc.index + 2}: {exc}") from None
     out = _out_dir(args.out)
     _write_csv(out / "fused.csv", FUSED_HEADER, list(fused))
     print(f"fused {len(fused.t)} front-channel ticks -> {out / 'fused.csv'}")

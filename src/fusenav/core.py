@@ -42,8 +42,8 @@ class DataError(ValueError):
 
 
 class StreamError(DataError):
-    """A fault of one input stream, ``stream`` ("imu", "gps" or "sonar"),
-    shown at its row ``index`` when one row shows it."""
+    """The one located fault: of the input stream ``stream`` ("imu", "gps"
+    or "sonar"), at its row ``index`` when one row shows it; cli names the file."""
 
     def __init__(self, stream: str, why: str, index: int | None = None):
         self.stream, self.index = stream, index

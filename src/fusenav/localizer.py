@@ -29,7 +29,8 @@ one step at a time.  P is propagated once per segment, through the
 segment's closed-form transition and noise sum.
 
 Every run starts at the anchor fix, at rest, level and facing east.
-Faults are found in ``run_localizer`` alone; ``propagate`` only steps.
+Faults are found in ``run_localizer`` alone, each a ``core.StreamError``
+naming its stream and sample; ``propagate`` only steps.
 One column pass over the kept samples finds the first sample whose step
 cannot run, and propagation stops before it.  The states ``propagate``
 returns are checked as they come, each at the sample it feeds (the final
@@ -89,15 +90,6 @@ def _blocks(tau, ab) -> tuple:
     -[b]x on (dv, dtheta), for ab = (a, b) side by side."""
     ax, ay, az, bx, by, bz = ab.tolist()
     return (tau, tau, tau, az, -ay, -az, ax, ay, -ax, bz, -by, -bz, bx, by, -bx)
-
-
-class ImuSampleError(DataError):
-    """A fault of the IMU sample at ``index`` in the log: its step cannot
-    run, or, for the last sample, the state after it is not finite."""
-
-    def __init__(self, index: int, t: float, why):
-        self.index, self.why = index, why
-        super().__init__(f"IMU sample {index} (t={t}): {why}")
 
 
 @dataclass(frozen=True)
@@ -349,13 +341,13 @@ def run_localizer(
     walker starts there at rest, level, facing east.  IMU samples earlier
     than the anchor are dropped; every fix is applied at the first IMU
     step at or after its timestamp.  Output is one record per processed
-    IMU sample; identical inputs produce identical output.  An empty
-    stream, or no IMU sample at or after the anchor, raises StreamError
-    naming the stream.  The first IMU sample whose step cannot run, or
-    that a non-finite state feeds, raises ImuSampleError naming it, as
-    does a non-finite state after the last sample.  Noise settings whose
-    squares overflow, or that leave P non-finite at a fix, raise
-    NumericalError.
+    IMU sample; identical inputs produce identical output.  A stream
+    fault raises StreamError: an empty stream, or no IMU sample at or
+    after the anchor, without an index; a fix earlier than the one before
+    it at its index; the first IMU sample whose step cannot run, or that a
+    non-finite state feeds, at its index, as a non-finite state after the
+    last sample at the last.  Noise settings whose squares overflow, or
+    that leave P non-finite at a fix, raise NumericalError.
     """
     if offsets is None:
         offsets = CalibrationOffsets.zero()
@@ -364,9 +356,10 @@ def run_localizer(
         raise StreamError("imu", "empty IMU stream")
     if not fixes:
         raise StreamError("gps", "empty GPS stream: no fix to anchor the ENU frame")
-    for i in range(1, len(fixes)):
-        if fixes[i].t < fixes[i - 1].t:
-            raise DataError(f"GPS stream unsorted at index {i} (t={fixes[i].t})")
+    times = [f.t for f in fixes]
+    for i in range(1, len(times)):
+        if times[i] < times[i - 1]:
+            raise StreamError("gps", "timestamps unsorted", i)
 
     ref = fixes[0]
     state = NominalState(geo.wgs84_to_enu(ref, ref), np.zeros(3), level_heading_quat(0.0))
@@ -401,7 +394,7 @@ def run_localizer(
     faults[:, :lead] = False
     bad = int(faults.any(axis=0).argmax()) if faults.any() else n
     # each fix is applied, in ENU, after the first sample at or after its time
-    at = np.searchsorted(t[:bad], [f.t for f in fixes[1:]]).tolist()
+    at = np.searchsorted(t[:bad], times[1:]).tolist()
     z = geo.wgs84_to_enu(fixes[: 1 + int(np.searchsorted(at, bad))], ref)
 
     # row i holds the state that feeds sample i, row n the final state
@@ -435,8 +428,7 @@ def run_localizer(
     else:  # the state that feeds the faulty sample, or the final state
         if not (np.isfinite(ps[bad]).all() and np.isfinite(vs[bad]).all()):
             if bad == n:
-                why = "non-finite state after the last sample"
-                raise ImuSampleError(int(keep[-1]), t[-1].item(), why)
+                raise StreamError("imu", "non-finite state after the last sample", int(keep[-1]))
             faults[1, bad] = True
 
     if bad < n:
@@ -451,7 +443,7 @@ def run_localizer(
             "non-finite propagation input",
             "gyro reading too large (math domain error)",
         )[kind]
-        raise ImuSampleError(int(keep[bad]), t[bad].item(), why)
+        raise StreamError("imu", why, int(keep[bad]))
     return LocalizerRun(
         t=t,
         p=ps[1:],

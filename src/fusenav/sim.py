@@ -148,6 +148,11 @@ class Scenario:
     def anchor_fix(self) -> GpsFix:
         return GpsFix(0.0, *self.anchor)
 
+    @property
+    def duration(self) -> float:
+        """The walk's duration in s, as gen_walk takes it: the blended path at ``speed``."""
+        return _build_path(self.route)[1] / self.speed
+
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -437,6 +442,16 @@ def synth_imu(truth: GroundTruth, noise: NoiseConfig, seed: int) -> ImuLog:
     return ImuLog(t=truth.t, accel=accel, gyro=gyro)
 
 
+def gps_epochs(duration: float, rate: float, dropout_windows: Sequence = ()) -> tuple:
+    """The GPS epochs k / rate of a walk of ``duration`` s, as ``arange``
+    steps them, and a mask of those outside every (t0, t1) dropout window."""
+    epochs = np.arange(0.0, duration + 1e-9, 1.0 / rate)
+    keep = np.ones(len(epochs), dtype=bool)
+    for t0, t1 in dropout_windows:
+        keep &= ~((t0 <= epochs) & (epochs <= t1))
+    return epochs, keep
+
+
 def synth_gps(
     truth: GroundTruth,
     noise: NoiseConfig,
@@ -451,9 +466,8 @@ def synth_gps(
     included, so a dropout shifts no later fix's noise.
     """
     rng = np.random.default_rng([seed, _STREAM_GPS])
-    epochs = np.arange(0.0, truth.duration + 1e-9, 1.0 / rate)
+    epochs, keep = gps_epochs(truth.duration, rate, dropout_windows)
     draws = rng.standard_normal((len(epochs), 2))
-    keep = [not any(t0 <= t <= t1 for t0, t1 in dropout_windows) for t in epochs]
     epochs = epochs[keep]
     enu = np.column_stack([np.interp(epochs, truth.t, truth.p[:, i]) for i in range(3)])
     enu[:, :2] += noise.gps_sigma * draws[keep]

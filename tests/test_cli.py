@@ -863,9 +863,12 @@ class TestExitCodes:
             ("imu_rate", ["route = 0, 0 ; 1.7e308, 1.7e308"], "key 'route': route length overflows"),
             # 110 m in 1.1e-10 s, less than one 0.01 s IMU step
             ("speed", ["speed = 1e12"], "key 'speed': the 110.0 m route takes 1.1e-10 s"),
+            # every fix of the 72.4 s walk dropped: none anchors the localizer
+            ("gps_dropouts", ["gps_dropouts = 0, 100"],
+             "key 'gps_dropouts': no GPS epoch of the 72.36842105263158 s walk"),
         ],
         ids=["default_imu_rate", "default_sonar_sigma", "overflowing_route",
-             "overflowing_route_default_imu_rate", "sub_step_walk"],
+             "overflowing_route_default_imu_rate", "sub_step_walk", "every_gps_epoch_dropped"],
     )
     def test_scenario_bounds_refused_before_writing(
         self, tmp_path, capsys, command, drop, lines, message
@@ -883,6 +886,15 @@ class TestExitCodes:
         assert cli.main([command, "--scenario", str(path), "--out", str(out)]) == cli.EXIT_DATA
         assert f"data error: {where}: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_scenario_keeps_its_last_gps_epoch(self, tmp_path):
+        # the window drops epochs 0 to 71 of walk110's 72.4 s walk, not 72
+        path = tmp_path / "walk.cfg"
+        path.write_text(WALK110.read_text() + "gps_dropouts = 0, 71.5\n")
+        s = cli.load_scenario(path)
+        epochs, keep = sim.gps_epochs(s.duration, s.gps_rate, s.gps_dropouts)
+        assert epochs[keep].tolist() == [72.0]
+        assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
 
     def test_run_rejects_one_front_sensor_before_writing(self, tmp_path, capsys):
         path = tmp_path / "walk.cfg"

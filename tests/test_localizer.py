@@ -19,6 +19,7 @@ from fusenav.core import (
     GpsFix,
     ImuLog,
     NumericalError,
+    StreamError,
     hamilton,
     level_heading_quat,
     quat_to_matrix,
@@ -29,7 +30,6 @@ from fusenav.core import (
 from fusenav.localizer import (
     MAX_IMU_DT,
     CalibrationOffsets,
-    ImuSampleError,
     LocalizerConfig,
     NominalState,
     calibrate,
@@ -203,10 +203,10 @@ def step_run(imu, fixes, cfg, offsets, initial=None):
     """Oracle for run_localizer: its contract as one loop over the samples,
     each fix applied through gps_update after the step that reaches it,
     from ``initial`` or else run_localizer's start (at the anchor, at rest,
-    level, facing east).  A step that cannot run raises ImuSampleError
-    naming its sample, as does a non-finite state after the last sample;
-    noise that overflows, or that leaves P non-finite at a fix, raises
-    NumericalError."""
+    level, facing east).  A step that cannot run raises StreamError("imu",
+    why, i) at its sample i, as does a non-finite state after the last
+    sample; noise that overflows, or that leaves P non-finite at a fix,
+    raises NumericalError."""
     ref = fixes[0]
     s = initial or NominalState(geo.wgs84_to_enu(ref, ref), np.zeros(3), level_heading_quat(0.0))
     p_cov = initial_covariance(cfg)
@@ -218,16 +218,16 @@ def step_run(imu, fixes, cfg, offsets, initial=None):
             continue
         dt = t - t_prev
         if dt < 0.0:
-            raise ImuSampleError(i, t, "timestamps unsorted")
+            raise StreamError("imu", "timestamps unsorted", i)
         if dt == 0.0 and rows:
-            raise ImuSampleError(i, t, "duplicate timestamp")
+            raise StreamError("imu", "duplicate timestamp", i)
         if dt != 0.0:  # a first sample on the anchor takes no step
             try:
                 s, p_cov = step(s, p_cov, accel[i], gyro[i], dt, cfg)
             except DataError as exc:
-                raise ImuSampleError(i, t, exc) from None
+                raise StreamError("imu", str(exc), i) from None
             except ValueError as exc:  # math.sin of a rotation angle that overflowed
-                raise ImuSampleError(i, t, f"gyro reading too large ({exc})") from None
+                raise StreamError("imu", f"gyro reading too large ({exc})", i) from None
             except OverflowError:  # squaring a noise setting
                 raise noise_error(cfg, f"process noise overflowed at t={t}") from None
         t_prev = t
@@ -238,7 +238,7 @@ def step_run(imu, fixes, cfg, offsets, initial=None):
             accepted, rejected, k = accepted + ok, rejected + (not ok), k + 1
         rows.append((t, s.p, s.v, s.q))
     if not np.isfinite(np.concatenate([s.p, s.v, s.q])).all():
-        raise ImuSampleError(i, t, "non-finite state after the last sample")
+        raise StreamError("imu", "non-finite state after the last sample", i)
     t, p, v, q = zip(*rows)
     return np.array(t), np.array(p), np.array(v), np.array(q), accepted, rejected
 
@@ -583,6 +583,14 @@ class TestRunLocalizer:
         with pytest.raises(DataError, match="unsorted"):
             run_localizer(imu, [anchor], make_cfg())
 
+    def test_unsorted_gps_stream_names_the_fix(self):
+        # no command reaches this check: read_gps_csv refuses unsorted rows first
+        fixes = [GpsFix(1.0, 37.0, -122.0, 30.0), GpsFix(0.5, 37.0, -122.0, 30.0)]
+        imu = imu_log([1.0, 1.01, 1.02], [0, 0, -G])
+        with pytest.raises(StreamError) as info:
+            run_localizer(imu, fixes, make_cfg())
+        assert (info.value.stream, info.value.index) == ("gps", 1)
+
     @pytest.mark.parametrize("case", ["gap", "huge_gyro", "duplicate", "nan_accel", "inf_gyro"])
     def test_bad_step_names_its_sample(self, case):
         # a gap longer than MAX_IMU_DT, a finite gyro reading whose rotation
@@ -600,9 +608,9 @@ class TestRunLocalizer:
             imu.accel[2, 1] = np.nan
         if case == "inf_gyro":
             imu.gyro[2, 2] = np.inf
-        with pytest.raises(ImuSampleError, match=r"IMU sample 2 \(t=") as info:
+        with pytest.raises(StreamError) as info:
             run_localizer(imu, [anchor], make_cfg())
-        assert info.value.index == 2
+        assert (info.value.stream, info.value.index) == ("imu", 2)
 
     @pytest.mark.parametrize("gps", ["on", "off"])
     @pytest.mark.parametrize(
@@ -668,6 +676,7 @@ class TestRunLocalizer:
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
         assert getattr(got.value, "index", None) == getattr(want.value, "index", None)
+        assert getattr(got.value, "stream", None) == getattr(want.value, "stream", None)
         if case == "yaw45+spike@2":
             assert want.value.index == 3
         if gps == "off" and case.startswith("overflow@5"):

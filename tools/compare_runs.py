@@ -12,11 +12,17 @@ Each root is a checkout of this repository.  Both trees run
 replay the per-stage commands that the bench's replay110 job times,
 ``fuse-sonar``, ``localize --offsets --ref <walk110 anchor>`` and
 ``evaluate``, over the files of the parent's run, so that both read the
-same bytes.  Each command has ``PYTHONPATH=<root>/src``,
+same bytes.  Last, both trees run four commands that must be refused
+with exit 2, over faulty copies of the first walk110 run's files: a
+duplicate time on ``imu.csv`` row 101 (``localize``), a header-only
+``gps.csv`` (``localize``), a ``sonar.csv`` with its first front row
+removed (``fuse-sonar``), and ``run`` with ``gyro_bias = 0, 0, 1e300``,
+whose first step rotates too far.  Each command has ``PYTHONPATH=<root>/src``,
 ``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONHASHSEED=0``.  The script
 compares the exit codes, the stdout and stderr with the output directory
 masked, the sets of files written, and each file byte for byte.  It
-prints one line per configuration and exits 1 on any difference.
+prints one line per configuration and refusal case, and exits 1 on any
+difference or on a refusal case that does not exit 2.
 Commands go one at a time, so at most one pipeline is in memory.  A last
 line gives each tree's line total over ``src/fusenav/*.py``, as ``wc -l``
 counts them.
@@ -78,6 +84,34 @@ def replay(run_dir: Path, out: Path) -> list:
     ]
 
 
+def refusals(run_dir: Path, scenario: Path, faults: Path) -> dict:
+    """Commands that must exit 2, by label, over faulty copies of one
+    walk110 run's files and of ``scenario``, written to ``faults``."""
+    faults.mkdir()
+    imu = (run_dir / "imu.csv").read_text().splitlines(keepends=True)
+    time, rest = imu[99].split(",")[0], imu[100].partition(",")[2]
+    (faults / "imu_dup.csv").write_text("".join([*imu[:100], f"{time},{rest}", *imu[101:]]))
+    gps = (run_dir / "gps.csv").read_text().splitlines(keepends=True)
+    (faults / "gps_head.csv").write_text(gps[0])
+    sonar = (run_dir / "sonar.csv").read_text().splitlines(keepends=True)
+    sonar.remove(next(line for line in sonar if ",front," in line))
+    (faults / "sonar_front.csv").write_text("".join(sonar))
+    lines = [ln for ln in scenario.read_text().splitlines(keepends=True)
+             if not ln.startswith("gyro_bias")]
+    (faults / "spin.cfg").write_text("".join([*lines, "gyro_bias = 0, 0, 1e300\n"]))
+    imu_path, gps_path = str(run_dir / "imu.csv"), str(run_dir / "gps.csv")
+    return {
+        "refused: localize, duplicate time on imu.csv row 101": [
+            ["localize", "--imu", str(faults / "imu_dup.csv"), "--gps", gps_path]],
+        "refused: localize, header-only gps.csv": [
+            ["localize", "--imu", imu_path, "--gps", str(faults / "gps_head.csv")]],
+        "refused: fuse-sonar, first front row removed": [
+            ["fuse-sonar", "--sonar", str(faults / "sonar_front.csv")]],
+        "refused: run, gyro_bias = 0, 0, 1e300": [
+            ["run", "--scenario", str(faults / "spin.cfg")]],
+    }
+
+
 def compare(label: str, results: list) -> bool:
     """Print whether two trees' results agree; True when they do."""
     keys = sorted(set(results[0]) | set(results[1]))
@@ -105,25 +139,36 @@ def main(argv=None) -> int:
         if not (root / "src" / "fusenav").is_dir():
             parser.error(f"{root} holds no src/fusenav")
     same = total = 0
+    sides = (("parent", parent), ("change", change))
     with tempfile.TemporaryDirectory(prefix="compare_runs_") as tmp:
+        first_run = None  # the parent's first walk110 run
         for (name, rel), seed, mode, gps in itertools.product(
             SCENARIOS.items(), SEEDS, MODES, GPS
         ):
             label = f"{name} seed={seed} mode={mode} gps={gps}"
             argv = ["run", "--scenario", str(parent / rel), "--seed", str(seed)]
             argv += ["--mode", mode, "--gps", gps]
-            sides = (("parent", parent), ("change", change))
             outs = {side: Path(tmp) / side / label.replace(" ", "_") for side, _ in sides}
             results = [fusenav(root, [argv], outs[side]) for side, root in sides]
             same += compare(label, results)
             total += 1
             if name == "walk110":
+                first_run = first_run or outs["parent"]
                 results = []
                 for side, root in sides:
                     out = outs[side].with_name(outs[side].name + "_replay")
                     results.append(fusenav(root, replay(outs["parent"], out), out))
                 same += compare(f"{label} replay", results)
                 total += 1
+        cases = refusals(first_run, parent / SCENARIOS["walk110"], Path(tmp) / "faults")
+        for i, (label, commands) in enumerate(cases.items()):
+            outs = {side: Path(tmp) / side / f"refused_{i}" for side, _ in sides}
+            results = [fusenav(root, commands, outs[side]) for side, root in sides]
+            refused = results[0]["exit code"] == [2]
+            if not refused:
+                print(f"{label}: not refused")
+            same += compare(label, results) and refused
+            total += 1
     print(f"{same} of {total} configurations identical")
     print(f"src/fusenav/*.py lines: parent {source_lines(parent)}, change {source_lines(change)}")
     return 0 if same == total else 1
