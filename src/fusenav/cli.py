@@ -43,6 +43,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, astuple, fields, replace
+from functools import partial
 from itertools import islice
 from pathlib import Path
 
@@ -356,8 +357,8 @@ def write_offsets_cfg(path, offsets: CalibrationOffsets) -> None:
 
 def read_offsets_cfg(path) -> CalibrationOffsets:
     kv = _KvFile(path)
-    accel = kv.take("accel_offset", _parse_triple)
-    gyro = kv.take("gyro_offset", _parse_triple)
+    accel = kv.take("accel_offset", _ACCEL_OFFSET)
+    gyro = kv.take("gyro_offset", _GYRO_OFFSET)
     kv.done()
     return CalibrationOffsets(np.array(accel), np.array(gyro))
 
@@ -437,9 +438,15 @@ def _items(arity: int, test=lambda *item: True, what: str = "", make=lambda *ite
     return conv
 
 
-def _parse_triple(value: str):
-    (triple,) = _items(3)(value)
+def _parse_triple(value: str, bound: float = math.inf, what: str = ""):
+    """One 'x, y, z' triple, each component within +-``bound``; ``what`` names the bound."""
+    (triple,) = _items(3, lambda *c: max(map(abs, c)) <= bound, what)(value)
     return triple
+
+
+# an offset is read through the sensor, so it lies within the sensor's full scale
+_ACCEL_OFFSET = partial(_parse_triple, bound=MAX_ACCEL, what=f"components within +-MAX_ACCEL = {MAX_ACCEL} m/s^2")
+_GYRO_OFFSET = partial(_parse_triple, bound=MAX_GYRO, what=f"components within +-MAX_GYRO = {MAX_GYRO} rad/s")
 
 
 def _position(value: str) -> tuple:

@@ -23,9 +23,11 @@ Each quaternion formula is written once, as a kernel over components
 R(q), take all floats or all equal-length arrays: ``level_heading_quat``
 runs ``hamilton`` on stacks, ``quat_to_matrix`` runs ``rotation_entries``
 on the component views of a (..., 4) stack, and the localizer's
-``propagate`` on the (4, m) attitude columns of a segment, whose
-increments ``rotvec_quat`` forms as one stack.  ``unit`` takes floats
-only: the attitude loop of ``propagate`` and ``gps_update`` call it.
+``propagate`` on the (4, m) attitude columns of a segment.
+``rotvec_quat`` runs one formula on a rotation vector's components as
+floats (``gps_update``'s correction) or as columns (a segment's
+increments in ``propagate``).  ``unit`` takes floats only: the attitude
+loop of ``propagate`` and ``gps_update`` call it.
 """
 
 from __future__ import annotations
@@ -165,23 +167,33 @@ def unit(q) -> tuple:
     return w / n, x / n, y / n, z / n
 
 
+def _libm(f, x):
+    """libm's ``f`` on a float, or on each entry of a column (NumPy's own sin
+    and cos may differ from libm in the last bit)."""
+    return f(x) if type(x) is float else np.fromiter(map(f, x.tolist()), float, len(x))
+
+
 def rotvec_quat(theta):
     """Quaternions of rotation vectors, exact for any |theta| < pi; below
     1e-8 rad the first-order (1, theta/2), normalized.  ``theta`` is (3,)
-    or (m, 3), the result four floats or (m, 4): columns, but libm's sin and
-    cos on each half-angle (NumPy's may differ in the last bit)."""
-    theta = np.asarray(theta, dtype=float)
-    rows = theta.reshape(-1, 3)
-    tx, ty, tz = rows.T
-    angle = np.sqrt(tx * tx + ty * ty + tz * tz)
-    half = (0.5 * angle).tolist()
-    q = np.empty((4, len(half)))
-    q[0] = list(map(math.cos, half))
-    # a row below 1e-8 rad divides by 1e-8, not by a zero angle, and is replaced
-    q[1:] = rows.T * (np.array(list(map(math.sin, half))) / np.maximum(angle, 1e-8))
-    for i in (angle < 1e-8).nonzero()[0].tolist():
-        q[:, i] = unit((1.0, *(0.5 * rows[i]).tolist()))
-    return q.T if theta.ndim == 2 else tuple(q[:, 0].tolist())
+    or an (m, 3) array, the result four floats or (m, 4).  One formula runs
+    on the components as floats or as columns, so a row gives the same
+    floats alone or in a stack."""
+    stack = getattr(theta, "ndim", 1) == 2
+    tx, ty, tz = np.asarray(theta, dtype=float).T if stack else map(float, theta)
+    square = tx * tx + ty * ty + tz * tz
+    angle = np.sqrt(square) if stack else math.sqrt(square)  # each rounds correctly
+    half = 0.5 * angle
+    small = angle < 1e-8
+    # a row below 1e-8 rad divides by 1 + angle, not by a zero angle, and is replaced
+    k = _libm(math.sin, half) / (angle + small)
+    q = (_libm(math.cos, half), k * tx, k * ty, k * tz)
+    if not stack:
+        return unit((1.0, 0.5 * tx, 0.5 * ty, 0.5 * tz)) if small else q
+    q = np.array(q)
+    for i in small.nonzero()[0].tolist():
+        q[:, i] = rotvec_quat(theta[i])
+    return q.T
 
 
 def rotation_entries(q) -> tuple:

@@ -294,7 +294,7 @@ def gps_update(
     dx = k @ innovation
     p = s.p + dx[0:3]
     v = s.v + dx[3:6]
-    q = np.array(unit(hamilton(rotvec_quat(dx[6:9]), s.q.tolist())))
+    q = np.array(unit(hamilton(rotvec_quat(dx[6:9].tolist()), s.q.tolist())))
     p_cov = P - k @ P[0:3, :]
     return NominalState(p=p, v=v, q=q), 0.5 * (p_cov + p_cov.T), True
 

@@ -96,6 +96,19 @@ class FusedFront(NamedTuple):
 
 
 _FRONT = CHANNELS.index(SonarChannel.FRONT)
+_BLOCK = 1024  # ticks whose readings are Python floats at one time
+
+
+def _front_ticks(log: SonarLog, front: np.ndarray) -> np.ndarray:
+    """The front channel's tick times; a StreamError at the first row of a
+    tick without exactly two front readings."""
+    ticks, counts = np.unique(log.t[front], return_counts=True)
+    if np.any(counts != 2):
+        k = int(np.argmax(counts != 2))
+        row = int(np.flatnonzero(front)[np.searchsorted(log.t[front], ticks[k])])
+        why = f"unsupported sonar layout: {counts[k]} front ping(s) at t={float(ticks[k])}"
+        raise StreamError("sonar", why + "; fusion needs exactly two front sensors", row)
+    return ticks
 
 
 def fuse_front_pair(log: SonarLog) -> FusedFront:
@@ -103,25 +116,24 @@ def fuse_front_pair(log: SonarLog) -> FusedFront:
 
     Every front tick must carry exactly two readings (else a StreamError at
     the tick's first row).  The first fully valid pair initializes the
-    filter; ticks before it are not fused and get no entry.
+    filter; ticks before it are not fused and get no entry.  The t, raw1
+    and raw2 columns are views of the log's front readings; the filter
+    steps _BLOCK ticks at a time, so only one block's readings are Python
+    floats at once.
     """
     front = log.channel == _FRONT
-    ticks, counts = np.unique(log.t[front], return_counts=True)
-    if np.any(counts != 2):
-        k = int(np.argmax(counts != 2))
-        row = int(np.flatnonzero(front)[np.searchsorted(log.t[front], ticks[k])])
-        why = f"unsupported sonar layout: {counts[k]} front ping(s) at t={float(ticks[k])}"
-        raise StreamError("sonar", why + "; fusion needs exactly two front sensors", row)
-    z = log.range_m[front].reshape(-1, 2).tolist()
-    valid = log.valid[front].reshape(-1, 2).tolist()
-    rows, state = [], None
-    for tk, zk, vk in zip(ticks.tolist(), z, valid):
-        if state is not None:
+    ticks = _front_ticks(log, front)
+    z = log.range_m[front].reshape(-1, 2)
+    valid = log.valid[front].reshape(-1, 2)
+    full = valid[:, 0] & valid[:, 1]
+    first = int(full.argmax()) if full.any() else len(full)
+    out = np.empty((3, len(full) - first))  # fused, p11, p22
+    state = None
+    for lo in range(first, len(full), _BLOCK):
+        rows = []
+        for zk, vk in zip(z[lo : lo + _BLOCK].tolist(), valid[lo : lo + _BLOCK].tolist()):
             # valid by keyword: the traced bench reads it from there
-            state = update(predict(state), zk, valid=vk)
-        elif vk[0] and vk[1]:
-            state = init(zk)
-        else:
-            continue
-        rows.append((tk, *zk, fused_distance(state), *state.p))
-    return FusedFront(*np.array(rows, dtype=float).reshape(-1, 6).T)
+            state = init(zk) if state is None else update(predict(state), zk, valid=vk)
+            rows.append((fused_distance(state), *state.p))
+        out[:, lo - first : lo - first + len(rows)] = np.array(rows).T
+    return FusedFront(ticks[first:], z[first:, 0], z[first:, 1], *out)

@@ -230,6 +230,9 @@ class TestScenarioParsing:
             ("walk.cfg", "gps_dropouts", "30, 20"),
             ("offsets.cfg", "accel_offset", "1, 2"),
             ("offsets.cfg", "accel_offset", "nan, 0, 0"),
+            # beyond the IMU's full scale, which no reading through the sensor can show
+            ("offsets.cfg", "accel_offset", "1000, 0, 0"),
+            ("offsets.cfg", "gyro_offset", "1e200, 0, 0"),
         ],
     )
     def test_bad_numbers_rejected_with_key_context(
@@ -263,6 +266,12 @@ class TestScenarioParsing:
         noise = cli.load_scenario(path).noise
         assert (noise.accel_sigma, noise.gyro_sigma) == (MAX_ACCEL, MAX_GYRO)
         assert (MAX_ACCEL, MAX_GYRO) == (16 * 9.80665, 34.90658503988659)  # 16 g, 2000 deg/s
+        # offsets take the same bounds, closed
+        path = tmp_path / "offsets.cfg"
+        cli.write_offsets_cfg(path, CalibrationOffsets(np.full(3, -MAX_ACCEL), np.full(3, MAX_GYRO)))
+        offsets = cli.read_offsets_cfg(path)
+        assert offsets.accel_offset.tolist() == [-MAX_ACCEL] * 3
+        assert offsets.gyro_offset.tolist() == [MAX_GYRO] * 3
 
     def test_admitted_imu_rates_keep_grid_steps_within_bound(self, tmp_path):
         # the floats around the lowest rate load_scenario admits

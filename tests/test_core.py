@@ -329,6 +329,7 @@ def _rotation_vectors(draw):
 @settings(max_examples=200, deadline=None)
 @given(rows=st.lists(_rotation_vectors(), min_size=1, max_size=64))
 @example(rows=[(_BELOW, 0.0, 0.0), (0.0, -_AT, 0.0), (0.0, 0.0, _ABOVE), (0.0, -0.0, 5e-324)])
+@example(rows=[(-0.0, -0.0, -0.0), (0.0, 0.0, 0.0), (1e-9, -0.0, -1e-9), (-0.5, -0.0, 0.0)])
 def test_rotvec_quat_stack_equals_its_rows_bit_for_bit(rows):
     theta = np.array(rows, dtype=float)
     stacked = rotvec_quat(theta)

@@ -1,4 +1,5 @@
 import importlib.resources
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fusenav import cli, sim, sonar_ekf
-from fusenav.core import CHANNELS, DataError, SonarChannel
+from fusenav.core import CHANNELS, DataError, SonarChannel, SonarLog
 from fusenav.sonar_ekf import (
     P0,
     Q,
@@ -22,6 +23,7 @@ from fusenav.sonar_ekf import (
 from test_perception import sonar_log
 
 WALK110 = importlib.resources.files("fusenav") / "scenarios" / "walk110.cfg"
+CITY = Path(__file__).resolve().parents[1] / "perfbench" / "city.cfg"
 
 
 def kalman_oracle(z_seq, r, q, p0_scale=1.0):
@@ -198,18 +200,74 @@ def test_matches_masked_matrix_update():
                 assert_matches_matrix(state, ref)
 
 
-def test_fuse_front_pair_matches_matrix_filter_on_walk110():
-    sc = cli.load_scenario(WALK110)
-    log = sim.synth_sonar(sim.gen_walk(sc), replace(sc, seed=0))
+def front_log(z, valid, dt=0.05):
+    """A SonarLog of front rows alone: one tick per (z1, z2) pair."""
+    z, valid = np.asarray(z, dtype=float), np.asarray(valid, dtype=bool)
+    t = np.repeat(np.arange(len(z)) * dt, 2)
+    channel = np.full(t.shape, CHANNELS.index(SonarChannel.FRONT))
+    return SonarLog(t, channel, z.ravel(), valid.ravel())
+
+
+def scenario_log(path):
+    sc = cli.load_scenario(path)
+    return sim.synth_sonar(sim.gen_walk(sc), replace(sc, seed=0))
+
+
+def block_edge_log():
+    """Masked ticks on each side of a block edge of fuse_front_pair's loop,
+    whose blocks start at the first full pair: that pair is the log's tick
+    _BLOCK - 1, and ticks _BLOCK, 2 * _BLOCK - 2 and 2 * _BLOCK - 1 are
+    masked."""
+    edge = sonar_ekf._BLOCK
+    rng = np.random.default_rng(3)
+    z = 1.0 + rng.random((2 * edge + 40, 2))
+    valid = np.ones(z.shape, dtype=bool)
+    valid[: edge - 1, 1] = False
+    valid[[edge, 2 * edge - 2, 2 * edge - 1]] = [(True, False), (False, True), (False, False)]
+    return front_log(z, valid)
+
+
+FRONT_LOGS = {
+    "walk110": lambda: scenario_log(WALK110),
+    "city": lambda: scenario_log(CITY),
+    "block_edge": block_edge_log,
+    "no_full_pair": lambda: front_log([[2.0, 9.0], [1.5, 2.5]], [[True, False], [False, True]]),
+}
+
+
+@pytest.mark.parametrize("make_log", FRONT_LOGS.values(), ids=FRONT_LOGS.keys())
+def test_fuse_front_pair_matches_matrix_filter_on_walk110(make_log):
+    log = make_log()
     front = log.channel == CHANNELS.index(SonarChannel.FRONT)
-    pairs = list(zip(log.range_m[front].reshape(-1, 2), log.valid[front].reshape(-1, 2).tolist()))
+    ticks = log.t[front][::2].tolist()
+    pairs = list(zip(log.range_m[front].reshape(-1, 2).tolist(), log.valid[front].reshape(-1, 2).tolist()))
     assert not all(map(all, (v for _, v in pairs)))  # the log has masked ticks
+    # the per-tick loop's rows, from the tick that initializes the filter on
+    rows = [(tk, *z, fused_distance(s), *s.p) for tk, (z, _), s in zip(ticks, pairs, run_fusion(pairs))
+            if s is not None]
+    fused = np.array(fuse_front_pair(log))
+    want = np.array(rows, dtype=float).reshape(-1, 6).T
+    assert fused.shape == want.shape
+    assert np.array_equal(fused.view(np.uint64), want.view(np.uint64))
     refs = [ref for ref in matrix_fusion(pairs) if ref is not None]
-    fused = fuse_front_pair(log)
-    assert len(fused.t) == len(refs)
+    assert len(refs) == fused.shape[1]
     for k, (x, p) in enumerate(refs):
-        assert_allclose([fused.fused[k], fused.p11[k], fused.p22[k]], [x.mean(), p[0, 0], p[1, 1]],
-                        rtol=1e-12, atol=0)
+        assert_allclose(fused[3:, k], [x.mean(), p[0, 0], p[1, 1]], rtol=1e-12, atol=0)
+
+
+def test_fuse_front_pair_memory_is_its_columns():
+    # 100,000 ticks of front rows; the six float64 result columns are 48 B a tick
+    n = 100_000
+    rng = np.random.default_rng(7)
+    log = front_log(1.0 + rng.random((n, 2)), rng.random((n, 2)) < 0.8, dt=0.01)
+    tracemalloc.start()
+    try:
+        fused = fuse_front_pair(log)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fused.t.shape == (n - int(log.valid.reshape(-1, 2).all(axis=1).argmax()),)
+    assert peak <= 64 * n + 2**20, f"{peak / n:.0f} B a tick"
 
 
 def test_fused_variance_below_each_raw_sensor():
