@@ -357,8 +357,8 @@ def write_offsets_cfg(path, offsets: CalibrationOffsets) -> None:
 
 def read_offsets_cfg(path) -> CalibrationOffsets:
     kv = _KvFile(path)
-    accel = kv.take("accel_offset", _ACCEL_OFFSET)
-    gyro = kv.take("gyro_offset", _GYRO_OFFSET)
+    accel = kv.take("accel_offset", _ACCEL_TRIPLE)
+    gyro = kv.take("gyro_offset", _GYRO_TRIPLE)
     kv.done()
     return CalibrationOffsets(np.array(accel), np.array(gyro))
 
@@ -444,9 +444,9 @@ def _parse_triple(value: str, bound: float = math.inf, what: str = ""):
     return triple
 
 
-# an offset is read through the sensor, so it lies within the sensor's full scale
-_ACCEL_OFFSET = partial(_parse_triple, bound=MAX_ACCEL, what=f"components within +-MAX_ACCEL = {MAX_ACCEL} m/s^2")
-_GYRO_OFFSET = partial(_parse_triple, bound=MAX_GYRO, what=f"components within +-MAX_GYRO = {MAX_GYRO} rad/s")
+# an offset or a bias is read through the sensor, so it lies within the sensor's full scale
+_ACCEL_TRIPLE = partial(_parse_triple, bound=MAX_ACCEL, what=f"components within +-MAX_ACCEL = {MAX_ACCEL} m/s^2")
+_GYRO_TRIPLE = partial(_parse_triple, bound=MAX_GYRO, what=f"components within +-MAX_GYRO = {MAX_GYRO} rad/s")
 
 
 def _position(value: str) -> tuple:
@@ -512,8 +512,8 @@ def load_scenario(path) -> sim.Scenario:
         inclined_azimuth_deg=_finite, beam_half_angle_deg=_ANGLE_DEG, max_range=_POSITIVE,
     )
     noise = kv.take_fields(
-        sim.NoiseConfig, accel_sigma=_ACCEL_SIGMA, gyro_sigma=_GYRO_SIGMA, accel_bias=_parse_triple,
-        gyro_bias=_parse_triple, gps_sigma=_GPS_SIGMA, sonar_sigma=_NON_NEGATIVE,
+        sim.NoiseConfig, accel_sigma=_ACCEL_SIGMA, gyro_sigma=_GYRO_SIGMA, accel_bias=_ACCEL_TRIPLE,
+        gyro_bias=_GYRO_TRIPLE, gps_sigma=_GPS_SIGMA, sonar_sigma=_NON_NEGATIVE,
     )
     scenario = kv.take_fields(
         sim.Scenario, {"noise": noise, "geometry": geometry}, route=_route, speed=_POSITIVE,

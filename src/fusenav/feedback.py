@@ -53,10 +53,6 @@ class AudioMessage:
     text: str
     t: float
 
-    def __post_init__(self):
-        if not self.text:
-            raise DataError("audio message text must be non-empty")
-
 
 def intensity_map(distance: float) -> float:
     """Map obstacle distance to vibration intensity in [0, 1].

@@ -50,7 +50,6 @@ import numpy as np
 from . import geo
 from .core import (
     GRAVITY,
-    DataError,
     GpsFix,
     ImuLog,
     NumericalError,
@@ -155,16 +154,9 @@ def calibrate(
     resid_g = np.full(3, np.inf)
     for _ in range(max_iter):
         accel, gyro = sample_source(batch)
-        accel = np.asarray(accel, dtype=float)
-        gyro = np.asarray(gyro, dtype=float)
-        if accel.shape != (batch, 3) or gyro.shape != (batch, 3):
-            raise DataError(
-                f"sample source returned shapes {accel.shape}/{gyro.shape}, "
-                f"expected ({batch}, 3)"
-            )
         accel_sum += accel.sum(axis=0)
         gyro_sum += gyro.sum(axis=0)
-        n += batch
+        n += len(accel)
         resid_a = (accel_sum / n - accel_off) - accel_target
         resid_g = gyro_sum / n - gyro_off
         if np.all(np.abs(resid_a) <= tol) and np.all(np.abs(resid_g) <= tol):

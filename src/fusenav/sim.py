@@ -143,7 +143,8 @@ class Scenario:
                 raise DataError(f"degenerate (repeated) waypoint at {a}")
         if not math.isfinite(sum(map(math.dist, self.route, self.route[1:]))):
             raise DataError("route length overflows")
-        _build_path(self.route)  # corners it cannot blend
+        # refuses corners it cannot blend; the length is the walked one
+        object.__setattr__(self, "_path_length", _build_path(self.route)[1])
 
     def anchor_fix(self) -> GpsFix:
         return GpsFix(0.0, *self.anchor)
@@ -151,7 +152,7 @@ class Scenario:
     @property
     def duration(self) -> float:
         """The walk's duration in s, as gen_walk takes it: the blended path at ``speed``."""
-        return _build_path(self.route)[1] / self.speed
+        return self._path_length / self.speed
 
 
 @dataclass(frozen=True)
@@ -190,8 +191,8 @@ class _Line:
 class _Blend:
     """Raised-cosine curvature fillet turning by ``dtheta`` over ``length``."""
 
-    def __init__(self, entry, entry_heading, dtheta, length):
-        self.entry = np.asarray(entry, dtype=float)
+    def __init__(self, entry_heading, dtheta, length):
+        self.entry = None  # placed once the corner's trims are known
         self.entry_heading = entry_heading
         self.dtheta = dtheta
         self.length = length
@@ -209,9 +210,6 @@ class _Blend:
     def _psi(self, s):
         u = s / self.length
         return self.dtheta * (u - np.sin(2.0 * math.pi * u) / (2.0 * math.pi))
-
-    def exit_local(self) -> np.ndarray:
-        return self._table_xy[-1]
 
     def sample(self, s):
         """Positions (n, 2), headings and curvatures at local arclengths ``s``."""
@@ -245,8 +243,7 @@ def _build_path(route) -> tuple[list, float]:
         seg_len.append(length)
 
     n_seg = len(seg_len)
-    turn = [0.0] * n_seg  # turn[i] is the corner at the END of segment i
-    blends: list = [None] * n_seg
+    blends: list = [None] * n_seg  # blends[i] is the corner at the END of segment i
     trim_end = [0.0] * n_seg
     trim_start = [0.0] * n_seg
     for i in range(n_seg - 1):
@@ -258,11 +255,10 @@ def _build_path(route) -> tuple[list, float]:
                 f"corner at waypoint {i + 1} turns {math.degrees(abs(dtheta)):.0f} deg;"
                 " near-reversals cannot be blended"
             )
-        blend = _Blend(np.zeros(2), 0.0, dtheta, CORNER_BLEND_LEN)
-        ex, ey = blend.exit_local()
+        blend = _Blend(headings[i], dtheta, CORNER_BLEND_LEN)
+        ex, ey = blend._table_xy[-1]  # the exit in the corner's own frame
         d2 = ey / math.sin(dtheta)
         d1 = ex - d2 * math.cos(dtheta)
-        turn[i] = dtheta
         blends[i] = blend
         trim_end[i] = d1
         trim_start[i + 1] = d2
@@ -282,10 +278,8 @@ def _build_path(route) -> tuple[list, float]:
             pieces.append((s, _Line(start, headings[i], line_len)))
             s += line_len
         if blends[i] is not None:
-            entry = verts[i + 1] - trim_end[i] * dirs[i]
-            pieces.append(
-                (s, _Blend(entry, headings[i], turn[i], CORNER_BLEND_LEN))
-            )
+            blends[i].entry = verts[i + 1] - trim_end[i] * dirs[i]
+            pieces.append((s, blends[i]))
             s += CORNER_BLEND_LEN
     return pieces, s
 
@@ -301,7 +295,7 @@ def gen_walk(scenario: Scenario) -> GroundTruth:
     the exact end of the walk when the duration is not a tick multiple.
     """
     pieces, total_len = _build_path(scenario.route)
-    duration = total_len / scenario.speed
+    duration = scenario.duration
     dt = 1.0 / scenario.imu_rate
     n_grid = int(math.floor(duration / dt + 1e-9))
     t = np.arange(n_grid + 1) * dt

@@ -39,8 +39,6 @@ class SonarFusionState(NamedTuple):
 def init(z) -> SonarFusionState:
     """Initialize from the first observation; each variance is P0."""
     z = np.asarray(z, dtype=float)
-    if z.shape != (2,):
-        raise DataError(f"expected a 2-vector measurement, got shape {z.shape}")
     if not (z > 0.0).all():
         raise DataError(f"non-positive sonar measurement: {z}")
     return SonarFusionState(x=tuple(z.tolist()), p=(P0, P0))

@@ -428,10 +428,6 @@ def test_criterion_11_metrics_oracle():
 
 def test_criterion_12_pipeline_determinism(tmp_path):
     scenario = importlib.resources.files("fusenav") / "scenarios" / "walk110.cfg"
-    outputs = [
-        "imu.csv", "gps.csv", "sonar.csv", "truth.csv", "offsets.cfg",
-        "fused.csv", "est.csv", "feedback.csv", "report.csv",
-    ]
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         assert cli.main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
@@ -448,8 +444,11 @@ def test_criterion_12_pipeline_determinism(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr.decode()
         children.append(out)
-    for name in outputs:
-        for other in (b, *children):
+    # every file that run writes, whatever their number
+    outputs = sorted(f.name for f in a.iterdir())
+    for other in (b, *children):
+        assert sorted(f.name for f in other.iterdir()) == outputs, other
+        for name in outputs:
             assert (a / name).read_bytes() == (other / name).read_bytes(), (other, name)
     report(
         12,

@@ -228,6 +228,9 @@ class TestScenarioParsing:
             ("walk.cfg", "dropoffs", "90, 93, -1.5"),
             ("walk.cfg", "dropoffs", "90, 93, -1.0"),
             ("walk.cfg", "gps_dropouts", "30, 20"),
+            # biases beyond the IMU's full scale, as for the offsets below
+            ("walk.cfg", "accel_bias", "1000, 0, 0"),
+            ("walk.cfg", "gyro_bias", "0, 0, 1e300"),
             ("offsets.cfg", "accel_offset", "1, 2"),
             ("offsets.cfg", "accel_offset", "nan, 0, 0"),
             # beyond the IMU's full scale, which no reading through the sensor can show
@@ -667,7 +670,9 @@ class TestExitCodes:
         assert cli.main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == cli.EXIT_OK
 
     @pytest.mark.parametrize(
-        "fault", ["gps_header_only", "imu_header_only", "imu_before_anchor", "one_front_row"]
+        "fault",
+        ["gps_header_only", "gps_latitude_91", "gps_longitude_181", "imu_header_only",
+         "imu_before_anchor", "one_front_row"],
     )
     def test_stream_faults_exit_2_naming_the_file(
         self, scenario_file, tmp_path, tiny_streams, capsys, fault
@@ -677,6 +682,13 @@ class TestExitCodes:
         if fault == "gps_header_only":
             gps.write_text("t,lat,lon,alt\n")
             where, message = gps, "empty GPS stream: no fix to anchor the ENU frame"
+        elif fault.startswith("gps_"):  # a fix off the globe, on file row 3
+            row, message = {
+                "gps_latitude_91": ("1.0,91.0,-122.0,30.0", "latitude out of range: 91.0"),
+                "gps_longitude_181": ("1.0,37.0,181.0,30.0", "longitude out of range: 181.0"),
+            }[fault]
+            gps.write_text(gps.read_text() + row + "\n")
+            where = f"{gps}:3"
         elif fault == "imu_header_only":
             imu.write_text("t,ax,ay,az,gx,gy,gz\n")
             where, message = imu, "empty IMU stream"
@@ -762,15 +774,17 @@ class TestExitCodes:
         assert not (out / "est.csv").exists()
 
     def test_run_bad_imu_sample_exits_2_with_row(self, tmp_path, capsys):
-        # the simulated readings rotate too far from sample 1, row 3 of imu.csv
+        # a bias that would rotate the simulated readings too far is refused
+        # at its scenario line, before imu.csv or any other file is written
         path = tmp_path / "spin.cfg"
         lines = [ln for ln in WALK110.read_text().splitlines() if not ln.startswith("gyro_bias")]
         path.write_text("\n".join([*lines, "gyro_bias = 0, 0, 1e300"]) + "\n")
         out = tmp_path / "o"
         assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_DATA
         err = capsys.readouterr().err
-        assert f"data error: {out / 'imu.csv'}:3: gyro reading too large" in err
-        assert not (out / "est.csv").exists()
+        where = f"{path}:{len(lines) + 1}: key 'gyro_bias'"
+        assert f"data error: {where}: item '0, 0, 1e300' needs components within +-MAX_GYRO" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, output",
@@ -875,9 +889,12 @@ class TestExitCodes:
             # every fix of the 72.4 s walk dropped: none anchors the localizer
             ("gps_dropouts", ["gps_dropouts = 0, 100"],
              "key 'gps_dropouts': no GPS epoch of the 72.36842105263158 s walk"),
+            ("route", ["route = 0, 0"], "key 'route': route needs at least 2 waypoints"),
+            ("speed", ["speed = 1.52", "speed = 1.52"], "duplicate key 'speed'"),
         ],
         ids=["default_imu_rate", "default_sonar_sigma", "overflowing_route",
-             "overflowing_route_default_imu_rate", "sub_step_walk", "every_gps_epoch_dropped"],
+             "overflowing_route_default_imu_rate", "sub_step_walk", "every_gps_epoch_dropped",
+             "one_waypoint_route", "duplicate_key"],
     )
     def test_scenario_bounds_refused_before_writing(
         self, tmp_path, capsys, command, drop, lines, message
@@ -952,6 +969,20 @@ class TestCommands:
         cli.main(["simulate", "--scenario", str(scenario_file), "--out", str(b), "--seed", "3"])
         for name in ("imu.csv", "gps.csv", "sonar.csv", "truth.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_simulate_dmp_mode_draws_the_dmp_noise(self, scenario_file, tmp_path):
+        out = tmp_path / "dmp"
+        argv = ["simulate", "--scenario", str(scenario_file), "--mode", "dmp", "--out", str(out)]
+        assert cli.main(argv) == 0
+        sc = cli.load_scenario(scenario_file)
+        truth = sim.gen_walk(sc)
+        want = sim.synth_imu(truth, sc.noise.dmp_like(), sc.seed)
+        got = cli.read_imu_csv(out / "imu.csv")
+        for col in ("t", "accel", "gyro"):
+            assert getattr(got, col).tobytes() == getattr(want, col).tobytes(), col
+        # the scenario's own noise, with its biases, gives other readings
+        raw = sim.synth_imu(truth, sc.noise, sc.seed)
+        assert not np.array_equal(raw.accel, want.accel)
 
     def test_calibrate_command(self, tmp_path):
         noise = sim.NoiseConfig(

@@ -195,10 +195,6 @@ class TestAudioScheduler:
         sched.offer(AudioMessage(2, "earlier", 0.5))
         assert sched.poll(1.5).text == "earlier"
 
-    def test_empty_text_rejected(self):
-        with pytest.raises(DataError):
-            AudioMessage(1, "", 0.0)
-
     def test_config_validation(self):
         with pytest.raises(DataError):
             AudioScheduler(min_gap=0.0)

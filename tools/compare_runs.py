@@ -17,7 +17,9 @@ with exit 2, over faulty copies of the first walk110 run's files: a
 duplicate time on ``imu.csv`` row 101 (``localize``), a header-only
 ``gps.csv`` (``localize``), a ``sonar.csv`` with its first front row
 removed (``fuse-sonar``), and ``run`` with ``gyro_bias = 0, 0, 1e300``,
-whose first step rotates too far.  Each command has ``PYTHONPATH=<root>/src``,
+a bias beyond the IMU's full scale (refused at its scenario key, or, in a
+tree that reads any finite bias, at the first ``imu.csv`` step that it
+rotates too far).  Each command has ``PYTHONPATH=<root>/src``,
 ``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONHASHSEED=0``.  The script
 compares the exit codes, the stdout and stderr with the output directory
 masked, the sets of files written, and each file byte for byte.  It
