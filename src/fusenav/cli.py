@@ -42,7 +42,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import MISSING, astuple, fields, replace
+from dataclasses import MISSING, astuple, fields
 from functools import partial
 from itertools import islice
 from pathlib import Path
@@ -408,9 +408,10 @@ class _KvFile:
             raise DataError(f"{self.where(key)}: {exc}") from None
 
     def take_fields(self, cls, given=(), **convs):
-        """A ``cls`` of the ``given`` fields and of ``convs``' keys, each taken as ``take`` does."""
+        """A ``cls`` of ``convs``' keys, each taken as ``take`` does, and of the
+        ``given`` fields, which replace a taken key of the same name."""
         defaults = {f.name: f.default for f in fields(cls)}
-        return cls(**dict(given), **{k: self.take(k, c, defaults[k]) for k, c in convs.items()})
+        return cls(**{**{k: self.take(k, c, defaults[k]) for k, c in convs.items()}, **dict(given)})
 
     def done(self) -> None:
         """Refuse the first key that no ``take`` removed."""
@@ -504,8 +505,10 @@ def _cross_bounds(s: sim.Scenario):
            f"no GPS epoch of the {walk} s walk at gps_rate = {rate} lies outside every window")
 
 
-def load_scenario(path) -> sim.Scenario:
-    """A scenario config file whose keys, each read alone, then meet _cross_bounds."""
+def load_scenario(path, seed=None, mode="raw") -> sim.Scenario:
+    """A scenario config file whose keys, each read alone, then meet _cross_bounds; a
+    ``seed`` other than None, and ``mode`` "dmp" (``dmp_like`` noise), replace the
+    file's in the one Scenario built, once its keys are read."""
     kv = _KvFile(path)
     geometry = kv.take_fields(
         sim.SonarGeometry, belt_height=_POSITIVE, inclined_depression_deg=_ANGLE_DEG,
@@ -515,10 +518,11 @@ def load_scenario(path) -> sim.Scenario:
         sim.NoiseConfig, accel_sigma=_ACCEL_SIGMA, gyro_sigma=_GYRO_SIGMA, accel_bias=_ACCEL_TRIPLE,
         gyro_bias=_GYRO_TRIPLE, gps_sigma=_GPS_SIGMA, sonar_sigma=_NON_NEGATIVE,
     )
+    given = {"noise": noise.dmp_like() if mode == "dmp" else noise, "geometry": geometry}
+    given |= {} if seed is None else {"seed": seed}
     scenario = kv.take_fields(
-        sim.Scenario, {"noise": noise, "geometry": geometry}, route=_route, speed=_POSITIVE,
-        imu_rate=_imu_rate, gps_rate=_POSITIVE, obstacles=_OBSTACLES, dropoffs=_DROPOFFS,
-        gps_dropouts=_WINDOWS, seed=_seed, anchor=_position,
+        sim.Scenario, given, route=_route, speed=_POSITIVE, imu_rate=_imu_rate, gps_rate=_POSITIVE,
+        obstacles=_OBSTACLES, dropoffs=_DROPOFFS, gps_dropouts=_WINDOWS, seed=_seed, anchor=_position,
     )
     kv.take("front_sensors", _FRONT_PAIR, 2.0)
     kv.done()
@@ -530,16 +534,6 @@ def load_scenario(path) -> sim.Scenario:
 
 # ---------------------------------------------------------------------------
 # Pipeline helpers
-
-
-def _scenario(args) -> sim.Scenario:
-    """The scenario file named by ``args`` with the command-line overrides."""
-    scenario = load_scenario(args.scenario)
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
-    if args.mode == "dmp":
-        scenario = replace(scenario, noise=scenario.noise.dmp_like())
-    return scenario
 
 
 def _localizer_config(noise: sim.NoiseConfig) -> LocalizerConfig:
@@ -613,7 +607,8 @@ def _evaluate(out: Path, est: metrics.Trajectory, truth: metrics.Trajectory) -> 
 
 
 def cmd_simulate(args) -> int:
-    truth, imu, fixes, sonar, out = _simulate(_scenario(args), args)
+    scenario = load_scenario(args.scenario, args.seed, args.mode)
+    truth, imu, fixes, sonar, out = _simulate(scenario, args)
     _write_streams(out, truth, imu, fixes, sonar)
     print(
         f"simulated {truth.path_length:.2f} m / {truth.duration:.2f} s "
@@ -736,7 +731,7 @@ def _forked_writes():
 
 
 def cmd_run(args) -> int:
-    scenario = _scenario(args)
+    scenario = load_scenario(args.scenario, args.seed, args.mode)
     try:  # before any file is written
         detector = perception.ObstacleDetector(scenario.geometry)
     except DataError as exc:

@@ -25,9 +25,9 @@ runs ``hamilton`` on stacks, ``quat_to_matrix`` runs ``rotation_entries``
 on the component views of a (..., 4) stack, and the localizer's
 ``propagate`` on the (4, m) attitude columns of a segment.
 ``rotvec_quat`` runs one formula on a rotation vector's components as
-floats (``gps_update``'s correction) or as columns (a segment's
-increments in ``propagate``).  ``unit`` takes floats only: the attitude
-loop of ``propagate`` and ``gps_update`` call it.
+floats (``gps_update``'s correction) or as columns (the increments that
+``run_localizer`` forms, 1,024 steps at a time).  ``unit`` takes floats
+only: the attitude loop of ``propagate`` and ``gps_update`` call it.
 """
 
 from __future__ import annotations

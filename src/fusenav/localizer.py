@@ -20,12 +20,13 @@ shared mutable state, and the module's arrays are read-only constants.
 
 Between two fixes nothing reads P, so ``propagate`` steps one such
 segment of IMU samples at a time and ``run_localizer`` calls it once per
-fix (a longer gap in calls of at most 1,024 steps).  The nominal states
-are columns: the gyro increments one stack, and the attitude a float loop
-of ``core``'s product and normalization over them, filling one flat list,
-then one (m + 1, 4) array, whose stacked ``rotation_entries`` give R(q) a
-in three row products.  v and p are running sums that add in the order of
-one step at a time.  P is propagated once per segment, through the
+fix (a longer gap in calls of at most 1,024 steps).  Each step's gyro dt,
+noise squares and ``rotvec_quat`` increment are formed once per run, by
+the column pass that checks them.  The nominal states are columns: the
+attitude a float loop of ``core``'s product and normalization over the
+increments, then one (m + 1, 4) array, whose stacked ``rotation_entries``
+give R(q) a in three row products.  v and p are running sums in the order
+of one step at a time.  P is propagated once per segment, through the
 segment's closed-form transition and noise sum.
 
 Every run starts at the anchor fix, at rest, level and facing east.
@@ -67,7 +68,7 @@ MAX_GYRO = math.radians(2000.0)  # rad/s: 2000 deg/s, that family's widest full 
 INNOVATION_GATE = 5.0  # per-axis gate, in innovation standard deviations
 INIT_VEL_STD = 1.0  # m/s, initial velocity uncertainty
 INIT_ATT_STD = 0.1  # rad, initial attitude uncertainty
-_MAX_SEGMENT = 1024  # steps per propagate call, which bounds its temporaries
+_MAX_SEGMENT = 1024  # steps per propagate call and per stack of increments: bounds temporaries
 
 # Read-only constants of propagate: Phi's identity, the flat indices of its
 # tau and -[.]x entries; which of the noise's five values (three block sums,
@@ -180,17 +181,19 @@ def propagate(
     s: NominalState,
     P: np.ndarray,
     accel: np.ndarray,
-    gyro: np.ndarray,
+    dq: np.ndarray,
     dt: np.ndarray,
-    cfg: LocalizerConfig,
+    qa: np.ndarray,
+    qg: np.ndarray,
 ) -> tuple[NominalState, np.ndarray]:
     """Strapdown steps over one segment, plus the covariance at its end.
 
-    ``accel`` and ``gyro`` are (m, 3) offset-corrected body-frame readings
-    and ``dt`` their (m,) steps.  Each step: a_nav = R(q) accel + g; p, v by
-    constant-acceleration kinematics; q right-multiplied by the gyro
-    increment (all m formed as one stack).  Returns the m states after
-    each step, stacked in one NominalState (p (m, 3), v (m, 3), q (m, 4)),
+    ``accel`` holds (m, 3) offset-corrected body-frame readings, ``dt`` their
+    (m,) steps; the caller forms their (m, 4) attitude increments ``dq``
+    (``rotvec_quat`` of gyro dt) and noise squares ``qa``, ``qg`` (sigma dt)^2.
+    Each step: a_nav = R(q) accel + g; p, v by constant-acceleration
+    kinematics; q right-multiplied by its increment.  Returns the m states
+    after each step, stacked in one NominalState (p (m, 3), v (m, 3), q (m, 4)),
     and P after the last step.
 
     Nothing inside a segment reads P, so it is propagated once, as
@@ -200,27 +203,22 @@ def propagate(
     [0, I, -[sum_j e_j]x], [0, 0, I]] (j over the steps spanned, tau their
     time, tau_j the time left after step j), with e = R(q) accel dt and
     h = e dt / 2, the exact derivative of this integrator.  Qd_k is
-    diag(sa^2 dt^2 I, sg^2 dt^2 I) on (dv, dtheta), so the noise sum is a
+    diag(qa_k I, qg_k I) on (dv, dtheta), so the noise sum is a
     few weighted outer products, since [a]x [b]x^T = (a.b) I - b a^T: on
     (dp, dv), three scalar sums times I less one gather of a 6x6 product.
 
     The caller checks the preconditions: every dt in (0, MAX_IMU_DT],
-    finite readings, a finite state with a unit q, gyro rotation angles
-    whose squares are finite and process noise whose squares are finite.
+    finite readings and noise squares, and a finite state with a unit q.
     The states and P it returns may still overflow, and are the caller's
     to check.
     """
-    # the caller checks the returned states and P for overflow and nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        theta = gyro * dt[:, None]
-        qa = (cfg.accel_noise * dt) ** 2
-        qg = (cfg.gyro_noise * dt) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks the results
         q = s.q.tolist()
         flat = list(q)
-        for d in rotvec_quat(theta).tolist():
+        for d in dq.tolist():
             q = unit(hamilton(q, d))
             flat += q
-        qs = np.array(flat, dtype=float).reshape(-1, 4)
+        qs = np.fromiter(flat, float, len(flat)).reshape(-1, 4)
 
         # the nominal step's operations, in its order, as columns
         r = np.array(rotation_entries(qs[:-1].T))
@@ -228,22 +226,22 @@ def propagate(
         c = (r[0::3] * ax + r[1::3] * ay + r[2::3] * az).T
         d = dt[:, None]
         n = c + GRAVITY
-        v = np.cumsum(np.concatenate([s.v[None], n * d]), axis=0)
+        v = np.concatenate([s.v[None], n * d]).cumsum(axis=0)
         # p_k = (p_{k-1} + v_{k-1} dt) + 0.5 n dt dt, as one running sum
         x = np.empty((2 * len(dt) + 1, 3))
         x[0] = s.p
         x[1::2] = v[:-1] * d
         x[2::2] = 0.5 * n * d * d
-        p = np.cumsum(x, axis=0)[2::2]
+        p = x.cumsum(axis=0)[2::2]
         v = v[1:]
 
         e = c * d
-        tail = np.cumsum(dt[::-1])[::-1]  # from the start of each step to the end
+        tail = dt[::-1].cumsum()[::-1]  # from the start of each step to the end
         tau = np.concatenate([tail[1:], [0.0]])
         ge = np.concatenate([0.5 * e * d + tau[:, None] * e, e], axis=1)  # g and e
         # sums of g and e over the steps after each step
         after = np.zeros((len(dt), 6))
-        after[:-1] = np.cumsum(ge[:0:-1], axis=0)[::-1]
+        after[:-1] = ge[:0:-1].cumsum(axis=0)[::-1]
         phi = _EYE9.copy()
         phi.put(_F_INDEX, _blocks(tail[0], after[0] + ge[0]))
 
@@ -367,20 +365,22 @@ def run_localizer(
     n = len(keep)
     t = imu.t[keep]
     accel = imu.accel.take(keep, axis=0) - offsets.accel_offset  # take: 5x faster
-    gyro = imu.gyro.take(keep, axis=0) - offsets.gyro_offset
     dt = np.diff(t, prepend=ref.t)
     lead = int(dt[0] == 0.0)  # a first sample on the anchor takes no step
 
-    # the faults of each sample's step, in the order they are reported in
+    # the faults of each sample's step, in the order they are reported in, from its
+    # propagate inputs (for a dt in range, theta is finite where the gyro reading is)
     with np.errstate(over="ignore", invalid="ignore"):
-        tx, ty, tz = (gyro * dt[:, None]).T
-        fx, fy, fz = (np.isfinite(accel) & np.isfinite(gyro)).T  # all(axis=1) is 10x slower
+        theta = (imu.gyro.take(keep, axis=0) - offsets.gyro_offset) * dt[:, None]
+        tx, ty, tz = theta.T
+        qa, qg = (cfg.accel_noise * dt) ** 2, (cfg.gyro_noise * dt) ** 2
+        fx, fy, fz = (np.isfinite(accel) & np.isfinite(theta)).T  # all(axis=1) is 10x slower
         faults = np.array(
             [
                 ~((dt > 0.0) & (dt <= MAX_IMU_DT)),
                 ~(fx & fy & fz),
                 ~np.isfinite(tx * tx + ty * ty + tz * tz),  # math.sin of it would raise
-                ~np.isfinite((cfg.accel_noise * dt) ** 2 + (cfg.gyro_noise * dt) ** 2),
+                ~np.isfinite(qa + qg),
             ]
         )
     faults[:, :lead] = False
@@ -394,12 +394,17 @@ def run_localizer(
     ps[lead], vs[lead], qs[lead] = state.p, state.v, state.q
     accepted = rejected = 0
     fix_idx = 1  # the anchor fix is consumed by initialization
-    lo = lead
+    lo = b0 = lead
+    dq = theta[:0]  # increments of the steps from b0 on, _MAX_SEGMENT at a time
     for hi in sorted({i + 1 for i in at if i < bad} | {bad}):
         start = lo
         while lo < hi:  # propagation stops before the first faulty sample
             mid = min(hi, lo + _MAX_SEGMENT)
-            seg, p_cov = propagate(state, p_cov, accel[lo:mid], gyro[lo:mid], dt[lo:mid], cfg)
+            if mid > b0 + len(dq):  # rows from bad on may overflow math.sin
+                b0, dq = lo, rotvec_quat(theta[lo : min(bad, lo + _MAX_SEGMENT)])
+            seg, p_cov = propagate(
+                state, p_cov, accel[lo:mid], dq[lo - b0 : mid - b0], dt[lo:mid], qa[lo:mid], qg[lo:mid]
+            )
             ps[lo + 1 : mid + 1], vs[lo + 1 : mid + 1], qs[lo + 1 : mid + 1] = seg.p, seg.v, seg.q
             state = NominalState(p=seg.p[-1], v=seg.v[-1], q=seg.q[-1])
             lo = mid

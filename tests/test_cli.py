@@ -984,6 +984,27 @@ class TestCommands:
         raw = sim.synth_imu(truth, sc.noise, sc.seed)
         assert not np.array_equal(raw.accel, want.accel)
 
+    @pytest.mark.parametrize("overrides", [[], ["--seed", "3"], ["--seed", "3", "--mode", "dmp"]])
+    def test_overrides_build_the_route_in_no_extra_scenario(
+        self, scenario_file, tmp_path, monkeypatch, overrides
+    ):
+        # the route key's converter, the one Scenario and gen_walk build it
+        builds = []
+        build = sim._build_path
+        monkeypatch.setattr(sim, "_build_path", lambda route: builds.append(route) or build(route))
+        argv = ["simulate", "--scenario", str(scenario_file), *overrides, "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 0
+        assert len(builds) == 3
+        base = cli.load_scenario(scenario_file)
+        want = dataclasses.replace(base, seed=3, noise=base.noise.dmp_like())
+        assert cli.load_scenario(scenario_file, 3, "dmp") == want
+        assert cli.load_scenario(scenario_file, 3) == dataclasses.replace(base, seed=3)
+        # the file's own seed key is still read and refused
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SHORT_SCENARIO.replace("seed = 7", "seed = -1"))
+        with pytest.raises(DataError, match=r"bad\.cfg:6: key 'seed'"):
+            cli.load_scenario(bad, 3, "dmp")
+
     def test_calibrate_command(self, tmp_path):
         noise = sim.NoiseConfig(
             accel_sigma=0.02, gyro_sigma=0.002, accel_bias=(0.15, -0.1, 0.05),

@@ -263,10 +263,17 @@ def dense_propagate(s, P, accel, gyro, dt, cfg):
     return NominalState(p=p, v=v, q=q), 0.5 * (p_cov + p_cov.T)
 
 
+def propagate_readings(s, P, accel, gyro, dt, cfg):
+    """propagate on (m, 3) readings and (m,) steps, with each step's attitude
+    increment and noise squares formed from them as run_localizer forms them."""
+    qa, qg = (cfg.accel_noise * dt) ** 2, (cfg.gyro_noise * dt) ** 2
+    return propagate(s, P, accel, rotvec_quat(gyro * dt[:, None]), dt, qa, qg)
+
+
 def segment(s, P, accel, gyro, dt, cfg):
     """propagate over the steps ``dt`` (one step: a float and (3,) readings),
     as the state after the last step and P."""
-    seg, p_cov = propagate(
+    seg, p_cov = propagate_readings(
         s, P, np.reshape(accel, (-1, 3)), np.reshape(gyro, (-1, 3)), np.atleast_1d(dt), cfg
     )
     return NominalState(p=seg.p[-1], v=seg.v[-1], q=seg.q[-1]), p_cov
@@ -411,7 +418,7 @@ class TestPropagate:
             accel = rng.standard_normal((m, 3)) * 3 - GRAVITY
             gyro = rng.standard_normal((m, 3)) * (1e-9 if k % 4 == 0 else 1.0)
             dt = rng.uniform(1e-4, MAX_IMU_DT, m) if k % 2 else np.full(m, 0.01)
-            seg, got_p = propagate(s, p_cov, accel, gyro, dt, cfg)
+            seg, got_p = propagate_readings(s, p_cov, accel, gyro, dt, cfg)
             want_p = p_cov
             for j in range(m):
                 s, want_p = step(s, want_p, accel[j], gyro[j], dt[j].item(), cfg)
@@ -631,11 +638,14 @@ class TestRunLocalizer:
             "overflow@5+huge_gyro@112",
             "overflow@5+gap@111",
             "overflow@5+cut@111",
+            "gap@300+huge_gyro@400",
+            "nan_accel@300+huge_gyro@301",
         ],
     )
     def test_faults_match_the_step_oracle(self, walk110_streams, case, gps):
         # the same exception type, sample and message as the per-step loop;
-        # "overflow@5" makes the GPS-off state overflow going into sample 111
+        # "overflow@5" makes the GPS-off state overflow going into sample 111;
+        # a rotation angle that overflows after the first fault is never stepped
         imu, fixes, cfg, offsets = walk110_streams
         fixes = fixes if gps == "on" else fixes[:1]
         t, accel, gyro = imu.t.copy(), imu.accel.copy(), imu.gyro.copy()

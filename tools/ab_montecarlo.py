@@ -20,6 +20,10 @@ rounds over the seeds, it times one job of each tree per (round, seed),
 alternating which tree goes first, and prints both trees' median job time
 with its quartiles, their ratio (parent over change, above 1 when the
 change is faster) and in how many of the pairs the change was faster.
+It then prints the same medians, ratio and count for each kind of walk
+(raw GPS on, raw GPS off, dmp), timed one walk at a time within the jobs:
+a saving per GPS fix shows in the GPS-on walks alone, one per IMU step in
+all three.
 
 Running both trees side by side in one process keeps a shared host's
 drift, which moves whole subprocess runs by up to 1.5x, out of the ratio.
@@ -39,6 +43,7 @@ from pathlib import Path
 from time import perf_counter
 
 SEEDS = range(8)  # the montecarlo workload's k
+KINDS = ("raw GPS on", "raw GPS off", "dmp")  # the walks of a job, in montecarlo_cases' order
 MODULES = ("sim", "metrics", "localizer")
 
 
@@ -48,12 +53,12 @@ def load_tree(root: Path, name: str, tmp: Path) -> dict:
     return {m: importlib.import_module(f"{name}.{m}") for m in MODULES}
 
 
-def load_walks(root: Path):
+def load_workloads(root: Path):
     spec = importlib.util.spec_from_file_location("ab_workloads", root / "perfbench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
-    return module.montecarlo_walks
+    return module
 
 
 def recorded(mods: dict, walks, seed: int) -> tuple[list, list]:
@@ -91,7 +96,8 @@ def main(argv=None) -> int:
             parser.error(f"{root} holds no src/fusenav")
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    walks = load_walks(change)
+    workloads = load_workloads(change)
+    walks = workloads.montecarlo_walks
     with tempfile.TemporaryDirectory(prefix="ab_montecarlo_") as tmp:
         sys.path.insert(0, tmp)
         trees = {
@@ -113,25 +119,40 @@ def main(argv=None) -> int:
             f"{SEEDS.start}-{SEEDS.stop - 1} (three walks each)"
         )
 
-        times = {side: [] for side in trees}
+        cases = {side: workloads.montecarlo_cases(mods["sim"]) for side, mods in trees.items()}
+        # times[side][k]: walk kind k's times; a job's time is the sum of its three walks'
+        times = {side: [[] for _ in KINDS] for side in trees}
         for rnd in range(args.rounds):
             for seed in SEEDS:
                 order = ("parent", "change") if (rnd + seed) % 2 == 0 else ("change", "parent")
                 for side in order:
-                    t0 = perf_counter()
-                    walks(trees[side], seed)
-                    times[side].append(perf_counter() - t0)
-    pairs = len(times["parent"])
-    wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
-    quart = {side: statistics.quantiles(ts, n=4) for side, ts in times.items()}
-    med = {side: q[1] for side, q in quart.items()}
-    for side, (q1, q2, q3) in quart.items():
+                    for ts, case in zip(times[side], cases[side], strict=True):
+                        t0 = perf_counter()
+                        workloads.montecarlo_walk(trees[side], seed, *case)
+                        ts.append(perf_counter() - t0)
+    jobs = {side: [sum(walk) for walk in zip(*ts)] for side, ts in times.items()}
+    med = {side: report(f"{side} job (three walks)", ts) for side, ts in jobs.items()}
+    print(f"ratio parent/change {med['parent'] / med['change']:.3f}; {wins(jobs)}")
+    for k, kind in enumerate(KINDS):
+        ts = {side: times[side][k] for side in trees}
+        p, c = (statistics.median(ts[side]) for side in trees)
         print(
-            f"{side} job (three walks): median {q2 * 1e3:.2f} ms, "
-            f"quartiles {q1 * 1e3:.2f}-{q3 * 1e3:.2f} ms"
+            f"{kind} walks: median parent {p * 1e3:.2f} ms, change {c * 1e3:.2f} ms, "
+            f"ratio parent/change {p / c:.3f}; {wins(ts)}"
         )
-    print(f"ratio parent/change {med['parent'] / med['change']:.3f}; change faster in {wins} of {pairs} pairs")
     return 0
+
+
+def report(what: str, ts: list) -> float:
+    """Print the median and quartiles of ``ts``; return the median."""
+    q1, q2, q3 = statistics.quantiles(ts, n=4)
+    print(f"{what}: median {q2 * 1e3:.2f} ms, quartiles {q1 * 1e3:.2f}-{q3 * 1e3:.2f} ms")
+    return q2
+
+
+def wins(times: dict) -> str:
+    faster = sum(c < p for p, c in zip(times["parent"], times["change"], strict=True))
+    return f"change faster in {faster} of {len(times['parent'])} pairs"
 
 
 if __name__ == "__main__":
