@@ -28,16 +28,22 @@ scenarios/walk110.cfg).
 Every command is deterministic given its inputs and seed, across
 processes as well (no output depends on the hash seed).  Exit codes:
 0 success, 1 usage, 2 data error, 3 numerical failure; an output that
-cannot be written is a data error naming its path.  ``run`` writes
+cannot be written, stdout included, is a data error naming its path
+(``<stdout>``).  ``run`` writes
 truth/imu/gps/sonar.csv from a forked child once the walk is simulated,
 and est.csv from another once the filter has run, while it computes on;
 it joins both before it returns, on success or error, and a child's
 write error exits 2.
+A process executes only the modules its command runs: ``feedback``,
+``metrics``, ``perception``, ``sim`` and ``sonar_ekf`` are loaded on first
+use, so ``calibrate`` and ``localize`` execute none of them, ``fuse-sonar``
+only ``sonar_ekf`` and ``evaluate`` only ``metrics``.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import math
 import os
 import sys
@@ -49,8 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import feedback as fb
-from . import geo, metrics, perception, sim, sonar_ekf
+from . import geo
 from .core import CHANNELS, DataError, GpsFix, ImuLog, NumericalError, SonarLog, StreamError
 from .localizer import (
     MAX_ACCEL,
@@ -61,6 +66,22 @@ from .localizer import (
     calibrate,
     run_localizer,
 )
+
+
+def _lazy(name: str):
+    """fusenav.``name``, executed at its first attribute access.  The proxy is
+    the module itself, in sys.modules and on the package: a wrapper set on it stays."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[full] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full]
+
+
+fb, metrics, perception, sim, sonar_ekf = map(_lazy, ("feedback", "metrics", "perception", "sim", "sonar_ekf"))
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -348,11 +369,15 @@ def read_pose_csv(path, label: str) -> metrics.Trajectory:
     return metrics.Trajectory(t=cols[0], xyz=np.ascontiguousarray(cols[1:4].T), label=label)
 
 
+def _offsets_text(offsets: CalibrationOffsets) -> str:
+    """offsets.cfg's two key lines, which calibrate also prints."""
+    accel, gyro = (", ".join(map(_fmt, v)) for v in (offsets.accel_offset, offsets.gyro_offset))
+    return f"accel_offset = {accel}\ngyro_offset = {gyro}"
+
+
 def write_offsets_cfg(path, offsets: CalibrationOffsets) -> None:
     with _writing(path), open(path, "w") as f:
-        f.write("# IMU calibration offsets (subtract from raw readings)\n")
-        f.write("accel_offset = " + ", ".join(map(_fmt, offsets.accel_offset)) + "\n")
-        f.write("gyro_offset = " + ", ".join(map(_fmt, offsets.gyro_offset)) + "\n")
+        f.write(f"# IMU calibration offsets (subtract from raw readings)\n{_offsets_text(offsets)}\n")
 
 
 def read_offsets_cfg(path) -> CalibrationOffsets:
@@ -472,8 +497,9 @@ def _imu_rate(text: str) -> float:
     return rate
 
 
-_OBSTACLES = _items(3, lambda e, n, radius: radius > 0.0, "a positive radius", sim.Obstacle)
-_DROPOFFS = _items(3, lambda start, end, depth: start <= end, "start <= end", sim.DropoffZone)
+# their classes are looked up per item, so that importing cli loads no sim
+_OBSTACLES = _items(3, lambda e, n, radius: radius > 0.0, "a positive radius", lambda *o: sim.Obstacle(*o))
+_DROPOFFS = _items(3, lambda start, end, depth: start <= end, "start <= end", lambda *z: sim.DropoffZone(*z))
 _WINDOWS = _items(2, lambda start, end: start <= end, "start <= end")
 
 
@@ -606,15 +632,14 @@ def _evaluate(out: Path, est: metrics.Trajectory, truth: metrics.Trajectory) -> 
     return metrics.format_table(report)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> str:
     scenario = load_scenario(args.scenario, args.seed, args.mode)
     truth, imu, fixes, sonar, out = _simulate(scenario, args)
     _write_streams(out, truth, imu, fixes, sonar)
-    print(
+    return (
         f"simulated {truth.path_length:.2f} m / {truth.duration:.2f} s "
         f"({len(imu)} IMU, {len(fixes)} GPS, {len(sonar)} sonar) -> {out}"
     )
-    return EXIT_OK
 
 
 def _file_batch_source(path):
@@ -636,27 +661,24 @@ def _file_batch_source(path):
     return source
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args) -> str:
     source = _file_batch_source(args.imu)
     offsets = calibrate(source, batch=args.batch, tol=args.tol, max_iter=args.max_iter)
     out = _out_dir(args.out)
     write_offsets_cfg(out / "offsets.cfg", offsets)
-    print("accel_offset =", ", ".join(map(_fmt, offsets.accel_offset)))
-    print("gyro_offset =", ", ".join(map(_fmt, offsets.gyro_offset)))
-    return EXIT_OK
+    return _offsets_text(offsets)
 
 
-def cmd_fuse_sonar(args) -> int:
+def cmd_fuse_sonar(args) -> str:
     log = read_sonar_csv(args.sonar)
     with _stream_files({"sonar": args.sonar}):
         fused = sonar_ekf.fuse_front_pair(log)
     out = _out_dir(args.out)
     _write_csv(out / "fused.csv", FUSED_HEADER, list(fused))
-    print(f"fused {len(fused.t)} front-channel ticks -> {out / 'fused.csv'}")
-    return EXIT_OK
+    return f"fused {len(fused.t)} front-channel ticks -> {out / 'fused.csv'}"
 
 
-def cmd_localize(args) -> int:
+def cmd_localize(args) -> str:
     imu = read_imu_csv(args.imu)
     fixes = read_gps_csv(args.gps)
     offsets = read_offsets_cfg(args.offsets) if args.offsets else None
@@ -669,19 +691,17 @@ def cmd_localize(args) -> int:
     run, p, v = _localize(paths, imu, fixes, cfg, offsets, args.ref)
     out = _out_dir(args.out)
     write_pose_csv(out / "est.csv", run.t, p, v, run.q)
-    print(
+    return (
         f"localized {len(run.t)} steps ({run.accepted_fixes} fixes applied, "
         f"{run.rejected_fixes} rejected) -> {out / 'est.csv'}"
     )
-    return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> str:
     est = read_pose_csv(args.est, Path(args.est).stem)
     truth = read_pose_csv(args.truth, Path(args.truth).stem)
     out = _out_dir(args.out)
-    print(_evaluate(out, est, truth))
-    return EXIT_OK
+    return _evaluate(out, est, truth)
 
 
 def _write_report_csv(path, r: metrics.ErrorReport) -> None:
@@ -730,7 +750,7 @@ def _forked_writes():
             raise DataError(errors[0])
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> str:
     scenario = load_scenario(args.scenario, args.seed, args.mode)
     try:  # before any file is written
         detector = perception.ObstacleDetector(scenario.geometry)
@@ -768,11 +788,12 @@ def cmd_run(args) -> int:
 
         est = metrics.Trajectory(run.t, est_p, "est")
         table = _evaluate(out, est, sim.truth_trajectory(truth, "truth"))
-    print(table)  # only once every child has written its files
-    print(f"pipeline outputs in {out}")
+    # printed once every child has written its files; the pending audio is
     # never spoken: the scheduler is not polled after the last tick
-    print(f"audio messages pending at end of run: {scheduler.pending}")
-    return EXIT_OK
+    return (
+        f"{table}\npipeline outputs in {out}\n"
+        f"audio messages pending at end of run: {scheduler.pending}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -845,6 +866,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_report(text: str) -> None:
+    """Print a command's report; a stdout that cannot take it is a data error, and
+    is then pointed at os.devnull so that the interpreter's flush at exit succeeds."""
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise DataError(f"<stdout>: {exc.strerror}") from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -852,7 +885,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        _print_report(args.func(args))
+        return EXIT_OK
     except DataError as exc:
         print(f"fusenav: data error: {exc}", file=sys.stderr)
         return EXIT_DATA

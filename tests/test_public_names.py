@@ -17,13 +17,17 @@ caller anything its base class does not.
 The other way round, every target of the traced bench's ``WRAPS`` table
 resolves to a function of the package.  The tracer lists a target that
 does not as absent and runs on, so a rename would silently drop a layer
-from the bench's per-layer metrics.
+from the bench's per-layer metrics.  A traced ``run`` in a fresh
+interpreter records a span in every layer, so that a module that ``cli``
+loads on first use cannot drop one either.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -123,3 +127,43 @@ def test_every_traced_target_resolves(monkeypatch):
     finally:
         tracer.uninstall()
     assert tracer.absent == [], f"traced targets that do not resolve: {tracer.absent}"
+
+
+# argv[1]: the output directory.  perfbench's import order: fusenav.cli first.
+TRACED_RUN = """
+import json, sys
+sys.path.insert(0, "perfbench")
+import layers, workloads
+from spans import Tracer
+mods = workloads.import_fusenav()
+tracer = Tracer()
+tracer.install(mods, layers.WRAPS)
+argv = ["run", "--scenario", str(workloads.WALK110_CFG), "--out", sys.argv[1]]
+rc, _ = workloads.run_cli_inprocess(mods, argv)
+print(json.dumps({"rc": rc, "absent": tracer.absent, "spans": sorted({s[0] for s in tracer.spans})}))
+"""
+
+
+def test_traced_run_records_every_layer(tmp_path):
+    """In a fresh interpreter, where cli has not yet run the modules it
+    loads on first use, the wrappers the bench installs are the functions
+    that ``run`` calls: no layer's per-layer metrics read 0."""
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(tmp_path / "out")], cwd=ROOT, capture_output=True
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    got = json.loads(proc.stdout.decode().splitlines()[-1])
+    assert got["rc"] == 0 and got["absent"] == []
+    layers = {
+        "sim.gen_walk",
+        "sim.synth_sonar",
+        "localizer.calibrate",
+        "localizer.run_localizer",
+        "localizer.propagate",
+        "sonar_ekf.update",
+        "perception.process",
+        "perception.submit",
+        "feedback.poll",
+        "metrics.evaluate",
+    }
+    assert layers <= set(got["spans"])
