@@ -432,11 +432,10 @@ class _KvFile:
         except ValueError as exc:
             raise DataError(f"{self.where(key)}: {exc}") from None
 
-    def take_fields(self, cls, given=(), **convs):
-        """A ``cls`` of ``convs``' keys, each taken as ``take`` does, and of the
-        ``given`` fields, which replace a taken key of the same name."""
+    def take_fields(self, cls, **convs) -> dict:
+        """``convs``' keys, each taken as ``take`` does, with ``cls``'s field defaults."""
         defaults = {f.name: f.default for f in fields(cls)}
-        return cls(**{**{k: self.take(k, c, defaults[k]) for k, c in convs.items()}, **dict(given)})
+        return {k: self.take(k, c, defaults[k]) for k, c in convs.items()}
 
     def done(self) -> None:
         """Refuse the first key that no ``take`` removed."""
@@ -485,11 +484,6 @@ def _position(value: str) -> tuple:
 _position.__name__ = "'lat, lon, alt' position"  # argparse names a rejected value by it
 
 
-def _route(value: str) -> tuple:
-    """Waypoints that a Scenario walks: its checks raise DataError, a ValueError."""
-    return sim.Scenario(_items(2)(value)).route
-
-
 def _imu_rate(text: str) -> float:
     rate = _POSITIVE(text)
     if not 1.0 / rate <= _MAX_DT:
@@ -536,20 +530,24 @@ def load_scenario(path, seed=None, mode="raw") -> sim.Scenario:
     ``seed`` other than None, and ``mode`` "dmp" (``dmp_like`` noise), replace the
     file's in the one Scenario built, once its keys are read."""
     kv = _KvFile(path)
-    geometry = kv.take_fields(
+    geometry = sim.SonarGeometry(**kv.take_fields(
         sim.SonarGeometry, belt_height=_POSITIVE, inclined_depression_deg=_ANGLE_DEG,
         inclined_azimuth_deg=_finite, beam_half_angle_deg=_ANGLE_DEG, max_range=_POSITIVE,
-    )
-    noise = kv.take_fields(
+    ))
+    noise = sim.NoiseConfig(**kv.take_fields(
         sim.NoiseConfig, accel_sigma=_ACCEL_SIGMA, gyro_sigma=_GYRO_SIGMA, accel_bias=_ACCEL_TRIPLE,
         gyro_bias=_GYRO_TRIPLE, gps_sigma=_GPS_SIGMA, sonar_sigma=_NON_NEGATIVE,
-    )
-    given = {"noise": noise.dmp_like() if mode == "dmp" else noise, "geometry": geometry}
-    given |= {} if seed is None else {"seed": seed}
-    scenario = kv.take_fields(
-        sim.Scenario, given, route=_route, speed=_POSITIVE, imu_rate=_imu_rate, gps_rate=_POSITIVE,
+    ))
+    taken = kv.take_fields(
+        sim.Scenario, route=_items(2), speed=_POSITIVE, imu_rate=_imu_rate, gps_rate=_POSITIVE,
         obstacles=_OBSTACLES, dropoffs=_DROPOFFS, gps_dropouts=_WINDOWS, seed=_seed, anchor=_position,
     )
+    taken |= {"noise": noise.dmp_like() if mode == "dmp" else noise, "geometry": geometry}
+    taken |= {} if seed is None else {"seed": seed}
+    try:  # every other key is bounded by its converter, so Scenario's checks are the route's
+        scenario = sim.Scenario(**taken)
+    except ValueError as exc:  # DataError is one
+        raise DataError(f"{kv.where('route')}: {exc}") from None
     kv.take("front_sensors", _FRONT_PAIR, 2.0)
     kv.done()
     for key, value, holds, why in _cross_bounds(scenario):

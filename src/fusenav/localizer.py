@@ -31,14 +31,22 @@ segment's closed-form transition and noise sum.
 
 Every run starts at the anchor fix, at rest, level and facing east.
 Faults are found in ``run_localizer`` alone, each a ``core.StreamError``
-naming its stream and sample; ``propagate`` only steps.
-One column pass over the kept samples finds the first sample whose step
-cannot run, and propagation stops before it.  The states ``propagate``
-returns are checked as they come, each at the sample it feeds (the final
-state at the last sample), after the fixes that precede that sample.  At
-one sample the order is: a time step outside (0, MAX_IMU_DT], a
-non-finite reading or state, a gyro rotation angle whose square
-overflows, then process noise whose square overflows.
+naming its stream and sample; ``propagate`` only steps.  One column pass
+over the kept samples finds every IMU fault before the first step: the
+first sample whose step cannot run, before which propagation stops.  At
+one sample the order is: a time step outside (0, MAX_IMU_DT], a raw
+reading beyond full scale (a NaN or inf one included), then process
+noise whose square overflows.
+
+No state can overflow after that pass.  Offsets lie within full scale
+too (``cli.read_offsets_cfg`` bounds them, and ``run`` calibrates on its
+own simulated stream), so each step's acceleration is at most a few
+hundred m/s^2, over a dt of at most 0.1 s, and each rotation angle is
+finite.  ``gps_update`` rejects a correction whose square is not finite,
+so each accepted one is below 1.4e154 per component.  No stream that
+fits in memory can then take p or v past a float's range.  P is another
+matter: the noise settings can overflow it, so ``propagate`` ignores
+overflow and ``run_localizer`` checks P before each fix.
 """
 
 from __future__ import annotations
@@ -208,11 +216,12 @@ def propagate(
     (dp, dv), three scalar sums times I less one gather of a 6x6 product.
 
     The caller checks the preconditions: every dt in (0, MAX_IMU_DT],
-    finite readings and noise squares, and a finite state with a unit q.
-    The states and P it returns may still overflow, and are the caller's
-    to check.
+    readings and offsets within full scale, finite noise squares, and a
+    finite state with a unit q.  The states it returns are then finite;
+    P may still overflow from the noise settings, and is the caller's to
+    check.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks the results
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks P
         q = s.q.tolist()
         flat = list(q)
         for d in dq.tolist():
@@ -268,9 +277,11 @@ def gps_update(
 
     Returns ``(state, P, accepted)``; a fix whose per-axis innovation is
     not within ``INNOVATION_GATE * sqrt(diag(H P H^T + R))`` (a non-finite
-    one included) is rejected and the state passes through unchanged.  H
-    selects the position block, so ``H P H^T`` is ``P[:3, :3]``,
-    ``P H^T`` is ``P[:, :3]`` and ``H P`` is ``P[:3, :]``.
+    one included), or whose correction ``dx`` has a squared norm that is
+    not finite, is rejected and the state passes through unchanged, so an
+    accepted correction is below 1.4e154 per component and the state it
+    returns is finite.  H selects the position block, so ``H P H^T`` is
+    ``P[:3, :3]``, ``P H^T`` is ``P[:, :3]`` and ``H P`` is ``P[:3, :]``.
     """
     innovation = np.asarray(fix_enu, dtype=float) - s.p
     s_cov = P[0:3, 0:3].copy()
@@ -281,7 +292,10 @@ def gps_update(
             return s, P, False
 
     k = np.linalg.solve(s_cov.T, P[:, 0:3].T).T
-    dx = k @ innovation
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN or inf square is rejected
+        dx = k @ innovation
+        if not math.isfinite(dx @ dx):
+            return s, P, False
     p = s.p + dx[0:3]
     v = s.v + dx[3:6]
     q = np.array(unit(hamilton(rotvec_quat(dx[6:9].tolist()), s.q.tolist())))
@@ -331,13 +345,14 @@ def run_localizer(
     walker starts there at rest, level, facing east.  IMU samples earlier
     than the anchor are dropped; every fix is applied at the first IMU
     step at or after its timestamp.  Output is one record per processed
-    IMU sample; identical inputs produce identical output.  A stream
-    fault raises StreamError: an empty stream, or no IMU sample at or
-    after the anchor, without an index; a fix earlier than the one before
-    it at its index; the first IMU sample whose step cannot run, or that a
-    non-finite state feeds, at its index, as a non-finite state after the
-    last sample at the last.  Noise settings whose squares overflow, or
-    that leave P non-finite at a fix, raise NumericalError.
+    IMU sample; identical inputs produce identical output.  ``offsets``
+    lie within full scale, as ``cli.read_offsets_cfg`` reads them.  A
+    stream fault raises StreamError: an empty stream, or no IMU sample at
+    or after the anchor, without an index; a fix earlier than the one
+    before it at its index; the first IMU sample whose step cannot run (a
+    time step outside (0, MAX_IMU_DT], or a raw reading beyond
+    MAX_ACCEL or MAX_GYRO) at its index.  Noise settings whose squares
+    overflow, or that leave P non-finite at a fix, raise NumericalError.
     """
     if offsets is None:
         offsets = CalibrationOffsets.zero()
@@ -364,25 +379,20 @@ def run_localizer(
         raise StreamError("imu", "no IMU samples at or after the anchor fix")
     n = len(keep)
     t = imu.t[keep]
-    accel = imu.accel.take(keep, axis=0) - offsets.accel_offset  # take: 5x faster
+    # the raw readings, under the names of the step inputs that replace them: no
+    # (n, 3) array more stays alive while propagating (take: 5x faster)
+    accel, theta = imu.accel.take(keep, axis=0), imu.gyro.take(keep, axis=0)
     dt = np.diff(t, prepend=ref.t)
     lead = int(dt[0] == 0.0)  # a first sample on the anchor takes no step
 
-    # the faults of each sample's step, in the order they are reported in, from its
-    # propagate inputs (for a dt in range, theta is finite where the gyro reading is)
+    # the faults of each sample's step, in the order they are reported in, from the
+    # raw readings (a NaN fails the full-scale comparison too), then the step inputs
+    sx, sy, sz = ((abs(accel) <= MAX_ACCEL) & (abs(theta) <= MAX_GYRO)).T  # all(axis=1) is 10x slower
+    accel = accel - offsets.accel_offset
     with np.errstate(over="ignore", invalid="ignore"):
-        theta = (imu.gyro.take(keep, axis=0) - offsets.gyro_offset) * dt[:, None]
-        tx, ty, tz = theta.T
+        theta = (theta - offsets.gyro_offset) * dt[:, None]
         qa, qg = (cfg.accel_noise * dt) ** 2, (cfg.gyro_noise * dt) ** 2
-        fx, fy, fz = (np.isfinite(accel) & np.isfinite(theta)).T  # all(axis=1) is 10x slower
-        faults = np.array(
-            [
-                ~((dt > 0.0) & (dt <= MAX_IMU_DT)),
-                ~(fx & fy & fz),
-                ~np.isfinite(tx * tx + ty * ty + tz * tz),  # math.sin of it would raise
-                ~np.isfinite(qa + qg),
-            ]
-        )
+    faults = np.array([~((dt > 0.0) & (dt <= MAX_IMU_DT)), ~(sx & sy & sz), ~np.isfinite(qa + qg)])
     faults[:, :lead] = False
     bad = int(faults.any(axis=0).argmax()) if faults.any() else n
     # each fix is applied, in ENU, after the first sample at or after its time
@@ -397,10 +407,9 @@ def run_localizer(
     lo = b0 = lead
     dq = theta[:0]  # increments of the steps from b0 on, _MAX_SEGMENT at a time
     for hi in sorted({i + 1 for i in at if i < bad} | {bad}):
-        start = lo
         while lo < hi:  # propagation stops before the first faulty sample
             mid = min(hi, lo + _MAX_SEGMENT)
-            if mid > b0 + len(dq):  # rows from bad on may overflow math.sin
+            if mid > b0 + len(dq):  # rows from bad on are unchecked
                 b0, dq = lo, rotvec_quat(theta[lo : min(bad, lo + _MAX_SEGMENT)])
             seg, p_cov = propagate(
                 state, p_cov, accel[lo:mid], dq[lo - b0 : mid - b0], dt[lo:mid], qa[lo:mid], qg[lo:mid]
@@ -408,12 +417,6 @@ def run_localizer(
             ps[lo + 1 : mid + 1], vs[lo + 1 : mid + 1], qs[lo + 1 : mid + 1] = seg.p, seg.v, seg.q
             state = NominalState(p=seg.p[-1], v=seg.v[-1], q=seg.q[-1])
             lo = mid
-        # the states that feed the samples before this span's fixes, as a block
-        if not (np.isfinite(ps[start:hi]).all() and np.isfinite(vs[start:hi]).all()):
-            finite = np.isfinite(ps[start:hi]).all(axis=1) & np.isfinite(vs[start:hi]).all(axis=1)
-            bad = start + int(finite.argmin())
-            faults[1, bad] = True
-            break
         while fix_idx < len(fixes) and at[fix_idx - 1] == hi - 1:
             if not np.isfinite(p_cov).all():  # the gate would reject every fix
                 raise _noise_error(cfg, f"covariance not finite at the fix t={fixes[fix_idx].t}")
@@ -422,23 +425,17 @@ def run_localizer(
             rejected += not ok
             fix_idx += 1
         ps[hi], vs[hi], qs[hi] = state.p, state.v, state.q
-    else:  # the state that feeds the faulty sample, or the final state
-        if not (np.isfinite(ps[bad]).all() and np.isfinite(vs[bad]).all()):
-            if bad == n:
-                raise StreamError("imu", "non-finite state after the last sample", int(keep[-1]))
-            faults[1, bad] = True
 
     if bad < n:
         kind = int(faults[:, bad].argmax())  # the first fault in the reporting order
-        if kind == 3:
+        if kind == 2:
             raise _noise_error(cfg, f"process noise overflowed at t={t[bad].item()}")
         d = dt[bad].item()
         why = (
             "timestamps unsorted" if d < 0.0
             else "duplicate timestamp" if d == 0.0
             else f"dt={d} outside (0, {MAX_IMU_DT}] s",
-            "non-finite propagation input",
-            "gyro reading too large (math domain error)",
+            f"reading beyond full scale (accel +-{MAX_ACCEL} m/s^2, gyro +-{MAX_GYRO} rad/s)",
         )[kind]
         raise StreamError("imu", why, int(keep[bad]))
     return LocalizerRun(

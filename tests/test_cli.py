@@ -742,7 +742,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "row, message",
-        [("0.02,0,0,-9.8,1e200,0,0", "gyro reading too large"), ("0.5,0,0,-9.8,0,0,0", "dt=")],
+        [("0.02,0,0,-9.8,1e200,0,0", "reading beyond full scale"), ("0.5,0,0,-9.8,0,0,0", "dt=")],
         ids=["huge_gyro", "gap"],
     )
     def test_localize_bad_imu_step_exits_2_with_row(
@@ -756,8 +756,9 @@ class TestExitCodes:
         assert f"imu.csv:4: {message}" in err
         assert not (tmp_path / "out" / "est.csv").exists()
 
-    def test_localize_final_state_overflow_exits_2_with_row(self, tmp_path, capsys):
-        # readings that overflow the state only after the last of 111 samples
+    def test_localize_reading_beyond_full_scale_exits_2_at_its_row(self, tmp_path, capsys):
+        # readings that would overflow the state after the last of 111 samples
+        # are refused at the first of them, data row 6
         sim_out, out = tmp_path / "sim", tmp_path / "o"
         argv = ["simulate", "--scenario", str(WALK110), "--gps", "off", "--out", str(sim_out)]
         assert cli.main(argv) == cli.EXIT_OK
@@ -770,7 +771,7 @@ class TestExitCodes:
         imu.write_text("\n".join([header, *rows]) + "\n")
         argv = ["localize", "--imu", str(imu), "--gps", str(sim_out / "gps.csv"), "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_DATA
-        assert "imu.csv:112: non-finite state after the last sample" in capsys.readouterr().err
+        assert "imu.csv:7: reading beyond full scale" in capsys.readouterr().err
         assert not (out / "est.csv").exists()
 
     def test_run_bad_imu_sample_exits_2_with_row(self, tmp_path, capsys):
@@ -988,13 +989,13 @@ class TestCommands:
     def test_overrides_build_the_route_in_no_extra_scenario(
         self, scenario_file, tmp_path, monkeypatch, overrides
     ):
-        # the route key's converter, the one Scenario and gen_walk build it
+        # the one Scenario and gen_walk build it
         builds = []
         build = sim._build_path
         monkeypatch.setattr(sim, "_build_path", lambda route: builds.append(route) or build(route))
         argv = ["simulate", "--scenario", str(scenario_file), *overrides, "--out", str(tmp_path / "o")]
         assert cli.main(argv) == 0
-        assert len(builds) == 3
+        assert len(builds) == 2
         base = cli.load_scenario(scenario_file)
         want = dataclasses.replace(base, seed=3, noise=base.noise.dmp_like())
         assert cli.load_scenario(scenario_file, 3, "dmp") == want

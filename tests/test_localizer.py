@@ -28,6 +28,8 @@ from fusenav.core import (
     unit,
 )
 from fusenav.localizer import (
+    MAX_ACCEL,
+    MAX_GYRO,
     MAX_IMU_DT,
     CalibrationOffsets,
     LocalizerConfig,
@@ -203,9 +205,9 @@ def step_run(imu, fixes, cfg, offsets, initial=None):
     """Oracle for run_localizer: its contract as one loop over the samples,
     each fix applied through gps_update after the step that reaches it,
     from ``initial`` or else run_localizer's start (at the anchor, at rest,
-    level, facing east).  A step that cannot run raises StreamError("imu",
-    why, i) at its sample i, as does a non-finite state after the last
-    sample; noise that overflows, or that leaves P non-finite at a fix,
+    level, facing east).  A step that cannot run, for its time step or a
+    raw reading beyond full scale, raises StreamError("imu", why, i) at its
+    sample i; noise that overflows, or that leaves P non-finite at a fix,
     raises NumericalError."""
     ref = fixes[0]
     s = initial or NominalState(geo.wgs84_to_enu(ref, ref), np.zeros(3), level_heading_quat(0.0))
@@ -222,12 +224,14 @@ def step_run(imu, fixes, cfg, offsets, initial=None):
         if dt == 0.0 and rows:
             raise StreamError("imu", "duplicate timestamp", i)
         if dt != 0.0:  # a first sample on the anchor takes no step
-            try:
+            if not dt <= MAX_IMU_DT:
+                raise StreamError("imu", f"dt={dt} outside (0, {MAX_IMU_DT}] s", i)
+            a, g = imu.accel[i].tolist(), imu.gyro[i].tolist()
+            if not all([abs(x) <= MAX_ACCEL for x in a] + [abs(x) <= MAX_GYRO for x in g]):
+                why = f"reading beyond full scale (accel +-{MAX_ACCEL} m/s^2, gyro +-{MAX_GYRO} rad/s)"
+                raise StreamError("imu", why, i)
+            try:  # from a finite state, within full scale, step raises no DataError
                 s, p_cov = step(s, p_cov, accel[i], gyro[i], dt, cfg)
-            except DataError as exc:
-                raise StreamError("imu", str(exc), i) from None
-            except ValueError as exc:  # math.sin of a rotation angle that overflowed
-                raise StreamError("imu", f"gyro reading too large ({exc})", i) from None
             except OverflowError:  # squaring a noise setting
                 raise noise_error(cfg, f"process noise overflowed at t={t}") from None
         t_prev = t
@@ -237,10 +241,16 @@ def step_run(imu, fixes, cfg, offsets, initial=None):
             s, p_cov, ok = gps_update(s, p_cov, geo.wgs84_to_enu(fixes[k], ref), cfg)
             accepted, rejected, k = accepted + ok, rejected + (not ok), k + 1
         rows.append((t, s.p, s.v, s.q))
-    if not np.isfinite(np.concatenate([s.p, s.v, s.q])).all():
-        raise StreamError("imu", "non-finite state after the last sample", i)
     t, p, v, q = zip(*rows)
     return np.array(t), np.array(p), np.array(v), np.array(q), accepted, rejected
+
+
+def outcome(localize, *args):
+    """What ``localize(*args)`` returns, or the DataError or NumericalError it raises."""
+    try:
+        return localize(*args)
+    except (DataError, NumericalError) as exc:
+        return exc
 
 
 def dense_propagate(s, P, accel, gyro, dt, cfg):
@@ -543,6 +553,20 @@ class TestGpsUpdate:
         assert gps_update(s, p_cov, np.array([10.0, -10.0, 10.0]), cfg)[2]
         assert not gps_update(s, p_cov, np.array([0.0, 0.0, np.nextafter(10.0, 11.0)]), cfg)[2]
 
+    @pytest.mark.parametrize("block, value", [(slice(3, 6), 1.7e308), (slice(6, 9), 1e200)])
+    def test_rejects_a_correction_that_is_not_finite(self, block, value):
+        # a finite P whose cross-covariances take a gated 15 m innovation to
+        # an infinite velocity, or to a rotation angle whose square overflows
+        cfg = make_cfg(gps_pos_std=3.0)  # S = 1 + 9 on each axis: a 15.8 m gate
+        s = NominalState(np.zeros(3), np.zeros(3), level_heading_quat(0))
+        p_cov = np.eye(9)
+        p_cov[block, 0:3] = p_cov[0:3, block] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s1, p1, ok = gps_update(s, p_cov, np.array([15.0, 0.0, 0.0]), cfg)
+        assert not ok
+        assert s1 is s and p1 is p_cov
+
 
 @pytest.fixture(scope="module")
 def walk110_streams():
@@ -600,8 +624,8 @@ class TestRunLocalizer:
 
     @pytest.mark.parametrize("case", ["gap", "huge_gyro", "duplicate", "nan_accel", "inf_gyro"])
     def test_bad_step_names_its_sample(self, case):
-        # a gap longer than MAX_IMU_DT, a finite gyro reading whose rotation
-        # angle overflows, a repeated time, or a non-finite reading
+        # a gap longer than MAX_IMU_DT, a finite gyro reading beyond full
+        # scale, a repeated time, or a non-finite reading
         anchor = GpsFix(0.0, 37.0, -122.0, 30.0)
         t = [0.0, 0.01, 0.02, 0.03]
         if case == "gap":
@@ -640,12 +664,14 @@ class TestRunLocalizer:
             "overflow@5+cut@111",
             "gap@300+huge_gyro@400",
             "nan_accel@300+huge_gyro@301",
+            "full_scale@300",
+            *(f"{sensor}_{axis}_{end}@300" for sensor in ("accel", "gyro") for axis in "xyz" for end in ("max", "min")),
         ],
     )
     def test_faults_match_the_step_oracle(self, walk110_streams, case, gps):
         # the same exception type, sample and message as the per-step loop;
-        # "overflow@5" makes the GPS-off state overflow going into sample 111;
-        # a rotation angle that overflows after the first fault is never stepped
+        # readings at full scale are stepped as the loop steps them, and one
+        # float beyond it ("gyro_z_min": below -MAX_GYRO on z) is refused
         imu, fixes, cfg, offsets = walk110_streams
         fixes = fixes if gps == "on" else fixes[:1]
         t, accel, gyro = imu.t.copy(), imu.accel.copy(), imu.gyro.copy()
@@ -668,30 +694,37 @@ class TestRunLocalizer:
                 gyro[k, 0] = 1e200
             elif kind == "noise":
                 cfg = replace(cfg, gyro_noise=1e200)
-            elif kind == "yaw45":  # sample 1 turns the walker by 45 degrees
-                gyro[1, 2] = (math.pi / 4) / (t[1] - t[0])
-            elif kind == "spike":  # its rotation into ENU overflows
+            elif kind == "yaw45":  # samples 1 to 3 turn the walker by 45 degrees, within full scale
+                gyro[1:4, 2] = (math.pi / 4) / (t[3] - t[0])
+            elif kind == "spike":  # its rotation into ENU would overflow
                 accel[k] = [1.7e308, 1.7e308, 0.0]
-            elif kind == "overflow":
+            elif kind == "overflow":  # readings that would overflow the state
                 accel[k:] = 1.7e308
             elif kind == "cut":
                 t, accel, gyro = t[:k], accel[:k], gyro[:k]
+            elif kind == "full_scale":  # every axis at + full scale, then at -
+                accel[k : k + 2] = [[MAX_ACCEL] * 3, [-MAX_ACCEL] * 3]
+                gyro[k : k + 2] = [[MAX_GYRO] * 3, [-MAX_GYRO] * 3]
+            else:  # one float beyond full scale on one axis
+                column, bound = (accel, MAX_ACCEL) if kind.startswith("accel") else (gyro, MAX_GYRO)
+                edge = bound if kind.endswith("max") else -bound
+                column[k, "xyz".index(kind[-5])] = np.nextafter(edge, 2 * edge)
         log = ImuLog(t, accel, gyro)
-        # the oracle's float steps overflow P and the state before they raise
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises((DataError, NumericalError)) as want:
-                step_run(log, fixes, cfg, offsets)
-        with pytest.raises((DataError, NumericalError)) as got:
-            run_localizer(log, fixes, cfg, offsets)
-        assert type(got.value) is type(want.value)
-        assert str(got.value) == str(want.value)
-        assert getattr(got.value, "index", None) == getattr(want.value, "index", None)
-        assert getattr(got.value, "stream", None) == getattr(want.value, "stream", None)
-        if case == "yaw45+spike@2":
-            assert want.value.index == 3
-        if gps == "off" and case.startswith("overflow@5"):
-            # the state after sample 110 is the first fault, unless it is the last
-            assert want.value.index == (110 if "cut" in case else 111)
+        want = outcome(step_run, log, fixes, cfg, offsets)
+        got = outcome(run_localizer, log, fixes, cfg, offsets)
+        if case == "full_scale@300":
+            t, p, v, q, accepted, rejected = want
+            assert (got.accepted_fixes, got.rejected_fixes) == (accepted, rejected)
+            assert np.array_equal(got.t, t)
+            assert np.max(np.abs(got.p - p)) < 1e-9
+            return
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+        assert getattr(got, "index", None) == getattr(want, "index", None)
+        assert getattr(got, "stream", None) == getattr(want, "stream", None)
+        if "spike" in case or case.startswith("overflow"):
+            # refused at the first reading beyond full scale, before any state overflows
+            assert want.index == (2 if "spike" in case else 5)
 
     def test_empty_streams_error(self):
         anchor = GpsFix(0.0, 37.0, -122.0, 30.0)

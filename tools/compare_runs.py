@@ -12,19 +12,22 @@ Each root is a checkout of this repository.  Both trees run
 replay the per-stage commands that the bench's replay110 job times,
 ``fuse-sonar``, ``localize --offsets --ref <walk110 anchor>`` and
 ``evaluate``, over the files of the parent's run, so that both read the
-same bytes.  Last, both trees run four commands that must be refused
+same bytes.  Last, both trees run five commands that must be refused
 with exit 2, over faulty copies of the first walk110 run's files: a
 duplicate time on ``imu.csv`` row 101 (``localize``), a header-only
 ``gps.csv`` (``localize``), a ``sonar.csv`` with its first front row
-removed (``fuse-sonar``), and ``run`` with ``gyro_bias = 0, 0, 1e300``,
+removed (``fuse-sonar``), ``run`` with ``gyro_bias = 0, 0, 1e300``,
 a bias beyond the IMU's full scale (refused at its scenario key, or, in a
 tree that reads any finite bias, at the first ``imu.csv`` step that it
-rotates too far).  Each command has ``PYTHONPATH=<root>/src``,
-``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONHASHSEED=0``.  The script
-compares the exit codes, the stdout and stderr with the output directory
-masked, the sets of files written, and each file byte for byte.  It
-prints one line per configuration and refusal case, and exits 1 on any
-difference or on a refusal case that does not exit 2.
+rotates too far), and ``localize`` with ``imu.csv`` data row 3001's gyro
+cells at ``1e100``, readings beyond full scale (refused at ``imu.csv:3002``,
+or, in a tree that reads any finite reading, run to the end).  Each
+command has ``PYTHONPATH=<root>/src``, ``PYTHONDONTWRITEBYTECODE=1`` and
+``PYTHONHASHSEED=0``.  The script compares the exit codes, the stdout and
+stderr with the output directory masked, the sets of files written, and
+each file byte for byte.  It prints one line per configuration and
+refusal case, and exits 1 on any difference or on a refusal case that
+the changed tree does not exit 2 on.
 Commands go one at a time, so at most one pipeline is in memory.  A last
 line gives each tree's line total over ``src/fusenav/*.py``, as ``wc -l``
 counts them.
@@ -93,6 +96,9 @@ def refusals(run_dir: Path, scenario: Path, faults: Path) -> dict:
     imu = (run_dir / "imu.csv").read_text().splitlines(keepends=True)
     time, rest = imu[99].split(",")[0], imu[100].partition(",")[2]
     (faults / "imu_dup.csv").write_text("".join([*imu[:100], f"{time},{rest}", *imu[101:]]))
+    cells = imu[3001].split(",")  # t, accel x y z, gyro x y z
+    spin = ",".join([*cells[:4], "1e100", "1e100", "1e100\n"])
+    (faults / "imu_spin.csv").write_text("".join([*imu[:3001], spin, *imu[3002:]]))
     gps = (run_dir / "gps.csv").read_text().splitlines(keepends=True)
     (faults / "gps_head.csv").write_text(gps[0])
     sonar = (run_dir / "sonar.csv").read_text().splitlines(keepends=True)
@@ -111,6 +117,8 @@ def refusals(run_dir: Path, scenario: Path, faults: Path) -> dict:
             ["fuse-sonar", "--sonar", str(faults / "sonar_front.csv")]],
         "refused: run, gyro_bias = 0, 0, 1e300": [
             ["run", "--scenario", str(faults / "spin.cfg")]],
+        "refused: localize, gyro cells of imu.csv data row 3001 at 1e100": [
+            ["localize", "--imu", str(faults / "imu_spin.csv"), "--gps", gps_path]],
     }
 
 
@@ -166,7 +174,7 @@ def main(argv=None) -> int:
         for i, (label, commands) in enumerate(cases.items()):
             outs = {side: Path(tmp) / side / f"refused_{i}" for side, _ in sides}
             results = [fusenav(root, commands, outs[side]) for side, root in sides]
-            refused = results[0]["exit code"] == [2]
+            refused = results[1]["exit code"] == [2]
             if not refused:
                 print(f"{label}: not refused")
             same += compare(label, results) and refused
