@@ -22,6 +22,8 @@ CRLF line ends; numbers are plain decimal with a '.' radix:
 Readers check every numeric column of a file, all 11 of a pose file, for
 finite plain decimal numbers (ASCII digits, sign, '.', exponent; no '_',
 blank or other digit), and report a fault as ``file:row: column '<c>'``.
+A stream's bounds are checked by its ``core`` log alone, for a file and the
+simulator alike; ``offsets.cfg`` is written only if its reader takes it.
 Scenario files are flat UTF-8 ``key = value`` text with ``#`` comments;
 list values use ``;`` between items and ``,`` within (see
 scenarios/walk110.cfg).
@@ -56,10 +58,8 @@ from pathlib import Path
 import numpy as np
 
 from . import geo
-from .core import CHANNELS, DataError, GpsFix, ImuLog, NumericalError, SonarLog, StreamError
+from .core import CHANNELS, MAX_ACCEL, MAX_GYRO, DataError, GpsFix, ImuLog, NumericalError, SonarLog, StreamError
 from .localizer import (
-    MAX_ACCEL,
-    MAX_GYRO,
     MAX_IMU_DT,
     CalibrationOffsets,
     LocalizerConfig,
@@ -317,13 +317,26 @@ def _raise_first_fault(path, header, row, rows, prev_t, increasing, codes) -> No
     raise DataError(f"{path}:{row}: a block of {len(rows)} rows failed its checks")
 
 
+@contextmanager
+def _stream_files(paths: dict):
+    """Raise a StreamError of the block as a DataError at its stream's file
+    ``paths[stream]``, named as the readers name it, and at file row i + 2
+    (below the header) for item i."""
+    try:
+        yield
+    except StreamError as exc:
+        row = "" if exc.index is None else f":{exc.index + 2}"
+        raise DataError(f"{Path(paths[exc.stream])}{row}: {exc}") from None
+
+
 def write_imu_csv(path, log: ImuLog) -> None:
     _write_csv(Path(path), IMU_HEADER, [log.t, *log.accel.T, *log.gyro.T])
 
 
 def read_imu_csv(path) -> ImuLog:
     cols = np.ascontiguousarray(_read_csv(path, IMU_HEADER).T)
-    return ImuLog(t=cols[:, 0], accel=cols[:, 1:4], gyro=cols[:, 4:7])
+    with _stream_files({"imu": path}):
+        return ImuLog(t=cols[:, 0], accel=cols[:, 1:4], gyro=cols[:, 4:7])
 
 
 def write_gps_csv(path, fixes) -> None:
@@ -348,13 +361,8 @@ def write_sonar_csv(path, log: SonarLog) -> None:
 
 def read_sonar_csv(path) -> SonarLog:
     t, channel, range_m, valid = _read_csv(path, SONAR_HEADER, codes=_SONAR_CODES)
-    echo = valid == 1.0
-    bad = echo & (range_m <= 0.0)  # ranges are finite here
-    if bad.any():
-        k = int(np.argmax(bad))
-        where = f"{Path(path)}:{k + 2}: column 'range'"
-        raise DataError(f"{where}: an echo needs a positive range, got {float(range_m[k])!r}")
-    return SonarLog(t=t, channel=channel.astype(int), range_m=range_m, valid=echo)
+    with _stream_files({"sonar": path}):
+        return SonarLog(t=t, channel=channel.astype(int), range_m=range_m, valid=valid == 1.0)
 
 
 def write_pose_csv(path, t, p, v, q) -> None:
@@ -369,23 +377,29 @@ def read_pose_csv(path, label: str) -> metrics.Trajectory:
     return metrics.Trajectory(t=cols[0], xyz=np.ascontiguousarray(cols[1:4].T), label=label)
 
 
-def _offsets_text(offsets: CalibrationOffsets) -> str:
-    """offsets.cfg's two key lines, which calibrate also prints."""
-    accel, gyro = (", ".join(map(_fmt, v)) for v in (offsets.accel_offset, offsets.gyro_offset))
-    return f"accel_offset = {accel}\ngyro_offset = {gyro}"
+def _offsets_text(path, offsets: CalibrationOffsets) -> str:
+    """offsets.cfg's two key lines, which calibrate also prints; a triple that
+    read_offsets_cfg would refuse is a DataError at ``path``, in its words."""
+    triples = [", ".join(map(_fmt, v)) for v in (offsets.accel_offset, offsets.gyro_offset)]
+    for (key, conv), text in zip(_OFFSET_KEYS, triples):
+        try:
+            conv(text)
+        except ValueError as exc:
+            raise DataError(f"{path}: key '{key}': {exc}") from None
+    return "\n".join(f"{key} = {text}" for (key, _), text in zip(_OFFSET_KEYS, triples))
 
 
 def write_offsets_cfg(path, offsets: CalibrationOffsets) -> None:
+    text = _offsets_text(path, offsets)
     with _writing(path), open(path, "w") as f:
-        f.write(f"# IMU calibration offsets (subtract from raw readings)\n{_offsets_text(offsets)}\n")
+        f.write(f"# IMU calibration offsets (subtract from raw readings)\n{text}\n")
 
 
 def read_offsets_cfg(path) -> CalibrationOffsets:
     kv = _KvFile(path)
-    accel = kv.take("accel_offset", _ACCEL_TRIPLE)
-    gyro = kv.take("gyro_offset", _GYRO_TRIPLE)
+    accel, gyro = (np.array(kv.take(key, conv)) for key, conv in _OFFSET_KEYS)
     kv.done()
-    return CalibrationOffsets(np.array(accel), np.array(gyro))
+    return CalibrationOffsets(accel, gyro)
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +486,7 @@ def _parse_triple(value: str, bound: float = math.inf, what: str = ""):
 # an offset or a bias is read through the sensor, so it lies within the sensor's full scale
 _ACCEL_TRIPLE = partial(_parse_triple, bound=MAX_ACCEL, what=f"components within +-MAX_ACCEL = {MAX_ACCEL} m/s^2")
 _GYRO_TRIPLE = partial(_parse_triple, bound=MAX_GYRO, what=f"components within +-MAX_GYRO = {MAX_GYRO} rad/s")
+_OFFSET_KEYS = (("accel_offset", _ACCEL_TRIPLE), ("gyro_offset", _GYRO_TRIPLE))  # offsets.cfg: reader and writer
 
 
 def _position(value: str) -> tuple:
@@ -574,22 +589,18 @@ def _localizer_config(noise: sim.NoiseConfig) -> LocalizerConfig:
 
 
 def _simulate(scenario: sim.Scenario, args):
-    """Make the directory ``args.out`` and simulate ``scenario``'s four streams."""
-    out = _out_dir(args.out)
-    truth = sim.gen_walk(scenario)
-    imu = sim.synth_imu(truth, scenario.noise, scenario.seed)
-    fixes = sim.synth_gps(
-        truth,
-        scenario.noise,
-        scenario.seed,
-        scenario.gps_rate,
-        scenario.anchor_fix(),
-        scenario.gps_dropouts,
-    )
+    """Simulate ``scenario``'s four streams, then make the directory ``args.out``."""
+    truth, noise, seed = sim.gen_walk(scenario), scenario.noise, scenario.seed
+    try:
+        imu = sim.synth_imu(truth, noise, seed)
+    except StreamError as exc:  # a reading that the scenario's bias and noise put past full scale
+        keys = "keys 'accel_bias', 'gyro_bias', 'accel_sigma', 'gyro_sigma'"
+        raise DataError(f"{args.scenario}: {keys}: {exc} at t={truth.t[exc.index].item()}") from None
+    fixes = sim.synth_gps(truth, noise, seed, scenario.gps_rate, scenario.anchor_fix(), scenario.gps_dropouts)
     if args.gps == "off":
         fixes = fixes[:1]  # keep only the anchor fix
     sonar = sim.synth_sonar(truth, scenario)
-    return truth, imu, fixes, sonar, out
+    return truth, imu, fixes, sonar, _out_dir(args.out)
 
 
 def _write_streams(out: Path, truth: sim.GroundTruth, imu: ImuLog, fixes, sonar: SonarLog) -> None:
@@ -597,17 +608,6 @@ def _write_streams(out: Path, truth: sim.GroundTruth, imu: ImuLog, fixes, sonar:
     write_imu_csv(out / "imu.csv", imu)
     write_gps_csv(out / "gps.csv", fixes)
     write_sonar_csv(out / "sonar.csv", sonar)
-
-
-@contextmanager
-def _stream_files(paths: dict):
-    """Raise a StreamError of the block as a DataError at its stream's file
-    ``paths[stream]``, and at file row i + 2 (below the header) for item i."""
-    try:
-        yield
-    except StreamError as exc:
-        where = paths[exc.stream] if exc.index is None else f"{paths[exc.stream]}:{exc.index + 2}"
-        raise DataError(f"{where}: {exc}") from None
 
 
 def _localize(paths: dict, imu: ImuLog, fixes, cfg, offsets, ref):
@@ -662,9 +662,11 @@ def _file_batch_source(path):
 def cmd_calibrate(args) -> str:
     source = _file_batch_source(args.imu)
     offsets = calibrate(source, batch=args.batch, tol=args.tol, max_iter=args.max_iter)
-    out = _out_dir(args.out)
-    write_offsets_cfg(out / "offsets.cfg", offsets)
-    return _offsets_text(offsets)
+    path = Path(args.out) / "offsets.cfg"
+    text = _offsets_text(path, offsets)  # refused before the output directory is made
+    _out_dir(args.out)
+    write_offsets_cfg(path, offsets)
+    return text
 
 
 def cmd_fuse_sonar(args) -> str:

@@ -13,10 +13,12 @@ Conventions used across the toolkit (fixed here, inherited everywhere):
 
 3-vectors are ``numpy`` arrays of shape (3,).  The high-rate streams are
 columnar logs (ImuLog, SonarLog): frozen dataclasses of arrays, one row
-per sample, which no stage modifies.  GPS fixes, about one a second, stay
-one frozen GpsFix each.  The sonar belt's mounting, SonarGeometry, lives
-beside the channel order.  Every operation in this module is a pure
-function.
+per sample.  A log owns its stream's bounds, as GpsFix owns its ranges:
+built alike by the readers and the simulator, it refuses its first row
+out of bounds (a StreamError) and makes the arrays it checked read-only.
+GPS fixes, about one a second, stay one frozen GpsFix each.  The sonar
+belt's mounting, SonarGeometry, lives beside the channel order.  Every
+operation in this module is a pure function.
 
 Each quaternion formula is written once, as a kernel over components
 (w, x, y, z).  ``hamilton`` and ``rotation_entries``, the one kernel of
@@ -57,6 +59,8 @@ class NumericalError(ArithmeticError):
 
 
 GRAVITY = np.array([0.0, 0.0, -9.80665])
+MAX_ACCEL = 16 * 9.80665  # m/s^2: 16 g, the InvenSense MPU-6050 family's widest full scale
+MAX_GYRO = math.radians(2000.0)  # rad/s: 2000 deg/s, that family's widest full scale
 
 
 class SonarChannel(enum.Enum):
@@ -101,12 +105,22 @@ class ImuLog:
     """IMU readings as columns, one row per sample, rows time-sorted.
 
     Raw body-frame specific force and angular rate: calibration offsets
-    are still in them.
+    are still in them.  Every component lies within the IMU's full scale,
+    MAX_ACCEL and MAX_GYRO; accel and gyro are read-only.
     """
 
     t: np.ndarray  # (n,) s
     accel: np.ndarray  # (n, 3) m/s^2
     gyro: np.ndarray  # (n, 3) rad/s
+
+    def __post_init__(self):
+        a, g = self.accel, self.gyro  # a NaN fails every comparison; no float temporary is made
+        sx, sy, sz = ((a <= MAX_ACCEL) & (a >= -MAX_ACCEL) & (g <= MAX_GYRO) & (g >= -MAX_GYRO)).T
+        ok = sx & sy & sz  # the columns' & is 10x faster than all(axis=1)
+        if not ok.all():
+            why = f"reading beyond full scale (accel +-{MAX_ACCEL} m/s^2, gyro +-{MAX_GYRO} rad/s)"
+            raise StreamError("imu", why, int(ok.argmin()))
+        self.accel.flags.writeable = self.gyro.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.t)
@@ -135,13 +149,22 @@ class SonarLog:
     """Sonar readings as columns, one row per reading, rows time-sorted.
 
     ``channel`` holds indices into CHANNELS; ``valid`` is False when no
-    echo returned.  A tick's rows share one ``t``.
+    echo returned, and an echo has a positive range.  A tick's rows share
+    one ``t``.  range_m and valid are read-only.
     """
 
     t: np.ndarray  # (n,) s
     channel: np.ndarray  # (n,) int
     range_m: np.ndarray  # (n,) m
     valid: np.ndarray  # (n,) bool
+
+    def __post_init__(self):
+        bad = self.valid & ~(self.range_m > 0.0)  # a NaN range fails too
+        if bad.any():
+            k = int(bad.argmax())
+            why = f"column 'range': an echo needs a positive range, got {float(self.range_m[k])!r}"
+            raise StreamError("sonar", why, k)
+        self.range_m.flags.writeable = self.valid.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.t)

@@ -32,11 +32,12 @@ segment's closed-form transition and noise sum.
 Every run starts at the anchor fix, at rest, level and facing east.
 Faults are found in ``run_localizer`` alone, each a ``core.StreamError``
 naming its stream and sample; ``propagate`` only steps.  One column pass
-over the kept samples finds every IMU fault before the first step: the
-first sample whose step cannot run, before which propagation stops.  At
-one sample the order is: a time step outside (0, MAX_IMU_DT], a raw
-reading beyond full scale (a NaN or inf one included), then process
-noise whose square overflows.
+over the kept samples finds every IMU step fault before the first step:
+the first sample whose step cannot run, before which propagation stops.
+At one sample the order is: a time step outside (0, MAX_IMU_DT], then
+process noise whose square overflows.  The readings need no check here:
+every ``core.ImuLog`` holds them within full scale, a NaN or inf one
+refused, and read-only.
 
 No state can overflow after that pass.  Offsets lie within full scale
 too (``cli.read_offsets_cfg`` bounds them, and ``run`` calibrates on its
@@ -71,8 +72,6 @@ from .core import (
 )
 
 MAX_IMU_DT = 0.1  # s, sanity bound on a single strapdown step
-MAX_ACCEL = 16 * 9.80665  # m/s^2: 16 g, the InvenSense MPU-6050 family's widest full scale
-MAX_GYRO = math.radians(2000.0)  # rad/s: 2000 deg/s, that family's widest full scale
 INNOVATION_GATE = 5.0  # per-axis gate, in innovation standard deviations
 INIT_VEL_STD = 1.0  # m/s, initial velocity uncertainty
 INIT_ATT_STD = 0.1  # rad, initial attitude uncertainty
@@ -215,7 +214,7 @@ def propagate(
     few weighted outer products, since [a]x [b]x^T = (a.b) I - b a^T: on
     (dp, dv), three scalar sums times I less one gather of a 6x6 product.
 
-    The caller checks the preconditions: every dt in (0, MAX_IMU_DT],
+    The caller ensures the preconditions: every dt in (0, MAX_IMU_DT],
     readings and offsets within full scale, finite noise squares, and a
     finite state with a unit q.  The states it returns are then finite;
     P may still overflow from the noise settings, and is the caller's to
@@ -346,13 +345,13 @@ def run_localizer(
     than the anchor are dropped; every fix is applied at the first IMU
     step at or after its timestamp.  Output is one record per processed
     IMU sample; identical inputs produce identical output.  ``offsets``
-    lie within full scale, as ``cli.read_offsets_cfg`` reads them.  A
-    stream fault raises StreamError: an empty stream, or no IMU sample at
-    or after the anchor, without an index; a fix earlier than the one
-    before it at its index; the first IMU sample whose step cannot run (a
-    time step outside (0, MAX_IMU_DT], or a raw reading beyond
-    MAX_ACCEL or MAX_GYRO) at its index.  Noise settings whose squares
-    overflow, or that leave P non-finite at a fix, raise NumericalError.
+    lie within full scale, as ``cli.read_offsets_cfg`` reads them, and
+    so do the readings of every ImuLog.  A stream fault raises
+    StreamError: an empty stream, or no IMU sample at or after the
+    anchor, without an index; a fix earlier than the one before it at its
+    index; the first IMU sample whose time step lies outside
+    (0, MAX_IMU_DT] at its index.  Noise settings whose squares overflow,
+    or that leave P non-finite at a fix, raise NumericalError.
     """
     if offsets is None:
         offsets = CalibrationOffsets.zero()
@@ -385,14 +384,12 @@ def run_localizer(
     dt = np.diff(t, prepend=ref.t)
     lead = int(dt[0] == 0.0)  # a first sample on the anchor takes no step
 
-    # the faults of each sample's step, in the order they are reported in, from the
-    # raw readings (a NaN fails the full-scale comparison too), then the step inputs
-    sx, sy, sz = ((abs(accel) <= MAX_ACCEL) & (abs(theta) <= MAX_GYRO)).T  # all(axis=1) is 10x slower
+    # the faults of each sample's step, in the order they are reported in
     accel = accel - offsets.accel_offset
     with np.errstate(over="ignore", invalid="ignore"):
         theta = (theta - offsets.gyro_offset) * dt[:, None]
         qa, qg = (cfg.accel_noise * dt) ** 2, (cfg.gyro_noise * dt) ** 2
-    faults = np.array([~((dt > 0.0) & (dt <= MAX_IMU_DT)), ~(sx & sy & sz), ~np.isfinite(qa + qg)])
+    faults = np.array([~((dt > 0.0) & (dt <= MAX_IMU_DT)), ~np.isfinite(qa + qg)])
     faults[:, :lead] = False
     bad = int(faults.any(axis=0).argmax()) if faults.any() else n
     # each fix is applied, in ENU, after the first sample at or after its time
@@ -427,16 +424,11 @@ def run_localizer(
         ps[hi], vs[hi], qs[hi] = state.p, state.v, state.q
 
     if bad < n:
-        kind = int(faults[:, bad].argmax())  # the first fault in the reporting order
-        if kind == 2:
+        if not faults[0, bad]:
             raise _noise_error(cfg, f"process noise overflowed at t={t[bad].item()}")
         d = dt[bad].item()
-        why = (
-            "timestamps unsorted" if d < 0.0
-            else "duplicate timestamp" if d == 0.0
-            else f"dt={d} outside (0, {MAX_IMU_DT}] s",
-            f"reading beyond full scale (accel +-{MAX_ACCEL} m/s^2, gyro +-{MAX_GYRO} rad/s)",
-        )[kind]
+        gap = f"dt={d} outside (0, {MAX_IMU_DT}] s"
+        why = "timestamps unsorted" if d < 0.0 else "duplicate timestamp" if d == 0.0 else gap
         raise StreamError("imu", why, int(keep[bad]))
     return LocalizerRun(
         t=t,

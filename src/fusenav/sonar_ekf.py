@@ -12,7 +12,7 @@ The noise is constant, not a setting: measurement variances R = (0.09,
 The zero second entry of Q makes that component's variance
 non-increasing.  A missing echo skips its sensor's update (variance
 treated as infinite) instead of aborting the tick; sonar dropouts are
-routine.
+routine.  Every echo's range is positive, as each ``core.SonarLog`` holds it.
 
 States are values; ``predict``/``update`` are pure state -> state functions,
 so independent filter instances can run concurrently.
@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import CHANNELS, DataError, SonarChannel, SonarLog, StreamError
+from .core import CHANNELS, SonarChannel, SonarLog, StreamError
 
 R = (0.09, 0.09)  # per-sensor measurement variances, m^2
 Q = (0.001, 0.0)  # per-sensor process noise, m^2
@@ -37,11 +37,8 @@ class SonarFusionState(NamedTuple):
 
 
 def init(z) -> SonarFusionState:
-    """Initialize from the first observation; each variance is P0."""
-    z = np.asarray(z, dtype=float)
-    if not (z > 0.0).all():
-        raise DataError(f"non-positive sonar measurement: {z}")
-    return SonarFusionState(x=tuple(z.tolist()), p=(P0, P0))
+    """Initialize from the first observation, two positive ranges; each variance is P0."""
+    return SonarFusionState(x=tuple(map(float, z)), p=(P0, P0))
 
 
 def predict(s: SonarFusionState) -> SonarFusionState:
@@ -52,8 +49,6 @@ def predict(s: SonarFusionState) -> SonarFusionState:
 
 def _correct(x: float, p: float, z: float, r: float) -> tuple[float, float]:
     """One sensor's measurement update of (x, p) with range z of variance r."""
-    if not z > 0.0:
-        raise DataError(f"non-positive sonar measurement: {z}")
     # reciprocal then multiply rounds as the LAPACK solve of the matrix form did
     k = p * (1.0 / (p + r))
     return x + k * (z - x), (1.0 - k) * p
@@ -65,8 +60,8 @@ def update(
     """Measurement update of each sensor whose echo is ``valid``.
 
     A sensor with ``valid[i]`` False keeps its state (its measurement
-    variance is effectively infinite).  Valid components must be positive
-    ranges (DataError otherwise, ``nan`` included).
+    variance is effectively infinite); a valid component is a positive
+    range, as every SonarLog holds it.
     """
     (x1, x2), (p1, p2) = s
     if valid[0]:

@@ -9,8 +9,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fusenav import cli, sim
-from fusenav.core import CHANNELS, DataError, GpsFix, ImuLog, SonarChannel, SonarLog
-from fusenav.localizer import MAX_ACCEL, MAX_GYRO, MAX_IMU_DT, CalibrationOffsets
+from fusenav.core import CHANNELS, MAX_ACCEL, MAX_GYRO, DataError, GpsFix, ImuLog, SonarChannel, SonarLog
+from fusenav.localizer import MAX_IMU_DT, CalibrationOffsets
 
 WALK110 = importlib.resources.files("fusenav") / "scenarios" / "walk110.cfg"
 CITY = Path(__file__).resolve().parents[1] / "perfbench" / "city.cfg"
@@ -652,17 +652,27 @@ class TestExitCodes:
         assert f"numerical failure: {message}" in err and f"={float(value)}" in err
         assert not (out / "est.csv").exists()
 
-    @pytest.mark.parametrize("key, value", [("accel_sigma", "5"), ("gyro_sigma", "34.9")])
-    def test_run_calibration_failure_names_the_keys(self, scenario_file, tmp_path, capsys, key, value):
-        # the bench stream's mean does not settle within calibrate's tolerance
+    @pytest.mark.parametrize(
+        "key, value, code, want",
+        [
+            # the bench stream's mean does not settle within calibrate's tolerance
+            ("accel_sigma", "5", cli.EXIT_NUMERICAL, "numerical failure: {}: keys 'accel_sigma', 'gyro_sigma': calibration"),
+            ("gyro_sigma", "5", cli.EXIT_NUMERICAL, "numerical failure: {}: keys 'accel_sigma', 'gyro_sigma': calibration"),
+            # about a third of the walk's gyro readings lie beyond full scale:
+            # refused when the stream is simulated, before any file is written
+            ("gyro_sigma", "34.9", cli.EXIT_DATA,
+             "data error: {}: keys 'accel_bias', 'gyro_bias', 'accel_sigma', 'gyro_sigma': reading beyond full scale"),
+        ],
+        ids=["accel_sigma-5", "gyro_sigma-5", "gyro_sigma-34.9"],
+    )
+    def test_run_calibration_failure_names_the_keys(self, scenario_file, tmp_path, capsys, key, value, code, want):
         lines = [ln for ln in SHORT_SCENARIO.splitlines() if not ln.startswith(f"{key} =")]
         scenario_file.write_text("\n".join([*lines, f"{key} = {value}"]) + "\n")
         out = tmp_path / "o"
-        assert cli.main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == cli.EXIT_NUMERICAL
-        err = capsys.readouterr().err
-        want = f"numerical failure: {scenario_file}: keys 'accel_sigma', 'gyro_sigma': calibration"
-        assert want in err
+        assert cli.main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == code
+        assert want.format(scenario_file) in capsys.readouterr().err
         assert not (out / "est.csv").exists()
+        assert out.exists() == (code == cli.EXIT_NUMERICAL)
 
     def test_run_takes_gps_sigma_at_its_bound(self, scenario_file, tmp_path):
         scenario_file.write_text(SHORT_SCENARIO.replace("gps_sigma = 1.5", "gps_sigma = 6378137"))
@@ -785,6 +795,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         where = f"{path}:{len(lines) + 1}: key 'gyro_bias'"
         assert f"data error: {where}: item '0, 0, 1e300' needs components within +-MAX_GYRO" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "run"])
+    def test_simulated_reading_beyond_full_scale_exits_2_naming_the_keys(self, tmp_path, capsys, command):
+        # a bias within full scale whose readings are not (z reads about
+        # -9.8 - 156.9 m/s^2) is refused before the output directory is made
+        path = tmp_path / "sink.cfg"
+        lines = [ln for ln in WALK110.read_text().splitlines() if not ln.startswith("accel_bias")]
+        path.write_text("\n".join([*lines, "accel_bias = 0, 0, -156.9"]) + "\n")
+        out = tmp_path / "o"
+        assert cli.main([command, "--scenario", str(path), "--out", str(out)]) == cli.EXIT_DATA
+        keys = "keys 'accel_bias', 'gyro_bias', 'accel_sigma', 'gyro_sigma'"
+        why = f"reading beyond full scale (accel +-{MAX_ACCEL} m/s^2, gyro +-{MAX_GYRO} rad/s)"
+        assert capsys.readouterr().err == f"fusenav: data error: {path}: {keys}: {why} at t=0.0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "reading, where, message",
+        [
+            # a reading beyond full scale is refused at its row
+            ("1000,0,-9.80665", "{imu}:2", f"reading beyond full scale (accel +-{MAX_ACCEL} m/s^2"),
+            # readings within full scale whose offset is not, 150 + 9.80665 m/s^2 on z,
+            # are refused in the words of the offsets.cfg reader
+            ("0,0,150", "{out}/offsets.cfg",
+             f"key 'accel_offset': item '0.0, 0.0, 159.80665' needs components within +-MAX_ACCEL = {MAX_ACCEL}"),
+        ],
+        ids=["ax_1000", "az_150"],
+    )
+    def test_calibrate_writes_no_offsets_that_localize_refuses(self, tmp_path, capsys, reading, where, message):
+        imu, out = tmp_path / "imu.csv", tmp_path / "o"
+        imu.write_text("t,ax,ay,az,gx,gy,gz\n" + "".join(f"{0.01 * i!r},{reading},0,0,0\n" for i in range(3000)))
+        assert cli.main(["calibrate", "--imu", str(imu), "--out", str(out)]) == cli.EXIT_DATA
+        assert f"data error: {where.format(imu=imu, out=out)}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, event, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from fusenav import cli  # noqa: E402
@@ -138,11 +138,12 @@ NUMBERS = st.one_of(
 
 
 @st.composite
-def walk110_variants(draw) -> list[tuple[str, str]]:
-    """walk110.cfg's (key, value) pairs less a subset of keys, with up to
-    three values drawn anew."""
+def walk110_variants(draw, redraw=tuple(WALK110_KEYS), drop=True) -> list[tuple[str, str]]:
+    """walk110.cfg's (key, value) pairs less a subset of keys (with ``drop``),
+    with the values of up to three keys of ``redraw`` drawn anew."""
     keys = st.sampled_from(list(WALK110_KEYS))
-    dropped, drawn = draw(st.sets(keys)), draw(st.sets(keys, max_size=3))
+    dropped = draw(st.sets(keys)) if drop else set()
+    drawn = draw(st.sets(st.sampled_from(list(redraw)), max_size=3))
     pairs = []
     for key, value in WALK110_KEYS.items():
         if key in dropped:
@@ -195,3 +196,33 @@ def test_walk110_variants_load_within_bounds_or_name_the_key(pairs):
                 assert line is None and (default or missing), str(exc)
             return
     assert cross_bounds_hold(scenario), pairs
+
+
+# a bias within full scale whose walk110 readings are not: z reads about -9.8 - 156.9 m/s^2
+SINK = [(k, "0, 0, -156.9" if k == "accel_bias" else v) for k, v in WALK110_KEYS.items()]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@example(pairs=SINK)
+@given(pairs=walk110_variants(redraw=("accel_bias", "gyro_bias", "accel_sigma", "gyro_sigma", "seed"), drop=False))
+def test_walk110_noise_variants_replay_or_leave_no_files(pairs):
+    # the route is walk110's, so every walk has its 7,238 rows: a run refuses its
+    # noise keys (or their sum) before it writes, or its files replay as they are
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        path, out, replay = d / "walk.cfg", d / "out", d / "replay"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in pairs))
+        code = cli.main(["run", "--scenario", str(path), "--out", str(out)])
+        event(f"run exits {code}")
+        assert code in {cli.EXIT_OK, cli.EXIT_DATA, cli.EXIT_NUMERICAL}
+        if code == cli.EXIT_DATA:
+            assert not out.exists()
+        if code != cli.EXIT_OK:
+            return
+        for argv in (
+            ["fuse-sonar", "--sonar", str(out / "sonar.csv")],
+            ["localize", "--imu", str(out / "imu.csv"), "--gps", str(out / "gps.csv"),
+             "--offsets", str(out / "offsets.cfg"), "--ref", WALK110_KEYS["anchor"]],
+            ["evaluate", "--est", str(replay / "est.csv"), "--truth", str(out / "truth.csv")],
+        ):
+            assert cli.main([*argv, "--out", str(replay)]) == cli.EXIT_OK, argv

@@ -15,6 +15,8 @@ from numpy.testing import assert_allclose
 from fusenav import cli, geo, sim
 from fusenav.core import (
     GRAVITY,
+    MAX_ACCEL,
+    MAX_GYRO,
     DataError,
     GpsFix,
     ImuLog,
@@ -28,8 +30,6 @@ from fusenav.core import (
     unit,
 )
 from fusenav.localizer import (
-    MAX_ACCEL,
-    MAX_GYRO,
     MAX_IMU_DT,
     CalibrationOffsets,
     LocalizerConfig,
@@ -205,10 +205,9 @@ def step_run(imu, fixes, cfg, offsets, initial=None):
     """Oracle for run_localizer: its contract as one loop over the samples,
     each fix applied through gps_update after the step that reaches it,
     from ``initial`` or else run_localizer's start (at the anchor, at rest,
-    level, facing east).  A step that cannot run, for its time step or a
-    raw reading beyond full scale, raises StreamError("imu", why, i) at its
-    sample i; noise that overflows, or that leaves P non-finite at a fix,
-    raises NumericalError."""
+    level, facing east).  A step that cannot run for its time step raises
+    StreamError("imu", why, i) at its sample i; noise that overflows, or
+    that leaves P non-finite at a fix, raises NumericalError."""
     ref = fixes[0]
     s = initial or NominalState(geo.wgs84_to_enu(ref, ref), np.zeros(3), level_heading_quat(0.0))
     p_cov = initial_covariance(cfg)
@@ -226,10 +225,6 @@ def step_run(imu, fixes, cfg, offsets, initial=None):
         if dt != 0.0:  # a first sample on the anchor takes no step
             if not dt <= MAX_IMU_DT:
                 raise StreamError("imu", f"dt={dt} outside (0, {MAX_IMU_DT}] s", i)
-            a, g = imu.accel[i].tolist(), imu.gyro[i].tolist()
-            if not all([abs(x) <= MAX_ACCEL for x in a] + [abs(x) <= MAX_GYRO for x in g]):
-                why = f"reading beyond full scale (accel +-{MAX_ACCEL} m/s^2, gyro +-{MAX_GYRO} rad/s)"
-                raise StreamError("imu", why, i)
             try:  # from a finite state, within full scale, step raises no DataError
                 s, p_cov = step(s, p_cov, accel[i], gyro[i], dt, cfg)
             except OverflowError:  # squaring a noise setting
@@ -243,6 +238,9 @@ def step_run(imu, fixes, cfg, offsets, initial=None):
         rows.append((t, s.p, s.v, s.q))
     t, p, v, q = zip(*rows)
     return np.array(t), np.array(p), np.array(v), np.array(q), accepted, rejected
+
+
+FULL_SCALE = f"reading beyond full scale (accel +-{MAX_ACCEL} m/s^2, gyro +-{MAX_GYRO} rad/s)"
 
 
 def outcome(localize, *args):
@@ -624,23 +622,24 @@ class TestRunLocalizer:
 
     @pytest.mark.parametrize("case", ["gap", "huge_gyro", "duplicate", "nan_accel", "inf_gyro"])
     def test_bad_step_names_its_sample(self, case):
-        # a gap longer than MAX_IMU_DT, a finite gyro reading beyond full
-        # scale, a repeated time, or a non-finite reading
+        # a gap longer than MAX_IMU_DT or a repeated time, refused by the
+        # localizer; a finite gyro reading beyond full scale or a non-finite
+        # reading, refused by the log that would hold it
         anchor = GpsFix(0.0, 37.0, -122.0, 30.0)
-        t = [0.0, 0.01, 0.02, 0.03]
+        t = np.array([0.0, 0.01, 0.02, 0.03])
         if case == "gap":
             t[2] += MAX_IMU_DT
         if case == "duplicate":
             t[2] = t[1]
-        imu = imu_log(t, [0, 0, -G])
+        accel, gyro = np.tile([0, 0, -G], (4, 1)), np.zeros((4, 3))
         if case == "huge_gyro":
-            imu.gyro[2, 0] = 1e200
+            gyro[2, 0] = 1e200
         if case == "nan_accel":
-            imu.accel[2, 1] = np.nan
+            accel[2, 1] = np.nan
         if case == "inf_gyro":
-            imu.gyro[2, 2] = np.inf
+            gyro[2, 2] = np.inf
         with pytest.raises(StreamError) as info:
-            run_localizer(imu, [anchor], make_cfg())
+            run_localizer(ImuLog(t, accel, gyro), [anchor], make_cfg())
         assert (info.value.stream, info.value.index) == ("imu", 2)
 
     @pytest.mark.parametrize("gps", ["on", "off"])
@@ -670,8 +669,9 @@ class TestRunLocalizer:
     )
     def test_faults_match_the_step_oracle(self, walk110_streams, case, gps):
         # the same exception type, sample and message as the per-step loop;
-        # readings at full scale are stepped as the loop steps them, and one
-        # float beyond it ("gyro_z_min": below -MAX_GYRO on z) is refused
+        # readings at full scale are stepped as the loop steps them, and the
+        # first row with a float beyond it ("gyro_z_min": below -MAX_GYRO on
+        # z), a NaN or inf one included, is refused when the log is built
         imu, fixes, cfg, offsets = walk110_streams
         fixes = fixes if gps == "on" else fixes[:1]
         t, accel, gyro = imu.t.copy(), imu.accel.copy(), imu.gyro.copy()
@@ -709,6 +709,19 @@ class TestRunLocalizer:
                 column, bound = (accel, MAX_ACCEL) if kind.startswith("accel") else (gyro, MAX_GYRO)
                 edge = bound if kind.endswith("max") else -bound
                 column[k, "xyz".index(kind[-5])] = np.nextafter(edge, 2 * edge)
+        beyond = [
+            i for i, (a, g) in enumerate(zip(accel.tolist(), gyro.tolist()))
+            if not all([abs(x) <= MAX_ACCEL for x in a] + [abs(x) <= MAX_GYRO for x in g])
+        ]
+        if beyond:
+            with pytest.raises(StreamError) as info:
+                ImuLog(t, accel, gyro)
+            assert (info.value.stream, info.value.index) == ("imu", beyond[0])
+            assert str(info.value) == FULL_SCALE
+            # each case's first row beyond full scale, the earlier of two sites
+            first = {"gap@300+huge_gyro@400": 400, "yaw45+spike@2": 2}
+            assert beyond[0] == first.get(case, 5 if case.startswith("overflow") else 300)
+            return
         log = ImuLog(t, accel, gyro)
         want = outcome(step_run, log, fixes, cfg, offsets)
         got = outcome(run_localizer, log, fixes, cfg, offsets)
@@ -722,9 +735,6 @@ class TestRunLocalizer:
         assert str(got) == str(want)
         assert getattr(got, "index", None) == getattr(want, "index", None)
         assert getattr(got, "stream", None) == getattr(want, "stream", None)
-        if "spike" in case or case.startswith("overflow"):
-            # refused at the first reading beyond full scale, before any state overflows
-            assert want.index == (2 if "spike" in case else 5)
 
     def test_empty_streams_error(self):
         anchor = GpsFix(0.0, 37.0, -122.0, 30.0)

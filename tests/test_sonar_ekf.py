@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fusenav import cli, sim, sonar_ekf
-from fusenav.core import CHANNELS, DataError, SonarChannel, SonarLog
+from fusenav.core import CHANNELS, SonarChannel, SonarLog, StreamError
 from fusenav.sonar_ekf import (
     P0,
     Q,
@@ -99,22 +99,24 @@ def test_init_state_and_covariance():
     assert_allclose(s2.x, [0.5, 0.6])
 
 
-def test_init_rejects_non_positive():
-    with pytest.raises(DataError):
-        init([-1.0, 2.0])
-    with pytest.raises(DataError):
-        init([0.0, 2.0])
+@pytest.mark.parametrize("z", [-1.0, 0.0, float("nan")])
+@pytest.mark.parametrize("row", [0, 3])
+def test_sonar_log_rejects_an_echo_without_positive_range(z, row):
+    # the pair that would initialize the filter, or a later one that would update it
+    ranges = np.full(4, 2.0)
+    ranges[row] = z
+    with pytest.raises(StreamError) as info:
+        front_log(ranges.reshape(2, 2), np.ones((2, 2), dtype=bool))
+    assert (info.value.stream, info.value.index) == ("sonar", row)
+    assert str(info.value) == f"column 'range': an echo needs a positive range, got {z!r}"
 
 
-def test_nan_valid_range_is_a_data_error():
+def test_masked_range_is_never_read():
+    # a row without an echo takes any range, and the filter does not read it
+    log = front_log([[2.0, 2.0], [float("nan"), -1.0]], [[True, True], [False, False]])
+    assert not log.range_m.flags.writeable and not log.valid.flags.writeable
+    assert fuse_front_pair(log).fused.tolist() == [2.0, 2.0]
     s = init([2.0, 2.0])
-    with pytest.raises(DataError, match="non-positive"):
-        update(s, [float("nan"), 2.0])
-    with pytest.raises(DataError, match="non-positive"):
-        update(s, [2.0, float("nan")], valid=(False, True))
-    with pytest.raises(DataError, match="non-positive"):
-        init([2.0, float("nan")])
-    # a masked nan is no measurement and is never read
     assert update(s, [float("nan"), 2.0], valid=(False, True)).x[0] == 2.0
 
 

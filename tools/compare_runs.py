@@ -12,16 +12,21 @@ Each root is a checkout of this repository.  Both trees run
 replay the per-stage commands that the bench's replay110 job times,
 ``fuse-sonar``, ``localize --offsets --ref <walk110 anchor>`` and
 ``evaluate``, over the files of the parent's run, so that both read the
-same bytes.  Last, both trees run five commands that must be refused
-with exit 2, over faulty copies of the first walk110 run's files: a
-duplicate time on ``imu.csv`` row 101 (``localize``), a header-only
-``gps.csv`` (``localize``), a ``sonar.csv`` with its first front row
-removed (``fuse-sonar``), ``run`` with ``gyro_bias = 0, 0, 1e300``,
-a bias beyond the IMU's full scale (refused at its scenario key, or, in a
-tree that reads any finite bias, at the first ``imu.csv`` step that it
-rotates too far), and ``localize`` with ``imu.csv`` data row 3001's gyro
-cells at ``1e100``, readings beyond full scale (refused at ``imu.csv:3002``,
-or, in a tree that reads any finite reading, run to the end).  Each
+same bytes.  Last, both trees run six commands that must be refused
+with exit 2, over faulty copies of the first walk110 run's files and of
+``walk110.cfg``: a duplicate time on ``imu.csv`` row 101 (``localize``);
+a header-only ``gps.csv`` (``localize``); a ``sonar.csv`` with its first
+front row removed (``fuse-sonar``); ``run`` with ``gyro_bias = 0, 0,
+1e300``, a bias beyond the IMU's full scale (refused at its scenario
+key, or, in a tree that reads any finite bias, at the first ``imu.csv``
+step that it rotates too far); ``localize`` with ``imu.csv`` data row
+3001's gyro cells at ``1e100``, readings beyond full scale (refused at
+``imu.csv:3002``, or, in a tree that reads any finite reading, run to
+the end); and ``run`` with ``accel_bias = 0, 0, -156.9``, a bias within
+full scale whose simulated readings are not (refused at the scenario's
+noise keys before any file is written, or, in a tree that bounds only
+the localizer's input, at ``imu.csv:3`` after six files are written).
+That makes 54 configurations.  Each
 command has ``PYTHONPATH=<root>/src``, ``PYTHONDONTWRITEBYTECODE=1`` and
 ``PYTHONHASHSEED=0``.  The script compares the exit codes, the stdout and
 stderr with the output directory masked, the sets of files written, and
@@ -104,9 +109,9 @@ def refusals(run_dir: Path, scenario: Path, faults: Path) -> dict:
     sonar = (run_dir / "sonar.csv").read_text().splitlines(keepends=True)
     sonar.remove(next(line for line in sonar if ",front," in line))
     (faults / "sonar_front.csv").write_text("".join(sonar))
-    lines = [ln for ln in scenario.read_text().splitlines(keepends=True)
-             if not ln.startswith("gyro_bias")]
-    (faults / "spin.cfg").write_text("".join([*lines, "gyro_bias = 0, 0, 1e300\n"]))
+    for name, key, value in (("spin.cfg", "gyro_bias", "0, 0, 1e300"), ("sink.cfg", "accel_bias", "0, 0, -156.9")):
+        lines = [ln for ln in scenario.read_text().splitlines(keepends=True) if not ln.startswith(key)]
+        (faults / name).write_text("".join([*lines, f"{key} = {value}\n"]))
     imu_path, gps_path = str(run_dir / "imu.csv"), str(run_dir / "gps.csv")
     return {
         "refused: localize, duplicate time on imu.csv row 101": [
@@ -119,6 +124,8 @@ def refusals(run_dir: Path, scenario: Path, faults: Path) -> dict:
             ["run", "--scenario", str(faults / "spin.cfg")]],
         "refused: localize, gyro cells of imu.csv data row 3001 at 1e100": [
             ["localize", "--imu", str(faults / "imu_spin.csv"), "--gps", gps_path]],
+        "refused: run, accel_bias = 0, 0, -156.9": [
+            ["run", "--scenario", str(faults / "sink.cfg")]],
     }
 
 
