@@ -29,13 +29,13 @@ list values use ``;`` between items and ``,`` within (see
 scenarios/walk110.cfg).
 Every command is deterministic given its inputs and seed, across
 processes as well (no output depends on the hash seed).  Exit codes:
-0 success, 1 usage, 2 data error, 3 numerical failure; an output that
-cannot be written, stdout included, is a data error naming its path
-(``<stdout>``).  ``run`` writes
-truth/imu/gps/sonar.csv from a forked child once the walk is simulated,
-and est.csv from another once the filter has run, while it computes on;
-it joins both before it returns, on success or error, and a child's
-write error exits 2.
+0 success, 1 usage, 2 data error, 3 numerical failure (only a calibration
+that does not converge, or a LAPACK failure); an output that cannot be
+written, stdout included, is a data error naming its path (``<stdout>``).
+``run`` writes truth/imu/gps/sonar.csv from a forked child once the walk
+is simulated, and est.csv from another once the filter has run, while it
+computes on; it joins both before it returns, on success or error, and a
+child's write error exits 2.
 A process executes only the modules its command runs: ``feedback``,
 ``metrics``, ``perception``, ``sim`` and ``sonar_ekf`` are loaded on first
 use, so ``calibrate`` and ``localize`` execute none of them, ``fuse-sonar``
@@ -154,6 +154,18 @@ _MAX_IMU_SAMPLES = 10**7  # a walk's arrays hold one row per IMU sample
 _MAX_DT = MAX_IMU_DT * (1.0 - 1e-8)
 # the fusion reads exactly one front pair; the key stays for files that state it
 _FRONT_PAIR = _finite_in(lambda x: x == 2.0, "2, the front pair the fusion reads")
+
+
+def _noise_flag(name: str):
+    """A ``localize`` noise flag: positive, and a value LocalizerConfig takes as ``name``."""
+
+    def conv(text: str) -> float:
+        try:
+            return getattr(LocalizerConfig(**{name: _POSITIVE(text)}), name)
+        except ValueError as exc:  # DataError is one
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from None
+
+    return conv
 
 
 def _seed(text: str) -> int:
@@ -847,9 +859,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="'lat, lon, alt' ENU frame for est.csv (default: first GPS fix)",
     )
-    p.add_argument("--accel-noise", type=_POSITIVE, default=LocalizerConfig.accel_noise)
-    p.add_argument("--gyro-noise", type=_POSITIVE, default=LocalizerConfig.gyro_noise)
-    p.add_argument("--gps-std", type=_POSITIVE, default=LocalizerConfig.gps_pos_std)
+    p.add_argument("--accel-noise", type=_noise_flag("accel_noise"), default=LocalizerConfig.accel_noise)
+    p.add_argument("--gyro-noise", type=_noise_flag("gyro_noise"), default=LocalizerConfig.gyro_noise)
+    p.add_argument("--gps-std", type=_noise_flag("gps_pos_std"), default=LocalizerConfig.gps_pos_std)
     _add_common(p, scenario=False)
     p.set_defaults(func=cmd_localize)
 

@@ -21,8 +21,8 @@ shared mutable state, and the module's arrays are read-only constants.
 Between two fixes nothing reads P, so ``propagate`` steps one such
 segment of IMU samples at a time and ``run_localizer`` calls it once per
 fix (a longer gap in calls of at most 1,024 steps).  Each step's gyro dt,
-noise squares and ``rotvec_quat`` increment are formed once per run, by
-the column pass that checks them.  The nominal states are columns: the
+noise squares and ``rotvec_quat`` increment are formed once per run, in
+the column pass that checks dt.  The nominal states are columns: the
 attitude a float loop of ``core``'s product and normalization over the
 increments, then one (m + 1, 4) array, whose stacked ``rotation_entries``
 give R(q) a in three row products.  v and p are running sums in the order
@@ -33,11 +33,10 @@ Every run starts at the anchor fix, at rest, level and facing east.
 Faults are found in ``run_localizer`` alone, each a ``core.StreamError``
 naming its stream and sample; ``propagate`` only steps.  One column pass
 over the kept samples finds every IMU step fault before the first step:
-the first sample whose step cannot run, before which propagation stops.
-At one sample the order is: a time step outside (0, MAX_IMU_DT], then
-process noise whose square overflows.  The readings need no check here:
-every ``core.ImuLog`` holds them within full scale, a NaN or inf one
-refused, and read-only.
+the first sample whose time step lies outside (0, MAX_IMU_DT], before
+which propagation stops.  The readings need no check here: every
+``core.ImuLog`` holds them within full scale, a NaN or inf one refused,
+and read-only.
 
 No state can overflow after that pass.  Offsets lie within full scale
 too (``cli.read_offsets_cfg`` bounds them, and ``run`` calibrates on its
@@ -45,9 +44,15 @@ own simulated stream), so each step's acceleration is at most a few
 hundred m/s^2, over a dt of at most 0.1 s, and each rotation angle is
 finite.  ``gps_update`` rejects a correction whose square is not finite,
 so each accepted one is below 1.4e154 per component.  No stream that
-fits in memory can then take p or v past a float's range.  P is another
-matter: the noise settings can overflow it, so ``propagate`` ignores
-overflow and ``run_localizer`` checks P before each fix.
+fits in memory can then take p or v past a float's range.  Nor P: every
+LocalizerConfig holds its noise settings within NOISE_BOUNDS, so the
+initial P is at most WGS84_A^2 ~ 4.1e13, each step adds at most
+(MAX_ACCEL dt)^2 and (MAX_GYRO dt)^2 of noise, and the transition's
+entries grow as the acceleration times the squared time since the last
+fix.  So P grows at most as the fifth power of that time.  Full-scale
+readings at all three bounds, with dt just under 0.1 s and no fix, take
+max|P| to 3.4e20 after 1e4 steps, 3.0e25 after 1e5 and 3.0e30 after 1e6:
+reaching 1e308 would take some 1e55 times longer.  A fix only shrinks P.
 """
 
 from __future__ import annotations
@@ -60,6 +65,9 @@ import numpy as np
 from . import geo
 from .core import (
     GRAVITY,
+    MAX_ACCEL,
+    MAX_GYRO,
+    DataError,
     GpsFix,
     ImuLog,
     NumericalError,
@@ -76,6 +84,8 @@ INNOVATION_GATE = 5.0  # per-axis gate, in innovation standard deviations
 INIT_VEL_STD = 1.0  # m/s, initial velocity uncertainty
 INIT_ATT_STD = 0.1  # rad, initial attitude uncertainty
 _MAX_SEGMENT = 1024  # steps per propagate call and per stack of increments: bounds temporaries
+# an IMU sigma beyond the sensor's full scale, or a GPS one wider than the Earth, carries nothing
+NOISE_BOUNDS = {"accel_noise": MAX_ACCEL, "gyro_noise": MAX_GYRO, "gps_pos_std": geo.WGS84_A}
 
 # Read-only constants of propagate: Phi's identity, the flat indices of its
 # tau and -[.]x entries; which of the noise's five values (three block sums,
@@ -122,12 +132,22 @@ class LocalizerConfig:
 
     ``accel_noise``/``gyro_noise`` are per-sample standard deviations; the
     discrete process noise injected on (dv, dtheta) each step is
-    ``sigma^2 * dt^2``.  The stream timestamps govern integration.
+    ``sigma^2 * dt^2``.  The stream timestamps govern integration.  Each
+    setting lies in [0, NOISE_BOUNDS[name]], and ``gps_pos_std`` squares to
+    more than 0; any other value raises DataError naming the setting.
     """
 
     accel_noise: float = 0.25  # m/s^2 per sample
     gyro_noise: float = 0.025  # rad/s per sample
     gps_pos_std: float = 3.0  # m
+
+    def __post_init__(self):
+        for name, bound in NOISE_BOUNDS.items():
+            x = getattr(self, name)
+            if not 0.0 <= x <= bound:  # a NaN is not
+                raise DataError(f"{name} = {x!r} is not in [0, {bound}]")
+        if not self.gps_pos_std * self.gps_pos_std > 0.0:  # all of S for a fix before the first step
+            raise DataError(f"gps_pos_std = {self.gps_pos_std!r} squares to 0")
 
 
 def calibrate(
@@ -215,57 +235,55 @@ def propagate(
     (dp, dv), three scalar sums times I less one gather of a 6x6 product.
 
     The caller ensures the preconditions: every dt in (0, MAX_IMU_DT],
-    readings and offsets within full scale, finite noise squares, and a
-    finite state with a unit q.  The states it returns are then finite;
-    P may still overflow from the noise settings, and is the caller's to
-    check.
+    readings and offsets within full scale, noise squares of settings
+    within NOISE_BOUNDS, and a finite state with a unit q.  The states and
+    P it returns are then finite (see the module docstring).
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks P
-        q = s.q.tolist()
-        flat = list(q)
-        for d in dq.tolist():
-            q = unit(hamilton(q, d))
-            flat += q
-        qs = np.fromiter(flat, float, len(flat)).reshape(-1, 4)
+    q = s.q.tolist()
+    flat = list(q)
+    for d in dq.tolist():
+        q = unit(hamilton(q, d))
+        flat += q
+    qs = np.fromiter(flat, float, len(flat)).reshape(-1, 4)
 
-        # the nominal step's operations, in its order, as columns
-        r = np.array(rotation_entries(qs[:-1].T))
-        ax, ay, az = accel.T
-        c = (r[0::3] * ax + r[1::3] * ay + r[2::3] * az).T
-        d = dt[:, None]
-        n = c + GRAVITY
-        v = np.concatenate([s.v[None], n * d]).cumsum(axis=0)
-        # p_k = (p_{k-1} + v_{k-1} dt) + 0.5 n dt dt, as one running sum
-        x = np.empty((2 * len(dt) + 1, 3))
-        x[0] = s.p
-        x[1::2] = v[:-1] * d
-        x[2::2] = 0.5 * n * d * d
-        p = x.cumsum(axis=0)[2::2]
-        v = v[1:]
+    # the nominal step's operations, in its order, as columns
+    r = np.array(rotation_entries(qs[:-1].T))
+    ax, ay, az = accel.T
+    c = (r[0::3] * ax + r[1::3] * ay + r[2::3] * az).T
+    d = dt[:, None]
+    n = c + GRAVITY
+    v = np.concatenate([s.v[None], n * d]).cumsum(axis=0)
+    # p_k = (p_{k-1} + v_{k-1} dt) + 0.5 n dt dt, as one running sum
+    x = np.empty((2 * len(dt) + 1, 3))
+    x[0] = s.p
+    x[1::2] = v[:-1] * d
+    x[2::2] = 0.5 * n * d * d
+    p = x.cumsum(axis=0)[2::2]
+    v = v[1:]
 
-        e = c * d
-        tail = dt[::-1].cumsum()[::-1]  # from the start of each step to the end
-        tau = np.concatenate([tail[1:], [0.0]])
-        ge = np.concatenate([0.5 * e * d + tau[:, None] * e, e], axis=1)  # g and e
-        # sums of g and e over the steps after each step
-        after = np.zeros((len(dt), 6))
-        after[:-1] = ge[:0:-1].cumsum(axis=0)[::-1]
-        phi = _EYE9.copy()
-        phi.put(_F_INDEX, _blocks(tail[0], after[0] + ge[0]))
+    e = c * d
+    tail = dt[::-1].cumsum()[::-1]  # from the start of each step to the end
+    tau = np.concatenate([tail[1:], [0.0]])
+    ge = np.concatenate([0.5 * e * d + tau[:, None] * e, e], axis=1)  # g and e
+    # sums of g and e over the steps after each step
+    after = np.zeros((len(dt), 6))
+    after[:-1] = ge[:0:-1].cumsum(axis=0)[::-1]
+    phi = _EYE9.copy()
+    phi.put(_F_INDEX, _blocks(tail[0], after[0] + ge[0]))
 
-        w = qg[:, None] * after
-        outer = after.T @ w  # sum qg [a b] [a b]^T
-        a0, a1, a2, b0, b1, b2 = outer.diagonal().tolist()
-        c0, c1, c2 = outer.diagonal(3).tolist()
-        sums = np.array([  # with the block traces added as np.trace adds them
-            qa @ (tau * tau) + (0.0 + a0 + a1 + a2), qa @ tau + (0.0 + c0 + c1 + c2),
-            qa.sum() + (0.0 + b0 + b1 + b2), qg.sum(), 0.0,
-        ])
-        noise = sums[_SUM_INDEX] * _SUM_EYE
-        noise[0:6, 0:6] -= outer.take(_OUTER_INDEX)
-        noise.put(_CROSS_INDEX, 2 * _blocks(0.0, w.sum(axis=0))[3:])
-        p_cov = phi @ P @ phi.T + noise
-        p_cov = 0.5 * (p_cov + p_cov.T)
+    w = qg[:, None] * after
+    outer = after.T @ w  # sum qg [a b] [a b]^T
+    a0, a1, a2, b0, b1, b2 = outer.diagonal().tolist()
+    c0, c1, c2 = outer.diagonal(3).tolist()
+    sums = np.array([  # with the block traces added as np.trace adds them
+        qa @ (tau * tau) + (0.0 + a0 + a1 + a2), qa @ tau + (0.0 + c0 + c1 + c2),
+        qa.sum() + (0.0 + b0 + b1 + b2), qg.sum(), 0.0,
+    ])
+    noise = sums[_SUM_INDEX] * _SUM_EYE
+    noise[0:6, 0:6] -= outer.take(_OUTER_INDEX)
+    noise.put(_CROSS_INDEX, 2 * _blocks(0.0, w.sum(axis=0))[3:])
+    p_cov = phi @ P @ phi.T + noise
+    p_cov = 0.5 * (p_cov + p_cov.T)
     return NominalState(p=p, v=v, q=qs[1:]), p_cov
 
 
@@ -325,13 +343,6 @@ class LocalizerRun:
         return Trajectory(t=self.t, xyz=geo.enu_to_enu(self.p, self.ref, frame), label=label)
 
 
-def _noise_error(cfg: LocalizerConfig, what: str) -> NumericalError:
-    return NumericalError(
-        f"{what}; noise settings accel_noise={cfg.accel_noise}, "
-        f"gyro_noise={cfg.gyro_noise}, gps_pos_std={cfg.gps_pos_std}"
-    )
-
-
 def run_localizer(
     imu: ImuLog,
     gps_stream,
@@ -350,8 +361,7 @@ def run_localizer(
     StreamError: an empty stream, or no IMU sample at or after the
     anchor, without an index; a fix earlier than the one before it at its
     index; the first IMU sample whose time step lies outside
-    (0, MAX_IMU_DT] at its index.  Noise settings whose squares overflow,
-    or that leave P non-finite at a fix, raise NumericalError.
+    (0, MAX_IMU_DT] at its index, the one fault kind of its column pass.
     """
     if offsets is None:
         offsets = CalibrationOffsets.zero()
@@ -367,10 +377,7 @@ def run_localizer(
 
     ref = fixes[0]
     state = NominalState(geo.wgs84_to_enu(ref, ref), np.zeros(3), level_heading_quat(0.0))
-    try:  # if this square of gps_pos_std fits, so does gps_update's
-        p_cov = initial_covariance(cfg)
-    except OverflowError:
-        raise _noise_error(cfg, "initial covariance overflowed") from None
+    p_cov = initial_covariance(cfg)
 
     # samples before the anchor are dropped unchecked
     keep = np.flatnonzero(~(imu.t < ref.t))
@@ -384,14 +391,14 @@ def run_localizer(
     dt = np.diff(t, prepend=ref.t)
     lead = int(dt[0] == 0.0)  # a first sample on the anchor takes no step
 
-    # the faults of each sample's step, in the order they are reported in
+    # each sample's step inputs and time step fault; rows from the first fault on can overflow
     accel = accel - offsets.accel_offset
     with np.errstate(over="ignore", invalid="ignore"):
         theta = (theta - offsets.gyro_offset) * dt[:, None]
         qa, qg = (cfg.accel_noise * dt) ** 2, (cfg.gyro_noise * dt) ** 2
-    faults = np.array([~((dt > 0.0) & (dt <= MAX_IMU_DT)), ~np.isfinite(qa + qg)])
-    faults[:, :lead] = False
-    bad = int(faults.any(axis=0).argmax()) if faults.any() else n
+    fault = ~((dt > 0.0) & (dt <= MAX_IMU_DT))
+    fault[:lead] = False
+    bad = int(fault.argmax()) if fault.any() else n
     # each fix is applied, in ENU, after the first sample at or after its time
     at = np.searchsorted(t[:bad], times[1:]).tolist()
     z = geo.wgs84_to_enu(fixes[: 1 + int(np.searchsorted(at, bad))], ref)
@@ -415,8 +422,6 @@ def run_localizer(
             state = NominalState(p=seg.p[-1], v=seg.v[-1], q=seg.q[-1])
             lo = mid
         while fix_idx < len(fixes) and at[fix_idx - 1] == hi - 1:
-            if not np.isfinite(p_cov).all():  # the gate would reject every fix
-                raise _noise_error(cfg, f"covariance not finite at the fix t={fixes[fix_idx].t}")
             state, p_cov, ok = gps_update(state, p_cov, z[fix_idx], cfg)
             accepted += ok
             rejected += not ok
@@ -424,8 +429,6 @@ def run_localizer(
         ps[hi], vs[hi], qs[hi] = state.p, state.v, state.q
 
     if bad < n:
-        if not faults[0, bad]:
-            raise _noise_error(cfg, f"process noise overflowed at t={t[bad].item()}")
         d = dt[bad].item()
         gap = f"dt={d} outside (0, {MAX_IMU_DT}] s"
         why = "timestamps unsorted" if d < 0.0 else "duplicate timestamp" if d == 0.0 else gap

@@ -25,10 +25,8 @@ and events arriving while it is busy are coalesced down to the single
 most recent one -- a stale frame is useless for navigation.  The gate
 runs in simulated time (event timestamps drive it) in one advance loop,
 which ``flush`` runs to the end; only the ordering and coalescing
-semantics are contractual.  Every frame takes
-``latency_model(DEFAULT_RESOLUTION)``, the measured 604 ms for 640x480;
-the model is LATENCY_BASE_MS plus LATENCY_PER_PIXEL_MS per pixel.  These
-are constants, not settings.
+semantics are contractual.  Every frame takes LATENCY_S, the measured
+604 ms for 640x480, a constant, not a setting.
 """
 
 from __future__ import annotations
@@ -135,20 +133,7 @@ class ObstacleDetector:
         return events
 
 
-DEFAULT_RESOLUTION = (640, 480)
-LATENCY_BASE_MS = 100.0
-# Anchored so the default resolution lands on the measured 604 ms average.
-LATENCY_PER_PIXEL_MS = (604.0 - LATENCY_BASE_MS) / (DEFAULT_RESOLUTION[0] * DEFAULT_RESOLUTION[1])
-
-
-def latency_model(resolution: tuple[int, int]) -> float:
-    """Latency in ms for a frame of the given (width, height): affine,
-    strictly increasing in the pixel count."""
-    w, h = resolution
-    if w <= 0 or h <= 0:
-        raise DataError(f"resolution must be positive, got {resolution}")
-    return LATENCY_BASE_MS + LATENCY_PER_PIXEL_MS * (w * h)
-
+LATENCY_S = 0.604  # s per recognition: the measured average for a 640x480 frame
 
 LABELS = ("person", "chair", "door", "pole", "bin", "bicycle")
 
@@ -199,7 +184,6 @@ class RecognitionGate:
 
     def __init__(self, recognizer: MockRecognizer):
         self.recognizer = recognizer
-        self._latency_s = latency_model(DEFAULT_RESOLUTION) / 1000.0
         self._in_flight: Optional[tuple[DetectionEvent, float]] = None
         self._pending: Optional[DetectionEvent] = None
         self.processed_count = 0
@@ -216,7 +200,7 @@ class RecognitionGate:
                 labels, failed = (), True
             out.append(RecognitionResult(event, labels, done_t, failed))
             nxt, self._pending = self._pending, None
-            self._in_flight = None if nxt is None else (nxt, done_t + self._latency_s)
+            self._in_flight = None if nxt is None else (nxt, done_t + LATENCY_S)
         return out
 
     def submit(self, event: DetectionEvent) -> list[RecognitionResult]:
@@ -224,7 +208,7 @@ class RecognitionGate:
         completed = self._advance(event.t)
         if event.kind is DetectionKind.OBSTACLE:
             if self._in_flight is None:
-                self._in_flight = (event, event.t + self._latency_s)
+                self._in_flight = (event, event.t + LATENCY_S)
             else:
                 self._pending = event  # coalesce: keep only the latest
         return completed

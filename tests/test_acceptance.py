@@ -25,15 +25,14 @@ from fusenav.localizer import (
     run_localizer,
 )
 from fusenav.perception import (
-    DEFAULT_RESOLUTION,
     DROPOFF_MARGIN,
+    LATENCY_S,
     THRESHOLDS,
     DetectionEvent,
     DetectionKind,
     MockRecognizer,
     ObstacleDetector,
     RecognitionGate,
-    latency_model,
 )
 
 SEEDS = range(20)
@@ -239,7 +238,7 @@ def test_criterion_07_geodesy():
 
 
 # ---------------------------------------------------------------------------
-# 8. Heterogeneous gating and the latency model
+# 8. Heterogeneous gating and the recognition latency
 
 
 def test_criterion_08_gating_and_latency():
@@ -249,8 +248,10 @@ def test_criterion_08_gating_and_latency():
         gate.submit(
             DetectionEvent(0.01 * (k + 1), SonarChannel.FRONT, DetectionKind.OBSTACLE, 1.4)
         )
-    gate.flush()
+    done = gate.flush()
     assert gate.processed_count == 2
+    # each frame completes LATENCY_S after it starts: the burst's newest at the first's end
+    assert [r.completed_t for r in done] == [0.604, 0.604 + 0.604]
 
     drop_gate = RecognitionGate(MockRecognizer(seed=0))
     for k in range(10):
@@ -260,14 +261,10 @@ def test_criterion_08_gating_and_latency():
     drop_gate.flush()
     assert drop_gate.processed_count == 0
 
-    full = latency_model(DEFAULT_RESOLUTION)
-    assert abs(full - 604.0) < 1e-9
-    lower = latency_model((320, 240))
-    assert lower < full
     report(
         8,
-        f"11-event burst -> 2 recognitions, drop-offs -> 0; latency {full:.0f} ms "
-        f"at default resolution, {lower:.0f} ms at quarter resolution",
+        f"11-event burst -> 2 recognitions, drop-offs -> 0; "
+        f"each frame done {LATENCY_S * 1000:.0f} ms after it starts",
     )
 
 

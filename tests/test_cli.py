@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fusenav import cli, sim
+from fusenav import cli, geo, sim
 from fusenav.core import CHANNELS, MAX_ACCEL, MAX_GYRO, DataError, GpsFix, ImuLog, SonarChannel, SonarLog
 from fusenav.localizer import MAX_IMU_DT, CalibrationOffsets
 
@@ -609,6 +609,14 @@ class TestExitCodes:
             ("localize", "--accel-noise", "inf"),
             ("localize", "--gyro-noise", "-0.5"),
             ("localize", "--gps-std", "nan"),
+            # values whose squares or covariance overflowed, and each bound plus one ulp
+            ("localize", "--accel-noise", "1e200"),
+            ("localize", "--gyro-noise", "1e200"),
+            ("localize", "--gps-std", "1e200"),
+            ("localize", "--gps-std", "1.3e154"),
+            ("localize", "--accel-noise", "1.3e155"),
+            *(("localize", flag, repr(float(np.nextafter(bound, np.inf)))) for flag, bound in (
+                ("--accel-noise", MAX_ACCEL), ("--gyro-noise", MAX_GYRO), ("--gps-std", geo.WGS84_A))),
             ("localize", "--ref", "37.0, -122.0, nan"),
             ("calibrate", "--tol", "nan"),
             ("calibrate", "--batch", "0"),
@@ -629,28 +637,27 @@ class TestExitCodes:
         assert err.startswith("usage: fusenav") and f"argument {flag}: invalid" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "command, setting, value, message",
-        [
-            ("localize", "--accel-noise", "1e200", "process noise overflowed"),
-            ("localize", "--gyro-noise", "1e200", "process noise overflowed"),
-            ("localize", "--gps-std", "1e200", "initial covariance overflowed"),
-            # squares that fit in a float, but P overflows before the first fix
-            ("localize", "--gps-std", "1.3e154", "covariance not finite at the fix t=1.0"),
-            ("localize", "--accel-noise", "1.3e155", "covariance not finite at the fix t=1.0"),
-        ],
-    )
-    def test_noise_that_overflows_exits_3(
-        self, scenario_file, tmp_path, capsys, command, setting, value, message
-    ):
+    def test_gps_std_whose_square_is_zero_exits_1(self, tmp_path, tiny_streams, capsys):
+        # a second fix on the anchor is applied before the first step, with S = std^2 alone:
+        # 1e-200 squares to 0 (a singular S), 1e-160 to a positive subnormal
+        imu, gps = tiny_streams
+        imu.write_text(imu.read_text() + "0.02,0,0,-9.8,0,0,0\n")
+        gps.write_text(gps.read_text() + "0.0,37.0,-122.0,30.0\n")
+        argv = ["localize", "--imu", str(imu), "--gps", str(gps), "--out", str(tmp_path / "o")]
+        assert cli.main([*argv, "--gps-std", "1e-200"]) == cli.EXIT_USAGE
+        assert "argument --gps-std: invalid" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        assert cli.main([*argv, "--gps-std", "1e-160"]) == cli.EXIT_OK
+
+    def test_localize_takes_every_noise_flag_at_its_bound(self, tmp_path, capsys):
         sim_out, out = tmp_path / "sim", tmp_path / "o"
-        assert cli.main(["simulate", "--scenario", str(scenario_file), "--out", str(sim_out)]) == 0
+        assert cli.main(["simulate", "--scenario", str(WALK110), "--out", str(sim_out)]) == 0
         argv = ["localize", "--imu", str(sim_out / "imu.csv"), "--gps", str(sim_out / "gps.csv")]
-        argv += [setting, value]
-        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_NUMERICAL
-        err = capsys.readouterr().err
-        assert f"numerical failure: {message}" in err and f"={float(value)}" in err
-        assert not (out / "est.csv").exists()
+        argv += ["--accel-noise", repr(MAX_ACCEL), "--gyro-noise", repr(MAX_GYRO), "--gps-std", repr(geo.WGS84_A)]
+        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
+        assert "(72 fixes applied, 0 rejected)" in capsys.readouterr().out
+        est = np.loadtxt(out / "est.csv", delimiter=",", skiprows=1)
+        assert len(est) > 1000 and np.isfinite(est).all()
 
     @pytest.mark.parametrize(
         "key, value, code, want",

@@ -12,11 +12,9 @@ from fusenav.core import (
     CHANNELS, DataError, INCLINED_CHANNELS, SonarChannel, SonarGeometry, SonarLog,
 )
 from fusenav.perception import (
-    DEFAULT_RESOLUTION,
     DROPOFF_MARGIN,
     EVENT_ORDER,
-    LATENCY_BASE_MS,
-    LATENCY_PER_PIXEL_MS,
+    LATENCY_S,
     REARM_FRACTION,
     THRESHOLDS,
     DetectionEvent,
@@ -25,7 +23,6 @@ from fusenav.perception import (
     ObstacleDetector,
     RecognitionGate,
     RecognitionResult,
-    latency_model,
 )
 
 L, R, F = SonarChannel.LEFT, SonarChannel.RIGHT, SonarChannel.FRONT
@@ -319,32 +316,6 @@ class TestChannelRows:
         assert as_tuples(events) == [(0.0, F, DetectionKind.OBSTACLE, 1.0)]
 
 
-class TestLatencyModel:
-    def test_default_resolution_anchor(self):
-        assert latency_model(DEFAULT_RESOLUTION) == pytest.approx(604.0, abs=1e-9)
-
-    def test_lower_resolution_strictly_faster(self):
-        full = latency_model(DEFAULT_RESOLUTION)
-        assert latency_model((320, 240)) < full
-        assert latency_model((639, 480)) < full
-
-    def test_strictly_increasing_in_pixels(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            w1, h1, w2, h2 = rng.integers(1, 2000, size=4)
-            l1, l2 = latency_model((w1, h1)), latency_model((w2, h2))
-            if w1 * h1 < w2 * h2:
-                assert l1 < l2
-
-    def test_zero_pixel_limit_is_base(self):
-        assert LATENCY_BASE_MS == 100.0
-        assert latency_model((1, 1)) == pytest.approx(LATENCY_BASE_MS + LATENCY_PER_PIXEL_MS)
-
-    def test_invalid_resolution(self):
-        with pytest.raises(DataError):
-            latency_model((0, 480))
-
-
 class TestRecognitionGate:
     def test_single_event_single_result(self):
         gate = RecognitionGate(MockRecognizer(seed=1))
@@ -438,7 +409,7 @@ class ReferenceGate:
 
     def _start(self, event: DetectionEvent, start_t: float) -> None:
         self._in_flight = event
-        self._busy_until = start_t + latency_model(DEFAULT_RESOLUTION) / 1000.0
+        self._busy_until = start_t + LATENCY_S
 
     def _complete(self) -> RecognitionResult:
         event = self._in_flight
@@ -497,10 +468,9 @@ def random_gate_calls(rng, n):
     """``n`` calls ``(method, argument)`` in time order: events (a quarter of
     them drop-offs) spaced mostly well inside one frame latency, so bursts
     coalesce, with polls and flushes between them."""
-    latency = latency_model(DEFAULT_RESOLUTION) / 1000.0
     t, calls = 0.0, []
     for _ in range(n):
-        t += float(rng.uniform(0.0, latency / 4 if rng.random() < 0.7 else 3 * latency))
+        t += float(rng.uniform(0.0, LATENCY_S / 4 if rng.random() < 0.7 else 3 * LATENCY_S))
         u = rng.random()
         if u < 0.6:
             channel = CHANNELS[int(rng.integers(len(CHANNELS)))]

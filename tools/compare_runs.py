@@ -12,9 +12,10 @@ Each root is a checkout of this repository.  Both trees run
 replay the per-stage commands that the bench's replay110 job times,
 ``fuse-sonar``, ``localize --offsets --ref <walk110 anchor>`` and
 ``evaluate``, over the files of the parent's run, so that both read the
-same bytes.  Last, both trees run six commands that must be refused
-with exit 2, over faulty copies of the first walk110 run's files and of
-``walk110.cfg``: a duplicate time on ``imu.csv`` row 101 (``localize``);
+same bytes.  Last, both trees run seven commands that must be refused,
+each with the exit code it states, over faulty copies of the first
+walk110 run's files and of ``walk110.cfg``.  Six exit 2: a duplicate
+time on ``imu.csv`` row 101 (``localize``);
 a header-only ``gps.csv`` (``localize``); a ``sonar.csv`` with its first
 front row removed (``fuse-sonar``); ``run`` with ``gyro_bias = 0, 0,
 1e300``, a bias beyond the IMU's full scale (refused at its scenario
@@ -26,13 +27,18 @@ the end); and ``run`` with ``accel_bias = 0, 0, -156.9``, a bias within
 full scale whose simulated readings are not (refused at the scenario's
 noise keys before any file is written, or, in a tree that bounds only
 the localizer's input, at ``imu.csv:3`` after six files are written).
-That makes 54 configurations.  Each
+One exits 1: ``localize --gps-std 1e-200`` over the first three
+``imu.csv`` rows and a ``gps.csv`` whose second row repeats the anchor
+fix, a setting whose square is 0 (refused at the flag, or, in a tree
+that takes any positive setting, exit 3 with ``Singular matrix``, as
+the fix applied before the first step has S = 0).
+That makes 55 configurations.  Each
 command has ``PYTHONPATH=<root>/src``, ``PYTHONDONTWRITEBYTECODE=1`` and
 ``PYTHONHASHSEED=0``.  The script compares the exit codes, the stdout and
 stderr with the output directory masked, the sets of files written, and
 each file byte for byte.  It prints one line per configuration and
 refusal case, and exits 1 on any difference or on a refusal case that
-the changed tree does not exit 2 on.
+the changed tree does not exit with its stated code on.
 Commands go one at a time, so at most one pipeline is in memory.  A last
 line gives each tree's line total over ``src/fusenav/*.py``, as ``wc -l``
 counts them.
@@ -95,8 +101,8 @@ def replay(run_dir: Path, out: Path) -> list:
 
 
 def refusals(run_dir: Path, scenario: Path, faults: Path) -> dict:
-    """Commands that must exit 2, by label, over faulty copies of one
-    walk110 run's files and of ``scenario``, written to ``faults``."""
+    """(exit code, commands) that must be refused, by label, over faulty
+    copies of one walk110 run's files and of ``scenario``, written to ``faults``."""
     faults.mkdir()
     imu = (run_dir / "imu.csv").read_text().splitlines(keepends=True)
     time, rest = imu[99].split(",")[0], imu[100].partition(",")[2]
@@ -106,6 +112,8 @@ def refusals(run_dir: Path, scenario: Path, faults: Path) -> dict:
     (faults / "imu_spin.csv").write_text("".join([*imu[:3001], spin, *imu[3002:]]))
     gps = (run_dir / "gps.csv").read_text().splitlines(keepends=True)
     (faults / "gps_head.csv").write_text(gps[0])
+    (faults / "imu_3.csv").write_text("".join(imu[:4]))
+    (faults / "gps_anchor_twice.csv").write_text("".join([*gps[:2], gps[1]]))
     sonar = (run_dir / "sonar.csv").read_text().splitlines(keepends=True)
     sonar.remove(next(line for line in sonar if ",front," in line))
     (faults / "sonar_front.csv").write_text("".join(sonar))
@@ -114,18 +122,21 @@ def refusals(run_dir: Path, scenario: Path, faults: Path) -> dict:
         (faults / name).write_text("".join([*lines, f"{key} = {value}\n"]))
     imu_path, gps_path = str(run_dir / "imu.csv"), str(run_dir / "gps.csv")
     return {
-        "refused: localize, duplicate time on imu.csv row 101": [
-            ["localize", "--imu", str(faults / "imu_dup.csv"), "--gps", gps_path]],
-        "refused: localize, header-only gps.csv": [
-            ["localize", "--imu", imu_path, "--gps", str(faults / "gps_head.csv")]],
-        "refused: fuse-sonar, first front row removed": [
-            ["fuse-sonar", "--sonar", str(faults / "sonar_front.csv")]],
-        "refused: run, gyro_bias = 0, 0, 1e300": [
-            ["run", "--scenario", str(faults / "spin.cfg")]],
-        "refused: localize, gyro cells of imu.csv data row 3001 at 1e100": [
-            ["localize", "--imu", str(faults / "imu_spin.csv"), "--gps", gps_path]],
-        "refused: run, accel_bias = 0, 0, -156.9": [
-            ["run", "--scenario", str(faults / "sink.cfg")]],
+        "refused: localize, duplicate time on imu.csv row 101": (2, [
+            ["localize", "--imu", str(faults / "imu_dup.csv"), "--gps", gps_path]]),
+        "refused: localize, header-only gps.csv": (2, [
+            ["localize", "--imu", imu_path, "--gps", str(faults / "gps_head.csv")]]),
+        "refused: fuse-sonar, first front row removed": (2, [
+            ["fuse-sonar", "--sonar", str(faults / "sonar_front.csv")]]),
+        "refused: run, gyro_bias = 0, 0, 1e300": (2, [
+            ["run", "--scenario", str(faults / "spin.cfg")]]),
+        "refused: localize, gyro cells of imu.csv data row 3001 at 1e100": (2, [
+            ["localize", "--imu", str(faults / "imu_spin.csv"), "--gps", gps_path]]),
+        "refused: run, accel_bias = 0, 0, -156.9": (2, [
+            ["run", "--scenario", str(faults / "sink.cfg")]]),
+        "refused: localize --gps-std 1e-200, anchor fix repeated": (1, [
+            ["localize", "--imu", str(faults / "imu_3.csv"), "--gps", str(faults / "gps_anchor_twice.csv"),
+             "--gps-std", "1e-200"]]),
     }
 
 
@@ -178,12 +189,12 @@ def main(argv=None) -> int:
                 same += compare(f"{label} replay", results)
                 total += 1
         cases = refusals(first_run, parent / SCENARIOS["walk110"], Path(tmp) / "faults")
-        for i, (label, commands) in enumerate(cases.items()):
+        for i, (label, (code, commands)) in enumerate(cases.items()):
             outs = {side: Path(tmp) / side / f"refused_{i}" for side, _ in sides}
             results = [fusenav(root, commands, outs[side]) for side, root in sides]
-            refused = results[1]["exit code"] == [2]
+            refused = results[1]["exit code"] == [code]
             if not refused:
-                print(f"{label}: not refused")
+                print(f"{label}: not refused with exit {code}")
             same += compare(label, results) and refused
             total += 1
     print(f"{same} of {total} configurations identical")
