@@ -14,13 +14,18 @@ Submodules:
 - cli: command-line pipeline and file formats
 """
 
+import os as _os
+
 __version__ = "0.1.0"
 
-from .core import (  # noqa: F401
-    DataError,
-    GpsFix,
-    ImuLog,
-    NumericalError,
-    SonarChannel,
-    SonarLog,
-)
+# numpy loads OpenBLAS below, and OpenBLAS reads its thread count then, once.
+# No fusenav product is large enough to split, so a worker thread would only
+# spin: one thread, unless the user chose; os.environ is left as it was found.
+_blas_unset = "OPENBLAS_NUM_THREADS" not in _os.environ
+if _blas_unset:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    from .core import DataError, GpsFix, ImuLog, NumericalError, SonarChannel, SonarLog  # noqa: F401
+finally:
+    if _blas_unset:
+        del _os.environ["OPENBLAS_NUM_THREADS"]

@@ -39,12 +39,16 @@ child's write error exits 2.
 A process executes only the modules its command runs: ``feedback``,
 ``metrics``, ``perception``, ``sim`` and ``sonar_ekf`` are loaded on first
 use, so ``calibrate`` and ``localize`` execute none of them, ``fuse-sonar``
-only ``sonar_ekf`` and ``evaluate`` only ``metrics``.
+only ``sonar_ekf`` and ``evaluate`` only ``metrics``.  OpenBLAS runs one
+thread unless ``OPENBLAS_NUM_THREADS`` is set (``fusenav/__init__``), and
+``main()`` with no argv, a process's own command line, freezes the import-time
+heap first, so that neither a collection nor the exit walks it again.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import math
 import os
@@ -727,8 +731,9 @@ def _forked_writes():
     """Yield ``spawn(write, *args)``, which runs ``write(*args)`` in a forked
     child while this process computes on; every child is joined on leaving
     the block, and the first one's error is raised here as a DataError.
-    The children call no BLAS, which is why forking a process that has
-    OpenBLAS threads is safe.  Without ``os.fork`` the write runs inline."""
+    The children call no BLAS, and the parent has no OpenBLAS worker thread
+    unless the user or an earlier numpy import chose more (``fusenav/__init__``);
+    forking is safe either way.  Without ``os.fork`` the write runs inline."""
     children = []
 
     def spawn(write, *args) -> None:
@@ -891,6 +896,11 @@ def _print_report(text: str) -> None:
 
 
 def main(argv=None) -> int:
+    """Run one command; returns its exit code.  ``argv=None`` is the process's
+    command line, and the process ends when main returns: its import-time heap
+    is frozen, so neither the command's collections nor the exit walk it."""
+    if argv is None:
+        gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -91,12 +91,7 @@ def _walk_errors(seed, noise, gps_on=True):
     if not gps_on:
         fixes = fixes[:1]
     offsets = calibrate(sim.stationary_imu_source(noise, seed))
-    cfg = LocalizerConfig(
-        accel_noise=max(noise.accel_sigma, 1e-4),
-        gyro_noise=max(noise.gyro_sigma, 1e-5),
-        gps_pos_std=max(noise.gps_sigma, 0.01),
-    )
-    run = run_localizer(imu, fixes, cfg, offsets)
+    run = run_localizer(imu, fixes, cli._localizer_config(noise), offsets)
     est = run.trajectory("est", sc.anchor_fix()).xyz
     err = np.hypot(*(est[:, :2] - truth.p[: len(est), :2]).T)
     gps_err = [

@@ -1,5 +1,6 @@
-"""Commands run as their own processes: the modules each one executes, and
-a stdout that cannot be written.
+"""Commands run as their own processes: the modules each one executes, the
+threads and frozen heap it ends with, the environment it leaves, and a
+stdout that cannot be written.
 
 A child interpreter records the ``co_filename`` of every ``exec`` audit
 event, which fires once per module whose code runs however it is loaded,
@@ -7,6 +8,7 @@ then runs ``fusenav.cli`` as ``python -m`` does.
 """
 
 import errno
+import gc
 import importlib.resources
 import json
 import os
@@ -24,7 +26,7 @@ PACKAGE = SRC / "fusenav"
 
 # argv[1]: the report file; argv[2:]: the command
 TRACED_MAIN = """
-import json, runpy, sys
+import gc, json, os, runpy, sys
 ran = set()
 sys.addaudithook(lambda event, args: event == "exec" and ran.add(args[0].co_filename))
 report, sys.argv = sys.argv[1], [sys.argv[0], *sys.argv[2:]]
@@ -33,7 +35,13 @@ try:
 except SystemExit as exc:
     code = exc.code
 with open(report, "w") as f:
-    json.dump({"code": code, "ran": sorted(ran), "numpy.random": "numpy.random" in sys.modules}, f)
+    json.dump({
+        "code": code,
+        "ran": sorted(ran),
+        "numpy.random": "numpy.random" in sys.modules,
+        "threads": len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None,
+        "frozen": gc.get_freeze_count(),
+    }, f)
 """
 
 STAGE = {"__init__", "cli", "core", "geo", "localizer"}
@@ -50,7 +58,8 @@ LOADS = {
 
 
 def child_env(**extra) -> dict:
-    env = dict(os.environ, **extra)
+    """This environment with src on the path; OPENBLAS_NUM_THREADS only if given."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"} | extra
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
 
@@ -87,6 +96,48 @@ def test_each_command_executes_only_its_modules(walk110_run, tmp_path, name):
     assert ran == LOADS[name]
     # the simulator's and the recognizer's generators are all that need numpy.random
     assert got["numpy.random"] == ("sim" in LOADS[name])
+    # main froze the heap it found, and OpenBLAS started no worker thread
+    assert got["frozen"] > 0
+    if got["threads"] is not None:  # None: no /proc to count them in
+        assert got["threads"] == 1
+
+
+def test_main_with_argv_freezes_nothing(walk110_run, tmp_path):
+    frozen = gc.get_freeze_count()
+    assert cli.main(command("evaluate", walk110_run, tmp_path)) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+# argv[1]: "numpy first" to import numpy before fusenav
+IMPORT_FUSENAV = """
+import json, os, sys
+before = dict(os.environ)
+if sys.argv[1] == "numpy first":
+    import numpy
+import fusenav
+print(json.dumps({
+    "same": dict(os.environ) == before,
+    "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "threads": len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None,
+}))
+"""
+
+
+@pytest.mark.parametrize("order", ["fusenav first", "numpy first"])
+@pytest.mark.parametrize("blas", [None, "2"])
+def test_import_leaves_the_environment_and_keeps_a_users_blas_threads(blas, order):
+    env = child_env() if blas is None else child_env(OPENBLAS_NUM_THREADS=blas)
+    proc = subprocess.run([sys.executable, "-c", IMPORT_FUSENAV, order], env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    got = json.loads(proc.stdout)
+    assert got["same"] and got["blas"] == blas
+    if got["threads"] is None:  # no /proc to count them in
+        return
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if blas is None and order == "fusenav first":
+        assert got["threads"] == 1
+    elif blas == "2" and cpus >= 2:  # the user's count, whichever loads OpenBLAS
+        assert got["threads"] == 2
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -10,8 +10,8 @@ Each root is a checkout of this repository.  Three cases are timed:
 - ``replay110``: the bench's replay110 job, ``fuse-sonar``,
   ``localize --offsets --ref <walk110 anchor>`` and ``evaluate``, one
   process each, over the files of one walk110 ``run`` made by the
-  parent tree (so both trees read the same bytes); its wall time is the
-  three processes' sum and its maxrss their largest;
+  parent tree (so both trees read the same bytes); its wall and CPU times
+  are the three processes' sums and its maxrss their largest;
 - ``city run``: one ``fusenav run`` of the parent's ``perfbench/city.cfg``,
   seed 0;
 - ``import``: ``python -c "import fusenav.cli"``.
@@ -19,11 +19,14 @@ Each root is a checkout of this repository.  Three cases are timed:
 Every child runs with ``PYTHONPATH=<root>/src`` and
 ``PYTHONDONTWRITEBYTECODE=1``, so each start compiles fusenav from source
 as on the bench host, and is reaped with ``os.wait4`` for its own peak
-RSS.  For each of ``--pairs`` pairs, each case runs once per tree,
-alternating which tree goes first.  Per case and tree the script prints
-the median and quartiles of the wall time and of the maxrss, then the
-ratio of the median wall times (parent over change, above 1 when the
-change is faster) and in how many pairs the change was faster.  A child
+RSS and its CPU time, user plus system, which includes the children it
+reaped (``run``'s forked writers).  CPU time above wall time means threads
+ran side by side, as an idle OpenBLAS worker spinning does.  For each of
+``--pairs`` pairs, each case runs once per tree, alternating which tree
+goes first.  Per case and tree the script prints the median and quartiles
+of the wall time, the CPU time and the maxrss, then the ratio of the
+median wall times (parent over change, above 1 when the change is faster)
+and in how many pairs the change was faster.  A child
 that exits non-zero stops the script with exit 1.  It checks no output;
 ``tools/compare_runs.py`` does.
 
@@ -49,8 +52,8 @@ WALK110_ANCHOR = "37.0, -122.0, 30.0"  # walk110.cfg's anchor, as the replay110 
 SIDES = ("parent", "change")
 
 
-def start(root: Path, argv: list, log: Path) -> tuple[float, float]:
-    """Run ``python argv`` with ``root``'s fusenav; returns (wall s, maxrss MiB)."""
+def start(root: Path, argv: list, log: Path) -> tuple[float, float, float]:
+    """Run ``python argv`` with ``root``'s fusenav; returns (wall s, CPU s, maxrss MiB)."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     with open(log, "wb") as err:
         t0 = perf_counter()
@@ -62,7 +65,7 @@ def start(root: Path, argv: list, log: Path) -> tuple[float, float]:
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode:
         sys.exit(f"{root}: {' '.join(map(str, argv))} exited {proc.returncode}:\n{log.read_text()}")
-    return wall, usage.ru_maxrss / 1024.0
+    return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0
 
 
 def cases(parent: Path, run: Path, work: Path) -> dict:
@@ -84,10 +87,11 @@ def cases(parent: Path, run: Path, work: Path) -> dict:
     }
 
 
-def report(side: str, walls: list, rss: list) -> None:
-    (w1, w2, w3), (r1, r2, r3) = (statistics.quantiles(x, n=4) for x in (walls, rss))
+def report(side: str, walls: list, cpus: list, rss: list) -> None:
+    (w1, w2, w3), (c1, c2, c3), (r1, r2, r3) = (statistics.quantiles(x, n=4) for x in (walls, cpus, rss))
     print(
         f"  {side}: wall median {w2 * 1e3:.1f} ms, quartiles {w1 * 1e3:.1f}-{w3 * 1e3:.1f} ms; "
+        f"cpu median {c2 * 1e3:.1f} ms, quartiles {c1 * 1e3:.1f}-{c3 * 1e3:.1f} ms; "
         f"maxrss median {r2:.2f} MiB, quartiles {r1:.2f}-{r3:.2f} MiB"
     )
 
@@ -110,18 +114,19 @@ def main(argv=None) -> int:
         start(roots["parent"], ["-m", "fusenav.cli", "run", "--scenario", scenario, "--out", str(run)],
               work / "stderr.log")
         table = cases(roots["parent"], run, work)
-        # times[case][side]: (wall s, maxrss MiB) per pair
+        # times[case][side]: (wall s, CPU s, maxrss MiB) per pair
         times = {case: {side: [] for side in SIDES} for case in table}
         for i in range(args.pairs):
             for case, argvs in table.items():
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                     runs = [start(roots[side], a, work / "stderr.log") for a in argvs]
-                    times[case][side].append((sum(w for w, _ in runs), max(r for _, r in runs)))
+                    walls, cpus, rss = zip(*runs)
+                    times[case][side].append((sum(walls), sum(cpus), max(rss)))
     for case, by_side in times.items():
         print(f"{case} ({args.pairs} pairs, PYTHONDONTWRITEBYTECODE=1):")
         for side in SIDES:
             report(side, *zip(*by_side[side]))
-        parent, change = ([w for w, _ in by_side[side]] for side in SIDES)
+        parent, change = ([w for w, _, _ in by_side[side]] for side in SIDES)
         faster = sum(c < p for p, c in zip(parent, change))
         ratio = statistics.median(parent) / statistics.median(change)
         print(f"  ratio parent/change {ratio:.3f}; change faster in {faster} of {args.pairs} pairs")
