@@ -22,8 +22,10 @@ CRLF line ends; numbers are plain decimal with a '.' radix:
 Readers check every numeric column of a file, all 11 of a pose file, for
 finite plain decimal numbers (ASCII digits, sign, '.', exponent; no '_',
 blank or other digit), and report a fault as ``file:row: column '<c>'``.
-A stream's bounds are checked by its ``core`` log alone, for a file and the
-simulator alike; ``offsets.cfg`` is written only if its reader takes it.
+Each format's bounds are checked by the type that holds its data alone (a
+stream's by its ``core`` log, a scenario's by ``sim.Scenario`` and its
+``NoiseConfig``), for a file and Python alike; ``offsets.cfg`` is written
+only if its reader takes it.
 Scenario files are flat UTF-8 ``key = value`` text with ``#`` comments;
 list values use ``;`` between items and ``,`` within (see
 scenarios/walk110.cfg).
@@ -54,7 +56,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import MISSING, astuple, fields
+from dataclasses import MISSING, fields
 from functools import partial
 from itertools import islice
 from pathlib import Path
@@ -63,13 +65,7 @@ import numpy as np
 
 from . import geo
 from .core import CHANNELS, MAX_ACCEL, MAX_GYRO, DataError, GpsFix, ImuLog, NumericalError, SonarLog, StreamError
-from .localizer import (
-    MAX_IMU_DT,
-    CalibrationOffsets,
-    LocalizerConfig,
-    calibrate,
-    run_localizer,
-)
+from .localizer import CalibrationOffsets, LocalizerConfig, calibrate, run_localizer
 
 
 def _lazy(name: str):
@@ -144,18 +140,7 @@ def _finite_in(test, what: str):
     return conv
 
 
-# Geometry the ray-cast divides by and noise it scales: values outside
-# these ranges crash the simulator or silently blind or flip a sensor.
-_ANGLE_DEG = _finite_in(lambda x: 0.0 < x < 90.0, "in (0, 90) degrees")
 _POSITIVE = _finite_in(lambda x: x > 0.0, "positive")
-_NON_NEGATIVE = _finite_in(lambda x: x >= 0.0, "non-negative")
-# an IMU sigma beyond the sensor's full scale, or a GPS one wider than the Earth, carries nothing
-_ACCEL_SIGMA = _finite_in(lambda x: 0.0 <= x <= MAX_ACCEL, f"in [0, MAX_ACCEL = {MAX_ACCEL}] m/s^2")
-_GYRO_SIGMA = _finite_in(lambda x: 0.0 <= x <= MAX_GYRO, f"in [0, MAX_GYRO = {MAX_GYRO}] rad/s")
-_GPS_SIGMA = _finite_in(lambda x: 0.0 <= x <= geo.WGS84_A, f"in [0, WGS84_A = {geo.WGS84_A}] m")
-_MAX_IMU_SAMPLES = 10**7  # a walk's arrays hold one row per IMU sample
-# a 1e-9 s margin: gen_walk's grid k / imu_rate rounds a step by < ulp(1e6 s) ~ 1.2e-10 s
-_MAX_DT = MAX_IMU_DT * (1.0 - 1e-8)
 # the fusion reads exactly one front pair; the key stays for files that state it
 _FRONT_PAIR = _finite_in(lambda x: x == 2.0, "2, the front pair the fusion reads")
 
@@ -463,9 +448,10 @@ class _KvFile:
             raise DataError(f"{self.where(key)}: {exc}") from None
 
     def take_fields(self, cls, **convs) -> dict:
-        """``convs``' keys, each taken as ``take`` does, with ``cls``'s field defaults."""
-        defaults = {f.name: f.default for f in fields(cls)}
-        return {k: self.take(k, c, defaults[k]) for k, c in convs.items()}
+        """``convs``' keys and ``cls``'s other fields with a float default, read by
+        _finite, each taken as ``take`` does, with its field default."""
+        convs = {f.name: _finite for f in fields(cls) if type(f.default) is float} | convs
+        return {f.name: self.take(f.name, convs[f.name], f.default) for f in fields(cls) if f.name in convs}
 
     def done(self) -> None:
         """Refuse the first key that no ``take`` removed."""
@@ -474,9 +460,8 @@ class _KvFile:
             raise DataError(f"{self.path}:{self.lines[key]}: unknown key '{key}'")
 
 
-def _items(arity: int, test=lambda *item: True, what: str = "", make=lambda *item: item):
-    """A converter of ';'-separated items of ``arity`` ','-separated numbers,
-    each of which passes ``test(*item)`` and gives ``make(*item)``; ``what`` names the rule."""
+def _items(arity: int, make=lambda *item: item):
+    """A converter of ';'-separated items of ``arity`` ','-separated numbers, each giving ``make(*item)``."""
 
     def conv(value: str) -> tuple:
         out = []
@@ -484,10 +469,7 @@ def _items(arity: int, test=lambda *item: True, what: str = "", make=lambda *ite
             parts = [p.strip() for p in text.split(",")]
             if len(parts) != arity:
                 raise ValueError(f"expected {arity} comma-separated numbers per item")
-            item = [_finite(p) for p in parts]
-            if not test(*item):
-                raise ValueError(f"item {text.strip()!r} needs {what}")
-            out.append(make(*item))
+            out.append(make(*[_finite(p) for p in parts]))
         return tuple(out)
 
     return conv
@@ -495,7 +477,9 @@ def _items(arity: int, test=lambda *item: True, what: str = "", make=lambda *ite
 
 def _parse_triple(value: str, bound: float = math.inf, what: str = ""):
     """One 'x, y, z' triple, each component within +-``bound``; ``what`` names the bound."""
-    (triple,) = _items(3, lambda *c: max(map(abs, c)) <= bound, what)(value)
+    (triple,) = _items(3)(value)
+    if not max(map(abs, triple)) <= bound:
+        raise ValueError(f"item {value.strip()!r} needs {what}")
     return triple
 
 
@@ -515,76 +499,24 @@ def _position(value: str) -> tuple:
 _position.__name__ = "'lat, lon, alt' position"  # argparse names a rejected value by it
 
 
-def _imu_rate(text: str) -> float:
-    rate = _POSITIVE(text)
-    if not 1.0 / rate <= _MAX_DT:
-        raise ValueError(f"step {1.0 / rate} s above {_MAX_DT} s")
-    return rate
-
-
-# their classes are looked up per item, so that importing cli loads no sim
-_OBSTACLES = _items(3, lambda e, n, radius: radius > 0.0, "a positive radius", lambda *o: sim.Obstacle(*o))
-_DROPOFFS = _items(3, lambda start, end, depth: start <= end, "start <= end", lambda *z: sim.DropoffZone(*z))
-_WINDOWS = _items(2, lambda start, end: start <= end, "start <= end")
-
-
-def _cross_bounds(s: sim.Scenario):
-    """(key, value, holds, why) rows of the bounds that tie keys together,
-    in the order they are checked; the GPS epochs are formed last, once
-    the rows before have bounded their number by the IMU samples'."""
-    length = sum(map(math.dist, s.route, s.route[1:]))
-    max_rate = _MAX_IMU_SAMPLES * s.speed / length  # a walk holds length / speed * imu_rate rows
-    duration, step = length / s.speed, 1.0 / s.imu_rate
-    sigma, top, floor = s.noise.sonar_sigma, s.geometry.max_range, -s.geometry.belt_height
-    yield from [
-        ("imu_rate", s.imu_rate, s.imu_rate <= max_rate,
-         f"above {max_rate}, the rate of {_MAX_IMU_SAMPLES} IMU samples over the route"),
-        # a walk and its estimate need two samples, one step apart
-        ("speed", s.speed, duration >= step,
-         f"the {length} m route takes {duration} s, less than one IMU step of {step} s"),
-        # each fix is applied at an IMU step
-        ("gps_rate", s.gps_rate, s.gps_rate <= s.imu_rate, f"above imu_rate = {s.imu_rate}"),
-        # a ranging sigma as wide as the range carries no range; the bound keeps each reading finite
-        ("sonar_sigma", sigma, sigma <= top, f"above max_range = {top}"),
-        # a floor raised to the belt or above would give non-positive slant ranges
-        *(("dropoffs", (), z.depth > floor, f"item {astuple(z)}: depth <= -belt_height = {floor}")
-          for z in s.dropoffs),
-    ]
-    # the first fix anchors the localizer's frame
-    walk, rate = s.duration, s.gps_rate
-    yield ("gps_dropouts", (), sim.gps_epochs(walk, rate, s.gps_dropouts)[1].any(),
-           f"no GPS epoch of the {walk} s walk at gps_rate = {rate} lies outside every window")
-
-
 def load_scenario(path, seed=None, mode="raw") -> sim.Scenario:
-    """A scenario config file whose keys, each read alone, then meet _cross_bounds; a
-    ``seed`` other than None, and ``mode`` "dmp" (``dmp_like`` noise), replace the
-    file's in the one Scenario built, once its keys are read."""
+    """The one Scenario of a scenario config file, whose keys are read as plain numbers and lists; a ``seed``
+    other than None, and ``mode`` "dmp" (``dmp_like`` noise, once NoiseConfig has checked the file's), replace
+    the file's.  A ScenarioError is reported at the key's line, or with its default."""
     kv = _KvFile(path)
-    geometry = sim.SonarGeometry(**kv.take_fields(
-        sim.SonarGeometry, belt_height=_POSITIVE, inclined_depression_deg=_ANGLE_DEG,
-        inclined_azimuth_deg=_finite, beam_half_angle_deg=_ANGLE_DEG, max_range=_POSITIVE,
-    ))
-    noise = sim.NoiseConfig(**kv.take_fields(
-        sim.NoiseConfig, accel_sigma=_ACCEL_SIGMA, gyro_sigma=_GYRO_SIGMA, accel_bias=_ACCEL_TRIPLE,
-        gyro_bias=_GYRO_TRIPLE, gps_sigma=_GPS_SIGMA, sonar_sigma=_NON_NEGATIVE,
-    ))
-    taken = kv.take_fields(
-        sim.Scenario, route=_items(2), speed=_POSITIVE, imu_rate=_imu_rate, gps_rate=_POSITIVE,
-        obstacles=_OBSTACLES, dropoffs=_DROPOFFS, gps_dropouts=_WINDOWS, seed=_seed, anchor=_position,
-    )
-    taken |= {"noise": noise.dmp_like() if mode == "dmp" else noise, "geometry": geometry}
-    taken |= {} if seed is None else {"seed": seed}
-    try:  # every other key is bounded by its converter, so Scenario's checks are the route's
-        scenario = sim.Scenario(**taken)
-    except ValueError as exc:  # DataError is one
-        raise DataError(f"{kv.where('route')}: {exc}") from None
+    geometry = sim.SonarGeometry(**kv.take_fields(sim.SonarGeometry))
+    noise = kv.take_fields(sim.NoiseConfig, accel_bias=_ACCEL_TRIPLE, gyro_bias=_GYRO_TRIPLE)
+    taken = kv.take_fields(sim.Scenario, route=_items(2), gps_dropouts=_items(2), seed=_seed,
+                           anchor=_parse_triple, obstacles=_items(3, make=sim.Obstacle),
+                           dropoffs=_items(3, make=sim.DropoffZone))
     kv.take("front_sensors", _FRONT_PAIR, 2.0)
     kv.done()
-    for key, value, holds, why in _cross_bounds(scenario):
-        if not holds:
-            raise DataError(f"{kv.where(key, value)}: {why}")
-    return scenario
+    try:
+        noise = sim.NoiseConfig(**noise)
+        taken |= {"noise": noise.dmp_like() if mode == "dmp" else noise, "geometry": geometry}
+        return sim.Scenario(**taken | ({} if seed is None else {"seed": seed}))
+    except sim.ScenarioError as exc:
+        raise DataError(f"{kv.where(exc.key, exc.value)}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,7 @@ class NumericalError(ArithmeticError):
 GRAVITY = np.array([0.0, 0.0, -9.80665])
 MAX_ACCEL = 16 * 9.80665  # m/s^2: 16 g, the InvenSense MPU-6050 family's widest full scale
 MAX_GYRO = math.radians(2000.0)  # rad/s: 2000 deg/s, that family's widest full scale
+MAX_IMU_DT = 0.1  # s, sanity bound on a single strapdown step
 
 
 class SonarChannel(enum.Enum):

@@ -67,6 +67,7 @@ from .core import (
     GRAVITY,
     MAX_ACCEL,
     MAX_GYRO,
+    MAX_IMU_DT,
     DataError,
     GpsFix,
     ImuLog,
@@ -79,7 +80,6 @@ from .core import (
     unit,
 )
 
-MAX_IMU_DT = 0.1  # s, sanity bound on a single strapdown step
 INNOVATION_GATE = 5.0  # per-axis gate, in innovation standard deviations
 INIT_VEL_STD = 1.0  # m/s, initial velocity uncertainty
 INIT_ATT_STD = 0.1  # rad, initial attitude uncertainty

@@ -7,7 +7,8 @@ path is C2 and the sampled positions stay finite-difference-consistent
 with the sampled velocities (circular fillets would leave acceleration
 jumps at the joints that a 100 Hz central difference can see).  Blend
 entry/exit points are solved so the walk rejoins the original segment
-lines exactly: closed routes return to their start.
+lines exactly: closed routes return to their start.  A Scenario checks its
+own bounds, from a file or Python alike, and raises a ScenarioError at a key.
 
 Sensor models: IMU = exact body-frame specific force / angular rate plus
 constant bias plus white Gaussian noise; GPS = truth sampled at the GPS
@@ -34,7 +35,7 @@ No gait model, no GPS multipath, no moving obstacles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, is_dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -44,6 +45,9 @@ from .core import (
     CHANNELS,
     GRAVITY,
     INCLINED_CHANNELS,
+    MAX_ACCEL,
+    MAX_GYRO,
+    MAX_IMU_DT,
     DataError,
     GpsFix,
     ImuLog,
@@ -62,6 +66,10 @@ _MAX_CORNER_DEG = 170.0
 # NumPy's and ``math``'s hypot and atan2.
 _PREFILTER_MARGIN = 1e-9
 
+_MAX_IMU_SAMPLES = 10**7  # a walk's arrays hold one row per IMU sample
+# a 1e-9 s margin: gen_walk's grid k / imu_rate rounds a step by < ulp(1e6 s) ~ 1.2e-10 s
+_MAX_DT = MAX_IMU_DT * (1.0 - 1e-8)
+
 # Sub-stream tags so the synthesizers draw from independent generators.
 _STREAM_IMU = 101
 _STREAM_GPS = 102
@@ -69,14 +77,67 @@ _STREAM_SONAR = 103
 _STREAM_STATIC = 104
 
 
+class ScenarioError(DataError):
+    """The scenario key ``key`` (a Scenario, NoiseConfig or SonarGeometry field) holds ``value`` out of bounds."""
+
+    def __init__(self, key: str, why: str, value):
+        self.key, self.value = key, value
+        super().__init__(why)
+
+
+# Geometry the ray-cast divides by and noise it scales: values outside these ranges crash the simulator or
+# silently blind or flip a sensor; an IMU sigma past full scale, or a GPS one wider than Earth, carries nothing.
+_POSITIVE = (lambda x: x > 0.0, "positive")
+_ANGLE_DEG = (lambda x: 0.0 < x < 90.0, "in (0, 90) degrees")
+_RANGES = {  # key: (test, the range it names); every test fails on NaN
+    "belt_height": _POSITIVE, "inclined_depression_deg": _ANGLE_DEG, "beam_half_angle_deg": _ANGLE_DEG,
+    "max_range": _POSITIVE, "speed": _POSITIVE, "imu_rate": _POSITIVE, "gps_rate": _POSITIVE,
+    "accel_sigma": (lambda x: 0.0 <= x <= MAX_ACCEL, f"in [0, MAX_ACCEL = {MAX_ACCEL}] m/s^2"),
+    "gyro_sigma": (lambda x: 0.0 <= x <= MAX_GYRO, f"in [0, MAX_GYRO = {MAX_GYRO}] rad/s"),
+    "gps_sigma": (lambda x: 0.0 <= x <= geo.WGS84_A, f"in [0, WGS84_A = {geo.WGS84_A}] m"),
+    "sonar_sigma": (lambda x: x >= 0.0, "non-negative"),
+    "seed": (lambda x: x >= 0, "non-negative"),  # the generators take no negative seed
+}
+
+
+def _check(rows) -> None:
+    """Raise a ScenarioError at the first of the (key, value, holds, why) ``rows`` that fails."""
+    for key, value, holds, why in rows:
+        if not holds:
+            raise ScenarioError(key, why, value)
+
+
+def _numbers(x) -> list:
+    """The numbers ``x`` holds: itself, or those of its items or dataclass fields."""
+    if isinstance(x, (tuple, list)):
+        return [v for item in x for v in _numbers(item)]
+    return _numbers(tuple(vars(x).values())) if is_dataclass(x) else [x]
+
+
+def _alone(obj, skip=()):
+    """Rows of each field of ``obj`` but ``skip`` alone: each number in it finite (an int is), then its range."""
+    for key in (f.name for f in fields(obj) if f.name not in skip):
+        x = getattr(obj, key)
+        bad = [v for v in _numbers(x) if not (isinstance(v, int) or math.isfinite(v))]
+        yield key, x, not bad, f"not a finite number: {bad[0]!r}" if bad else ""
+        if key in _RANGES:
+            test, what = _RANGES[key]
+            yield key, x, test(x), f"{x!r} is not {what}"
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
+    """Sensor noise; it raises a ScenarioError unless each number is finite and each sigma in its range."""
+
     accel_sigma: float = 0.25  # m/s^2 white noise per sample
     gyro_sigma: float = 0.025  # rad/s
     accel_bias: tuple = (0.05, -0.03, 0.02)  # m/s^2 constant
     gyro_bias: tuple = (0.002, -0.001, 0.0015)  # rad/s constant
     gps_sigma: float = 3.0  # m horizontal
     sonar_sigma: float = 0.003  # m
+
+    def __post_init__(self):
+        _check(_alone(self))
 
     def dmp_like(self) -> "NoiseConfig":
         """Pre-fused low-noise preset: 5x lower IMU noise, no residual bias."""
@@ -119,6 +180,12 @@ def _channel_azimuths(geom: SonarGeometry) -> dict:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A walk to simulate; it raises a ScenarioError at the first bound that fails, in order: each key alone
+    (_alone: the geometry's, then this class's), the IMU step, obstacle radii, drop-off and dropout windows'
+    start <= end, the anchor's GPS ranges, the route (two waypoints, none repeated, a finite length, corners
+    it can blend), the IMU sample cap, a walk of one IMU step or more, gps_rate <= imu_rate, sonar_sigma <=
+    max_range, drop-off floors below the belt, last a GPS epoch outside every window."""
+
     route: tuple  # ((e, n), ...) waypoints, meters in the anchor's ENU frame
     speed: float = 1.52  # m/s
     imu_rate: float = 100.0  # Hz
@@ -132,19 +199,7 @@ class Scenario:
     geometry: SonarGeometry = field(default_factory=SonarGeometry)
 
     def __post_init__(self):
-        if self.speed <= 0.0:
-            raise DataError("speed must be positive")
-        if self.imu_rate <= 0.0 or self.gps_rate <= 0.0:
-            raise DataError("sample rates must be positive")
-        if len(self.route) < 2:
-            raise DataError("route needs at least 2 waypoints")
-        for a, b in zip(self.route, self.route[1:]):
-            if math.hypot(b[0] - a[0], b[1] - a[1]) < 1e-9:
-                raise DataError(f"degenerate (repeated) waypoint at {a}")
-        if not math.isfinite(sum(map(math.dist, self.route, self.route[1:]))):
-            raise DataError("route length overflows")
-        # refuses corners it cannot blend; the length is the walked one
-        object.__setattr__(self, "_path_length", _build_path(self.route)[1])
+        _check(_bounds(self))
 
     def anchor_fix(self) -> GpsFix:
         return GpsFix(0.0, *self.anchor)
@@ -153,6 +208,54 @@ class Scenario:
     def duration(self) -> float:
         """The walk's duration in s, as gen_walk takes it: the blended path at ``speed``."""
         return self._path_length / self.speed
+
+
+def _bounds(s: Scenario):
+    """``s``'s (key, value, holds, why) rows, as Scenario lists them, each formed once the rows before hold."""
+    yield from _alone(s.geometry)
+    yield from _alone(s, skip=("noise", "geometry"))  # the geometry's keys above; NoiseConfig checks its own
+    step = 1.0 / s.imu_rate
+    yield "imu_rate", s.imu_rate, step <= _MAX_DT, f"step {step} s above {_MAX_DT} s"
+    for o in map(astuple, s.obstacles):
+        yield "obstacles", s.obstacles, o[2] > 0.0, f"item {o} needs a positive radius"
+    for key, items in (("dropoffs", map(astuple, s.dropoffs)), ("gps_dropouts", map(tuple, s.gps_dropouts))):
+        for item in items:
+            yield key, getattr(s, key), item[0] <= item[1], f"item {item} needs start <= end"
+    try:
+        s.anchor_fix()
+    except DataError as exc:  # GpsFix's ranges
+        yield "anchor", s.anchor, False, str(exc)
+    yield "route", s.route, len(s.route) >= 2, "route needs at least 2 waypoints"
+    for a, b in zip(s.route, s.route[1:]):
+        apart = math.hypot(b[0] - a[0], b[1] - a[1]) >= 1e-9
+        yield "route", s.route, apart, f"degenerate (repeated) waypoint at {a}"
+    length = sum(map(math.dist, s.route, s.route[1:]))
+    yield "route", s.route, math.isfinite(length), "route length overflows"
+    try:  # refuses corners it cannot blend; duration reads the walked length
+        object.__setattr__(s, "_path_length", _build_path(s.route)[1])
+    except DataError as exc:
+        yield "route", s.route, False, str(exc)
+    max_rate, duration = _MAX_IMU_SAMPLES * s.speed / length, length / s.speed  # duration * imu_rate rows
+    sigma, top, floor = s.noise.sonar_sigma, s.geometry.max_range, -s.geometry.belt_height
+    yield from [
+        ("imu_rate", s.imu_rate, s.imu_rate <= max_rate,
+         f"above {max_rate}, the rate of {_MAX_IMU_SAMPLES} IMU samples over the route"),
+        # a walk and its estimate need two samples, one step apart
+        ("speed", s.speed, duration >= step,
+         f"the {length} m route takes {duration} s, less than one IMU step of {step} s"),
+        # each fix is applied at an IMU step
+        ("gps_rate", s.gps_rate, s.gps_rate <= s.imu_rate, f"above imu_rate = {s.imu_rate}"),
+        # a ranging sigma as wide as the range carries no range; the bound keeps each reading finite
+        ("sonar_sigma", sigma, sigma <= top, f"above max_range = {top}"),
+        # a floor raised to the belt or above would give non-positive slant ranges
+        *(("dropoffs", s.dropoffs, z.depth > floor, f"item {astuple(z)}: depth <= -belt_height = {floor}")
+          for z in s.dropoffs),
+    ]
+    # the first fix anchors the localizer's frame; formed last, once the rows
+    # above have bounded the GPS epochs' number by the IMU samples'
+    walk, rate = s.duration, s.gps_rate
+    yield ("gps_dropouts", s.gps_dropouts, gps_epochs(walk, rate, s.gps_dropouts)[1].any(),
+           f"no GPS epoch of the {walk} s walk at gps_rate = {rate} lies outside every window")
 
 
 @dataclass(frozen=True)

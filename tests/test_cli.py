@@ -113,6 +113,71 @@ def tiny_streams(tmp_path):
     return imu, gps
 
 
+BAD_NUMBERS = [  # (file, key, value) that the file's reader refuses at the key's line
+    ("walk.cfg", "speed", "nan"),
+    ("walk.cfg", "imu_rate", "nan"),
+    ("walk.cfg", "anchor", "37.0, -122.0, nan"),
+    ("walk.cfg", "belt_height", "inf"),
+    ("walk.cfg", "belt_height", "0"),
+    ("walk.cfg", "inclined_depression_deg", "0"),
+    ("walk.cfg", "beam_half_angle_deg", "-5"),
+    ("walk.cfg", "max_range", "0"),
+    ("walk.cfg", "route", "0, 0 ; 10, 0 ; 0, 0.5"),
+    ("walk.cfg", "route", "0, 0 ; 10, 0 ; 10, 0.4 ; 20, 0.4"),
+    ("walk.cfg", "accel_sigma", "-0.25"),
+    ("walk.cfg", "gyro_sigma", "-0.025"),
+    # IMU noise beyond full scale, 16 g and 2000 deg/s (and one that overflows)
+    ("walk.cfg", "accel_sigma", "156.91"),
+    ("walk.cfg", "accel_sigma", "1e200"),
+    ("walk.cfg", "gyro_sigma", "34.91"),
+    ("walk.cfg", "gyro_sigma", "1e10"),
+    ("walk.cfg", "gps_sigma", "-1"),
+    # a horizontal sigma wider than the Earth: it carries no position, and
+    # 1e160 and 1e200 overflow the filter, 1e308 the simulated fixes
+    ("walk.cfg", "gps_sigma", "6378137.000001"),
+    ("walk.cfg", "gps_sigma", "1e160"),
+    ("walk.cfg", "gps_sigma", "1e200"),
+    ("walk.cfg", "gps_sigma", "1e308"),
+    ("walk.cfg", "sonar_sigma", "-0.003"),
+    # a ranging sigma wider than max_range = 4 (and one that overflows)
+    ("walk.cfg", "sonar_sigma", "4.000001"),
+    ("walk.cfg", "sonar_sigma", "1e308"),
+    # plain decimal only, though float() and int() read these
+    ("walk.cfg", "speed", "1_5"),
+    ("walk.cfg", "anchor", "37.0, -122.0, \u0663\u0660"),
+    ("walk.cfg", "seed", "4_2"),
+    ("walk.cfg", "seed", "\u0664"),
+    ("walk.cfg", "seed", "-1"),  # the generators take no negative seed
+    ("walk.cfg", "front_sensors", "1"),
+    ("walk.cfg", "speed", "-1"),
+    ("walk.cfg", "imu_rate", "-5"),
+    ("walk.cfg", "imu_rate", "1e300"),
+    # 110 m at 1.52 m/s: 1.0000013e7 samples, just above the cap
+    ("walk.cfg", "imu_rate", "138182"),
+    # the 0.1 s tick grids of these rates have steps above 0.1 s
+    ("walk.cfg", "imu_rate", "10"),
+    ("walk.cfg", "imu_rate", "10.000000000000002"),
+    ("walk.cfg", "gps_rate", "0"),
+    ("walk.cfg", "gps_rate", "1e300"),
+    ("walk.cfg", "gps_rate", "200"),  # faster than imu_rate = 100
+    ("walk.cfg", "anchor", "100, 0, 0"),
+    ("walk.cfg", "obstacles", "30, 0.3, -0.25"),
+    ("walk.cfg", "dropoffs", "93, 90, 0.5"),  # start after end
+    # a floor raised to the 1.0 m belt or above it
+    ("walk.cfg", "dropoffs", "90, 93, -1.5"),
+    ("walk.cfg", "dropoffs", "90, 93, -1.0"),
+    ("walk.cfg", "gps_dropouts", "30, 20"),
+    # biases beyond the IMU's full scale, as for the offsets below
+    ("walk.cfg", "accel_bias", "1000, 0, 0"),
+    ("walk.cfg", "gyro_bias", "0, 0, 1e300"),
+    ("offsets.cfg", "accel_offset", "1, 2"),
+    ("offsets.cfg", "accel_offset", "nan, 0, 0"),
+    # beyond the IMU's full scale, which no reading through the sensor can show
+    ("offsets.cfg", "accel_offset", "1000, 0, 0"),
+    ("offsets.cfg", "gyro_offset", "1e200, 0, 0"),
+]
+
+
 class TestScenarioParsing:
     def test_load_bundled_fields(self, scenario_file):
         sc = cli.load_scenario(scenario_file)
@@ -172,72 +237,7 @@ class TestScenarioParsing:
         path.write_text("# header\n\nroute = 0,0 ; 5,0  # inline\n")
         assert cli.load_scenario(path).route == ((0.0, 0.0), (5.0, 0.0))
 
-    @pytest.mark.parametrize(
-        "name, key, value",
-        [
-            ("walk.cfg", "speed", "nan"),
-            ("walk.cfg", "imu_rate", "nan"),
-            ("walk.cfg", "anchor", "37.0, -122.0, nan"),
-            ("walk.cfg", "belt_height", "inf"),
-            ("walk.cfg", "belt_height", "0"),
-            ("walk.cfg", "inclined_depression_deg", "0"),
-            ("walk.cfg", "beam_half_angle_deg", "-5"),
-            ("walk.cfg", "max_range", "0"),
-            ("walk.cfg", "route", "0, 0 ; 10, 0 ; 0, 0.5"),
-            ("walk.cfg", "route", "0, 0 ; 10, 0 ; 10, 0.4 ; 20, 0.4"),
-            ("walk.cfg", "accel_sigma", "-0.25"),
-            ("walk.cfg", "gyro_sigma", "-0.025"),
-            # IMU noise beyond full scale, 16 g and 2000 deg/s (and one that overflows)
-            ("walk.cfg", "accel_sigma", "156.91"),
-            ("walk.cfg", "accel_sigma", "1e200"),
-            ("walk.cfg", "gyro_sigma", "34.91"),
-            ("walk.cfg", "gyro_sigma", "1e10"),
-            ("walk.cfg", "gps_sigma", "-1"),
-            # a horizontal sigma wider than the Earth: it carries no position, and
-            # 1e160 and 1e200 overflow the filter, 1e308 the simulated fixes
-            ("walk.cfg", "gps_sigma", "6378137.000001"),
-            ("walk.cfg", "gps_sigma", "1e160"),
-            ("walk.cfg", "gps_sigma", "1e200"),
-            ("walk.cfg", "gps_sigma", "1e308"),
-            ("walk.cfg", "sonar_sigma", "-0.003"),
-            # a ranging sigma wider than max_range = 4 (and one that overflows)
-            ("walk.cfg", "sonar_sigma", "4.000001"),
-            ("walk.cfg", "sonar_sigma", "1e308"),
-            # plain decimal only, though float() and int() read these
-            ("walk.cfg", "speed", "1_5"),
-            ("walk.cfg", "anchor", "37.0, -122.0, \u0663\u0660"),
-            ("walk.cfg", "seed", "4_2"),
-            ("walk.cfg", "seed", "\u0664"),
-            ("walk.cfg", "seed", "-1"),  # the generators take no negative seed
-            ("walk.cfg", "front_sensors", "1"),
-            ("walk.cfg", "speed", "-1"),
-            ("walk.cfg", "imu_rate", "-5"),
-            ("walk.cfg", "imu_rate", "1e300"),
-            # 110 m at 1.52 m/s: 1.0000013e7 samples, just above the cap
-            ("walk.cfg", "imu_rate", "138182"),
-            # the 0.1 s tick grids of these rates have steps above 0.1 s
-            ("walk.cfg", "imu_rate", "10"),
-            ("walk.cfg", "imu_rate", "10.000000000000002"),
-            ("walk.cfg", "gps_rate", "0"),
-            ("walk.cfg", "gps_rate", "1e300"),
-            ("walk.cfg", "gps_rate", "200"),  # faster than imu_rate = 100
-            ("walk.cfg", "anchor", "100, 0, 0"),
-            ("walk.cfg", "obstacles", "30, 0.3, -0.25"),
-            ("walk.cfg", "dropoffs", "93, 90, 0.5"),  # start after end
-            # a floor raised to the 1.0 m belt or above it
-            ("walk.cfg", "dropoffs", "90, 93, -1.5"),
-            ("walk.cfg", "dropoffs", "90, 93, -1.0"),
-            ("walk.cfg", "gps_dropouts", "30, 20"),
-            # biases beyond the IMU's full scale, as for the offsets below
-            ("walk.cfg", "accel_bias", "1000, 0, 0"),
-            ("walk.cfg", "gyro_bias", "0, 0, 1e300"),
-            ("offsets.cfg", "accel_offset", "1, 2"),
-            ("offsets.cfg", "accel_offset", "nan, 0, 0"),
-            # beyond the IMU's full scale, which no reading through the sensor can show
-            ("offsets.cfg", "accel_offset", "1000, 0, 0"),
-            ("offsets.cfg", "gyro_offset", "1e200, 0, 0"),
-        ],
-    )
+    @pytest.mark.parametrize("name, key, value", BAD_NUMBERS)
     def test_bad_numbers_rejected_with_key_context(
         self, tmp_path, tiny_streams, name, key, value
     ):
@@ -259,6 +259,74 @@ class TestScenarioParsing:
         with pytest.raises(DataError, match=rf"{name}:{len(lines)}: key '{key}'"):
             load(path)
         assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_DATA
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            (key, value)
+            for name, key, value in BAD_NUMBERS
+            # not the rows of syntax alone ('_', non-ASCII digits), nor front_sensors, which is
+            # no Scenario field, nor the biases, whose readings past full scale ImuLog refuses
+            if name == "walk.cfg" and value.isascii() and "_" not in value
+            and key not in ("front_sensors", "accel_bias", "gyro_bias")
+        ] + [
+            # numbers that no file can hold, within items too
+            ("route", "0, 0 ; nan, 0"),
+            ("obstacles", "nan, 0, 0.3"),
+            ("dropoffs", "90, inf, 0.5"),
+            ("gps_dropouts", "nan, 20"),
+            ("accel_bias", "nan, 0, 0"),
+            ("gyro_bias", "0, -inf, 0"),
+            ("inclined_azimuth_deg", "nan"),
+        ],
+    )
+    def test_bad_numbers_refused_by_a_scenario_built_in_python(self, key, value):
+        walk = cli.load_scenario(WALK110)
+        items = tuple(tuple(map(float, item.split(","))) for item in value.split(";"))
+        if key in ("obstacles", "dropoffs"):
+            given = tuple((sim.Obstacle if key == "obstacles" else sim.DropoffZone)(*item) for item in items)
+        elif key in ("route", "gps_dropouts"):
+            given = items
+        elif "," in value:
+            given = items[0]
+        else:
+            given = int(value) if key == "seed" else float(value)
+        with pytest.raises(sim.ScenarioError) as refused:
+            changed = {key: given}
+            for part in ("geometry", "noise"):  # a NoiseConfig checks its own keys as it is built
+                if key in {f.name for f in dataclasses.fields(getattr(walk, part))}:
+                    changed = {part: dataclasses.replace(getattr(walk, part), **changed)}
+            dataclasses.replace(walk, **changed)
+        assert refused.value.key == key
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            (key, value)
+            for name, key, value in BAD_NUMBERS
+            if key in ("accel_sigma", "gyro_sigma", "accel_bias", "gyro_bias")  # the keys dmp_like replaces
+        ]
+        + [("gyro_sigma", "34.95")],  # 6.99 once dmp_like divides it by 5
+    )
+    def test_dmp_mode_bounds_the_files_own_noise(self, tmp_path, key, value):
+        path = tmp_path / "walk.cfg"
+        lines = [line for line in WALK110.read_text().splitlines() if not line.startswith(f"{key} =")]
+        path.write_text("\n".join([*lines, f"{key} = {value}"]) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=rf"walk\.cfg:{len(lines) + 1}: key '{key}'") as refused:
+            cli.load_scenario(path, mode="dmp")
+        if key in ("accel_sigma", "gyro_sigma"):  # the file's value, not the preset's
+            assert f": {float(value)!r} is not in [0, " in str(refused.value)
+        out = tmp_path / "out"
+        argv = ["simulate", "--scenario", str(path), "--mode", "dmp", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert not out.exists()
+
+    def test_a_seed_past_float_range_loads(self, tmp_path):
+        path = tmp_path / "walk.cfg"
+        seed = 10**400
+        lines = [line for line in WALK110.read_text().splitlines() if not line.startswith("seed =")]
+        path.write_text("\n".join([*lines, f"seed = {seed}"]) + "\n", encoding="utf-8")
+        assert cli.load_scenario(path).seed == seed
 
     def test_imu_sigmas_load_at_full_scale(self, tmp_path):
         path = tmp_path / "walk.cfg"
@@ -1173,6 +1241,23 @@ class TestCommands:
             "--accel-noise", repr(cfg.accel_noise),
             "--gyro-noise", repr(cfg.gyro_noise),
             "--gps-std", repr(cfg.gps_pos_std),
+            "--out", str(est),
+        ]
+        assert cli.main(argv) == 0
+        assert (est / "est.csv").read_bytes() == (run / "est.csv").read_bytes()
+
+    def test_localize_defaults_reproduce_walk110s_run(self, tmp_path):
+        # LocalizerConfig's defaults (0.25, 0.025, 3.0) repeat walk110's noise as
+        # _localizer_config maps it, so the replay110 bench job's localize, with no
+        # noise flag, writes run's est.csv
+        run, est = tmp_path / "run", tmp_path / "est"
+        assert cli.main(["run", "--scenario", str(WALK110), "--seed", "0", "--out", str(run)]) == 0
+        argv = [
+            "localize",
+            "--imu", str(run / "imu.csv"),
+            "--gps", str(run / "gps.csv"),
+            "--offsets", str(run / "offsets.cfg"),
+            "--ref", "37.0, -122.0, 30.0",
             "--out", str(est),
         ]
         assert cli.main(argv) == 0

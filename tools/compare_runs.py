@@ -12,9 +12,9 @@ Each root is a checkout of this repository.  Both trees run
 replay the per-stage commands that the bench's replay110 job times,
 ``fuse-sonar``, ``localize --offsets --ref <walk110 anchor>`` and
 ``evaluate``, over the files of the parent's run, so that both read the
-same bytes.  Last, both trees run seven commands that must be refused,
+same bytes.  Last, both trees run eight commands that must be refused,
 each with the exit code it states, over faulty copies of the first
-walk110 run's files and of ``walk110.cfg``.  Six exit 2: a duplicate
+walk110 run's files and of ``walk110.cfg``.  Seven exit 2: a duplicate
 time on ``imu.csv`` row 101 (``localize``);
 a header-only ``gps.csv`` (``localize``); a ``sonar.csv`` with its first
 front row removed (``fuse-sonar``); ``run`` with ``gyro_bias = 0, 0,
@@ -23,16 +23,19 @@ key, or, in a tree that reads any finite bias, at the first ``imu.csv``
 step that it rotates too far); ``localize`` with ``imu.csv`` data row
 3001's gyro cells at ``1e100``, readings beyond full scale (refused at
 ``imu.csv:3002``, or, in a tree that reads any finite reading, run to
-the end); and ``run`` with ``accel_bias = 0, 0, -156.9``, a bias within
+the end); ``run`` with ``accel_bias = 0, 0, -156.9``, a bias within
 full scale whose simulated readings are not (refused at the scenario's
 noise keys before any file is written, or, in a tree that bounds only
-the localizer's input, at ``imu.csv:3`` after six files are written).
+the localizer's input, at ``imu.csv:3`` after six files are written);
+and ``run`` with ``gps_rate = 200``, above ``imu_rate = 100`` (refused
+at the key's line as ``<file>:<line>: key 'gps_rate': above imu_rate =
+100.0``, whether ``cli`` or ``sim.Scenario`` states the bound).
 One exits 1: ``localize --gps-std 1e-200`` over the first three
 ``imu.csv`` rows and a ``gps.csv`` whose second row repeats the anchor
 fix, a setting whose square is 0 (refused at the flag, or, in a tree
 that takes any positive setting, exit 3 with ``Singular matrix``, as
 the fix applied before the first step has S = 0).
-That makes 55 configurations.  Each
+That makes 56 configurations.  Each
 command has ``PYTHONPATH=<root>/src``, ``PYTHONDONTWRITEBYTECODE=1`` and
 ``PYTHONHASHSEED=0``.  The script compares the exit codes, the stdout and
 stderr with the output directory masked, the sets of files written, and
@@ -117,7 +120,10 @@ def refusals(run_dir: Path, scenario: Path, faults: Path) -> dict:
     sonar = (run_dir / "sonar.csv").read_text().splitlines(keepends=True)
     sonar.remove(next(line for line in sonar if ",front," in line))
     (faults / "sonar_front.csv").write_text("".join(sonar))
-    for name, key, value in (("spin.cfg", "gyro_bias", "0, 0, 1e300"), ("sink.cfg", "accel_bias", "0, 0, -156.9")):
+    for name, key, value in (
+        ("spin.cfg", "gyro_bias", "0, 0, 1e300"), ("sink.cfg", "accel_bias", "0, 0, -156.9"),
+        ("gps200.cfg", "gps_rate", "200"),
+    ):
         lines = [ln for ln in scenario.read_text().splitlines(keepends=True) if not ln.startswith(key)]
         (faults / name).write_text("".join([*lines, f"{key} = {value}\n"]))
     imu_path, gps_path = str(run_dir / "imu.csv"), str(run_dir / "gps.csv")
@@ -134,6 +140,8 @@ def refusals(run_dir: Path, scenario: Path, faults: Path) -> dict:
             ["localize", "--imu", str(faults / "imu_spin.csv"), "--gps", gps_path]]),
         "refused: run, accel_bias = 0, 0, -156.9": (2, [
             ["run", "--scenario", str(faults / "sink.cfg")]]),
+        "refused: run, gps_rate = 200": (2, [
+            ["run", "--scenario", str(faults / "gps200.cfg")]]),
         "refused: localize --gps-std 1e-200, anchor fix repeated": (1, [
             ["localize", "--imu", str(faults / "imu_3.csv"), "--gps", str(faults / "gps_anchor_twice.csv"),
              "--gps-std", "1e-200"]]),
