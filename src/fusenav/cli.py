@@ -38,10 +38,11 @@ written, stdout included, is a data error naming its path (``<stdout>``).
 is simulated, and est.csv from another once the filter has run, while it
 computes on; it joins both before it returns, on success or error, and a
 child's write error exits 2.
-A process executes only the modules its command runs: ``feedback``,
-``metrics``, ``perception``, ``sim`` and ``sonar_ekf`` are loaded on first
-use, so ``calibrate`` and ``localize`` execute none of them, ``fuse-sonar``
-only ``sonar_ekf`` and ``evaluate`` only ``metrics``.  OpenBLAS runs one
+A process executes only the modules its command runs: ``cli`` loads
+``core`` at start and the other seven modules on first use, so ``--help``
+executes none of them, ``calibrate`` and ``localize`` only ``geo`` and
+``localizer``, ``simulate`` only ``sim`` and ``geo``, ``fuse-sonar`` only
+``sonar_ekf`` and ``evaluate`` only ``metrics``.  OpenBLAS runs one
 thread unless ``OPENBLAS_NUM_THREADS`` is set (``fusenav/__init__``), and
 ``main()`` with no argv, a process's own command line, freezes the import-time
 heap first, so that neither a collection nor the exit walks it again.
@@ -63,14 +64,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import geo
 from .core import CHANNELS, MAX_ACCEL, MAX_GYRO, DataError, GpsFix, ImuLog, NumericalError, SonarLog, StreamError
-from .localizer import CalibrationOffsets, LocalizerConfig, calibrate, run_localizer
 
 
 def _lazy(name: str):
     """fusenav.``name``, executed at its first attribute access.  The proxy is
-    the module itself, in sys.modules and on the package: a wrapper set on it stays."""
+    the module itself, in sys.modules and on the package, so a sibling's
+    ``from . import name`` gets it too: a wrapper set on it stays."""
     full = f"{__package__}.{name}"
     if full not in sys.modules:
         spec = importlib.util.find_spec(full)
@@ -81,7 +81,17 @@ def _lazy(name: str):
     return sys.modules[full]
 
 
-fb, metrics, perception, sim, sonar_ekf = map(_lazy, ("feedback", "metrics", "perception", "sim", "sonar_ekf"))
+fb, geo, localizer, metrics, perception, sim, sonar_ekf = map(
+    _lazy, ("feedback", "geo", "localizer", "metrics", "perception", "sim", "sonar_ekf")
+)
+
+
+def __getattr__(name: str):
+    """``cli.calibrate`` and ``cli.run_localizer``, the localizer's, which perfbench/layers.py wraps by name."""
+    if name in ("calibrate", "run_localizer"):
+        return getattr(localizer, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -150,7 +160,7 @@ def _noise_flag(name: str):
 
     def conv(text: str) -> float:
         try:
-            return getattr(LocalizerConfig(**{name: _POSITIVE(text)}), name)
+            return getattr(localizer.LocalizerConfig(**{name: _POSITIVE(text)}), name)
         except ValueError as exc:  # DataError is one
             raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from None
 
@@ -378,7 +388,7 @@ def read_pose_csv(path, label: str) -> metrics.Trajectory:
     return metrics.Trajectory(t=cols[0], xyz=np.ascontiguousarray(cols[1:4].T), label=label)
 
 
-def _offsets_text(path, offsets: CalibrationOffsets) -> str:
+def _offsets_text(path, offsets: localizer.CalibrationOffsets) -> str:
     """offsets.cfg's two key lines, which calibrate also prints; a triple that
     read_offsets_cfg would refuse is a DataError at ``path``, in its words."""
     triples = [", ".join(map(_fmt, v)) for v in (offsets.accel_offset, offsets.gyro_offset)]
@@ -390,17 +400,17 @@ def _offsets_text(path, offsets: CalibrationOffsets) -> str:
     return "\n".join(f"{key} = {text}" for (key, _), text in zip(_OFFSET_KEYS, triples))
 
 
-def write_offsets_cfg(path, offsets: CalibrationOffsets) -> None:
+def write_offsets_cfg(path, offsets: localizer.CalibrationOffsets) -> None:
     text = _offsets_text(path, offsets)
     with _writing(path), open(path, "w") as f:
         f.write(f"# IMU calibration offsets (subtract from raw readings)\n{text}\n")
 
 
-def read_offsets_cfg(path) -> CalibrationOffsets:
+def read_offsets_cfg(path) -> localizer.CalibrationOffsets:
     kv = _KvFile(path)
     accel, gyro = (np.array(kv.take(key, conv)) for key, conv in _OFFSET_KEYS)
     kv.done()
-    return CalibrationOffsets(accel, gyro)
+    return localizer.CalibrationOffsets(accel, gyro)
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +533,9 @@ def load_scenario(path, seed=None, mode="raw") -> sim.Scenario:
 # Pipeline helpers
 
 
-def _localizer_config(noise: sim.NoiseConfig) -> LocalizerConfig:
+def _localizer_config(noise: sim.NoiseConfig) -> localizer.LocalizerConfig:
     # Floors keep the gate and covariance well-conditioned on noiseless runs.
-    return LocalizerConfig(
+    return localizer.LocalizerConfig(
         accel_noise=max(noise.accel_sigma, 1e-4),
         gyro_noise=max(noise.gyro_sigma, 1e-5),
         gps_pos_std=max(noise.gps_sigma, 0.01),
@@ -563,7 +573,7 @@ def _localize(paths: dict, imu: ImuLog, fixes, cfg, offsets, ref):
     the ENU frame at the ``ref`` 'lat, lon, alt' (None: the run's own
     frame), est.csv's columns; a stream fault is one at its file in ``paths``."""
     with _stream_files(paths):
-        run = run_localizer(imu, fixes, cfg, offsets)
+        run = localizer.run_localizer(imu, fixes, cfg, offsets)
     p, v = run.p, run.v
     if ref is not None:
         r, d = geo.enu_frame_transform(run.ref, GpsFix(0.0, *ref))
@@ -609,7 +619,7 @@ def _file_batch_source(path):
 
 def cmd_calibrate(args) -> str:
     source = _file_batch_source(args.imu)
-    offsets = calibrate(source, batch=args.batch, tol=args.tol, max_iter=args.max_iter)
+    offsets = localizer.calibrate(source, batch=args.batch, tol=args.tol, max_iter=args.max_iter)
     path = Path(args.out) / "offsets.cfg"
     text = _offsets_text(path, offsets)  # refused before the output directory is made
     _out_dir(args.out)
@@ -630,11 +640,8 @@ def cmd_localize(args) -> str:
     imu = read_imu_csv(args.imu)
     fixes = read_gps_csv(args.gps)
     offsets = read_offsets_cfg(args.offsets) if args.offsets else None
-    cfg = LocalizerConfig(
-        accel_noise=args.accel_noise,
-        gyro_noise=args.gyro_noise,
-        gps_pos_std=args.gps_std,
-    )
+    flags = {"accel_noise": args.accel_noise, "gyro_noise": args.gyro_noise, "gps_pos_std": args.gps_std}
+    cfg = localizer.LocalizerConfig(**{k: v for k, v in flags.items() if v is not None})  # defaults for the rest
     paths = {"imu": args.imu, "gps": args.gps}
     run, p, v = _localize(paths, imu, fixes, cfg, offsets, args.ref)
     out = _out_dir(args.out)
@@ -701,6 +708,9 @@ def _forked_writes():
 
 def cmd_run(args) -> str:
     scenario = load_scenario(args.scenario, args.seed, args.mode)
+    # loads the filter while the heap is small: compiled from source on top of
+    # the simulated walk, it would raise the run's peak memory
+    cfg = _localizer_config(scenario.noise)
     try:  # before any file is written
         detector = perception.ObstacleDetector(scenario.geometry)
     except DataError as exc:
@@ -711,7 +721,7 @@ def cmd_run(args) -> str:
 
         # calibrate on a stationary bench stream with the scenario's sensors
         try:
-            offsets = calibrate(sim.stationary_imu_source(scenario.noise, scenario.seed))
+            offsets = localizer.calibrate(sim.stationary_imu_source(scenario.noise, scenario.seed))
         except NumericalError as exc:  # its noise is the scenario's
             keys = "keys 'accel_sigma', 'gyro_sigma'"
             raise NumericalError(f"{args.scenario}: {keys}: {exc}") from None
@@ -721,7 +731,6 @@ def cmd_run(args) -> str:
         _write_csv(out / "fused.csv", FUSED_HEADER, list(fused))
 
         # localize; est.csv shares truth.csv's frame (the scenario anchor)
-        cfg = _localizer_config(scenario.noise)
         paths = {"imu": out / "imu.csv", "gps": out / "gps.csv"}
         run, est_p, est_v = _localize(paths, imu, fixes, cfg, offsets, scenario.anchor)
         spawn(write_pose_csv, out / "est.csv", run.t, est_p, est_v, run.q)
@@ -796,9 +805,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="'lat, lon, alt' ENU frame for est.csv (default: first GPS fix)",
     )
-    p.add_argument("--accel-noise", type=_noise_flag("accel_noise"), default=LocalizerConfig.accel_noise)
-    p.add_argument("--gyro-noise", type=_noise_flag("gyro_noise"), default=LocalizerConfig.gyro_noise)
-    p.add_argument("--gps-std", type=_noise_flag("gps_pos_std"), default=LocalizerConfig.gps_pos_std)
+    # no default here: LocalizerConfig states it
+    p.add_argument("--accel-noise", type=_noise_flag("accel_noise"))
+    p.add_argument("--gyro-noise", type=_noise_flag("gyro_noise"))
+    p.add_argument("--gps-std", type=_noise_flag("gps_pos_std"))
     _add_common(p, scenario=False)
     p.set_defaults(func=cmd_localize)
 

@@ -100,29 +100,32 @@ _RANGES = {  # key: (test, the range it names); every test fails on NaN
 }
 
 
-def _check(rows) -> None:
-    """Raise a ScenarioError at the first of the (key, value, holds, why) ``rows`` that fails."""
-    for key, value, holds, why in rows:
-        if not holds:
-            raise ScenarioError(key, why, value)
+def _check(faults) -> None:
+    """Raise a ScenarioError at the first of the (key, value, why) ``faults``, if there is one."""
+    for key, value, why in faults:
+        raise ScenarioError(key, why, value)
 
 
-def _numbers(x) -> list:
-    """The numbers ``x`` holds: itself, or those of its items or dataclass fields."""
+def _non_finite(x) -> list:
+    """The numbers ``x`` holds, itself or in its items or dataclass fields, that are not finite (an int is)."""
+    if isinstance(x, float):
+        return [] if math.isfinite(x) else [x]
     if isinstance(x, (tuple, list)):
-        return [v for item in x for v in _numbers(item)]
-    return _numbers(tuple(vars(x).values())) if is_dataclass(x) else [x]
+        return [v for item in x for v in _non_finite(item)]
+    if is_dataclass(x):
+        return _non_finite(tuple(vars(x).values()))
+    return [] if isinstance(x, int) or math.isfinite(x) else [x]
 
 
 def _alone(obj, skip=()):
-    """Rows of each field of ``obj`` but ``skip`` alone: each number in it finite (an int is), then its range."""
+    """The fault of each field of ``obj`` but ``skip`` alone, if it has one: a number in it that is not finite,
+    else a value out of its range."""
     for key in (f.name for f in fields(obj) if f.name not in skip):
         x = getattr(obj, key)
-        bad = [v for v in _numbers(x) if not (isinstance(v, int) or math.isfinite(v))]
-        yield key, x, not bad, f"not a finite number: {bad[0]!r}" if bad else ""
-        if key in _RANGES:
-            test, what = _RANGES[key]
-            yield key, x, test(x), f"{x!r} is not {what}"
+        if bad := _non_finite(x):
+            yield key, x, f"not a finite number: {bad[0]!r}"
+        elif key in _RANGES and not _RANGES[key][0](x):
+            yield key, x, f"{x!r} is not {_RANGES[key][1]}"
 
 
 @dataclass(frozen=True)
@@ -199,7 +202,7 @@ class Scenario:
     geometry: SonarGeometry = field(default_factory=SonarGeometry)
 
     def __post_init__(self):
-        _check(_bounds(self))
+        _check(_faults(self))
 
     def anchor_fix(self) -> GpsFix:
         return GpsFix(0.0, *self.anchor)
@@ -210,52 +213,55 @@ class Scenario:
         return self._path_length / self.speed
 
 
-def _bounds(s: Scenario):
-    """``s``'s (key, value, holds, why) rows, as Scenario lists them, each formed once the rows before hold."""
+def _faults(s: Scenario):
+    """``s``'s (key, value, why) faults, as Scenario lists its bounds, each bound tested once those before hold."""
     yield from _alone(s.geometry)
     yield from _alone(s, skip=("noise", "geometry"))  # the geometry's keys above; NoiseConfig checks its own
     step = 1.0 / s.imu_rate
-    yield "imu_rate", s.imu_rate, step <= _MAX_DT, f"step {step} s above {_MAX_DT} s"
+    if not step <= _MAX_DT:
+        yield "imu_rate", s.imu_rate, f"step {step} s above {_MAX_DT} s"
     for o in map(astuple, s.obstacles):
-        yield "obstacles", s.obstacles, o[2] > 0.0, f"item {o} needs a positive radius"
+        if not o[2] > 0.0:
+            yield "obstacles", s.obstacles, f"item {o} needs a positive radius"
     for key, items in (("dropoffs", map(astuple, s.dropoffs)), ("gps_dropouts", map(tuple, s.gps_dropouts))):
         for item in items:
-            yield key, getattr(s, key), item[0] <= item[1], f"item {item} needs start <= end"
+            if not item[0] <= item[1]:
+                yield key, getattr(s, key), f"item {item} needs start <= end"
     try:
         s.anchor_fix()
     except DataError as exc:  # GpsFix's ranges
-        yield "anchor", s.anchor, False, str(exc)
-    yield "route", s.route, len(s.route) >= 2, "route needs at least 2 waypoints"
+        yield "anchor", s.anchor, str(exc)
+    if len(s.route) < 2:
+        yield "route", s.route, "route needs at least 2 waypoints"
     for a, b in zip(s.route, s.route[1:]):
-        apart = math.hypot(b[0] - a[0], b[1] - a[1]) >= 1e-9
-        yield "route", s.route, apart, f"degenerate (repeated) waypoint at {a}"
+        if not math.hypot(b[0] - a[0], b[1] - a[1]) >= 1e-9:
+            yield "route", s.route, f"degenerate (repeated) waypoint at {a}"
     length = sum(map(math.dist, s.route, s.route[1:]))
-    yield "route", s.route, math.isfinite(length), "route length overflows"
+    if not math.isfinite(length):
+        yield "route", s.route, "route length overflows"
     try:  # refuses corners it cannot blend; duration reads the walked length
         object.__setattr__(s, "_path_length", _build_path(s.route)[1])
     except DataError as exc:
-        yield "route", s.route, False, str(exc)
+        yield "route", s.route, str(exc)
     max_rate, duration = _MAX_IMU_SAMPLES * s.speed / length, length / s.speed  # duration * imu_rate rows
     sigma, top, floor = s.noise.sonar_sigma, s.geometry.max_range, -s.geometry.belt_height
-    yield from [
-        ("imu_rate", s.imu_rate, s.imu_rate <= max_rate,
-         f"above {max_rate}, the rate of {_MAX_IMU_SAMPLES} IMU samples over the route"),
-        # a walk and its estimate need two samples, one step apart
-        ("speed", s.speed, duration >= step,
-         f"the {length} m route takes {duration} s, less than one IMU step of {step} s"),
-        # each fix is applied at an IMU step
-        ("gps_rate", s.gps_rate, s.gps_rate <= s.imu_rate, f"above imu_rate = {s.imu_rate}"),
-        # a ranging sigma as wide as the range carries no range; the bound keeps each reading finite
-        ("sonar_sigma", sigma, sigma <= top, f"above max_range = {top}"),
-        # a floor raised to the belt or above would give non-positive slant ranges
-        *(("dropoffs", s.dropoffs, z.depth > floor, f"item {astuple(z)}: depth <= -belt_height = {floor}")
-          for z in s.dropoffs),
-    ]
-    # the first fix anchors the localizer's frame; formed last, once the rows
+    if not s.imu_rate <= max_rate:
+        yield "imu_rate", s.imu_rate, f"above {max_rate}, the rate of {_MAX_IMU_SAMPLES} IMU samples over the route"
+    if not duration >= step:  # a walk and its estimate need two samples, one step apart
+        yield "speed", s.speed, f"the {length} m route takes {duration} s, less than one IMU step of {step} s"
+    if not s.gps_rate <= s.imu_rate:  # each fix is applied at an IMU step
+        yield "gps_rate", s.gps_rate, f"above imu_rate = {s.imu_rate}"
+    if not sigma <= top:  # a ranging sigma as wide as the range carries no range; the bound keeps each reading finite
+        yield "sonar_sigma", sigma, f"above max_range = {top}"
+    for z in s.dropoffs:  # a floor raised to the belt or above would give non-positive slant ranges
+        if not z.depth > floor:
+            yield "dropoffs", s.dropoffs, f"item {astuple(z)}: depth <= -belt_height = {floor}"
+    # the first fix anchors the localizer's frame; tested last, once the bounds
     # above have bounded the GPS epochs' number by the IMU samples'
     walk, rate = s.duration, s.gps_rate
-    yield ("gps_dropouts", s.gps_dropouts, gps_epochs(walk, rate, s.gps_dropouts)[1].any(),
-           f"no GPS epoch of the {walk} s walk at gps_rate = {rate} lies outside every window")
+    if not gps_epochs(walk, rate, s.gps_dropouts)[1].any():
+        yield ("gps_dropouts", s.gps_dropouts,
+               f"no GPS epoch of the {walk} s walk at gps_rate = {rate} lies outside every window")
 
 
 @dataclass(frozen=True)

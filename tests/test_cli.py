@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fusenav import cli, geo, sim
+from fusenav import cli, geo, localizer, sim
 from fusenav.core import CHANNELS, MAX_ACCEL, MAX_GYRO, DataError, GpsFix, ImuLog, SonarChannel, SonarLog
-from fusenav.localizer import MAX_IMU_DT, CalibrationOffsets
+from fusenav.localizer import MAX_IMU_DT, CalibrationOffsets, LocalizerConfig
 
 WALK110 = importlib.resources.files("fusenav") / "scenarios" / "walk110.cfg"
 CITY = Path(__file__).resolve().parents[1] / "perfbench" / "city.cfg"
@@ -1262,6 +1262,24 @@ class TestCommands:
         ]
         assert cli.main(argv) == 0
         assert (est / "est.csv").read_bytes() == (run / "est.csv").read_bytes()
+
+    def test_localize_noise_flags_keep_their_usage_and_default_to_localizer_config(
+        self, tiny_streams, tmp_path, capsys, monkeypatch
+    ):
+        # the parser states no noise default; a flag not given takes LocalizerConfig's
+        assert cli.main(["localize", "--help"]) == 0
+        usage = " ".join(capsys.readouterr().out.split("\n\n")[0].split())
+        assert usage == (
+            "usage: fusenav localize [-h] --imu IMU --gps GPS [--offsets OFFSETS] [--ref REF]"
+            " [--accel-noise ACCEL_NOISE] [--gyro-noise GYRO_NOISE] [--gps-std GPS_STD] --out OUT"
+        )
+        seen, run_localizer = [], localizer.run_localizer
+        monkeypatch.setattr(localizer, "run_localizer", lambda *args: seen.append(args[2]) or run_localizer(*args))
+        imu, gps = tiny_streams
+        argv = ["localize", "--imu", str(imu), "--gps", str(gps), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 0
+        assert cli.main([*argv, "--gyro-noise", "0.5"]) == 0
+        assert seen == [LocalizerConfig(), LocalizerConfig(gyro_noise=0.5)]
 
     def test_run_writes_inline_without_fork(self, scenario_file, tmp_path, monkeypatch):
         # where os has no fork, run writes each file itself: the same bytes

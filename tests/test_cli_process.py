@@ -44,15 +44,15 @@ with open(report, "w") as f:
     }, f)
 """
 
-STAGE = {"__init__", "cli", "core", "geo", "localizer"}
+STAGE = {"__init__", "cli", "core"}
 # command -> the fusenav modules (file stems) whose code it executes
 LOADS = {
     "--help": STAGE,
-    "calibrate": STAGE,
+    "calibrate": STAGE | {"geo", "localizer"},
     "fuse-sonar": STAGE | {"sonar_ekf"},
-    "localize": STAGE,
+    "localize": STAGE | {"geo", "localizer"},
     "evaluate": STAGE | {"metrics"},
-    "simulate": STAGE | {"sim"},
+    "simulate": STAGE | {"sim", "geo"},
     "run": {path.stem for path in PACKAGE.glob("*.py")},
 }
 

@@ -136,24 +136,27 @@ sys.path.insert(0, "perfbench")
 import layers, workloads
 from spans import Tracer
 mods = workloads.import_fusenav()
+cli, loc = mods["cli"], mods["localizer"]
+same = cli.calibrate is loc.calibrate and cli.run_localizer is loc.run_localizer
 tracer = Tracer()
 tracer.install(mods, layers.WRAPS)
 argv = ["run", "--scenario", str(workloads.WALK110_CFG), "--out", sys.argv[1]]
 rc, _ = workloads.run_cli_inprocess(mods, argv)
-print(json.dumps({"rc": rc, "absent": tracer.absent, "spans": sorted({s[0] for s in tracer.spans})}))
+print(json.dumps({"rc": rc, "same": same, "absent": tracer.absent, "spans": sorted({s[0] for s in tracer.spans})}))
 """
 
 
 def test_traced_run_records_every_layer(tmp_path):
     """In a fresh interpreter, where cli has not yet run the modules it
     loads on first use, the wrappers the bench installs are the functions
-    that ``run`` calls: no layer's per-layer metrics read 0."""
+    that ``run`` calls: no layer's per-layer metrics read 0.  The two names
+    the bench wraps on ``cli`` are the localizer's own functions."""
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_RUN, str(tmp_path / "out")], cwd=ROOT, capture_output=True
     )
     assert proc.returncode == 0, proc.stderr.decode()
     got = json.loads(proc.stdout.decode().splitlines()[-1])
-    assert got["rc"] == 0 and got["absent"] == []
+    assert got["rc"] == 0 and got["same"] and got["absent"] == []
     layers = {
         "sim.gen_walk",
         "sim.synth_sonar",

@@ -5,7 +5,7 @@ Usage::
 
     python3 tools/ab_stages.py PARENT_ROOT CHANGE_ROOT [--pairs N]
 
-Each root is a checkout of this repository.  Three cases are timed:
+Each root is a checkout of this repository.  Four cases are timed:
 
 - ``replay110``: the bench's replay110 job, ``fuse-sonar``,
   ``localize --offsets --ref <walk110 anchor>`` and ``evaluate``, one
@@ -14,7 +14,9 @@ Each root is a checkout of this repository.  Three cases are timed:
   are the three processes' sums and its maxrss their largest;
 - ``city run``: one ``fusenav run`` of the parent's ``perfbench/city.cfg``,
   seed 0;
-- ``import``: ``python -c "import fusenav.cli"``.
+- ``import``: ``python -c "import fusenav.cli"``;
+- ``--help``: ``python -m fusenav.cli --help``, the interpreter start, the
+  imports and the parser, but no command.
 
 Every child runs with ``PYTHONPATH=<root>/src`` and
 ``PYTHONDONTWRITEBYTECODE=1``, so each start compiles fusenav from source
@@ -84,6 +86,7 @@ def cases(parent: Path, run: Path, work: Path) -> dict:
         ],
         "city run": [[*cli, "run", "--scenario", str(parent / CITY), "--seed", "0", "--out", out]],
         "import": [["-c", "import fusenav.cli"]],
+        "--help": [[*cli, "--help"]],
     }
 
 
